@@ -31,13 +31,9 @@ from .dns_resolution import DnsFixture, ResolutionStatus, SpecialPurposeTable
 from .domain_ingest import ListFormat, Variant
 from .errors import (
     AuditError,
-    BadMagicError,
     ChainLoopError,
     DataError,
-    DuplicateRankError,
-    EmptyInputError,
     FixtureMissError,
-    InsufficientResolversError,
     MissingInputError,
     StageDependencyMissingError,
     UsageError,
@@ -132,9 +128,16 @@ class PipelineConfig:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write via a temp file renamed into place: never a partial artifact."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
@@ -144,11 +147,21 @@ def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
 
 def _read_jsonl(path: Path) -> list[dict]:
     rows = []
-    for line in path.read_text("utf-8").split("\n"):
-        line = line.strip()
-        if line:
-            rows.append(json.loads(line))
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
+        if line.strip():
+            try:
+                rows.append(json.loads(line.decode("utf-8")))
+            except ValueError as exc:  # a truncated row or undecodable bytes
+                raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
     return rows
+
+
+def _primary_resolver(cfg: PipelineConfig) -> str:
+    path = _require_artifact(cfg, "resolve_meta.json", "resolve")
+    try:
+        return json.loads(path.read_text("utf-8"))["primary_resolver"]
+    except ValueError as exc:
+        raise DataError(f"{path}: corrupt artifact ({exc})")
 
 
 def _write_diag(cfg: PipelineConfig, stage: str, diag: Diagnostics) -> None:
@@ -176,7 +189,11 @@ def _require_artifact(cfg: PipelineConfig, name: str, stage: str) -> Path:
 
 
 class _RateLimiter:
-    """Serializes queries to one resolver at a fixed minimum interval."""
+    """Spaces queries at a fixed minimum interval of 1/qps.
+
+    One limiter is shared by all resolvers and worker threads, so qps caps
+    the total query rate, not the rate per resolver.
+    """
 
     def __init__(self, qps: float):
         self._interval = 1.0 / qps if qps > 0 else 0.0
@@ -306,27 +323,22 @@ def stage_resolve(cfg: PipelineConfig) -> None:
 # map (addresses -> covering prefix/origin pairs)
 
 
-def _load_rib_entries(cfg: PipelineConfig, diag: Diagnostics) -> list[rib_store.RibEntry]:
+def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
     if not cfg.rib_paths:
         raise MissingInputError("<rib_paths>", "RIB source")
-    entries: list[rib_store.RibEntry] = []
+    trie = rib_store.PrefixTrie()
     for path in cfg.rib_paths:
         data = _require_file(path, "RIB dump").read_bytes()
-        try:
-            entries.extend(rib_store.parse_mrt(data, diag))
-        except BadMagicError:
-            entries.extend(rib_store.parse_text_rib(data, diag))
-    return entries
+        trie.add_routes(rib_store.read_routes(data, diag), diag)
+    return trie
 
 
 def stage_map(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     resolved_path = _require_artifact(cfg, "resolved.jsonl", "resolve")
-    meta = json.loads(_require_artifact(cfg, "resolve_meta.json", "resolve").read_text("utf-8"))
-    primary = meta["primary_resolver"]
+    primary = _primary_resolver(cfg)
 
-    entries = _load_rib_entries(cfg, diag)
-    trie = rib_store.build_trie(entries, diag)
+    trie = _load_rib(cfg, diag)
     if len(trie) == 0 and trie.as_set_count == 0:
         raise DataError("RIB sources contained zero usable entries")
 
@@ -415,8 +427,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     resolved_path = _require_artifact(cfg, "resolved.jsonl", "resolve")
     pairs_path = _require_artifact(cfg, "pairs.jsonl", "map")
-    meta = json.loads(_require_artifact(cfg, "resolve_meta.json", "resolve").read_text("utf-8"))
-    primary = meta["primary_resolver"]
+    primary = _primary_resolver(cfg)
 
     registry_path = _require_file(cfg.as_registry_path, "AS registry")
     registry = cdn_classifier.parse_as_registry(registry_path.read_bytes(), diag)
@@ -690,7 +701,9 @@ def _build_parser() -> _ArgumentParser:
         choices=[f.value for f in ListFormat],
         help="domain list format",
     )
-    parser.add_argument("--fixture-dns", help="DNS fixture JSONL path (offline mode)")
+    parser.add_argument(
+        "--fixture-dns", dest="dns_fixture", help="DNS fixture JSONL path (offline mode)"
+    )
     parser.add_argument(
         "--resolver",
         action="append",
@@ -714,26 +727,6 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "output_dir": "output_dir",
-    "domain_list": "domain_list_path",
-    "domain_list_format": "domain_list_format",
-    "fixture_dns": "fixture_dns_path",
-    "resolvers": "resolvers",
-    "primary_resolver": "primary_resolver",
-    "special_purpose_table": "special_purpose_table_path",
-    "ribs": "rib_paths",
-    "roas": "roa_path",
-    "roa_format": "roa_format",
-    "keywords": "keyword_path",
-    "as_registry": "as_registry_path",
-    "external_labels": "external_labels_path",
-    "bin_size": "bin_size",
-    "top_n": "top_n",
-    "timeout": "timeout",
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(
         level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
@@ -743,8 +736,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         cfg = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-        for flag, attr in _FLAG_TO_FIELD.items():
-            value = getattr(args, flag, None)
+        for key, attr in _CONFIG_KEYS.items():  # flags share the config keys
+            value = getattr(args, key, None)
             if value is not None:
                 setattr(cfg, attr, value)
         return run_stage(args.stage, cfg)
@@ -754,14 +747,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (MissingInputError, StageDependencyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        DataError,
-        EmptyInputError,
-        DuplicateRankError,
-        BadMagicError,
-        InsufficientResolversError,
-        AuditError,
-    ) as exc:
+    except AuditError as exc:  # DataError and every other input fault
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -29,9 +29,6 @@ class Diagnostics:
         self.count(key)
         log.warning("%s: %s", key, message)
 
-    def merge(self, other: "Diagnostics") -> None:
-        self.counters.update(other.counters)
-
     def as_dict(self) -> dict[str, int]:
         return {k: self.counters[k] for k in sorted(self.counters)}
 

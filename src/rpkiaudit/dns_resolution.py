@@ -20,7 +20,7 @@ from typing import IO, Iterable, Protocol, Union
 from . import _dnswire
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
-from .errors import ChainLoopError, FixtureMissError, InsufficientResolversError
+from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
 from .rib_store import IPAddress
 
 MAX_CNAME_HOPS = 16
@@ -259,20 +259,26 @@ class SpecialPurposeTable:
     v6_blocks: tuple[ipaddress.IPv6Network, ...]
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "SpecialPurposeTable":
+    def from_lines(
+        cls, lines: Iterable[str], source: str = "special-purpose table"
+    ) -> "SpecialPurposeTable":
+        """Parse one CIDR per line; a malformed line raises DataError naming it."""
         v4: list[ipaddress.IPv4Network] = []
         v6: list[ipaddress.IPv6Network] = []
-        for line in lines:
+        for lineno, line in enumerate(lines, 1):
             entry = line.split("#", 1)[0].strip()
             if not entry:
                 continue
-            network = ipaddress.ip_network(entry)
+            try:
+                network = ipaddress.ip_network(entry)
+            except ValueError:
+                raise DataError(f"{source}:{lineno}: not a CIDR prefix: {entry!r}")
             (v4 if network.version == 4 else v6).append(network)  # type: ignore[arg-type]
         return cls(tuple(v4), tuple(v6))
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SpecialPurposeTable":
-        return cls.from_lines(Path(path).read_text("utf-8").split("\n"))
+        return cls.from_lines(Path(path).read_text("utf-8").split("\n"), str(path))
 
     @classmethod
     def default(cls) -> "SpecialPurposeTable":

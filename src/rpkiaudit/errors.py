@@ -57,4 +57,4 @@ class StageDependencyMissingError(AuditError):
 
 
 class DataError(AuditError):
-    """Inputs parsed but contained no usable data (exit code 3)."""
+    """An input or artifact is corrupt, or holds no usable data (exit code 3)."""

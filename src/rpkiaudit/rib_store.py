@@ -1,8 +1,9 @@
-"""BGP RIB ingestion: MRT TABLE_DUMP_V2 and text dumps into a prefix trie.
+"""BGP RIB ingestion: MRT TABLE_DUMP_V2 and text dumps into a prefix index.
 
-The trie answers "all covering prefixes and their origin ASes" for any
-address; origin is the rightmost AS-path element, with AS_SET-terminated
-paths marked and kept out of the analysis set.
+One decoder per format yields integer routes, which PrefixTrie indexes as
+they stream in.  The trie answers "all covering prefixes and their origin
+ASes" for any address; origin is the rightmost AS-path element, with
+AS_SET-terminated paths marked and kept out of the analysis set.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import io
 import ipaddress
 import struct
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Iterator, Optional, Union
 
-from ._radix import RadixTrie
+from ._prefix_index import WIDTH, Bucket, PrefixIndex
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
 
@@ -25,20 +26,30 @@ IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 # frozensets for AS_SET segments.
 AsPath = tuple[Union[int, frozenset[int]], ...]
 
+# (version, network int, prefix length, origin or None for a terminal
+# AS_SET, AS path or None when the MRT decoder was not asked for paths)
+Route = tuple[int, int, int, Optional[int], Optional[AsPath]]
+
 MAX_ASN = 2**32 - 1
 
 # MRT record types (RFC 6396); anything else in the first header means the
 # stream is not MRT at all.
 _MRT_TYPES = frozenset({11, 12, 13, 16, 17, 32, 33, 48, 49})
+_MRT_HEADER = struct.Struct(">4xHHI")
 _TABLE_DUMP_V2 = 13
 _PEER_INDEX_TABLE = 1
-_RIB_IPV4_UNICAST = 2
-_RIB_IPV6_UNICAST = 4
+# RIB subtype -> (version, bytes before an entry's attributes).  An entry is
+# peer index (2), originated time (4), attribute length (2); the RFC 8050
+# ADD-PATH subtypes add a 4-byte path identifier before the length.
+_RIB_SUBTYPES = {
+    2: (4, 8),  # RIB_IPV4_UNICAST
+    4: (6, 8),  # RIB_IPV6_UNICAST
+    8: (4, 12),  # RIB_IPV4_UNICAST_ADDPATH
+    10: (6, 12),  # RIB_IPV6_UNICAST_ADDPATH
+}
 
-_AS_SET = 1
-_AS_SEQUENCE = 2
-_AS_CONFED_SEQUENCE = 3
-_AS_CONFED_SET = 4
+_SEGMENT_TYPES = frozenset({1, 2, 3, 4})  # AS_SET, AS_SEQUENCE, AS_CONFED_{SEQUENCE,SET}
+_SEQUENCES = frozenset({2, 3})  # AS_SEQUENCE, AS_CONFED_SEQUENCE
 
 _ATTR_AS_PATH = 2
 
@@ -75,12 +86,8 @@ class PrefixOriginPair:
         return self._hash
 
     def sort_key(self) -> tuple:
-        return (
-            self.prefix.version,
-            int(self.prefix.network_address),
-            self.prefix.prefixlen,
-            self.origin_asn,
-        )
+        prefix = self.prefix
+        return (prefix.version, int(prefix.network_address), prefix.prefixlen, self.origin_asn)
 
 
 def origin_from_path(as_path: AsPath) -> int | None:
@@ -93,8 +100,12 @@ def origin_from_path(as_path: AsPath) -> int | None:
     return int(last)
 
 
+def _network(version: int, net: int, plen: int) -> IPNetwork:
+    return (ipaddress.IPv6Network if version == 6 else ipaddress.IPv4Network)((net, plen))
+
+
 # ---------------------------------------------------------------------------
-# MRT TABLE_DUMP_V2 parsing
+# MRT TABLE_DUMP_V2 decoding
 
 
 def _open_stream(source: Union[bytes, IO[bytes]]) -> IO[bytes]:
@@ -107,164 +118,153 @@ def _open_stream(source: Union[bytes, IO[bytes]]) -> IO[bytes]:
         stream = io.BytesIO(data)
         head = data[:2]
     if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=stream)  # type: ignore[return-value]
+        # buffered, so the many small record reads stay out of GzipFile.read
+        return io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)  # type: ignore[arg-type]
     return stream
 
 
-def parse_mrt(
-    source: Union[bytes, IO[bytes]], diag: Diagnostics | None = None
-) -> list[RibEntry]:
-    """Decode TABLE_DUMP_V2 RIB records from an MRT stream (gzip sniffed).
+def mrt_routes(
+    source: Union[bytes, IO[bytes]], diag: Diagnostics | None = None, with_paths: bool = False
+) -> Iterator[Route]:
+    """Routes of the TABLE_DUMP_V2 RIB records in an MRT stream (gzip sniffed).
 
-    Unsupported record types/subtypes, truncated records and inconsistent
-    AS_PATH attributes are skipped and counted (keys mrt_skipped_records
-    plus a per-reason key); BadMagicError is raised only when the stream is
-    not MRT at all.
+    BadMagicError is raised at once when the stream is not MRT at all.
+    Unsupported types/subtypes, truncated records and inconsistent AS_PATH
+    attributes skip the whole record and are counted (mrt_skipped_records
+    plus a per-reason key).
     """
     diag = diag if diag is not None else Diagnostics()
     stream = _open_stream(source)
-    entries: list[RibEntry] = []
-    first = True
-    while True:
-        header = stream.read(12)
-        if not header:
-            if first:
-                raise BadMagicError("empty stream is not an MRT file")
-            break
+    header = stream.read(12)
+    if not header:
+        raise BadMagicError("empty stream is not an MRT file")
+    if len(header) < 12:
+        raise BadMagicError("stream shorter than an MRT record header")
+    mtype = _MRT_HEADER.unpack(header)[0]
+    if mtype not in _MRT_TYPES:
+        raise BadMagicError(f"type {mtype} is not an MRT record type")
+    return _mrt_records(stream, header, diag, with_paths)
+
+
+def _mrt_records(stream: IO[bytes], header: bytes, diag: Diagnostics, with_paths: bool):
+    read = stream.read
+    while header:
         if len(header) < 12:
-            if first:
-                raise BadMagicError("stream shorter than an MRT record header")
             diag.count("mrt_skipped_records")
             diag.count("mrt_truncated")
-            break
-        _ts, mtype, subtype, length = struct.unpack(">IHHI", header)
-        if first:
-            if mtype not in _MRT_TYPES:
-                raise BadMagicError(f"type {mtype} is not an MRT record type")
-            first = False
-        body = stream.read(length)
+            return
+        mtype, subtype, length = _MRT_HEADER.unpack(header)
+        body = read(length)
         if len(body) < length:
             diag.count("mrt_skipped_records")
             diag.count("mrt_truncated")
-            break
+            return
+        header = read(12)
         if mtype != _TABLE_DUMP_V2:
             diag.count("mrt_skipped_records")
             diag.count("mrt_unsupported_type")
             continue
         if subtype == _PEER_INDEX_TABLE:
             continue  # peer details are irrelevant to origin extraction
-        if subtype not in (_RIB_IPV4_UNICAST, _RIB_IPV6_UNICAST):
+        layout = _RIB_SUBTYPES.get(subtype)
+        if layout is None:
             diag.count("mrt_skipped_records")
             diag.count("mrt_unsupported_subtype")
             continue
+        version, entry_header = layout
         try:
-            entries.extend(_parse_rib_record(body, subtype == _RIB_IPV6_UNICAST))
+            net, plen, routes = _rib_record(body, WIDTH[version], entry_header, with_paths)
         except _Malformed:
             diag.count("mrt_skipped_records")
             diag.count("mrt_malformed_path")
-    return entries
+            continue
+        for origin, path in routes:
+            yield version, net, plen, origin, path
 
 
-def _parse_rib_record(body: bytes, v6: bool) -> list[RibEntry]:
-    width = 128 if v6 else 32
-    if len(body) < 5:
+def _rib_record(body: bytes, width: int, entry_header: int, with_paths: bool) -> tuple:
+    size = len(body)
+    if size < 5:
         raise _Malformed
-    _seq, plen = struct.unpack(">IB", body[:5])
+    plen = body[4]  # after the 4-byte sequence number
     if plen > width:
         raise _Malformed
-    octets = (plen + 7) // 8
-    if len(body) < 7 + octets:
+    end = 5 + (plen + 7) // 8
+    if size < end + 2:
         raise _Malformed
-    raw = body[5 : 5 + octets] + bytes(width // 8 - octets)
-    net_int = int.from_bytes(raw, "big")
-    if plen < width:  # trailing pad bits are irrelevant per RFC 6396
-        net_int &= ~((1 << (width - plen)) - 1)
-    addr = ipaddress.ip_address(net_int) if v6 else ipaddress.IPv4Address(net_int)
-    prefix = ipaddress.ip_network((addr, plen))
-    (entry_count,) = struct.unpack(">H", body[5 + octets : 7 + octets])
-
-    out: list[RibEntry] = []
-    off = 7 + octets
-    for _ in range(entry_count):
-        if off + 8 > len(body):
+    shift = width - plen
+    # trailing pad bits are irrelevant per RFC 6396
+    net = int.from_bytes(body[5:end], "big") << (width - 8 * (end - 5)) >> shift << shift
+    count = body[end] << 8 | body[end + 1]
+    off = end + 2
+    routes = []
+    for _ in range(count):
+        attrs = off + entry_header
+        if attrs > size:
             raise _Malformed
-        # peer index (2) + originated time (4) + attribute length (2)
-        attr_len = struct.unpack(">H", body[off + 6 : off + 8])[0]
-        off += 8
-        attrs = body[off : off + attr_len]
-        if len(attrs) < attr_len:
+        off = attrs + (body[attrs - 2] << 8 | body[attrs - 1])
+        if off > size:
             raise _Malformed
-        off += attr_len
-        path = _as_path_from_attrs(attrs)
-        out.append(RibEntry(prefix, path, origin_from_path(path)))
-    if off != len(body):
+        routes.append(_path_origin(_as_path_attr(body, attrs, off), with_paths))
+    if off != size:
         raise _Malformed
-    return out
+    return net, plen, routes
 
 
-def _as_path_from_attrs(attrs: bytes) -> AsPath:
-    off = 0
-    path_data = None
-    while off < len(attrs):
-        if off + 3 > len(attrs):
+def _as_path_attr(body: bytes, off: int, end: int) -> bytes:
+    """Value of the first AS_PATH attribute in body[off:end], all attributes checked."""
+    path = None
+    while off < end:
+        if off + 3 > end:
             raise _Malformed
-        flags = attrs[off]
-        atype = attrs[off + 1]
-        off += 2
-        if flags & 0x10:  # extended length
-            if off + 2 > len(attrs):
+        if body[off] & 0x10:  # extended length
+            if off + 4 > end:
                 raise _Malformed
-            alen = struct.unpack(">H", attrs[off : off + 2])[0]
-            off += 2
+            value = off + 4
+            stop = value + (body[off + 2] << 8 | body[off + 3])
         else:
-            alen = attrs[off]
-            off += 1
-        if off + alen > len(attrs):
+            value = off + 3
+            stop = value + body[off + 2]
+        if stop > end:
             raise _Malformed
-        if atype == _ATTR_AS_PATH and path_data is None:
-            path_data = attrs[off : off + alen]
-        off += alen
-    if path_data is None:
-        raise _Malformed
-    path = _decode_path(path_data)
-    if not path:
+        if body[off + 1] == _ATTR_AS_PATH and path is None:
+            path = body[value:stop]
+        off = stop
+    if path is None:
         raise _Malformed
     return path
 
 
-def _decode_path(data: bytes) -> AsPath:
+def _path_origin(data: bytes, with_path: bool) -> tuple[Optional[int], Optional[AsPath]]:
     # RFC 6396 mandates 4-byte ASNs in TABLE_DUMP_V2 paths, but 2-byte
     # encodings exist in the wild; accept whichever consumes the attribute
-    # exactly, preferring 4-byte.
-    for as_size in (4, 2):
-        segs = _try_decode_path(data, as_size)
-        if segs is not None:
-            return segs
+    # exactly, preferring 4-byte.  An empty path is malformed.
+    end = len(data)
+    for as_size in (4, 2) if end else ():
+        off = last = 0
+        while off + 2 <= end and data[off] in _SEGMENT_TYPES and data[off + 1]:
+            last = off
+            off += 2 + data[off + 1] * as_size
+        if off == end:
+            origin = None
+            if data[last] in _SEQUENCES:
+                origin = int.from_bytes(data[end - as_size :], "big")
+            return origin, _decode_path(data, as_size) if with_path else None
     raise _Malformed
 
 
-def _try_decode_path(data: bytes, as_size: int) -> AsPath | None:
+def _decode_path(data: bytes, as_size: int) -> AsPath:
     off = 0
     segs: list[int | frozenset[int]] = []
     while off < len(data):
-        if off + 2 > len(data):
-            return None
         stype = data[off]
-        count = data[off + 1]
-        off += 2
-        if stype not in (_AS_SET, _AS_SEQUENCE, _AS_CONFED_SEQUENCE, _AS_CONFED_SET):
-            return None
-        if count == 0:
-            return None
-        end = off + count * as_size
-        if end > len(data):
-            return None
+        end = off + 2 + data[off + 1] * as_size
         asns = [
             int.from_bytes(data[i : i + as_size], "big")
-            for i in range(off, end, as_size)
+            for i in range(off + 2, end, as_size)
         ]
         off = end
-        if stype in (_AS_SEQUENCE, _AS_CONFED_SEQUENCE):
+        if stype in _SEQUENCES:
             segs.extend(asns)
         else:
             segs.append(frozenset(asns))
@@ -272,15 +272,15 @@ def _try_decode_path(data: bytes, as_size: int) -> AsPath | None:
 
 
 # ---------------------------------------------------------------------------
-# Text RIB parsing ("prefix|as_path" lines)
+# Text RIB decoding ("prefix|as_path" lines)
 
 
-def parse_text_rib(
+def text_routes(
     source: Union[bytes, IO[bytes], str], diag: Diagnostics | None = None
-) -> list[RibEntry]:
-    """Parse "prefix|as_path" lines; "{a,b}" denotes an AS_SET segment.
+) -> Iterator[Route]:
+    """Decode "prefix|as_path" lines; "{a,b}" denotes an AS_SET segment.
 
-    Semantics match parse_mrt output; malformed lines (bad prefix, host bits
+    Routes match mrt_routes output; malformed lines (bad prefix, host bits
     set, bad ASN) are skipped and counted.
     """
     diag = diag if diag is not None else Diagnostics()
@@ -290,7 +290,6 @@ def parse_text_rib(
         data = source if isinstance(source, bytes) else source.read()
         text = data.decode("utf-8")
 
-    entries: list[RibEntry] = []
     for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -300,13 +299,13 @@ def parse_text_rib(
             diag.count("malformed_lines")
             continue
         try:
-            prefix = ipaddress.ip_network(parts[0].strip())  # strict: host bits
+            prefix = ipaddress.ip_network(parts[0].strip())  # strict: host bits are an error
             path = _parse_text_path(parts[1])
         except (ValueError, _Malformed):
             diag.count("malformed_lines")
             continue
-        entries.append(RibEntry(prefix, path, origin_from_path(path)))
-    return entries
+        net, plen = int(prefix.network_address), prefix.prefixlen
+        yield prefix.version, net, plen, origin_from_path(path), path
 
 
 def _parse_text_path(text: str) -> AsPath:
@@ -332,45 +331,103 @@ def _parse_asn(token: str) -> int:
     return asn
 
 
+def read_routes(data: bytes, diag: Diagnostics | None = None) -> Iterator[Route]:
+    """Routes of a RIB dump: MRT (gzip sniffed) when it is MRT, else text."""
+    try:
+        return mrt_routes(data, diag)
+    except BadMagicError:
+        return text_routes(data, diag)
+
+
+def _entries(routes: Iterable[Route]) -> list[RibEntry]:
+    return [
+        RibEntry(_network(version, net, plen), path, origin)  # type: ignore[arg-type]
+        for version, net, plen, origin, path in routes
+    ]
+
+
+def parse_mrt(
+    source: Union[bytes, IO[bytes]], diag: Diagnostics | None = None
+) -> list[RibEntry]:
+    """RibEntry list of mrt_routes, with AS paths; same checks and counters."""
+    return _entries(mrt_routes(source, diag, with_paths=True))
+
+
+def parse_text_rib(
+    source: Union[bytes, IO[bytes], str], diag: Diagnostics | None = None
+) -> list[RibEntry]:
+    """RibEntry list of text_routes; same checks and counters."""
+    return _entries(text_routes(source, diag))
+
+
 # ---------------------------------------------------------------------------
-# Prefix trie
+# Prefix index of prefix/origin pairs
 
 
 class PrefixTrie:
-    """Immutable-after-build index answering all-covering-prefix queries."""
+    """Index answering all-covering-prefix queries.
+
+    Origins are stored as ints.  The prefixes that cover an address are
+    nested, so the longest one fixes the answer: every stored prefix's
+    bucket memo holds the frozenset of pairs of every stored prefix covering
+    it, and a lookup copies the memo of the longest prefix that matches.
+    """
 
     def __init__(self) -> None:
-        self._v4 = RadixTrie(32)
-        self._v6 = RadixTrie(128)
+        self._index = PrefixIndex()
         self.as_set_count = 0
 
     def __len__(self) -> int:
-        return len(self._v4) + len(self._v6)
+        return len(self._index)
 
-    def _insert(self, pair: PrefixOriginPair) -> None:
-        trie = self._v6 if pair.prefix.version == 6 else self._v4
-        trie.insert(int(pair.prefix.network_address), pair.prefix.prefixlen, pair)
+    def add_routes(self, routes: Iterable[Route], diag: Diagnostics | None = None) -> None:
+        """Index every non-AS_SET route; AS_SET routes only bump a counter.
+
+        Then every memo is rebuilt, as a new prefix changes those of the
+        longer prefixes it covers.
+        """
+        diag = diag if diag is not None else Diagnostics()
+        add = self._index.add
+        for version, net, plen, origin, _path in routes:
+            if origin is None:
+                self.as_set_count += 1
+                diag.count("as_set_entries")
+            else:
+                add(version, net, plen, origin)
+        for bucket in self._index:
+            bucket.memo = None
+        for bucket in self._index:
+            pairs: frozenset[PrefixOriginPair] = frozenset()
+            for origins in self._index.covering(bucket.version, bucket.net, bucket.plen):
+                if origins.memo is None:  # shortest first: each memo extends the last
+                    origins.memo = pairs.union(self._own_pairs(origins))
+                pairs = origins.memo
+
+    @staticmethod
+    def _own_pairs(origins: Bucket) -> list[PrefixOriginPair]:
+        prefix = _network(origins.version, origins.net, origins.plen)
+        return [PrefixOriginPair(prefix, o) for o in origins]
 
     def covering(self, ip: IPAddress) -> set[PrefixOriginPair]:
-        trie = self._v6 if ip.version == 6 else self._v4
-        return set(trie.covering_of_address(int(ip)))
+        longest = self._index.longest(ip.version, int(ip))
+        return set() if longest is None else set(longest.memo)
 
     def pairs(self) -> set[PrefixOriginPair]:
-        return set(self._v4.iter_items()) | set(self._v6.iter_items())
+        return set().union(*(bucket.memo for bucket in self._index))
 
 
 def build_trie(
     entries: Iterable[RibEntry], diag: Diagnostics | None = None
 ) -> PrefixTrie:
     """Index every non-AS_SET entry; AS_SET entries only bump a counter."""
-    diag = diag if diag is not None else Diagnostics()
     trie = PrefixTrie()
-    for entry in entries:
-        if entry.origin is None:
-            trie.as_set_count += 1
-            diag.count("as_set_entries")
-            continue
-        trie._insert(PrefixOriginPair(entry.prefix, entry.origin))
+    trie.add_routes(
+        (
+            (e.prefix.version, int(e.prefix.network_address), e.prefix.prefixlen, e.origin, None)
+            for e in entries
+        ),
+        diag,
+    )
     return trie
 
 

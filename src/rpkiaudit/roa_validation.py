@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable, Union
 
-from ._radix import RadixTrie
+from ._prefix_index import PrefixIndex
 from .diagnostics import Diagnostics
 from .rib_store import MAX_ASN, IPNetwork, PrefixOriginPair
 
@@ -158,20 +158,15 @@ class RoaIndex:
     """Prefix-keyed ROA lookup: covering(p) = ROAs whose prefix contains p."""
 
     def __init__(self) -> None:
-        self._v4 = RadixTrie(32)
-        self._v6 = RadixTrie(128)
-
-    def __len__(self) -> int:
-        return len(self._v4) + len(self._v6)
+        self._index = PrefixIndex()
 
     def _insert(self, roa: RoaPayload) -> None:
-        trie = self._v6 if roa.prefix.version == 6 else self._v4
-        trie.insert(int(roa.prefix.network_address), roa.prefix.prefixlen, roa)
+        prefix = roa.prefix
+        self._index.add(prefix.version, int(prefix.network_address), prefix.prefixlen, roa)
 
     def covering(self, prefix: IPNetwork) -> set[RoaPayload]:
-        trie = self._v6 if prefix.version == 6 else self._v4
-        return set(
-            trie.covering_of_prefix(int(prefix.network_address), prefix.prefixlen)
+        return set().union(
+            *self._index.covering(prefix.version, int(prefix.network_address), prefix.prefixlen)
         )
 
 

@@ -12,6 +12,9 @@ PEER_INDEX_TABLE = 1
 RIB_IPV4_UNICAST = 2
 RIB_IPV4_MULTICAST = 3
 RIB_IPV6_UNICAST = 4
+RIB_IPV4_UNICAST_ADDPATH = 8  # RFC 8050
+RIB_IPV4_MULTICAST_ADDPATH = 9
+RIB_IPV6_UNICAST_ADDPATH = 10
 
 AS_SET = 1
 AS_SEQUENCE = 2
@@ -59,7 +62,12 @@ def rib_entry(attrs: bytes, peer_index: int = 0, originated: int = 0) -> bytes:
     return struct.pack(">HIH", peer_index, originated, len(attrs)) + attrs
 
 
-def rib_record(prefix: str, entries: list[bytes], seq: int = 0) -> bytes:
+def rib_entry_addpath(attrs: bytes, path_id: int, peer_index: int = 0) -> bytes:
+    """RFC 8050 entry: a 4-byte path identifier sits after the originated time."""
+    return struct.pack(">HIIH", peer_index, 0, path_id, len(attrs)) + attrs
+
+
+def rib_record(prefix: str, entries: list[bytes], seq: int = 0, addpath: bool = False) -> bytes:
     network = ipaddress.ip_network(prefix)
     v6 = network.version == 6
     plen = network.prefixlen
@@ -67,7 +75,10 @@ def rib_record(prefix: str, entries: list[bytes], seq: int = 0) -> bytes:
     packed = int(network.network_address).to_bytes(16 if v6 else 4, "big")[:octets]
     body = struct.pack(">IB", seq, plen) + packed
     body += struct.pack(">H", len(entries)) + b"".join(entries)
-    subtype = RIB_IPV6_UNICAST if v6 else RIB_IPV4_UNICAST
+    if addpath:
+        subtype = RIB_IPV6_UNICAST_ADDPATH if v6 else RIB_IPV4_UNICAST_ADDPATH
+    else:
+        subtype = RIB_IPV6_UNICAST if v6 else RIB_IPV4_UNICAST
     return mrt_record(TABLE_DUMP_V2, subtype, body)
 
 

@@ -1,11 +1,16 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
-from rpkiaudit.cli import PipelineConfig, main, run_stage
+import rpkiaudit
+from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import StageDependencyMissingError, UsageError
 
 
@@ -313,3 +318,54 @@ class TestMrtInputPath:
         assert rows[0]["pairs"] == [
             {"prefix": "93.184.216.0/24", "asn": 15133, "state": "valid"}
         ]
+
+
+def run_cli(*args):
+    """Run the CLI in a child process, so an uncaught error shows as a traceback."""
+    env = dict(os.environ)
+    src = str(Path(rpkiaudit.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rpkiaudit", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestCorruptInputs:
+    def test_malformed_special_purpose_table_is_3(self, tmp_path):
+        table = tmp_path / "special.txt"
+        table.write_text("10.0.0.0/8\nnot-a-prefix\n")
+        result = run_cli(
+            "resolve",
+            "--domain-list", E2E_DIR / "domains.csv",
+            "--fixture-dns", E2E_DIR / "dns.jsonl",
+            "--special-purpose-table", table,
+            "--output-dir", tmp_path / "out",
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert f"{table}:2" in result.stderr
+
+    @pytest.mark.parametrize("damage", ["truncated", "non_utf8"])
+    def test_corrupt_resolved_artifact_is_3(self, e2e_output, tmp_path, damage):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "resolve_meta.json", out)
+        rows = (e2e_output / "resolved.jsonl").read_bytes()
+        at = rows.index(b"\n", len(rows) // 2) + 20  # 20 bytes into a row
+        bad = rows[:at] if damage == "truncated" else rows[:at] + b"\xff" + rows[at:]
+        (out / "resolved.jsonl").write_bytes(bad)
+        result = run_cli("map", "--rib", E2E_DIR / "rib.txt", "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        line = rows[:at].count(b"\n") + 1
+        assert f"resolved.jsonl:{line}" in result.stderr
+        assert not (out / "pairs.jsonl").exists()
+
+    def test_failed_write_keeps_old_artifact(self, tmp_path):
+        path = tmp_path / "artifact.txt"
+        _write_text(path, "complete\n")
+        with pytest.raises(UnicodeEncodeError):
+            _write_text(path, "half written \ud800")  # fails mid-write
+        assert path.read_text() == "complete\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]

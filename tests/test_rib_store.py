@@ -152,6 +152,47 @@ class TestParseMrt:
         assert diag.get("mrt_unsupported_subtype") == 1
         assert diag.get("mrt_skipped_records") == 1
 
+    def test_addpath_records_v4_and_v6(self):
+        # RFC 8050: two paths for one v4 prefix, told apart by path identifier
+        def attrs(*path):
+            return mb.origin_attr() + mb.as_path_attr(mb.path_segment(mb.AS_SEQUENCE, path))
+
+        data = (
+            mb.peer_index_table()
+            + mb.rib_record(
+                "192.0.2.0/24",
+                [
+                    mb.rib_entry_addpath(attrs(100, 200), path_id=1),
+                    mb.rib_entry_addpath(attrs(100, 300), path_id=2),
+                ],
+                addpath=True,
+            )
+            + mb.rib_record(
+                "2001:db8:7::/48", [mb.rib_entry_addpath(attrs(6939, 64511), 7)], addpath=True
+            )
+            + mb.mrt_record(mb.TABLE_DUMP_V2, mb.RIB_IPV4_MULTICAST_ADDPATH, b"\x00" * 8)
+        )
+        diag = Diagnostics()
+        entries = parse_mrt(data, diag)
+        assert entries == [
+            RibEntry(ipaddress.ip_network("192.0.2.0/24"), (100, 200), 200),
+            RibEntry(ipaddress.ip_network("192.0.2.0/24"), (100, 300), 300),
+            RibEntry(ipaddress.ip_network("2001:db8:7::/48"), (6939, 64511), 64511),
+        ]
+        assert diag.as_dict() == {"mrt_skipped_records": 1, "mrt_unsupported_subtype": 1}
+
+    def test_addpath_entry_without_path_id_is_malformed(self):
+        # a plain entry inside an ADD-PATH record is 4 bytes short
+        attrs = mb.as_path_attr(mb.path_segment(mb.AS_SEQUENCE, [64500]))
+        data = mb.rib_record("192.0.2.0/24", [mb.rib_entry(attrs)], addpath=True)
+        diag = Diagnostics()
+        assert parse_mrt(data, diag) == []
+        assert diag.get("mrt_malformed_path") == 1
+
+    def test_low_v6_prefix_stays_v6(self):
+        data = mb.simple_rib("::/0", [64500]) + mb.simple_rib("::/8", [64501])
+        assert [str(e.prefix) for e in parse_mrt(data)] == ["::/0", "::/8"]
+
     def test_malformed_path_skips_record(self):
         # attribute claims more segment ASNs than bytes present in any width
         bad_attr = bytes([0x40, 2, 5]) + bytes([mb.AS_SEQUENCE, 9, 0])
