@@ -10,14 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .cdn_classifier import CdnLabel
 from .domain_ingest import RankBin, bin_for_rank
-from .rib_store import IPNetwork, PrefixOriginPair
 from .roa_validation import ValidationState
-
-PairState = tuple[PrefixOriginPair, ValidationState]
 
 
 class CoverageClass(enum.Enum):
@@ -34,58 +31,71 @@ _CLASS_MARK = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DomainCoverage:
+    """Validation-state counts of one domain's distinct pairs."""
+
     domain: str
-    pairs: tuple[PairState, ...]
-    covered_fraction: Fraction
-    valid_fraction: Fraction
-    invalid_fraction: Fraction
-    notfound_fraction: Fraction
-    classification: CoverageClass
+    valid: int
+    invalid: int
+    notfound: int
 
     @property
     def total_pairs(self) -> int:
-        return len(self.pairs)
+        return self.valid + self.invalid + self.notfound
 
     @property
     def covered_count(self) -> int:
-        return sum(1 for _, s in self.pairs if s is not ValidationState.NOT_FOUND)
+        return self.valid + self.invalid
+
+    def _share(self, count: int, empty: int = 0) -> Fraction:
+        total = self.total_pairs
+        return Fraction(count, total) if total else Fraction(empty)
+
+    @property
+    def covered_fraction(self) -> Fraction:
+        return self._share(self.covered_count)
+
+    @property
+    def valid_fraction(self) -> Fraction:
+        return self._share(self.valid)
+
+    @property
+    def invalid_fraction(self) -> Fraction:
+        return self._share(self.invalid)
+
+    @property
+    def notfound_fraction(self) -> Fraction:
+        return self._share(self.notfound, empty=1)  # no pairs: all not-found
+
+    @property
+    def classification(self) -> CoverageClass:
+        if not self.total_pairs:
+            return CoverageClass.NO_DATA
+        if not self.notfound:
+            return CoverageClass.FULL
+        if not self.covered_count:
+            return CoverageClass.NONE
+        return CoverageClass.PARTIAL
 
 
-def domain_coverage(domain: str, states: Iterable[PairState]) -> DomainCoverage:
-    """Fold per-pair validation states into one per-domain coverage record.
+def domain_coverage(
+    domain: str, states: Iterable[tuple[Hashable, ValidationState]]
+) -> DomainCoverage:
+    """Count the validation states of a domain's pairs, keyed by any hashable pair.
 
-    States must already be deduplicated on pair; conflicting duplicates are
-    rejected, identical ones collapsed.
+    Identical duplicates collapse; a pair listed with two states is rejected.
     """
-    by_pair: dict[PrefixOriginPair, ValidationState] = {}
+    by_pair: dict[Hashable, ValidationState] = {}
     for pair, state in states:
-        if by_pair.get(pair, state) is not state:
+        if by_pair.setdefault(pair, state) is not state:
             raise ValueError(f"{domain}: pair {pair} has conflicting states")
-        by_pair[pair] = state
-    pairs = tuple(
-        sorted(by_pair.items(), key=lambda item: item[0].sort_key())
-    )
-    n = len(pairs)
-    if n == 0:
-        return DomainCoverage(
-            domain, (), Fraction(0), Fraction(0), Fraction(0), Fraction(1),
-            CoverageClass.NO_DATA,
-        )
-    valid = sum(1 for _, s in pairs if s is ValidationState.VALID)
-    invalid = sum(1 for _, s in pairs if s is ValidationState.INVALID)
-    notfound = n - valid - invalid
-    covered = Fraction(valid + invalid, n)
-    if covered == 1:
-        cls = CoverageClass.FULL
-    elif covered == 0:
-        cls = CoverageClass.NONE
-    else:
-        cls = CoverageClass.PARTIAL
+    found = list(by_pair.values())
     return DomainCoverage(
-        domain, pairs, covered,
-        Fraction(valid, n), Fraction(invalid, n), Fraction(notfound, n), cls,
+        domain,
+        found.count(ValidationState.VALID),
+        found.count(ValidationState.INVALID),
+        found.count(ValidationState.NOT_FOUND),
     )
 
 
@@ -97,10 +107,14 @@ class OverlapStat:
 
 def prefix_overlap(
     domain: str,
-    www_prefixes: Iterable[IPNetwork],
-    base_prefixes: Iterable[IPNetwork],
+    www_prefixes: Iterable[Hashable],
+    base_prefixes: Iterable[Hashable],
 ) -> OverlapStat:
-    """Jaccard similarity of the two variants' prefix sets."""
+    """Jaccard similarity of the two variants' prefix sets.
+
+    Prefixes may be in any one canonical form; the pipeline passes the
+    prefix text of its artifacts, where equal text means equal networks.
+    """
     www = set(www_prefixes)
     base = set(base_prefixes)
     if not www and not base:

@@ -13,7 +13,7 @@ from typing import IO, Iterable, Mapping, Union
 from .diagnostics import Diagnostics
 from .dns_resolution import ResolutionResult, ResolutionStatus
 from .domain_ingest import normalize_name
-from .rib_store import MAX_ASN, PrefixOriginPair
+from .rib_store import MAX_ASN
 
 CHAIN_THRESHOLD = 2
 
@@ -72,9 +72,9 @@ def spot_keywords(
     return hits
 
 
-def classify_by_asn(pairs: Iterable[PrefixOriginPair], cdn_asns: set[int]) -> bool:
+def classify_by_asn(origin_asns: Iterable[int], cdn_asns: set[int]) -> bool:
     """True iff any of the domain's origin ASes belongs to a CDN."""
-    return any(pair.origin_asn in cdn_asns for pair in pairs)
+    return not cdn_asns.isdisjoint(origin_asns)
 
 
 def compare_external(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import ipaddress
 import json
 import logging
@@ -19,6 +20,7 @@ import os
 import sys
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -329,7 +331,11 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
     trie = rib_store.PrefixTrie()
     for path in cfg.rib_paths:
         data = _require_file(path, "RIB dump").read_bytes()
-        trie.add_routes(rib_store.read_routes(data, diag), diag)
+        try:
+            trie.add_routes(rib_store.read_routes(data, diag), diag)
+        except (EOFError, OSError, UnicodeDecodeError, zlib.error) as exc:
+            # a cut or corrupt gzip stream, or a text dump that is not UTF-8
+            raise DataError(f"{path}: unreadable RIB dump ({exc})")
     return trie
 
 
@@ -393,21 +399,23 @@ def stage_validate(cfg: PipelineConfig) -> None:
     roas = roa_validation.load_roas(roa_path.read_bytes(), _roa_format(cfg, roa_path), diag)
     index = roa_validation.build_roa_index(roas)
 
+    @functools.cache  # each distinct pair is parsed and validated once per run
+    def state_of(prefix: str, asn: int) -> ValidationState:
+        return roa_validation.validate(PrefixOriginPair(ipaddress.ip_network(prefix), asn), index)
+
     rows = []
     for row in _read_jsonl(pairs_path):
-        states = []
-        for item in row["pairs"]:
-            pair = PrefixOriginPair(ipaddress.ip_network(item["prefix"]), item["asn"])
-            states.append((pair, roa_validation.validate(pair, index)))
-        coverage = analytics.domain_coverage(row["domain"], states)
+        # map wrote the pairs sorted and distinct, so their order is kept
+        states = {(p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]}
+        coverage = analytics.domain_coverage(row["domain"], states.items())
         rows.append(
             {
                 "rank": row["rank"],
                 "domain": row["domain"],
                 "variant": row["variant"],
                 "pairs": [
-                    {"prefix": str(p.prefix), "asn": p.origin_asn, "state": s.value}
-                    for p, s in coverage.pairs
+                    {"prefix": prefix, "asn": asn, "state": state.value}
+                    for (prefix, asn), state in states.items()
                 ],
                 "covered": analytics.fraction_to_float(coverage.covered_fraction),
                 "class": coverage.classification.value,
@@ -443,12 +451,10 @@ def stage_classify(cfg: PipelineConfig) -> None:
             _require_file(cfg.external_labels_path, "external labels").read_bytes(), diag
         )
 
-    pairs_by_key: dict[tuple[int, str], list[PrefixOriginPair]] = {}
-    for row in _read_jsonl(pairs_path):
-        pairs_by_key[(row["rank"], row["domain"])] = [
-            PrefixOriginPair(ipaddress.ip_network(p["prefix"]), p["asn"])
-            for p in row["pairs"]
-        ]
+    origins_by_key = {
+        (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]]
+        for row in _read_jsonl(pairs_path)
+    }
 
     labels = []
     rows = []
@@ -461,7 +467,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
             chain_length,
             chain_length >= cdn_classifier.CHAIN_THRESHOLD,
             by_asn=cdn_classifier.classify_by_asn(
-                pairs_by_key.get((row["rank"], row["domain"]), []), cdn_asns
+                origins_by_key.get((row["rank"], row["domain"]), ()), cdn_asns
             ),
         )
         ext = external.get(label.domain)
@@ -510,15 +516,20 @@ def stage_classify(cfg: PipelineConfig) -> None:
 # analyze
 
 
-def _coverage_from_row(row: dict) -> DomainCoverage:
-    states = [
-        (
-            PrefixOriginPair(ipaddress.ip_network(p["prefix"]), p["asn"]),
-            ValidationState(p["state"]),
+_STATES = {state.value: state for state in ValidationState}
+
+
+def _coverage_from_row(path: Path, row: dict) -> DomainCoverage:
+    """Coverage of one validated.jsonl row; a corrupt row raises DataError."""
+    domain = row["domain"]
+    try:
+        return analytics.domain_coverage(
+            domain, (((p["prefix"], p["asn"]), _STATES[p["state"]]) for p in row["pairs"])
         )
-        for p in row["pairs"]
-    ]
-    return analytics.domain_coverage(row["domain"], states)
+    except KeyError as exc:
+        raise DataError(f"{path}: {domain}: unknown validation state or field {exc}")
+    except ValueError as exc:  # one pair listed with two states
+        raise DataError(f"{path}: {exc}")
 
 
 def _bin_csv(stats: list[analytics.BinStat]) -> str:
@@ -564,12 +575,12 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
 
     coverages: dict[str, list[tuple[int, DomainCoverage]]] = {"base": [], "www": []}
-    prefixes: dict[tuple[int, str], set] = {}
+    prefixes: dict[tuple[int, str], set[str]] = {}
     base_names: dict[int, str] = {}
     for row in validated:
-        cov = _coverage_from_row(row)
+        cov = _coverage_from_row(validated_path, row)
         coverages[row["variant"]].append((row["rank"], cov))
-        prefixes[(row["rank"], row["variant"])] = {p.prefix for p, _ in cov.pairs}
+        prefixes[(row["rank"], row["variant"])] = {p["prefix"] for p in row["pairs"]}
         if row["variant"] == "base":
             base_names[row["rank"]] = row["domain"]
 
@@ -615,7 +626,7 @@ def stage_report(cfg: PipelineConfig) -> None:
     per_rank: dict[int, dict[str, DomainCoverage]] = {}
     names: dict[int, str] = {}
     for row in _read_jsonl(validated_path):
-        cov = _coverage_from_row(row)
+        cov = _coverage_from_row(validated_path, row)
         per_rank.setdefault(row["rank"], {})[row["variant"]] = cov
         if row["variant"] == "base":
             names[row["rank"]] = row["domain"]
@@ -724,6 +735,10 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--bin-size", type=int, help="rank bin size (default 10000)")
     parser.add_argument("--top-n", type=int, help="report row count (default 10)")
     parser.add_argument("--timeout", type=float, help="DNS timeout seconds")
+    parser.add_argument("--max-inflight", type=int, help="live DNS worker threads (default 16)")
+    parser.add_argument(
+        "--resolver-qps", type=float, help="total live DNS queries per second (0 = unlimited)"
+    )
     return parser
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Protocol, Union
 
 from . import _dnswire
+from ._prefix_index import PrefixIndex
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
@@ -257,6 +258,13 @@ def parse_endpoint(text: str) -> LiveResolver:
 class SpecialPurposeTable:
     v4_blocks: tuple[ipaddress.IPv4Network, ...]
     v6_blocks: tuple[ipaddress.IPv6Network, ...]
+    _index: PrefixIndex = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = PrefixIndex()
+        for block in self.v4_blocks + self.v6_blocks:
+            index.add(block.version, int(block.network_address), block.prefixlen, block)
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def from_lines(
@@ -290,8 +298,7 @@ class SpecialPurposeTable:
         return cls.from_lines(text.split("\n"))
 
     def contains(self, addr: IPAddress) -> bool:
-        blocks = self.v4_blocks if addr.version == 4 else self.v6_blocks
-        return any(addr in block for block in blocks)
+        return self._index.longest(addr.version, int(addr)) is not None
 
 
 def filter_special_purpose(

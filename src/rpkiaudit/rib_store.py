@@ -363,6 +363,8 @@ def parse_text_rib(
 # ---------------------------------------------------------------------------
 # Prefix index of prefix/origin pairs
 
+_NO_PAIRS: frozenset[PrefixOriginPair] = frozenset()
+
 
 class PrefixTrie:
     """Index answering all-covering-prefix queries.
@@ -370,7 +372,7 @@ class PrefixTrie:
     Origins are stored as ints.  The prefixes that cover an address are
     nested, so the longest one fixes the answer: every stored prefix's
     bucket memo holds the frozenset of pairs of every stored prefix covering
-    it, and a lookup copies the memo of the longest prefix that matches.
+    it, and a lookup returns the memo of the longest prefix that matches.
     """
 
     def __init__(self) -> None:
@@ -408,9 +410,9 @@ class PrefixTrie:
         prefix = _network(origins.version, origins.net, origins.plen)
         return [PrefixOriginPair(prefix, o) for o in origins]
 
-    def covering(self, ip: IPAddress) -> set[PrefixOriginPair]:
+    def covering(self, ip: IPAddress) -> frozenset[PrefixOriginPair]:
         longest = self._index.longest(ip.version, int(ip))
-        return set() if longest is None else set(longest.memo)
+        return _NO_PAIRS if longest is None else longest.memo
 
     def pairs(self) -> set[PrefixOriginPair]:
         return set().union(*(bucket.memo for bucket in self._index))
@@ -433,8 +435,11 @@ def build_trie(
 
 def covering_pairs(
     ip: Union[str, IPAddress], trie: PrefixTrie
-) -> set[PrefixOriginPair]:
-    """Every (prefix, origin) in the trie whose prefix contains the address."""
+) -> frozenset[PrefixOriginPair]:
+    """Every (prefix, origin) in the trie whose prefix contains the address.
+
+    The set is shared with the trie's memo, not copied per lookup.
+    """
     if isinstance(ip, str):
         ip = ipaddress.ip_address(ip)
     return trie.covering(ip)

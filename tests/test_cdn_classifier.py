@@ -18,7 +18,6 @@ from rpkiaudit.cdn_classifier import (
 )
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.dns_resolution import ResolutionResult, ResolutionStatus
-from rpkiaudit.rib_store import PrefixOriginPair
 
 
 def ok_result(domain, chain):
@@ -30,10 +29,6 @@ def ok_result(domain, chain):
         ResolutionStatus.OK,
         0,
     )
-
-
-def pair(prefix, asn):
-    return PrefixOriginPair(ipaddress.ip_network(prefix), asn)
 
 
 class TestChainHeuristic:
@@ -113,10 +108,10 @@ class TestKeywordSpotting:
 
 class TestClassifyByAsn:
     def test_hit(self):
-        assert classify_by_asn([pair("10.0.0.0/8", 10913)], {10913}) is True
+        assert classify_by_asn([10913], {10913}) is True
 
     def test_miss(self):
-        assert classify_by_asn([pair("10.0.0.0/8", 3320)], {10913}) is False
+        assert classify_by_asn([3320], {10913}) is False
 
     def test_empty_pairs(self):
         assert classify_by_asn([], {10913}) is False

@@ -1,3 +1,5 @@
+import gzip
+import ipaddress
 import json
 import os
 import shutil
@@ -10,6 +12,7 @@ import pytest
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
+from rpkiaudit import cli, roa_validation
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import StageDependencyMissingError, UsageError
 
@@ -89,6 +92,51 @@ class TestEndToEnd:
             assert run_stage(stage, cfg) == 0
         for name in ("validated.jsonl", "cdn_labels.jsonl", "bins_www.csv", "report.csv"):
             assert read(out2 / name) == read(e2e_output / name), name
+
+
+class TestSingleDerivation:
+    """Stages after map work on artifact text, not on rebuilt ipaddress objects."""
+
+    def test_later_stages_parse_no_prefix(self, e2e_output, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl", "validated.jsonl"):
+            shutil.copy(e2e_output / name, out)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an ipaddress object was built after map")
+
+        monkeypatch.setattr(ipaddress, "ip_network", refuse)
+        monkeypatch.setattr(ipaddress, "ip_address", refuse)
+        monkeypatch.setattr(ipaddress.IPv4Network, "__init__", refuse)
+        monkeypatch.setattr(ipaddress.IPv6Network, "__init__", refuse)
+        cfg = e2e_config(out)
+        for stage in ("classify", "analyze", "report"):
+            assert run_stage(stage, cfg) == 0
+        for name in ("cdn_labels.jsonl", "bins_www.csv", "overlap.csv", "summary.json",
+                     "report.txt", "report.csv"):
+            assert read(out / name) == read(e2e_output / name), name
+
+    def test_validate_parses_each_distinct_pair_once(self, e2e_output, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "pairs.jsonl", out)
+        rows = [json.loads(line) for line in read(out / "pairs.jsonl").splitlines()]
+        entries = [(p["prefix"], p["asn"]) for row in rows for p in row["pairs"]]
+        assert len(set(entries)) < len(entries)  # the fixture repeats pairs across rows
+
+        calls = []
+        parse = ipaddress.ip_network
+        monkeypatch.setattr(
+            ipaddress, "ip_network", lambda *args, **kw: calls.append(args) or parse(*args, **kw)
+        )
+        cfg = e2e_config(out)
+        roa_validation.load_roas((E2E_DIR / "roas.csv").read_bytes())
+        roa_calls = len(calls)
+        calls.clear()
+        assert run_stage("validate", cfg) == 0
+        assert len(calls) - roa_calls <= len(set(entries))
+        assert read(out / "validated.jsonl") == read(e2e_output / "validated.jsonl")
 
 
 class TestStageDependencies:
@@ -176,6 +224,17 @@ class TestConfigHandling:
         bad = tmp_path / "bad.json"
         bad.write_text('{"frobnicator": 1}')
         assert main(["resolve", "--config", str(bad)]) == 1
+
+    def test_live_dns_flags_override_config(self, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        config.write_text('{"max_inflight": 4, "resolver_qps": 2.5}')
+        seen = []
+        monkeypatch.setattr(cli, "run_stage", lambda stage, cfg: seen.append(cfg) or 0)
+        assert main(["resolve", "--config", str(config)]) == 0
+        assert main(
+            ["resolve", "--config", str(config), "--max-inflight", "3", "--resolver-qps", "7.5"]
+        ) == 0
+        assert [(c.max_inflight, c.resolver_qps) for c in seen] == [(4, 2.5), (3, 7.5)]
 
     def test_bad_bin_size_rejected(self, tmp_path):
         cfg = e2e_config(tmp_path)
@@ -361,6 +420,49 @@ class TestCorruptInputs:
         line = rows[:at].count(b"\n") + 1
         assert f"resolved.jsonl:{line}" in result.stderr
         assert not (out / "pairs.jsonl").exists()
+
+    @pytest.mark.parametrize("damage", ["gzip_text", "non_utf8_text", "cut_gzip_mrt"])
+    def test_unreadable_rib_is_3(self, e2e_output, tmp_path, damage):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json"):
+            shutil.copy(e2e_output / name, out)
+        text = (E2E_DIR / "rib.txt").read_bytes()
+        if damage == "gzip_text":
+            rib, data = tmp_path / "rib.txt.gz", gzip.compress(text)
+        elif damage == "non_utf8_text":
+            rib, data = tmp_path / "rib.txt", text[:40] + b"\xff" + text[40:]
+        else:
+            records = [mb.simple_rib(f"93.184.{i}.0/24", [3320, 15133]) for i in range(64)]
+            mrt = gzip.compress(mb.peer_index_table() + b"".join(records))
+            rib, data = tmp_path / "rib.mrt.gz", mrt[:-12]
+        rib.write_bytes(data)
+        result = run_cli("map", "--rib", rib, "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert str(rib) in result.stderr
+        assert not (out / "pairs.jsonl").exists()
+
+    @pytest.mark.parametrize("stage", ["analyze", "report"])
+    @pytest.mark.parametrize("damage", ["conflicting_states", "unknown_state"])
+    def test_bad_validated_row_is_3(self, e2e_output, tmp_path, stage, damage):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "cdn_labels.jsonl", out)
+        rows = [json.loads(line) for line in read(e2e_output / "validated.jsonl").splitlines()]
+        row = next(r for r in rows if r["pairs"])
+        first = row["pairs"][0]
+        if damage == "conflicting_states":
+            other = "invalid" if first["state"] != "invalid" else "valid"
+            row["pairs"].append(dict(first, state=other))
+        else:
+            first["state"] = "bogus"
+        (out / "validated.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        result = run_cli(stage, "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "validated.jsonl" in result.stderr
+        assert row["domain"] in result.stderr
 
     def test_failed_write_keeps_old_artifact(self, tmp_path):
         path = tmp_path / "artifact.txt"

@@ -4,6 +4,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rpkiaudit import _dnswire
 from rpkiaudit.diagnostics import Diagnostics
@@ -194,6 +196,44 @@ class TestSpecialPurposeFilter:
         table = SpecialPurposeTable.load(path)
         assert table.v4_blocks == (ipaddress.ip_network("198.51.100.0/24"),)
         assert table.v6_blocks == (ipaddress.ip_network("2001:db8::/32"),)
+
+
+def edge_addresses(table):
+    """Each block's first and last address and the addresses just outside it."""
+    for block in table.v4_blocks + table.v6_blocks:
+        address = type(block.network_address)
+        first, last = int(block.network_address), int(block.broadcast_address)
+        for value in (first - 1, first, last, last + 1):
+            if 0 <= value < 2**block.max_prefixlen:
+                yield address(value)
+
+
+def assert_contains_matches_membership(table):
+    for addr in edge_addresses(table):
+        blocks = table.v4_blocks if addr.version == 4 else table.v6_blocks
+        assert table.contains(addr) == any(addr in b for b in blocks), addr
+
+
+def networks(network, width):
+    return st.builds(
+        lambda net, plen: network((net, plen), strict=False),
+        st.integers(0, 2**width - 1),
+        st.integers(0, width),
+    )
+
+
+class TestSpecialPurposeContains:
+    """contains() against ipaddress membership at block edges, v4 and v6."""
+
+    def test_packaged_table(self):
+        assert_contains_matches_membership(SpecialPurposeTable.default())
+
+    @given(
+        st.lists(networks(ipaddress.IPv4Network, 32), max_size=6),
+        st.lists(networks(ipaddress.IPv6Network, 128), max_size=6),
+    )
+    def test_custom_table(self, v4, v6):
+        assert_contains_matches_membership(SpecialPurposeTable.from_lines(map(str, v4 + v6)))
 
 
 def result(domain, resolver, addrs, status=ResolutionStatus.OK):
