@@ -10,9 +10,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .cdn_classifier import CdnLabel
 from .domain_ingest import RankBin, bin_for_rank
 from .roa_validation import ValidationState
 
@@ -134,15 +133,9 @@ class BinStat:
     data_count: int
 
 
-def _label_map(labels: Union[Iterable[CdnLabel], Mapping[str, bool]]) -> Mapping[str, bool]:
-    if isinstance(labels, Mapping):
-        return labels
-    return {label.domain: label.by_chain for label in labels}
-
-
 def bin_aggregate(
     coverages: Iterable[tuple[int, DomainCoverage]],
-    labels: Union[Iterable[CdnLabel], Mapping[str, bool]],
+    by_chain: Mapping[str, bool],
     bins: Sequence[RankBin],
 ) -> list[BinStat]:
     """Arithmetic bin means of the per-domain fractions.
@@ -151,7 +144,6 @@ def bin_aggregate(
     cdn fraction is the share of binned domains whose chain label is true
     (unlabeled domains count as not CDN).
     """
-    by_chain = _label_map(labels)
     bin_list = list(bins)
     members: dict[int, list[tuple[DomainCoverage, bool]]] = {
         b.index: [] for b in bin_list
@@ -188,11 +180,10 @@ def bin_aggregate(
 
 def cdn_conditional_rates(
     coverages: Iterable[tuple[int, DomainCoverage]],
-    labels: Union[Iterable[CdnLabel], Mapping[str, bool]],
+    by_chain: Mapping[str, bool],
     bins: Sequence[RankBin],
 ) -> tuple[list[BinStat], list[BinStat]]:
     """(CDN-only, all-domains) bin series under the chain label."""
-    by_chain = _label_map(labels)
     coverages = list(coverages)
     cdn_only = [(r, c) for r, c in coverages if by_chain.get(c.domain, False)]
     return (

@@ -8,7 +8,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import IO, Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .diagnostics import Diagnostics
 from .dns_resolution import ResolutionResult, ResolutionStatus
@@ -77,6 +77,14 @@ def classify_by_asn(origin_asns: Iterable[int], cdn_asns: set[int]) -> bool:
     return not cdn_asns.isdisjoint(origin_asns)
 
 
+def external_label(external: Mapping[str, bool], domain: str) -> bool | None:
+    """A domain's external label; a www-prefixed name falls back to its base name."""
+    value = external.get(domain)
+    if value is None and domain.startswith("www."):
+        value = external.get(domain[4:])
+    return value
+
+
 def compare_external(
     labels: Iterable[CdnLabel], external: Mapping[str, bool]
 ) -> AgreementReport:
@@ -96,9 +104,7 @@ def compare_external(
     matched = 0
     agreed = 0
     for label in labels:
-        value = external.get(label.domain)
-        if value is None and label.domain.startswith("www."):
-            value = external.get(label.domain[4:])
+        value = external_label(external, label.domain)
         if value is None:
             continue
         matched += 1
@@ -114,23 +120,18 @@ def compare_external(
 # Input loaders
 
 
-def load_keywords(source: Union[str, bytes, IO[bytes], None] = None) -> list[str]:
-    """Keyword file: one lowercase token per line, '#' comments.
+def load_keywords(text: str | None = None) -> list[str]:
+    """Keyword file text: one lowercase token per line, '#' comments.
 
-    With no source, the packaged default list (the well-known CDN operator
+    With no text, the packaged default list (the well-known CDN operator
     names) is used.
     """
-    if source is None:
+    if text is None:
         text = (
             resources.files("rpkiaudit")
             .joinpath("data/cdn_keywords.txt")
             .read_text("utf-8")
         )
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        text = data.decode("utf-8")
     out = []
     for line in text.split("\n"):
         token = line.split("#", 1)[0].strip().lower()
@@ -139,17 +140,10 @@ def load_keywords(source: Union[str, bytes, IO[bytes], None] = None) -> list[str
     return out
 
 
-def parse_as_registry(
-    source: Union[str, bytes, IO[bytes]], diag: Diagnostics | None = None
-) -> list[AsRegistryEntry]:
+def parse_as_registry(text: str, diag: Diagnostics | None = None) -> list[AsRegistryEntry]:
     """Parse an AS assignment list, either "ASN  description" lines or
     "asn,description" CSV; the separator is sniffed per line."""
     diag = diag if diag is not None else Diagnostics()
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        text = data.decode("utf-8")
     entries: dict[int, AsRegistryEntry] = {}
     for line in text.split("\n"):
         line = line.strip()
@@ -194,16 +188,9 @@ def _split_registry_line(line: str) -> tuple[str | None, str]:
     return line[:space], line[space:]
 
 
-def load_external_labels(
-    source: Union[str, bytes, IO[bytes]], diag: Diagnostics | None = None
-) -> dict[str, bool]:
-    """External classification CSV: "domain,0|1" per line."""
+def load_external_labels(text: str, diag: Diagnostics | None = None) -> dict[str, bool]:
+    """External classification CSV text: "domain,0|1" per line."""
     diag = diag if diag is not None else Diagnostics()
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        text = data.decode("utf-8")
     out: dict[str, bool] = {}
     for line in text.split("\n"):
         line = line.strip()

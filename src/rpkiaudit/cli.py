@@ -20,8 +20,9 @@ import os
 import sys
 import threading
 import time
+import typing
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional
@@ -49,42 +50,22 @@ STAGES = ("resolve", "map", "validate", "classify", "analyze", "report")
 
 CONFIG_ENV_VAR = "RPKIAUDIT_CONFIG"
 
-_CONFIG_KEYS = {
-    "domain_list": "domain_list_path",
-    "domain_list_format": "domain_list_format",
-    "dns_fixture": "fixture_dns_path",
-    "resolvers": "resolvers",
-    "primary_resolver": "primary_resolver",
-    "special_purpose_table": "special_purpose_table_path",
-    "ribs": "rib_paths",
-    "roas": "roa_path",
-    "roa_format": "roa_format",
-    "keywords": "keyword_path",
-    "as_registry": "as_registry_path",
-    "external_labels": "external_labels_path",
-    "bin_size": "bin_size",
-    "top_n": "top_n",
-    "timeout": "timeout",
-    "max_inflight": "max_inflight",
-    "resolver_qps": "resolver_qps",
-    "output_dir": "output_dir",
-}
-
-
 @dataclass
 class PipelineConfig:
-    domain_list_path: Optional[str] = None
+    """Pipeline settings; config file keys and CLI flag dests are the field names."""
+
+    domain_list: Optional[str] = None
     domain_list_format: str = "csv_rank_domain"
-    fixture_dns_path: Optional[str] = None
+    dns_fixture: Optional[str] = None
     resolvers: list[str] = field(default_factory=list)
     primary_resolver: Optional[str] = None
-    special_purpose_table_path: Optional[str] = None
-    rib_paths: list[str] = field(default_factory=list)
-    roa_path: Optional[str] = None
+    special_purpose_table: Optional[str] = None
+    ribs: list[str] = field(default_factory=list)
+    roas: Optional[str] = None
     roa_format: Optional[str] = None
-    keyword_path: Optional[str] = None
-    as_registry_path: Optional[str] = None
-    external_labels_path: Optional[str] = None
+    keywords: Optional[str] = None
+    as_registry: Optional[str] = None
+    external_labels: Optional[str] = None
     bin_size: int = 10000
     top_n: int = 10
     timeout: float = 5.0
@@ -98,23 +79,25 @@ class PipelineConfig:
             doc = json.loads(Path(path).read_text("utf-8"))
         except FileNotFoundError:
             raise MissingInputError(path, "config file")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"config {path}: {exc}")
         if not isinstance(doc, dict):
             raise UsageError(f"config {path}: expected a JSON object")
-        cfg = cls()
-        for key, value in doc.items():
-            attr = _CONFIG_KEYS.get(key)
-            if attr is None:
-                raise UsageError(f"config {path}: unknown key {key!r}")
-            setattr(cfg, attr, value)
-        return cfg
+        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise UsageError(f"config {path}: unknown key {unknown[0]!r}")
+        return cls(**doc)
 
     def validated(self) -> "PipelineConfig":
-        if isinstance(self.rib_paths, str):
-            self.rib_paths = [self.rib_paths]
-        if isinstance(self.resolvers, str):
-            self.resolvers = [self.resolvers]
+        """Check each value against its field's type; a single str makes a list."""
+        hints = typing.get_type_hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and hints[f.name] == list[str]:
+                value = [value]
+                setattr(self, f.name, value)
+            if not _is_a(value, hints[f.name]):
+                raise UsageError(f"config key {f.name!r} must be {f.type}, not {value!r}")
         if self.bin_size < 1:
             raise UsageError("bin_size must be >= 1")
         if self.top_n < 1:
@@ -123,6 +106,18 @@ class PipelineConfig:
 
     def out(self, name: str) -> Path:
         return Path(self.output_dir) / name
+
+
+def _is_a(value: object, hint) -> bool:
+    """isinstance against a field type: Optional, list[...], and an int is a float."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_is_a(value, arg) for arg in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_is_a(v, item) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +174,15 @@ def _require_file(path: Optional[str], what: str) -> Path:
     return p
 
 
+def _read_text(path: Optional[str], what: str) -> str:
+    """The text of an input file; bytes that are not UTF-8 raise DataError."""
+    data = _require_file(path, what).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8 text ({exc})")
+
+
 def _require_artifact(cfg: PipelineConfig, name: str, stage: str) -> Path:
     path = cfg.out(name)
     if not path.exists():
@@ -214,9 +218,10 @@ class _RateLimiter:
 
 
 def _load_special_table(cfg: PipelineConfig) -> SpecialPurposeTable:
-    if cfg.special_purpose_table_path:
-        return SpecialPurposeTable.load(
-            _require_file(cfg.special_purpose_table_path, "special-purpose table")
+    path = cfg.special_purpose_table
+    if path:
+        return SpecialPurposeTable.from_lines(
+            _read_text(path, "special-purpose table").split("\n"), path
         )
     return SpecialPurposeTable.default()
 
@@ -236,19 +241,19 @@ def _result_row(rank: int, variant: Variant, res) -> dict:
 
 def stage_resolve(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    list_path = _require_file(cfg.domain_list_path, "domain list")
+    list_text = _read_text(cfg.domain_list, "domain list")
     try:
         fmt = ListFormat(cfg.domain_list_format)
     except ValueError:
         raise UsageError(f"unknown domain list format {cfg.domain_list_format!r}")
-    records = domain_ingest.load_domain_list(list_path.read_bytes(), fmt, diag)
+    records = domain_ingest.load_domain_list(list_text, fmt, diag)
     table = _load_special_table(cfg)
 
-    if cfg.fixture_dns_path:
-        fixture = DnsFixture.load(_require_file(cfg.fixture_dns_path, "DNS fixture"), diag)
+    if cfg.dns_fixture:
+        fixture = DnsFixture.load(_read_text(cfg.dns_fixture, "DNS fixture"), diag)
         labels = fixture.resolver_ids()
         if not labels:
-            raise DataError(f"DNS fixture {cfg.fixture_dns_path} has no usable entries")
+            raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
         resolvers = [fixture.resolver(label) for label in labels]
     elif cfg.resolvers:
         try:
@@ -287,7 +292,7 @@ def stage_resolve(cfg: PipelineConfig) -> None:
     limiter = _RateLimiter(cfg.resolver_qps)
     rows: list[dict] = []
     collected: list[tuple[int, Variant, list]] = []
-    if cfg.fixture_dns_path:
+    if cfg.dns_fixture:
         collected = [resolve_task(t) for t in tasks]
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
@@ -326,10 +331,10 @@ def stage_resolve(cfg: PipelineConfig) -> None:
 
 
 def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
-    if not cfg.rib_paths:
-        raise MissingInputError("<rib_paths>", "RIB source")
+    if not cfg.ribs:
+        raise MissingInputError("<ribs>", "RIB source")
     trie = rib_store.PrefixTrie()
-    for path in cfg.rib_paths:
+    for path in cfg.ribs:
         data = _require_file(path, "RIB dump").read_bytes()
         try:
             trie.add_routes(rib_store.read_routes(data, diag), diag)
@@ -383,20 +388,19 @@ def stage_map(cfg: PipelineConfig) -> None:
 # validate
 
 
-def _roa_format(cfg: PipelineConfig, path: Path) -> RoaFormat:
+def _roa_format(cfg: PipelineConfig) -> RoaFormat:
     if cfg.roa_format:
         try:
             return RoaFormat(cfg.roa_format)
         except ValueError:
             raise UsageError(f"unknown ROA format {cfg.roa_format!r}")
-    return RoaFormat.JSON if path.suffix.lower() == ".json" else RoaFormat.CSV
+    return RoaFormat.JSON if Path(str(cfg.roas)).suffix.lower() == ".json" else RoaFormat.CSV
 
 
 def stage_validate(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     pairs_path = _require_artifact(cfg, "pairs.jsonl", "map")
-    roa_path = _require_file(cfg.roa_path, "ROA export")
-    roas = roa_validation.load_roas(roa_path.read_bytes(), _roa_format(cfg, roa_path), diag)
+    roas = roa_validation.load_roas(_read_text(cfg.roas, "ROA export"), _roa_format(cfg), diag)
     index = roa_validation.build_roa_index(roas)
 
     @functools.cache  # each distinct pair is parsed and validated once per run
@@ -406,7 +410,12 @@ def stage_validate(cfg: PipelineConfig) -> None:
     rows = []
     for row in _read_jsonl(pairs_path):
         # map wrote the pairs sorted and distinct, so their order is kept
-        states = {(p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]}
+        try:
+            states = {
+                (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{pairs_path}: {row.get('domain')}: bad prefix/origin pair ({exc})")
         coverage = analytics.domain_coverage(row["domain"], states.items())
         rows.append(
             {
@@ -437,18 +446,15 @@ def stage_classify(cfg: PipelineConfig) -> None:
     pairs_path = _require_artifact(cfg, "pairs.jsonl", "map")
     primary = _primary_resolver(cfg)
 
-    registry_path = _require_file(cfg.as_registry_path, "AS registry")
-    registry = cdn_classifier.parse_as_registry(registry_path.read_bytes(), diag)
-    keyword_source = None
-    if cfg.keyword_path:
-        keyword_source = _require_file(cfg.keyword_path, "keyword file").read_bytes()
-    keywords = cdn_classifier.load_keywords(keyword_source)
+    registry = cdn_classifier.parse_as_registry(_read_text(cfg.as_registry, "AS registry"), diag)
+    keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
+    keywords = cdn_classifier.load_keywords(keyword_text)
     cdn_asns = cdn_classifier.spot_keywords(keywords, registry)
 
     external: dict[str, bool] = {}
-    if cfg.external_labels_path:
+    if cfg.external_labels:
         external = cdn_classifier.load_external_labels(
-            _require_file(cfg.external_labels_path, "external labels").read_bytes(), diag
+            _read_text(cfg.external_labels, "external labels"), diag
         )
 
     origins_by_key = {
@@ -470,10 +476,7 @@ def stage_classify(cfg: PipelineConfig) -> None:
                 origins_by_key.get((row["rank"], row["domain"]), ()), cdn_asns
             ),
         )
-        ext = external.get(label.domain)
-        if ext is None and label.domain.startswith("www."):
-            ext = external.get(label.domain[4:])
-        label.external = ext
+        label.external = cdn_classifier.external_label(external, label.domain)
         labels.append(label)
         rows.append(
             {
@@ -751,10 +754,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         cfg = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-        for key, attr in _CONFIG_KEYS.items():  # flags share the config keys
-            value = getattr(args, key, None)
+        for f in fields(cfg):  # flag dests are the field names
+            value = getattr(args, f.name, None)
             if value is not None:
-                setattr(cfg, attr, value)
+                setattr(cfg, f.name, value)
         return run_stage(args.stage, cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,8 +14,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from pathlib import Path
-from typing import IO, Iterable, Protocol, Union
+from typing import Iterable, Protocol
 
 from . import _dnswire
 from ._prefix_index import PrefixIndex
@@ -108,19 +107,10 @@ class DnsFixture:
         self._diag = diag if diag is not None else Diagnostics()
 
     @classmethod
-    def load(
-        cls,
-        source: Union[str, Path, bytes, IO[bytes]],
-        diag: Diagnostics | None = None,
-    ) -> "DnsFixture":
+    def load(cls, text: str, diag: Diagnostics | None = None) -> "DnsFixture":
+        """Fixture of the JSON-lines text; malformed lines are skipped and counted."""
         fixture = cls(diag)
-        if isinstance(source, (str, Path)):
-            data = Path(source).read_bytes()
-        elif isinstance(source, bytes):
-            data = source
-        else:
-            data = source.read()
-        for line in data.decode("utf-8").split("\n"):
+        for line in text.split("\n"):
             line = line.strip()
             if not line:
                 continue
@@ -283,10 +273,6 @@ class SpecialPurposeTable:
                 raise DataError(f"{source}:{lineno}: not a CIDR prefix: {entry!r}")
             (v4 if network.version == 4 else v6).append(network)  # type: ignore[arg-type]
         return cls(tuple(v4), tuple(v6))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "SpecialPurposeTable":
-        return cls.from_lines(Path(path).read_text("utf-8").split("\n"), str(path))
 
     @classmethod
     def default(cls) -> "SpecialPurposeTable":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 from .diagnostics import Diagnostics
 from .errors import DuplicateRankError, EmptyInputError
@@ -64,13 +64,8 @@ def normalize_name(raw: str) -> str | None:
     return name
 
 
-def _decode_lines(source: Union[bytes, IO[bytes]]) -> list[str]:
-    data = source if isinstance(source, bytes) else source.read()
-    return data.decode("utf-8").split("\n")
-
-
 def load_domain_list(
-    source: Union[bytes, IO[bytes]],
+    text: str,
     fmt: ListFormat = ListFormat.CSV_RANK_DOMAIN,
     diag: Diagnostics | None = None,
 ) -> list[DomainRecord]:
@@ -86,7 +81,7 @@ def load_domain_list(
     by_name: dict[str, int] = {}
     seen_ranks: set[int] = set()
 
-    for lineno, line in enumerate(_decode_lines(source), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r").strip()
         if not line:
             continue

@@ -108,23 +108,16 @@ def _network(version: int, net: int, plen: int) -> IPNetwork:
 # MRT TABLE_DUMP_V2 decoding
 
 
-def _open_stream(source: Union[bytes, IO[bytes]]) -> IO[bytes]:
-    stream: IO[bytes] = io.BytesIO(source) if isinstance(source, bytes) else source
-    if stream.seekable():
-        head = stream.read(2)
-        stream.seek(-len(head), io.SEEK_CUR)
-    else:
-        data = stream.read()
-        stream = io.BytesIO(data)
-        head = data[:2]
-    if head == b"\x1f\x8b":
+def _open_stream(data: bytes) -> IO[bytes]:
+    stream = io.BytesIO(data)
+    if data[:2] == b"\x1f\x8b":
         # buffered, so the many small record reads stay out of GzipFile.read
         return io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)  # type: ignore[arg-type]
     return stream
 
 
 def mrt_routes(
-    source: Union[bytes, IO[bytes]], diag: Diagnostics | None = None, with_paths: bool = False
+    data: bytes, diag: Diagnostics | None = None, with_paths: bool = False
 ) -> Iterator[Route]:
     """Routes of the TABLE_DUMP_V2 RIB records in an MRT stream (gzip sniffed).
 
@@ -134,7 +127,7 @@ def mrt_routes(
     plus a per-reason key).
     """
     diag = diag if diag is not None else Diagnostics()
-    stream = _open_stream(source)
+    stream = _open_stream(data)
     header = stream.read(12)
     if not header:
         raise BadMagicError("empty stream is not an MRT file")
@@ -275,21 +268,13 @@ def _decode_path(data: bytes, as_size: int) -> AsPath:
 # Text RIB decoding ("prefix|as_path" lines)
 
 
-def text_routes(
-    source: Union[bytes, IO[bytes], str], diag: Diagnostics | None = None
-) -> Iterator[Route]:
+def text_routes(text: str, diag: Diagnostics | None = None) -> Iterator[Route]:
     """Decode "prefix|as_path" lines; "{a,b}" denotes an AS_SET segment.
 
     Routes match mrt_routes output; malformed lines (bad prefix, host bits
     set, bad ASN) are skipped and counted.
     """
     diag = diag if diag is not None else Diagnostics()
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        text = data.decode("utf-8")
-
     for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -332,11 +317,11 @@ def _parse_asn(token: str) -> int:
 
 
 def read_routes(data: bytes, diag: Diagnostics | None = None) -> Iterator[Route]:
-    """Routes of a RIB dump: MRT (gzip sniffed) when it is MRT, else text."""
+    """Routes of a RIB dump: MRT (gzip sniffed) when it is MRT, else UTF-8 text."""
     try:
         return mrt_routes(data, diag)
     except BadMagicError:
-        return text_routes(data, diag)
+        return text_routes(data.decode("utf-8"), diag)
 
 
 def _entries(routes: Iterable[Route]) -> list[RibEntry]:
@@ -346,18 +331,14 @@ def _entries(routes: Iterable[Route]) -> list[RibEntry]:
     ]
 
 
-def parse_mrt(
-    source: Union[bytes, IO[bytes]], diag: Diagnostics | None = None
-) -> list[RibEntry]:
+def parse_mrt(data: bytes, diag: Diagnostics | None = None) -> list[RibEntry]:
     """RibEntry list of mrt_routes, with AS paths; same checks and counters."""
-    return _entries(mrt_routes(source, diag, with_paths=True))
+    return _entries(mrt_routes(data, diag, with_paths=True))
 
 
-def parse_text_rib(
-    source: Union[bytes, IO[bytes], str], diag: Diagnostics | None = None
-) -> list[RibEntry]:
+def parse_text_rib(text: str, diag: Diagnostics | None = None) -> list[RibEntry]:
     """RibEntry list of text_routes; same checks and counters."""
-    return _entries(text_routes(source, diag))
+    return _entries(text_routes(text, diag))
 
 
 # ---------------------------------------------------------------------------

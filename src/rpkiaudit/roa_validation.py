@@ -14,7 +14,7 @@ import io
 import ipaddress
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 from ._prefix_index import PrefixIndex
 from .diagnostics import Diagnostics
@@ -93,11 +93,11 @@ def _payload_from_fields(
 
 
 def load_roas(
-    source: Union[bytes, IO[bytes], str],
+    text: str,
     fmt: RoaFormat = RoaFormat.CSV,
     diag: Diagnostics | None = None,
 ) -> set[RoaPayload]:
-    """Load validated ROA payloads from csv or json export.
+    """Load validated ROA payloads from csv or json export text.
 
     Rows violating the maxLength invariant (or otherwise unparseable) could
     not have come from a correct relying-party validator; they are rejected
@@ -105,12 +105,6 @@ def load_roas(
     then yields NotFound everywhere.
     """
     diag = diag if diag is not None else Diagnostics()
-    if isinstance(source, str):
-        text = source
-    else:
-        data = source if isinstance(source, bytes) else source.read()
-        text = data.decode("utf-8")
-
     payloads: set[RoaPayload] = set()
     if fmt is RoaFormat.CSV:
         rows = list(csv.reader(io.StringIO(text)))

@@ -30,13 +30,13 @@ ALL_ARTIFACTS = BIN_CSVS + (
 
 def e2e_config(output_dir) -> PipelineConfig:
     return PipelineConfig(
-        domain_list_path=str(E2E_DIR / "domains.csv"),
-        fixture_dns_path=str(E2E_DIR / "dns.jsonl"),
+        domain_list=str(E2E_DIR / "domains.csv"),
+        dns_fixture=str(E2E_DIR / "dns.jsonl"),
         primary_resolver="fixture",
-        rib_paths=[str(E2E_DIR / "rib.txt")],
-        roa_path=str(E2E_DIR / "roas.csv"),
-        as_registry_path=str(E2E_DIR / "as_registry.txt"),
-        external_labels_path=str(E2E_DIR / "external_labels.csv"),
+        ribs=[str(E2E_DIR / "rib.txt")],
+        roas=str(E2E_DIR / "roas.csv"),
+        as_registry=str(E2E_DIR / "as_registry.txt"),
+        external_labels=str(E2E_DIR / "external_labels.csv"),
         bin_size=10,
         top_n=10,
         output_dir=str(output_dir),

@@ -167,17 +167,17 @@ class TestLoaders:
         assert len(keywords) == 16
 
     def test_keyword_file_comments_and_case(self):
-        assert load_keywords(b"# c\nAkamai\n\nfastly\n") == ["akamai", "fastly"]
+        assert load_keywords("# c\nAkamai\n\nfastly\n") == ["akamai", "fastly"]
 
     def test_registry_whitespace_form(self):
-        entries = parse_as_registry(b"AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
+        entries = parse_as_registry("AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
         assert entries == [
             AsRegistryEntry(3320, "DTAG Deutsche Telekom"),
             AsRegistryEntry(10913, "INTERNAP-BLK"),
         ]
 
     def test_registry_csv_form(self):
-        entries = parse_as_registry(b'10913,INTERNAP-BLK\n16509,"Amazon.com, Inc."\n')
+        entries = parse_as_registry('10913,INTERNAP-BLK\n16509,"Amazon.com, Inc."\n')
         assert entries == [
             AsRegistryEntry(10913, "INTERNAP-BLK"),
             AsRegistryEntry(16509, "Amazon.com, Inc."),
@@ -185,16 +185,16 @@ class TestLoaders:
 
     def test_registry_duplicate_asn_counted(self):
         diag = Diagnostics()
-        entries = parse_as_registry(b"1 first\n1 second\n", diag)
+        entries = parse_as_registry("1 first\n1 second\n", diag)
         assert entries == [AsRegistryEntry(1, "first")]
         assert diag.get("duplicate_registry_asns") == 1
 
     def test_registry_malformed_counted(self):
         diag = Diagnostics()
-        parse_as_registry(b"notanasn description\n", diag)
+        parse_as_registry("notanasn description\n", diag)
         assert diag.get("malformed_registry_lines") == 1
 
     def test_external_labels(self):
-        raw = "d.example,1\nwйird,1\ne.example,0\nf.example,2\n".encode("utf-8")
+        raw = "d.example,1\nwйird,1\ne.example,0\nf.example,2\n"
         labels = load_external_labels(raw)
         assert labels == {"d.example": True, "e.example": False}

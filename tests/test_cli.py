@@ -17,6 +17,9 @@ from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import StageDependencyMissingError, UsageError
 
 
+PACKAGE_DATA = Path(rpkiaudit.__file__).parent / "data"
+
+
 def read(path):
     return path.read_bytes()
 
@@ -131,7 +134,7 @@ class TestSingleDerivation:
             ipaddress, "ip_network", lambda *args, **kw: calls.append(args) or parse(*args, **kw)
         )
         cfg = e2e_config(out)
-        roa_validation.load_roas((E2E_DIR / "roas.csv").read_bytes())
+        roa_validation.load_roas((E2E_DIR / "roas.csv").read_text())
         roa_calls = len(calls)
         calls.clear()
         assert run_stage("validate", cfg) == 0
@@ -242,6 +245,38 @@ class TestConfigHandling:
         with pytest.raises(UsageError):
             run_stage("analyze", cfg)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"bin_size": "ten"},
+            {"ribs": 5},
+            {"ribs": ["rib.txt", 5]},
+            {"timeout": "5"},
+            {"top_n": 2.5},
+            {"max_inflight": True},
+            {"domain_list": 3},
+            {"output_dir": None},
+        ],
+    )
+    def test_wrong_typed_config_value_is_1(self, tmp_path, capsys, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["analyze", "--config", str(config)]) == 1
+        (key,) = doc
+        assert repr(key) in capsys.readouterr().err
+
+    def test_config_types_widen(self):
+        cfg = PipelineConfig(ribs="rib.txt", resolvers="a=192.0.2.1", timeout=3, resolver_qps=2)
+        cfg.validated()
+        assert (cfg.ribs, cfg.resolvers) == (["rib.txt"], ["a=192.0.2.1"])
+        assert (cfg.timeout, cfg.resolver_qps) == (3, 2)
+
+    def test_non_utf8_config_is_1(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"bin_size": 10, "top_n": "\xff"}')
+        assert main(["analyze", "--config", str(config)]) == 1
+        assert str(config) in capsys.readouterr().err
+
 
 class TestResolveDiscards:
     def test_looping_chain_discarded_and_counted(self, tmp_path):
@@ -262,8 +297,8 @@ class TestResolveDiscards:
             + "\n"
         )
         cfg = PipelineConfig(
-            domain_list_path=str(domains),
-            fixture_dns_path=str(fixture),
+            domain_list=str(domains),
+            dns_fixture=str(fixture),
             output_dir=str(tmp_path / "out"),
         )
         assert run_stage("resolve", cfg) == 0
@@ -284,8 +319,8 @@ class TestResolveDiscards:
             + "\n"
         )
         cfg = PipelineConfig(
-            domain_list_path=str(domains),
-            fixture_dns_path=str(fixture),
+            domain_list=str(domains),
+            dns_fixture=str(fixture),
             output_dir=str(tmp_path / "out"),
         )
         assert run_stage("resolve", cfg) == 0  # www variant missing from fixture
@@ -312,7 +347,7 @@ class TestLiveResolvePath:
             domains = tmp_path / "domains.csv"
             domains.write_text("1,live.test\n")
             cfg = PipelineConfig(
-                domain_list_path=str(domains),
+                domain_list=str(domains),
                 resolvers=[f"fake=127.0.0.1:{server.port}"],
                 timeout=2.0,
                 max_inflight=4,
@@ -335,7 +370,7 @@ class TestLiveResolvePath:
     def test_no_fixture_and_no_resolvers_is_usage_error(self, tmp_path):
         domains = tmp_path / "domains.csv"
         domains.write_text("1,x.test\n")
-        cfg = PipelineConfig(domain_list_path=str(domains), output_dir=str(tmp_path / "out"))
+        cfg = PipelineConfig(domain_list=str(domains), output_dir=str(tmp_path / "out"))
         with pytest.raises(UsageError):
             run_stage("resolve", cfg)
 
@@ -360,10 +395,10 @@ class TestMrtInputPath:
         roas = tmp_path / "roas.csv"
         roas.write_text("AS15133,93.184.216.0/24,24\n")
         cfg = PipelineConfig(
-            domain_list_path=str(domains),
-            fixture_dns_path=str(fixture),
-            rib_paths=[str(rib)],
-            roa_path=str(roas),
+            domain_list=str(domains),
+            dns_fixture=str(fixture),
+            ribs=[str(rib)],
+            roas=str(roas),
             bin_size=10,
             output_dir=str(tmp_path / "out"),
         )
@@ -463,6 +498,61 @@ class TestCorruptInputs:
         assert "Traceback" not in result.stderr
         assert "validated.jsonl" in result.stderr
         assert row["domain"] in result.stderr
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("prefix", "10.0.0.1/8"),
+            ("prefix", "not-a-prefix"),
+            ("asn", "AS15133"),
+            ("asn", -1),
+            ("asn", 2**32),
+        ],
+    )
+    def test_bad_pairs_row_is_3(self, e2e_output, tmp_path, field, value):
+        out = tmp_path / "out"
+        out.mkdir()
+        rows = [json.loads(line) for line in read(e2e_output / "pairs.jsonl").splitlines()]
+        row = next(r for r in rows if r["pairs"])
+        row["pairs"][0][field] = value
+        (out / "pairs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        result = run_cli("validate", "--roas", E2E_DIR / "roas.csv", "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert "pairs.jsonl" in result.stderr
+        assert row["domain"] in result.stderr
+        assert not (out / "validated.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "stage, flag, source",
+        [
+            ("resolve", "--domain-list", E2E_DIR / "domains.csv"),
+            ("resolve", "--fixture-dns", E2E_DIR / "dns.jsonl"),
+            ("resolve", "--special-purpose-table", PACKAGE_DATA / "special_purpose.txt"),
+            ("validate", "--roas", E2E_DIR / "roas.csv"),
+            ("classify", "--as-registry", E2E_DIR / "as_registry.txt"),
+            ("classify", "--keywords", PACKAGE_DATA / "cdn_keywords.txt"),
+            ("classify", "--external-labels", E2E_DIR / "external_labels.csv"),
+        ],
+    )
+    def test_non_utf8_input_is_3(self, e2e_output, tmp_path, stage, flag, source):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / name, out)
+        text = source.read_bytes()
+        bad = tmp_path / source.name
+        bad.write_bytes(text[:20] + b"\xff" + text[20:])
+        inputs = {  # every input the stage needs; the flag after them wins
+            "resolve": ["--domain-list", E2E_DIR / "domains.csv",
+                        "--fixture-dns", E2E_DIR / "dns.jsonl"],
+            "validate": ["--roas", E2E_DIR / "roas.csv"],
+            "classify": ["--as-registry", E2E_DIR / "as_registry.txt"],
+        }[stage]
+        result = run_cli(stage, *inputs, flag, bad, "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert str(bad) in result.stderr
 
     def test_failed_write_keeps_old_artifact(self, tmp_path):
         path = tmp_path / "artifact.txt"

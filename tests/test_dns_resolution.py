@@ -44,7 +44,7 @@ def fixture_line(domain, cnames=(), a=(), aaaa=(), status="ok", resolver="fixtur
 
 
 def load_fixture(*lines, diag=None):
-    return DnsFixture.load("\n".join(lines).encode(), diag)
+    return DnsFixture.load("\n".join(lines), diag)
 
 
 class TestFixtureReplay:
@@ -193,7 +193,7 @@ class TestSpecialPurposeFilter:
     def test_table_from_file(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text("# custom\n198.51.100.0/24\n2001:db8::/32  # doc\n")
-        table = SpecialPurposeTable.load(path)
+        table = SpecialPurposeTable.from_lines(path.read_text().split("\n"), str(path))
         assert table.v4_blocks == (ipaddress.ip_network("198.51.100.0/24"),)
         assert table.v6_blocks == (ipaddress.ip_network("2001:db8::/32"),)
 

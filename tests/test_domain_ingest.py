@@ -19,7 +19,7 @@ from rpkiaudit.errors import DuplicateRankError, EmptyInputError
 
 class TestLoadDomainList:
     def test_csv_two_rows(self):
-        records = load_domain_list(b"1,google.com\n2,facebook.com")
+        records = load_domain_list("1,google.com\n2,facebook.com")
         assert records == [
             DomainRecord(1, "google.com"),
             DomainRecord(2, "facebook.com"),
@@ -27,20 +27,20 @@ class TestLoadDomainList:
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInputError):
-            load_domain_list(b"")
+            load_domain_list("")
 
     def test_duplicate_rank_raises(self):
         with pytest.raises(DuplicateRankError):
-            load_domain_list(b"1,EXAMPLE.Com.\n1,other.net")
+            load_domain_list("1,EXAMPLE.Com.\n1,other.net")
 
     def test_lowercase_and_trailing_dot_normalized(self):
-        records = load_domain_list(b"7,EXAMPLE.Com.")
+        records = load_domain_list("7,EXAMPLE.Com.")
         assert records == [DomainRecord(7, "example.com")]
 
     def test_duplicate_name_keeps_lowest_rank(self):
         diag = Diagnostics()
         records = load_domain_list(
-            b"5,example.com\n2,other.net\n9,example.com", diag=diag
+            "5,example.com\n2,other.net\n9,example.com", diag=diag
         )
         assert records == [
             DomainRecord(2, "other.net"),
@@ -51,7 +51,7 @@ class TestLoadDomainList:
     def test_malformed_lines_skipped_and_counted(self):
         diag = Diagnostics()
         records = load_domain_list(
-            b"1,good.com\nnot a line\n0,badrank.com\n3,bad domain.com\n4,ok.net",
+            "1,good.com\nnot a line\n0,badrank.com\n3,bad domain.com\n4,ok.net",
             diag=diag,
         )
         assert [r.name for r in records] == ["good.com", "ok.net"]
@@ -59,7 +59,7 @@ class TestLoadDomainList:
 
     def test_plain_format_rank_is_line_number(self):
         records = load_domain_list(
-            b"alpha.com\nbeta.com\n\ngamma.com", ListFormat.PLAIN_ORDERED
+            "alpha.com\nbeta.com\n\ngamma.com", ListFormat.PLAIN_ORDERED
         )
         assert [(r.rank, r.name) for r in records] == [
             (1, "alpha.com"),
@@ -68,19 +68,19 @@ class TestLoadDomainList:
         ]
 
     def test_crlf_lines(self):
-        records = load_domain_list(b"1,a.com\r\n2,b.com\r\n")
+        records = load_domain_list("1,a.com\r\n2,b.com\r\n")
         assert [r.name for r in records] == ["a.com", "b.com"]
 
     def test_raw_unicode_rejected_punycode_kept(self):
         diag = Diagnostics()
         records = load_domain_list(
-            "1,münchen.de\n2,xn--mnchen-3ya.de".encode("utf-8"), diag=diag
+            "1,münchen.de\n2,xn--mnchen-3ya.de", diag=diag
         )
         assert [r.name for r in records] == ["xn--mnchen-3ya.de"]
         assert diag.get("malformed_lines") == 1
 
     def test_load_determinism(self):
-        data = b"3,c.org\n1,a.org\n2,b.org\nbroken\n"
+        data = "3,c.org\n1,a.org\n2,b.org\nbroken\n"
         assert load_domain_list(data) == load_domain_list(data)
 
 

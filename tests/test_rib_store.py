@@ -48,23 +48,23 @@ class TestOriginFromPath:
 
 class TestParseTextRib:
     def test_sequence_origin(self):
-        entries = parse_text_rib(b"10.0.0.0/8|64496 64497")
+        entries = parse_text_rib("10.0.0.0/8|64496 64497")
         assert entries == [
             RibEntry(ipaddress.ip_network("10.0.0.0/8"), (64496, 64497), 64497)
         ]
 
     def test_terminal_set(self):
-        entries = parse_text_rib(b"10.0.0.0/8|64496 {64497,64498}")
+        entries = parse_text_rib("10.0.0.0/8|64496 {64497,64498}")
         assert entries[0].origin is None
         assert entries[0].as_path == (64496, frozenset({64497, 64498}))
 
     def test_host_bits_malformed(self):
         diag = Diagnostics()
-        assert parse_text_rib(b"10.0.0.1/8|64496", diag) == []
+        assert parse_text_rib("10.0.0.1/8|64496", diag) == []
         assert diag.get("malformed_lines") == 1
 
     def test_comments_and_blanks_ignored(self):
-        entries = parse_text_rib(b"# rib\n\n203.0.113.0/24|64500\n")
+        entries = parse_text_rib("# rib\n\n203.0.113.0/24|64500\n")
         assert len(entries) == 1
 
     @pytest.mark.parametrize(
@@ -72,11 +72,11 @@ class TestParseTextRib:
     )
     def test_malformed_lines_counted(self, line):
         diag = Diagnostics()
-        assert parse_text_rib(line.encode(), diag) == []
+        assert parse_text_rib(line, diag) == []
         assert diag.get("malformed_lines") == 1
 
     def test_v6_line(self):
-        entries = parse_text_rib(b"2001:db8::/32|64496 64499")
+        entries = parse_text_rib("2001:db8::/32|64496 64499")
         assert entries[0].prefix == ipaddress.ip_network("2001:db8::/32")
         assert entries[0].origin == 64499
 
@@ -235,7 +235,7 @@ class TestTrie:
         assert covering_pairs("10.1.2.3", trie) == {PrefixOriginPair(net, 64500)}
 
     def test_all_covering_not_just_longest(self):
-        entries = parse_text_rib(b"10.0.0.0/8|1\n10.0.0.0/16|2")
+        entries = parse_text_rib("10.0.0.0/8|1\n10.0.0.0/16|2")
         trie = build_trie(entries)
         assert as_tuples(covering_pairs("10.0.0.1", trie)) == {
             (ipaddress.ip_network("10.0.0.0/8"), 1),
@@ -244,14 +244,14 @@ class TestTrie:
         assert covering_pairs("11.0.0.1", trie) == set()
 
     def test_default_route_covers_everything(self):
-        entries = parse_text_rib(b"0.0.0.0/0|3\n203.0.113.0/24|9")
+        entries = parse_text_rib("0.0.0.0/0|3\n203.0.113.0/24|9")
         trie = build_trie(entries)
         found = as_tuples(covering_pairs("8.8.8.8", trie))
         assert (ipaddress.ip_network("0.0.0.0/0"), 3) in found
 
     def test_as_set_entries_counted_not_indexed(self):
         diag = Diagnostics()
-        entries = parse_text_rib(b"10.0.0.0/8|1 {2,3}\n10.0.0.0/8|4")
+        entries = parse_text_rib("10.0.0.0/8|1 {2,3}\n10.0.0.0/8|4")
         trie = build_trie(entries, diag)
         assert trie.as_set_count == 1
         assert diag.get("as_set_entries") == 1
@@ -260,18 +260,18 @@ class TestTrie:
         }
 
     def test_moas_pairs_kept_separately(self):
-        entries = parse_text_rib(b"192.0.2.0/24|1 100\n192.0.2.0/24|2 200")
+        entries = parse_text_rib("192.0.2.0/24|1 100\n192.0.2.0/24|2 200")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.7", trie)} == {100, 200}
 
     def test_family_isolation(self):
-        entries = parse_text_rib(b"0.0.0.0/0|4\n::/0|6")
+        entries = parse_text_rib("0.0.0.0/0|4\n::/0|6")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.1", trie)} == {4}
         assert {p.origin_asn for p in covering_pairs("2001:db8::1", trie)} == {6}
 
     def test_host_route_lookup(self):
-        entries = parse_text_rib(b"192.0.2.55/32|7")
+        entries = parse_text_rib("192.0.2.55/32|7")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.55", trie)} == {7}
         assert covering_pairs("192.0.2.54", trie) == set()
@@ -302,10 +302,10 @@ class TestTrie:
             + mb.simple_rib("198.51.100.0/24", [100, {500, 501}])
         )
         text = (
-            b"10.0.0.0/8|100 200\n"
-            b"10.0.0.0/16|100 300\n"
-            b"2001:db8::/32|100 400\n"
-            b"198.51.100.0/24|100 {500,501}\n"
+            "10.0.0.0/8|100 200\n"
+            "10.0.0.0/16|100 300\n"
+            "2001:db8::/32|100 400\n"
+            "198.51.100.0/24|100 {500,501}\n"
         )
         trie_a = build_trie(parse_mrt(mrt_bytes))
         trie_b = build_trie(parse_text_rib(text))

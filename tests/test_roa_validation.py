@@ -183,40 +183,40 @@ class TestMonotonicity:
 
 class TestLoadRoas:
     def test_csv_basic(self):
-        out = load_roas(b"AS64500,10.0.0.0/16,24")
+        out = load_roas("AS64500,10.0.0.0/16,24")
         assert out == {roa(64500, "10.0.0.0/16", 24)}
 
     def test_csv_bad_maxlength_rejected(self):
         diag = Diagnostics()
-        assert load_roas(b"AS64500,10.0.0.0/16,8", diag=diag) == set()
+        assert load_roas("AS64500,10.0.0.0/16,8", diag=diag) == set()
         assert diag.get("malformed_roa_rows") == 1
         assert diag.get("empty_roa_set") == 1
 
     def test_empty_file_warns(self):
         diag = Diagnostics()
-        assert load_roas(b"", diag=diag) == set()
+        assert load_roas("", diag=diag) == set()
         assert diag.get("empty_roa_set") == 1
 
     def test_csv_header_autodetected(self):
-        out = load_roas(b"ASN,prefix,maxLength,TA\nAS64500,10.0.0.0/16,24,ripe")
+        out = load_roas("ASN,prefix,maxLength,TA\nAS64500,10.0.0.0/16,24,ripe")
         assert out == {roa(64500, "10.0.0.0/16", 24, "ripe")}
 
     def test_csv_numeric_asn_and_default_maxlength(self):
-        out = load_roas(b"64500,10.0.0.0/16\n64500,10.0.0.0/16,")
+        out = load_roas("64500,10.0.0.0/16\n64500,10.0.0.0/16,")
         assert out == {roa(64500, "10.0.0.0/16", 16)}
 
     def test_csv_trust_anchor_normalized(self):
-        out = load_roas(b"AS1,10.0.0.0/8,8,RIPE\nAS2,10.0.0.0/8,8,weird")
+        out = load_roas("AS1,10.0.0.0/8,8,RIPE\nAS2,10.0.0.0/8,8,weird")
         anchors = {r.asn: r.trust_anchor for r in out}
         assert anchors == {1: "ripe", 2: "other"}
 
     def test_csv_duplicates_deduplicated(self):
-        out = load_roas(b"AS64500,10.0.0.0/16,24\nAS64500,10.0.0.0/16,24")
+        out = load_roas("AS64500,10.0.0.0/16,24\nAS64500,10.0.0.0/16,24")
         assert len(out) == 1
 
     def test_csv_host_bits_rejected(self):
         diag = Diagnostics()
-        assert load_roas(b"AS64500,10.0.0.1/16,24", diag=diag) == set()
+        assert load_roas("AS64500,10.0.0.1/16,24", diag=diag) == set()
         assert diag.get("malformed_roa_rows") == 1
 
     def test_json_basic(self):
@@ -226,13 +226,13 @@ class TestLoadRoas:
                 {"asn": 64501, "prefix": "2001:db8::/32"},
             ]
         )
-        out = load_roas(doc.encode(), RoaFormat.JSON)
+        out = load_roas(doc, RoaFormat.JSON)
         assert roa(64500, "10.0.0.0/16", 24, "apnic") in out
         assert roa(64501, "2001:db8::/32", 32) in out
 
     def test_json_malformed_rows_counted(self):
         diag = Diagnostics()
-        doc = b'[{"asn": "ASX", "prefix": "10.0.0.0/8"}, {"prefix": "10.0.0.0/8"}]'
+        doc = '[{"asn": "ASX", "prefix": "10.0.0.0/8"}, {"prefix": "10.0.0.0/8"}]'
         assert load_roas(doc, RoaFormat.JSON, diag) == set()
         assert diag.get("malformed_roa_rows") == 2
 
