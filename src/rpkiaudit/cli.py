@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
+import gc
 import ipaddress
 import json
 import logging
@@ -147,18 +149,28 @@ def _read_jsonl(path: Path) -> list[dict]:
     for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
         if line.strip():
             try:
-                rows.append(json.loads(line.decode("utf-8")))
+                row = json.loads(line.decode("utf-8"))
             except ValueError as exc:  # a truncated row or undecodable bytes
                 raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
+            if not isinstance(row, dict):
+                raise DataError(f"{path}:{lineno}: corrupt artifact (row is not an object)")
+            rows.append(row)
     return rows
+
+
+@contextlib.contextmanager
+def _artifact_fields(path: Path):
+    """Turn a missing field or a bad value read from an artifact into DataError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: corrupt artifact ({type(exc).__name__}: {exc})") from None
 
 
 def _primary_resolver(cfg: PipelineConfig) -> str:
     path = _require_artifact(cfg, "resolve_meta.json", "resolve")
-    try:
+    with _artifact_fields(path):
         return json.loads(path.read_text("utf-8"))["primary_resolver"]
-    except ValueError as exc:
-        raise DataError(f"{path}: corrupt artifact ({exc})")
 
 
 def _write_diag(cfg: PipelineConfig, stage: str, diag: Diagnostics) -> None:
@@ -341,6 +353,9 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
         except (EOFError, OSError, UnicodeDecodeError, zlib.error) as exc:
             # a cut or corrupt gzip stream, or a text dump that is not UTF-8
             raise DataError(f"{path}: unreadable RIB dump ({exc})")
+    # The index lives until the stage ends; kept out of the collector, it no
+    # longer turns the first allocations after the build into a full pass.
+    gc.freeze()
     return trie
 
 
@@ -354,30 +369,31 @@ def stage_map(cfg: PipelineConfig) -> None:
         raise DataError("RIB sources contained zero usable entries")
 
     rows = []
-    for row in _read_jsonl(resolved_path):
-        if row["resolver"] != primary:
-            continue
-        pairs: set[PrefixOriginPair] = set()
-        unreachable = []
-        for addr_text in row["addresses"]:
-            covering = rib_store.covering_pairs(addr_text, trie)
-            if covering:
-                pairs |= covering
-            else:
-                unreachable.append(addr_text)
-                diag.count("unreachable_addresses")
-        rows.append(
-            {
-                "rank": row["rank"],
-                "domain": row["domain"],
-                "variant": row["variant"],
-                "pairs": [
-                    {"prefix": str(p.prefix), "asn": p.origin_asn}
-                    for p in sorted(pairs, key=lambda p: p.sort_key())
-                ],
-                "unreachable": sorted(unreachable),
-            }
-        )
+    with _artifact_fields(resolved_path):
+        for row in _read_jsonl(resolved_path):
+            if row["resolver"] != primary:
+                continue
+            pairs: set[PrefixOriginPair] = set()
+            unreachable = []
+            for addr_text in row["addresses"]:
+                covering = rib_store.covering_pairs(addr_text, trie)
+                if covering:
+                    pairs |= covering
+                else:
+                    unreachable.append(addr_text)
+                    diag.count("unreachable_addresses")
+            rows.append(
+                {
+                    "rank": row["rank"],
+                    "domain": row["domain"],
+                    "variant": row["variant"],
+                    "pairs": [
+                        {"prefix": str(p.prefix), "asn": p.origin_asn}
+                        for p in sorted(pairs, key=lambda p: p.sort_key())
+                    ],
+                    "unreachable": sorted(unreachable),
+                }
+            )
     rows.sort(key=lambda r: (r["rank"], r["variant"], r["domain"]))
     _write_jsonl(cfg.out("pairs.jsonl"), rows)
     _write_diag(cfg, "map", diag)
@@ -449,6 +465,8 @@ def stage_classify(cfg: PipelineConfig) -> None:
     registry = cdn_classifier.parse_as_registry(_read_text(cfg.as_registry, "AS registry"), diag)
     keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
     keywords = cdn_classifier.load_keywords(keyword_text)
+    if not keywords:
+        raise DataError(f"{cfg.keywords}: keyword file holds no keywords")
     cdn_asns = cdn_classifier.spot_keywords(keywords, registry)
 
     external: dict[str, bool] = {}
@@ -457,10 +475,11 @@ def stage_classify(cfg: PipelineConfig) -> None:
             _read_text(cfg.external_labels, "external labels"), diag
         )
 
-    origins_by_key = {
-        (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]]
-        for row in _read_jsonl(pairs_path)
-    }
+    with _artifact_fields(pairs_path):
+        origins_by_key = {
+            (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]]
+            for row in _read_jsonl(pairs_path)
+        }
 
     labels = []
     rows = []
@@ -574,8 +593,8 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     validated = _read_jsonl(validated_path)
     if not validated:
         raise DataError("validated.jsonl holds zero rows")
-    label_rows = _read_jsonl(labels_path)
-    by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
+    with _artifact_fields(labels_path):
+        by_chain = {row["domain"]: bool(row["by_chain"]) for row in _read_jsonl(labels_path)}
 
     coverages: dict[str, list[tuple[int, DomainCoverage]]] = {"base": [], "www": []}
     prefixes: dict[tuple[int, str], set[str]] = {}

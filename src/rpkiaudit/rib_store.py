@@ -351,9 +351,11 @@ class PrefixTrie:
     """Index answering all-covering-prefix queries.
 
     Origins are stored as ints.  The prefixes that cover an address are
-    nested, so the longest one fixes the answer: every stored prefix's
-    bucket memo holds the frozenset of pairs of every stored prefix covering
-    it, and a lookup returns the memo of the longest prefix that matches.
+    nested, so the longest one fixes the answer: a bucket's memo is the
+    frozenset of pairs of every stored prefix covering it, and a lookup
+    returns the memo of the longest prefix that matches.  Memos, with their
+    networks and pairs, are built on a prefix's first lookup, so a stored
+    prefix that no lookup lands in never gets any.
     """
 
     def __init__(self) -> None:
@@ -366,7 +368,7 @@ class PrefixTrie:
     def add_routes(self, routes: Iterable[Route], diag: Diagnostics | None = None) -> None:
         """Index every non-AS_SET route; AS_SET routes only bump a counter.
 
-        Then every memo is rebuilt, as a new prefix changes those of the
+        Every memo is then dropped, as a new prefix changes those of the
         longer prefixes it covers.
         """
         diag = diag if diag is not None else Diagnostics()
@@ -379,30 +381,37 @@ class PrefixTrie:
                 add(version, net, plen, origin)
         for bucket in self._index:
             bucket.memo = None
-        for bucket in self._index:
-            pairs: frozenset[PrefixOriginPair] = frozenset()
+
+    def _memo(self, bucket: Bucket) -> frozenset[PrefixOriginPair]:
+        """The bucket's memo, built with those of the prefixes covering it."""
+        pairs = bucket.memo
+        if pairs is None:
+            pairs = _NO_PAIRS
             for origins in self._index.covering(bucket.version, bucket.net, bucket.plen):
                 if origins.memo is None:  # shortest first: each memo extends the last
-                    origins.memo = pairs.union(self._own_pairs(origins))
+                    prefix = _network(origins.version, origins.net, origins.plen)
+                    origins.memo = pairs.union([PrefixOriginPair(prefix, o) for o in origins])
                 pairs = origins.memo
-
-    @staticmethod
-    def _own_pairs(origins: Bucket) -> list[PrefixOriginPair]:
-        prefix = _network(origins.version, origins.net, origins.plen)
-        return [PrefixOriginPair(prefix, o) for o in origins]
+        return pairs
 
     def covering(self, ip: IPAddress) -> frozenset[PrefixOriginPair]:
         longest = self._index.longest(ip.version, int(ip))
-        return _NO_PAIRS if longest is None else longest.memo
+        if longest is None:
+            return _NO_PAIRS
+        memo = longest.memo
+        return memo if memo is not None else self._memo(longest)
 
     def pairs(self) -> set[PrefixOriginPair]:
-        return set().union(*(bucket.memo for bucket in self._index))
+        return set().union(*map(self._memo, self._index))
 
 
 def build_trie(
     entries: Iterable[RibEntry], diag: Diagnostics | None = None
 ) -> PrefixTrie:
-    """Index every non-AS_SET entry; AS_SET entries only bump a counter."""
+    """Index every non-AS_SET entry; AS_SET entries only bump a counter.
+
+    Every memo is built before the trie is returned, so no lookup builds one.
+    """
     trie = PrefixTrie()
     trie.add_routes(
         (
@@ -411,6 +420,8 @@ def build_trie(
         ),
         diag,
     )
+    for bucket in trie._index:
+        trie._memo(bucket)
     return trie
 
 

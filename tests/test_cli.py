@@ -24,6 +24,10 @@ def read(path):
     return path.read_bytes()
 
 
+def without(row, key):
+    return {k: v for k, v in row.items() if k != key}
+
+
 class TestEndToEnd:
     def test_bin_csvs_match_committed_expectations(self, e2e_output):
         for name in ("bins_base.csv", "bins_www.csv", "cdn_bins_base.csv", "cdn_bins_www.csv"):
@@ -553,6 +557,63 @@ class TestCorruptInputs:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert str(bad) in result.stderr
+
+    @pytest.mark.parametrize(
+        "stage, artifact, damage",
+        [
+            ("map", "resolve_meta.json", lambda row: {}),
+            ("map", "resolve_meta.json", lambda row: [row]),
+            ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
+            ("map", "resolved.jsonl", lambda row: [1, 2]),
+            ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
+            ("classify", "pairs.jsonl", lambda row: without(row, "domain")),
+            ("analyze", "cdn_labels.jsonl", lambda row: without(row, "by_chain")),
+        ],
+        ids=["meta_empty", "meta_not_object", "no_addresses", "row_not_object",
+             "bad_address", "pairs_no_domain", "labels_no_by_chain"],
+    )
+    def test_malformed_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
+        needs, output, inputs = {
+            "map": (["resolved.jsonl", "resolve_meta.json"], "pairs.jsonl",
+                    ["--rib", E2E_DIR / "rib.txt"]),
+            "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
+                         "cdn_labels.jsonl", ["--as-registry", E2E_DIR / "as_registry.txt"]),
+            "analyze": (["validated.jsonl", "cdn_labels.jsonl"], "summary.json", []),
+        }[stage]
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in needs:
+            shutil.copy(e2e_output / name, out)
+        rows = [json.loads(line) for line in read(e2e_output / artifact).splitlines()]
+        # a row the stage reads in full: the primary resolver's, with addresses
+        at = next(i for i, r in enumerate(rows)
+                  if r.get("resolver", "fixture") == "fixture" and r.get("addresses", True))
+        rows[at] = damage(rows[at])
+        (out / artifact).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        result = run_cli(stage, *inputs, "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert artifact in result.stderr
+        assert not (out / output).exists()
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n   # and blanks\n"])
+    def test_keyword_file_without_tokens_is_3(self, e2e_output, tmp_path, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / name, out)
+        keywords = tmp_path / "keywords.txt"
+        keywords.write_text(text)
+        result = run_cli(
+            "classify",
+            "--as-registry", E2E_DIR / "as_registry.txt",
+            "--keywords", keywords,
+            "--output-dir", out,
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert str(keywords) in result.stderr
+        assert not (out / "cdn_labels.jsonl").exists()
 
     def test_failed_write_keeps_old_artifact(self, tmp_path):
         path = tmp_path / "artifact.txt"

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+from rpkiaudit import rib_store
 from rpkiaudit._prefix_index import PrefixIndex
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.rib_store import (
+    PrefixOriginPair,
     PrefixTrie,
     build_trie,
     covering_pairs,
@@ -124,3 +126,41 @@ def test_routes_added_after_lookups_are_seen():
     assert {p.origin_asn for p in trie.covering(ip)} == {64500, 64501}
     trie.add_routes([(4, 0, 0, 64502, None), (4, 10 << 24, 8, 64503, None)])
     assert {p.origin_asn for p in trie.covering(ip)} == {64500, 64501, 64502, 64503}
+
+
+def test_streamed_trie_builds_only_what_a_lookup_lands_in(monkeypatch):
+    """add_routes builds no network or pair; a lookup builds at most its chain's."""
+    rng = random.Random(7)
+    rows = {4: random_table(rng, 4, V4_LENGTHS[1:], 200),
+            6: random_table(rng, 6, V6_LENGTHS[1:], 200)}
+    routes = [(v, net, plen, asn, None) for v, table in rows.items() for net, plen, asn in table]
+    built = {"networks": 0, "pairs": 0}
+
+    def counting(cls, key):
+        def make(*args, **kwargs):
+            built[key] += 1
+            return cls(*args, **kwargs)
+        return make
+
+    monkeypatch.setattr(ipaddress, "IPv4Network", counting(ipaddress.IPv4Network, "networks"))
+    monkeypatch.setattr(ipaddress, "IPv6Network", counting(ipaddress.IPv6Network, "networks"))
+    monkeypatch.setattr(rib_store, "PrefixOriginPair", counting(PrefixOriginPair, "pairs"))
+    trie = PrefixTrie()
+    trie.add_routes(iter(routes))
+    assert len(trie) == len({(v, n, p, a) for v, n, p, a, _ in routes})
+    assert built == {"networks": 0, "pairs": 0}
+
+    for version, width, address in ((4, 32, ipaddress.IPv4Address),
+                                    (6, 128, ipaddress.IPv6Address)):
+        net, plen, _ = rows[version][-1]
+        addr = net | rng.getrandbits(width - plen)
+        chain = scan(rows[version], version, addr, width)
+        before = dict(built)
+        found = trie.covering(address(addr))
+        assert {(int(p.prefix.network_address), p.prefix.prefixlen, p.origin_asn)
+                for p in found} == {(n, p, a) for (n, p), asns in chain.items() for a in asns}
+        assert 0 < built["networks"] - before["networks"] <= len(chain)
+        assert built["pairs"] - before["pairs"] <= sum(map(len, chain.values()))
+        again = dict(built)
+        assert trie.covering(address(addr)) is found
+        assert built == again
