@@ -4,117 +4,7 @@ The pipeline resolves each domain (and its www variant) to addresses,
 maps addresses to covering BGP prefixes and origin ASes, validates each
 prefix-origin pair against ROA payloads, labels CDN usage, and aggregates
 coverage by popularity rank.
+
+The package re-exports nothing: import names from its modules, for example
+``from rpkiaudit.rib_store import covering_pairs``.
 """
-
-from .analytics import (
-    BinStat,
-    CoverageClass,
-    DomainCoverage,
-    OverlapStat,
-    bin_aggregate,
-    cdn_conditional_rates,
-    coverage_report,
-    domain_coverage,
-    prefix_overlap,
-)
-from .cdn_classifier import (
-    AgreementReport,
-    AsRegistryEntry,
-    CdnLabel,
-    classify_by_asn,
-    classify_by_chain,
-    compare_external,
-    spot_keywords,
-)
-from .cli import PipelineConfig, run_stage
-from .diagnostics import Diagnostics
-from .dns_resolution import (
-    ConsistencyReport,
-    DnsFixture,
-    ResolutionResult,
-    ResolutionStatus,
-    SpecialPurposeTable,
-    cross_check,
-    filter_special_purpose,
-    resolve_records,
-)
-from .domain_ingest import (
-    DomainRecord,
-    ListFormat,
-    RankBin,
-    Variant,
-    assign_bins,
-    expand_variants,
-    load_domain_list,
-)
-from .rib_store import (
-    PrefixOriginPair,
-    PrefixTrie,
-    RibEntry,
-    build_trie,
-    covering_pairs,
-    origin_from_path,
-    parse_mrt,
-    parse_text_rib,
-)
-from .roa_validation import (
-    RoaIndex,
-    RoaPayload,
-    ValidationState,
-    build_roa_index,
-    load_roas,
-    validate,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "AgreementReport",
-    "AsRegistryEntry",
-    "BinStat",
-    "CdnLabel",
-    "ConsistencyReport",
-    "CoverageClass",
-    "Diagnostics",
-    "DnsFixture",
-    "DomainCoverage",
-    "DomainRecord",
-    "ListFormat",
-    "OverlapStat",
-    "PipelineConfig",
-    "PrefixOriginPair",
-    "PrefixTrie",
-    "RankBin",
-    "ResolutionResult",
-    "ResolutionStatus",
-    "RibEntry",
-    "RoaIndex",
-    "RoaPayload",
-    "SpecialPurposeTable",
-    "ValidationState",
-    "Variant",
-    "assign_bins",
-    "bin_aggregate",
-    "build_roa_index",
-    "build_trie",
-    "cdn_conditional_rates",
-    "classify_by_asn",
-    "classify_by_chain",
-    "compare_external",
-    "coverage_report",
-    "covering_pairs",
-    "cross_check",
-    "domain_coverage",
-    "expand_variants",
-    "filter_special_purpose",
-    "load_domain_list",
-    "load_roas",
-    "origin_from_path",
-    "parse_mrt",
-    "parse_text_rib",
-    "prefix_overlap",
-    "resolve_records",
-    "run_stage",
-    "spot_keywords",
-    "validate",
-]

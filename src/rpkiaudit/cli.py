@@ -18,6 +18,7 @@ import gc
 import ipaddress
 import json
 import logging
+import operator
 import os
 import sys
 import threading
@@ -158,19 +159,41 @@ def _read_jsonl(path: Path) -> list[dict]:
     return rows
 
 
-@contextlib.contextmanager
-def _artifact_fields(path: Path):
-    """Turn a missing field or a bad value read from an artifact into DataError."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: corrupt artifact ({type(exc).__name__}: {exc})") from None
+def _artifact(cfg: PipelineConfig, name: str, stage: str):
+    """An upstream stage's JSONL artifact, read as ``with _artifact(...) as rows``.
+
+    The call exits 2 when the artifact's stage has not run.  In the ``with``
+    block, a bad row is a DataError (exit 3) naming the artifact and its domain.
+    """
+    path = cfg.out(name)
+    if not path.exists():
+        raise StageDependencyMissingError(stage, str(path))
+    row: dict = {}
+
+    def rows():
+        nonlocal row
+        for row in _read_jsonl(path):
+            yield row
+        row = {}  # a fault after the last row belongs to no one row
+
+    @contextlib.contextmanager
+    def reading():
+        try:
+            yield rows()
+        except (KeyError, TypeError, ValueError) as exc:
+            where = f"{path}: {row['domain']}" if "domain" in row else path
+            raise DataError(f"{where}: corrupt artifact ({type(exc).__name__}: {exc})") from None
+
+    return reading()
+
+
+_row_order = operator.itemgetter("rank", "variant", "domain")  # of map, validate, classify rows
 
 
 def _primary_resolver(cfg: PipelineConfig) -> str:
-    path = _require_artifact(cfg, "resolve_meta.json", "resolve")
-    with _artifact_fields(path):
-        return json.loads(path.read_text("utf-8"))["primary_resolver"]
+    with _artifact(cfg, "resolve_meta.json", "resolve") as meta_rows:
+        (meta,) = meta_rows
+        return meta["primary_resolver"]
 
 
 def _write_diag(cfg: PipelineConfig, stage: str, diag: Diagnostics) -> None:
@@ -193,13 +216,6 @@ def _read_text(path: Optional[str], what: str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {what} is not UTF-8 text ({exc})")
-
-
-def _require_artifact(cfg: PipelineConfig, name: str, stage: str) -> Path:
-    path = cfg.out(name)
-    if not path.exists():
-        raise StageDependencyMissingError(stage, str(path))
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +377,7 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
 
 def stage_map(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    resolved_path = _require_artifact(cfg, "resolved.jsonl", "resolve")
+    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
     primary = _primary_resolver(cfg)
 
     trie = _load_rib(cfg, diag)
@@ -369,8 +385,8 @@ def stage_map(cfg: PipelineConfig) -> None:
         raise DataError("RIB sources contained zero usable entries")
 
     rows = []
-    with _artifact_fields(resolved_path):
-        for row in _read_jsonl(resolved_path):
+    with resolved as resolved_rows:
+        for row in resolved_rows:
             if row["resolver"] != primary:
                 continue
             pairs: set[PrefixOriginPair] = set()
@@ -394,7 +410,7 @@ def stage_map(cfg: PipelineConfig) -> None:
                     "unreachable": sorted(unreachable),
                 }
             )
-    rows.sort(key=lambda r: (r["rank"], r["variant"], r["domain"]))
+        rows.sort(key=_row_order)
     _write_jsonl(cfg.out("pairs.jsonl"), rows)
     _write_diag(cfg, "map", diag)
     log.info("map: %d rows against %d prefix-origin pairs", len(rows), len(trie))
@@ -415,38 +431,36 @@ def _roa_format(cfg: PipelineConfig) -> RoaFormat:
 
 def stage_validate(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    pairs_path = _require_artifact(cfg, "pairs.jsonl", "map")
+    pairs = _artifact(cfg, "pairs.jsonl", "map")
     roas = roa_validation.load_roas(_read_text(cfg.roas, "ROA export"), _roa_format(cfg), diag)
     index = roa_validation.build_roa_index(roas)
 
-    @functools.cache  # each distinct pair is parsed and validated once per run
+    @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
     def state_of(prefix: str, asn: int) -> ValidationState:
         return roa_validation.validate(PrefixOriginPair(ipaddress.ip_network(prefix), asn), index)
 
     rows = []
-    for row in _read_jsonl(pairs_path):
-        # map wrote the pairs sorted and distinct, so their order is kept
-        try:
+    with pairs as pair_rows:
+        for row in pair_rows:
+            # map wrote the pairs sorted and distinct, so their order is kept
             states = {
                 (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
             }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{pairs_path}: {row.get('domain')}: bad prefix/origin pair ({exc})")
-        coverage = analytics.domain_coverage(row["domain"], states.items())
-        rows.append(
-            {
-                "rank": row["rank"],
-                "domain": row["domain"],
-                "variant": row["variant"],
-                "pairs": [
-                    {"prefix": prefix, "asn": asn, "state": state.value}
-                    for (prefix, asn), state in states.items()
-                ],
-                "covered": analytics.fraction_to_float(coverage.covered_fraction),
-                "class": coverage.classification.value,
-            }
-        )
-    rows.sort(key=lambda r: (r["rank"], r["variant"], r["domain"]))
+            coverage = analytics.domain_coverage(row["domain"], states.items())
+            rows.append(
+                {
+                    "rank": row["rank"],
+                    "domain": row["domain"],
+                    "variant": row["variant"],
+                    "pairs": [
+                        {"prefix": prefix, "asn": asn, "state": state.value}
+                        for (prefix, asn), state in states.items()
+                    ],
+                    "covered": analytics.fraction_to_float(coverage.covered_fraction),
+                    "class": coverage.classification.value,
+                }
+            )
+        rows.sort(key=_row_order)
     _write_jsonl(cfg.out("validated.jsonl"), rows)
     _write_diag(cfg, "validate", diag)
     log.info("validate: %d rows against %d ROAs", len(rows), len(roas))
@@ -458,8 +472,8 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
 def stage_classify(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    resolved_path = _require_artifact(cfg, "resolved.jsonl", "resolve")
-    pairs_path = _require_artifact(cfg, "pairs.jsonl", "map")
+    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
+    pairs = _artifact(cfg, "pairs.jsonl", "map")
     primary = _primary_resolver(cfg)
 
     registry = cdn_classifier.parse_as_registry(_read_text(cfg.as_registry, "AS registry"), diag)
@@ -475,41 +489,40 @@ def stage_classify(cfg: PipelineConfig) -> None:
             _read_text(cfg.external_labels, "external labels"), diag
         )
 
-    with _artifact_fields(pairs_path):
+    with pairs as pair_rows:
         origins_by_key = {
-            (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]]
-            for row in _read_jsonl(pairs_path)
+            (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]] for row in pair_rows
         }
 
     labels = []
     rows = []
-    for row in _read_jsonl(resolved_path):
-        if row["resolver"] != primary or row["status"] != ResolutionStatus.OK.value:
-            continue
-        chain_length = len(row["cnames"])
-        label = cdn_classifier.CdnLabel(
-            row["domain"],
-            chain_length,
-            chain_length >= cdn_classifier.CHAIN_THRESHOLD,
-            by_asn=cdn_classifier.classify_by_asn(
-                origins_by_key.get((row["rank"], row["domain"]), ()), cdn_asns
-            ),
-        )
-        label.external = cdn_classifier.external_label(external, label.domain)
-        labels.append(label)
-        rows.append(
-            {
-                "rank": row["rank"],
-                "domain": label.domain,
-                "variant": row["variant"],
-                "chain_length": label.chain_length,
-                "by_chain": label.by_chain,
-                "by_asn": label.by_asn,
-                "external": label.external,
-            }
-        )
-
-    rows.sort(key=lambda r: (r["rank"], r["variant"], r["domain"]))
+    with resolved as resolved_rows:
+        for row in resolved_rows:
+            if row["resolver"] != primary or row["status"] != ResolutionStatus.OK.value:
+                continue
+            chain_length = len(row["cnames"])
+            label = cdn_classifier.CdnLabel(
+                row["domain"],
+                chain_length,
+                chain_length >= cdn_classifier.CHAIN_THRESHOLD,
+                by_asn=cdn_classifier.classify_by_asn(
+                    origins_by_key.get((row["rank"], row["domain"]), ()), cdn_asns
+                ),
+            )
+            label.external = cdn_classifier.external_label(external, label.domain)
+            labels.append(label)
+            rows.append(
+                {
+                    "rank": row["rank"],
+                    "domain": label.domain,
+                    "variant": row["variant"],
+                    "chain_length": label.chain_length,
+                    "by_chain": label.by_chain,
+                    "by_asn": label.by_asn,
+                    "external": label.external,
+                }
+            )
+        rows.sort(key=_row_order)
     _write_jsonl(cfg.out("cdn_labels.jsonl"), rows)
     if external and labels:
         report = cdn_classifier.compare_external(labels, external)
@@ -538,20 +551,11 @@ def stage_classify(cfg: PipelineConfig) -> None:
 # analyze
 
 
-_STATES = {state.value: state for state in ValidationState}
-
-
-def _coverage_from_row(path: Path, row: dict) -> DomainCoverage:
-    """Coverage of one validated.jsonl row; a corrupt row raises DataError."""
-    domain = row["domain"]
-    try:
-        return analytics.domain_coverage(
-            domain, (((p["prefix"], p["asn"]), _STATES[p["state"]]) for p in row["pairs"])
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: {domain}: unknown validation state or field {exc}")
-    except ValueError as exc:  # one pair listed with two states
-        raise DataError(f"{path}: {exc}")
+def _validated_row(row: dict) -> tuple[int, Variant, DomainCoverage]:
+    """The rank, variant and coverage of one validated.jsonl row."""
+    states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
+    coverage = analytics.domain_coverage(row["domain"], states)
+    return operator.index(row["rank"]), Variant(row["variant"]), coverage
 
 
 def _bin_csv(stats: list[analytics.BinStat]) -> str:
@@ -587,35 +591,33 @@ def _rates_obj(rates: analytics.OverallRates) -> dict:
 
 def stage_analyze(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    validated_path = _require_artifact(cfg, "validated.jsonl", "validate")
-    labels_path = _require_artifact(cfg, "cdn_labels.jsonl", "classify")
+    validated = _artifact(cfg, "validated.jsonl", "validate")
+    labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
 
-    validated = _read_jsonl(validated_path)
-    if not validated:
-        raise DataError("validated.jsonl holds zero rows")
-    with _artifact_fields(labels_path):
-        by_chain = {row["domain"]: bool(row["by_chain"]) for row in _read_jsonl(labels_path)}
-
-    coverages: dict[str, list[tuple[int, DomainCoverage]]] = {"base": [], "www": []}
-    prefixes: dict[tuple[int, str], set[str]] = {}
+    coverages: dict[Variant, list[tuple[int, DomainCoverage]]] = {v: [] for v in Variant}
+    prefixes: dict[tuple[int, Variant], set[str]] = {}
     base_names: dict[int, str] = {}
-    for row in validated:
-        cov = _coverage_from_row(validated_path, row)
-        coverages[row["variant"]].append((row["rank"], cov))
-        prefixes[(row["rank"], row["variant"])] = {p["prefix"] for p in row["pairs"]}
-        if row["variant"] == "base":
-            base_names[row["rank"]] = row["domain"]
+    with validated as validated_rows:
+        for row in validated_rows:
+            rank, variant, coverage = _validated_row(row)
+            coverages[variant].append((rank, coverage))
+            prefixes[(rank, variant)] = {p["prefix"] for p in row["pairs"]}
+            if variant is Variant.BASE:
+                base_names[rank] = row["domain"]
+    if not prefixes:
+        raise DataError("validated.jsonl holds zero rows")
+    with labels as label_rows:
+        by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
 
-    max_rank = max(rank for rows in coverages.values() for rank, _ in rows)
+    max_rank = max(rank for rank, _ in prefixes)
     bins = domain_ingest.make_bins(max_rank, cfg.bin_size)
 
     summary: dict[str, dict] = {}
-    for variant in ("base", "www"):
-        series = coverages[variant]
+    for variant, series in coverages.items():
         cdn_series, all_series = analytics.cdn_conditional_rates(series, by_chain, bins)
-        _write_text(cfg.out(f"bins_{variant}.csv"), _bin_csv(all_series))
-        _write_text(cfg.out(f"cdn_bins_{variant}.csv"), _bin_csv(cdn_series))
-        summary[variant] = _rates_obj(analytics.overall_rates([c for _, c in series]))
+        _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(all_series))
+        _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_series))
+        summary[variant.value] = _rates_obj(analytics.overall_rates([c for _, c in series]))
 
     overlap_lines = ["rank,domain,overlap"]
     mean_parts: list[Fraction] = []
@@ -623,8 +625,8 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         name = base_names[rank]
         stat = analytics.prefix_overlap(
             name,
-            prefixes.get((rank, "www"), set()),
-            prefixes.get((rank, "base"), set()),
+            prefixes.get((rank, Variant.WWW), set()),
+            prefixes.get((rank, Variant.BASE), set()),
         )
         overlap_lines.append(f"{rank},{name},{format_fraction(stat.overlap)}")
         if stat.overlap is not None:
@@ -644,22 +646,19 @@ def stage_analyze(cfg: PipelineConfig) -> None:
 
 
 def stage_report(cfg: PipelineConfig) -> None:
-    validated_path = _require_artifact(cfg, "validated.jsonl", "validate")
-    per_rank: dict[int, dict[str, DomainCoverage]] = {}
+    validated = _artifact(cfg, "validated.jsonl", "validate")
+    per_rank: dict[int, dict[Variant, DomainCoverage]] = {}
     names: dict[int, str] = {}
-    for row in _read_jsonl(validated_path):
-        cov = _coverage_from_row(validated_path, row)
-        per_rank.setdefault(row["rank"], {})[row["variant"]] = cov
-        if row["variant"] == "base":
-            names[row["rank"]] = row["domain"]
-        else:
-            names.setdefault(
-                row["rank"],
-                row["domain"][4:] if row["domain"].startswith("www.") else row["domain"],
-            )
-
+    with validated as validated_rows:
+        for row in validated_rows:
+            rank, variant, coverage = _validated_row(row)
+            per_rank.setdefault(rank, {})[variant] = coverage
+            if variant is Variant.BASE:
+                names[rank] = row["domain"]
+            else:
+                names.setdefault(rank, row["domain"].removeprefix("www."))
     inputs = [
-        (rank, names[rank], per_rank[rank].get("www"), per_rank[rank].get("base"))
+        (rank, names[rank], per_rank[rank].get(Variant.WWW), per_rank[rank].get(Variant.BASE))
         for rank in sorted(per_rank)
     ]
     rows = analytics.coverage_report(inputs, cfg.top_n)

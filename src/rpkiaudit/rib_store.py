@@ -76,8 +76,8 @@ class PrefixOriginPair:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.origin_asn, int):
-            raise TypeError("origin_asn must be a plain ASN, never an AS_SET")
+        if type(self.origin_asn) is not int:  # never an AS_SET, nor a bool
+            raise TypeError(f"origin_asn must be a plain ASN, not {self.origin_asn!r}")
         if not 0 <= self.origin_asn <= MAX_ASN:
             raise ValueError(f"ASN {self.origin_asn} out of range")
         object.__setattr__(self, "_hash", hash(self.sort_key()))
@@ -434,4 +434,6 @@ def covering_pairs(
     """
     if isinstance(ip, str):
         ip = ipaddress.ip_address(ip)
+    elif not isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
+        raise TypeError(f"not an IP address: {ip!r}")
     return trie.covering(ip)

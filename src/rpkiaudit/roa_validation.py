@@ -61,13 +61,15 @@ class RoaPayload:
 
 
 def _parse_asn_field(raw: Union[str, int]) -> int:
-    if isinstance(raw, int):
+    if type(raw) is int:  # a JSON true is not AS 1
         asn = raw
-    else:
+    elif isinstance(raw, str):
         text = raw.strip()
         if text[:2].upper() == "AS":
             text = text[2:]
         asn = int(text)
+    else:
+        raise TypeError(f"ASN {raw!r} is neither a number nor text")
     if not 0 <= asn <= MAX_ASN:
         raise ValueError(f"ASN {asn} out of range")
     return asn

@@ -511,6 +511,7 @@ class TestCorruptInputs:
             ("asn", "AS15133"),
             ("asn", -1),
             ("asn", 2**32),
+            ("asn", True),
         ],
     )
     def test_bad_pairs_row_is_3(self, e2e_output, tmp_path, field, value):
@@ -566,19 +567,45 @@ class TestCorruptInputs:
             ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
             ("map", "resolved.jsonl", lambda row: [1, 2]),
             ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
+            ("map", "resolved.jsonl", lambda row: dict(row, addresses=[5])),
+            ("map", "resolved.jsonl", lambda row: dict(row, addresses=[None])),
+            ("validate", "pairs.jsonl", lambda row: without(row, "domain")),
+            ("validate", "pairs.jsonl", lambda row: without(row, "rank")),
+            ("validate", "pairs.jsonl", lambda row: without(row, "variant")),
             ("classify", "pairs.jsonl", lambda row: without(row, "domain")),
+            ("classify", "resolved.jsonl", lambda row: without(row, "cnames")),
+            ("classify", "resolved.jsonl", lambda row: without(row, "status")),
+            ("classify", "resolved.jsonl", lambda row: without(row, "domain")),
+            ("classify", "resolved.jsonl", lambda row: dict(row, cnames=5)),
             ("analyze", "cdn_labels.jsonl", lambda row: without(row, "by_chain")),
+            ("analyze", "validated.jsonl", lambda row: without(row, "domain")),
+            ("analyze", "validated.jsonl", lambda row: without(row, "rank")),
+            ("analyze", "validated.jsonl", lambda row: dict(row, variant="foo")),
+            ("analyze", "validated.jsonl", lambda row: dict(row, pairs=5)),
+            ("analyze", "validated.jsonl", lambda row: dict(row, rank="x")),
+            ("report", "validated.jsonl", lambda row: without(row, "rank")),
+            ("report", "validated.jsonl", lambda row: without(row, "domain")),
+            ("report", "validated.jsonl", lambda row: dict(row, pairs=5)),
+            ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
         ],
         ids=["meta_empty", "meta_not_object", "no_addresses", "row_not_object",
-             "bad_address", "pairs_no_domain", "labels_no_by_chain"],
+             "bad_address", "int_address", "null_address",
+             "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
+             "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",
+             "resolved_no_domain", "resolved_cnames_int", "labels_no_by_chain",
+             "validated_no_domain", "validated_no_rank", "validated_bad_variant",
+             "validated_pairs_int", "validated_rank_text", "report_no_rank",
+             "report_no_domain", "report_pairs_int", "report_bad_variant"],
     )
     def test_malformed_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
         needs, output, inputs = {
             "map": (["resolved.jsonl", "resolve_meta.json"], "pairs.jsonl",
                     ["--rib", E2E_DIR / "rib.txt"]),
+            "validate": (["pairs.jsonl"], "validated.jsonl", ["--roas", E2E_DIR / "roas.csv"]),
             "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
                          "cdn_labels.jsonl", ["--as-registry", E2E_DIR / "as_registry.txt"]),
             "analyze": (["validated.jsonl", "cdn_labels.jsonl"], "summary.json", []),
+            "report": (["validated.jsonl"], "report.txt", []),
         }[stage]
         out = tmp_path / "out"
         out.mkdir()
@@ -594,6 +621,8 @@ class TestCorruptInputs:
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert artifact in result.stderr
+        if isinstance(rows[at], dict) and "domain" in rows[at]:
+            assert rows[at]["domain"] in result.stderr
         assert not (out / output).exists()
 
     @pytest.mark.parametrize("text", ["", "# comments only\n\n   # and blanks\n"])

@@ -236,6 +236,18 @@ class TestLoadRoas:
         assert load_roas(doc, RoaFormat.JSON, diag) == set()
         assert diag.get("malformed_roa_rows") == 2
 
+    def test_json_asn_neither_int_nor_text_rejected(self):
+        diag = Diagnostics()
+        doc = json.dumps(
+            [
+                {"asn": True, "prefix": "10.0.0.0/8"},  # not AS 1
+                {"asn": 1.5, "prefix": "10.0.0.0/8"},
+                {"asn": 64500, "prefix": "10.0.0.0/8"},
+            ]
+        )
+        assert load_roas(doc, RoaFormat.JSON, diag) == {roa(64500, "10.0.0.0/8", 8)}
+        assert diag.get("malformed_roa_rows") == 2
+
 
 class TestRoaIndex:
     def test_empty_index_all_queries_empty(self):
