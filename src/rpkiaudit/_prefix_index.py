@@ -1,17 +1,114 @@
-"""All-covering-prefix index over integer prefixes of both address families.
+"""Integer addresses and prefixes: the one text codec, and an all-covering index.
 
-A prefix is (version, net, plen) with host bits zero.  Each family keeps one
-dict per prefix length that is present, keyed by ``net >> (width - plen)``,
-whose values are the Buckets of items stored at each prefix.  A query probes
-each present length once, so it finds every stored prefix that covers the
-queried address or prefix, not just the longest one.
+An address is (version, int), a prefix (version, net, plen) with host bits
+zero.  The parsers accept what ``ipaddress.ip_address`` and strict
+``ip_network`` accept, and the formatters write what ``str()`` does: the fast
+path is ``inet_pton``/``inet_ntop``, and what it rejects or cannot decide (a
+``%scope``, a v4 netmask, a v6 text with a dotted quad) goes to ``ipaddress``
+itself.  A scope is dropped.
+
+The index keeps, per family, one dict per present prefix length, keyed by
+``net >> (width - plen)``, of the Buckets of items stored at each prefix.  A
+query probes each present length once, so it finds every stored prefix that
+covers the queried address or prefix, not just the longest one.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+import ipaddress
+from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
+from typing import Any, Iterator, Union
 
 WIDTH = {4: 32, 6: 128}
+
+IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
+IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+Prefix = Union[IPNetwork, tuple[int, int, int]]
+
+
+def _pton(text: str) -> tuple[int, int]:
+    if ":" in text:
+        return 6, int.from_bytes(inet_pton(AF_INET6, text), "big")
+    return 4, int.from_bytes(inet_pton(AF_INET, text), "big")
+
+
+def parse_address(text: str) -> tuple[int, int]:
+    """(version, int) of an address text; ValueError when it is none."""
+    if not isinstance(text, str):
+        raise TypeError(f"address {text!r} is not text")
+    try:
+        return _pton(text)
+    except (OSError, ValueError):
+        addr = ipaddress.ip_address(text)  # a %scope, or the error
+        return addr.version, int(addr)
+
+
+def parse_prefix(text: str) -> tuple[int, int, int]:
+    """(version, net, plen) of a prefix text; ValueError when it is none or has host bits."""
+    if not isinstance(text, str):
+        raise TypeError(f"prefix {text!r} is not text")
+    addr, slash, length = text.partition("/")
+    try:
+        version, net = _pton(addr)
+        width = WIDTH[version]
+        if slash and not (length.isascii() and length.isdigit()):
+            raise ValueError(length)  # int() would take "+8", " 8" or "8_0"
+        plen = int(length) if slash else width
+        if plen <= width and not net & ((1 << (width - plen)) - 1):
+            return version, net, plen
+    except (OSError, ValueError):
+        pass
+    network = ipaddress.ip_network(text)  # a netmask, a %scope, or the error
+    return network.version, int(network.network_address), network.prefixlen
+
+
+def format_address(version: int, addr: int) -> str:
+    if version == 4:
+        return inet_ntop(AF_INET, addr.to_bytes(4, "big"))
+    text = inet_ntop(AF_INET6, addr.to_bytes(16, "big"))
+    return str(ipaddress.IPv6Address(addr)) if "." in text else text
+
+
+def format_prefix(version: int, net: int, plen: int) -> str:
+    return f"{format_address(version, net)}/{plen}"
+
+
+def address(version: int, addr: int) -> IPAddress:
+    return (ipaddress.IPv6Address if version == 6 else ipaddress.IPv4Address)(addr)
+
+
+def network(version: int, net: int, plen: int) -> IPNetwork:
+    return (ipaddress.IPv6Network if version == 6 else ipaddress.IPv4Network)((net, plen))
+
+
+class Prefixed:
+    """A value at an integer prefix, equal to another and hashed by its ``key``.
+
+    The prefix is given as an ipaddress network or as (version, net, plen);
+    ``prefix`` builds an equal network when read.
+    """
+
+    __slots__ = ("version", "net", "plen", "key", "_hash")
+
+    def _keyed(self, prefix: Prefix, *rest) -> None:
+        if not isinstance(prefix, tuple):
+            prefix = prefix.version, int(prefix.network_address), prefix.prefixlen
+        self.version, self.net, self.plen = prefix
+        self.key = (*prefix, *rest)
+        self._hash = hash(self.key)
+
+    @property
+    def prefix(self) -> IPNetwork:
+        return network(self.version, self.net, self.plen)
+
+    def __eq__(self, other: object) -> bool:
+        return self.key == other.key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self.key}"
 
 
 class Bucket(list):

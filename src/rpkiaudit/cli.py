@@ -15,7 +15,6 @@ import concurrent.futures
 import contextlib
 import functools
 import gc
-import ipaddress
 import json
 import logging
 import operator
@@ -31,6 +30,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from . import analytics, cdn_classifier, dns_resolution, domain_ingest, rib_store, roa_validation
+from ._prefix_index import format_address, parse_prefix
 from .analytics import CoverageClass, DomainCoverage, format_fraction
 from .diagnostics import Diagnostics
 from .dns_resolution import DnsFixture, ResolutionStatus, SpecialPurposeTable
@@ -193,6 +193,8 @@ _row_order = operator.itemgetter("rank", "variant", "domain")  # of map, validat
 def _primary_resolver(cfg: PipelineConfig) -> str:
     with _artifact(cfg, "resolve_meta.json", "resolve") as meta_rows:
         (meta,) = meta_rows
+        if meta["primary_resolver"] not in meta["resolvers"]:
+            raise ValueError(f"primary resolver {meta['primary_resolver']!r} is not a resolver")
         return meta["primary_resolver"]
 
 
@@ -261,7 +263,7 @@ def _result_row(rank: int, variant: Variant, res) -> dict:
         "variant": variant.value,
         "resolver": res.resolver_id,
         "cnames": list(res.cname_chain),
-        "addresses": [str(a) for a in res.sorted_addresses()],
+        "addresses": [format_address(a.version, int(a)) for a in res.sorted_addresses()],
         "status": res.status.value,
         "ts": res.observed_at,
     }
@@ -404,8 +406,8 @@ def stage_map(cfg: PipelineConfig) -> None:
                     "domain": row["domain"],
                     "variant": row["variant"],
                     "pairs": [
-                        {"prefix": str(p.prefix), "asn": p.origin_asn}
-                        for p in sorted(pairs, key=lambda p: p.sort_key())
+                        {"prefix": p.text, "asn": p.origin_asn}
+                        for p in sorted(pairs, key=operator.attrgetter("key"))
                     ],
                     "unreachable": sorted(unreachable),
                 }
@@ -437,7 +439,7 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
     @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
     def state_of(prefix: str, asn: int) -> ValidationState:
-        return roa_validation.validate(PrefixOriginPair(ipaddress.ip_network(prefix), asn), index)
+        return roa_validation.validate(PrefixOriginPair(parse_prefix(prefix), asn, prefix), index)
 
     rows = []
     with pairs as pair_rows:

@@ -17,11 +17,10 @@ from importlib import resources
 from typing import Iterable, Protocol
 
 from . import _dnswire
-from ._prefix_index import PrefixIndex
+from ._prefix_index import IPAddress, PrefixIndex, address, network, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
-from .rib_store import IPAddress
 
 MAX_CNAME_HOPS = 16
 
@@ -129,7 +128,7 @@ class DnsFixture:
             if any(c is None for c in cnames):
                 raise ValueError(line)
             addresses = frozenset(
-                ipaddress.ip_address(a)
+                address(*parse_address(a))
                 for a in list(obj.get("a", [])) + list(obj.get("aaaa", []))
             )
             ts = int(obj.get("ts", 0))
@@ -236,7 +235,7 @@ def parse_endpoint(text: str) -> LiveResolver:
         port = int(p)
     else:
         host, port = rest, 53
-    ipaddress.ip_address(host)
+    parse_address(host)
     return LiveResolver(label.strip(), host, port)
 
 
@@ -261,18 +260,16 @@ class SpecialPurposeTable:
         cls, lines: Iterable[str], source: str = "special-purpose table"
     ) -> "SpecialPurposeTable":
         """Parse one CIDR per line; a malformed line raises DataError naming it."""
-        v4: list[ipaddress.IPv4Network] = []
-        v6: list[ipaddress.IPv6Network] = []
+        blocks: list = []
         for lineno, line in enumerate(lines, 1):
             entry = line.split("#", 1)[0].strip()
             if not entry:
                 continue
             try:
-                network = ipaddress.ip_network(entry)
+                blocks.append(network(*parse_prefix(entry)))
             except ValueError:
                 raise DataError(f"{source}:{lineno}: not a CIDR prefix: {entry!r}")
-            (v4 if network.version == 4 else v6).append(network)  # type: ignore[arg-type]
-        return cls(tuple(v4), tuple(v6))
+        return cls(*(tuple(b for b in blocks if b.version == v) for v in (4, 6)))
 
     @classmethod
     def default(cls) -> "SpecialPurposeTable":

@@ -12,15 +12,13 @@ import gzip
 import io
 import ipaddress
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from ._prefix_index import WIDTH, Bucket, PrefixIndex
+from ._prefix_index import WIDTH, Bucket, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
+from ._prefix_index import format_prefix, network, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
-
-IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
 # An AS path is a flat segment tuple: plain ints for AS_SEQUENCE members,
 # frozensets for AS_SET segments.
@@ -67,27 +65,23 @@ class RibEntry:
     origin: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class PrefixOriginPair:
-    prefix: IPNetwork
-    origin_asn: int
-    # lookups return many pairs into result sets; hashing an IPNetwork per
-    # membership test is the bottleneck at scale, so the hash is precomputed
-    _hash: int = field(init=False, repr=False, compare=False)
+class PrefixOriginPair(Prefixed):
+    """A prefix and the plain ASN originating it, keyed by (version, net, plen, origin).
 
-    def __post_init__(self):
-        if type(self.origin_asn) is not int:  # never an AS_SET, nor a bool
-            raise TypeError(f"origin_asn must be a plain ASN, not {self.origin_asn!r}")
-        if not 0 <= self.origin_asn <= MAX_ASN:
-            raise ValueError(f"ASN {self.origin_asn} out of range")
-        object.__setattr__(self, "_hash", hash(self.sort_key()))
+    ``text`` is the prefix as artifacts hold it: the text it was read from, if
+    given, else formatted from its integers.
+    """
 
-    def __hash__(self) -> int:
-        return self._hash
+    __slots__ = ("origin_asn", "text")
 
-    def sort_key(self) -> tuple:
-        prefix = self.prefix
-        return (prefix.version, int(prefix.network_address), prefix.prefixlen, self.origin_asn)
+    def __init__(self, prefix: Prefix, origin_asn: int, text: str | None = None) -> None:
+        if type(origin_asn) is not int:  # never an AS_SET, nor a bool
+            raise TypeError(f"origin_asn must be a plain ASN, not {origin_asn!r}")
+        if not 0 <= origin_asn <= MAX_ASN:
+            raise ValueError(f"ASN {origin_asn} out of range")
+        self._keyed(prefix, origin_asn)
+        self.origin_asn = origin_asn
+        self.text = format_prefix(self.version, self.net, self.plen) if text is None else text
 
 
 def origin_from_path(as_path: AsPath) -> int | None:
@@ -98,10 +92,6 @@ def origin_from_path(as_path: AsPath) -> int | None:
     if isinstance(last, frozenset):
         return None
     return int(last)
-
-
-def _network(version: int, net: int, plen: int) -> IPNetwork:
-    return (ipaddress.IPv6Network if version == 6 else ipaddress.IPv4Network)((net, plen))
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +274,12 @@ def text_routes(text: str, diag: Diagnostics | None = None) -> Iterator[Route]:
             diag.count("malformed_lines")
             continue
         try:
-            prefix = ipaddress.ip_network(parts[0].strip())  # strict: host bits are an error
+            version, net, plen = parse_prefix(parts[0].strip())  # host bits are an error
             path = _parse_text_path(parts[1])
         except (ValueError, _Malformed):
             diag.count("malformed_lines")
             continue
-        net, plen = int(prefix.network_address), prefix.prefixlen
-        yield prefix.version, net, plen, origin_from_path(path), path
+        yield version, net, plen, origin_from_path(path), path
 
 
 def _parse_text_path(text: str) -> AsPath:
@@ -326,7 +315,7 @@ def read_routes(data: bytes, diag: Diagnostics | None = None) -> Iterator[Route]
 
 def _entries(routes: Iterable[Route]) -> list[RibEntry]:
     return [
-        RibEntry(_network(version, net, plen), path, origin)  # type: ignore[arg-type]
+        RibEntry(network(version, net, plen), path, origin)  # type: ignore[arg-type]
         for version, net, plen, origin, path in routes
     ]
 
@@ -354,8 +343,8 @@ class PrefixTrie:
     nested, so the longest one fixes the answer: a bucket's memo is the
     frozenset of pairs of every stored prefix covering it, and a lookup
     returns the memo of the longest prefix that matches.  Memos, with their
-    networks and pairs, are built on a prefix's first lookup, so a stored
-    prefix that no lookup lands in never gets any.
+    pairs and each prefix's text, are built on a prefix's first lookup, so a
+    stored prefix that no lookup lands in never gets any.
     """
 
     def __init__(self) -> None:
@@ -389,13 +378,14 @@ class PrefixTrie:
             pairs = _NO_PAIRS
             for origins in self._index.covering(bucket.version, bucket.net, bucket.plen):
                 if origins.memo is None:  # shortest first: each memo extends the last
-                    prefix = _network(origins.version, origins.net, origins.plen)
-                    origins.memo = pairs.union([PrefixOriginPair(prefix, o) for o in origins])
+                    key = origins.version, origins.net, origins.plen
+                    text = format_prefix(*key)
+                    origins.memo = pairs.union([PrefixOriginPair(key, o, text) for o in origins])
                 pairs = origins.memo
         return pairs
 
-    def covering(self, ip: IPAddress) -> frozenset[PrefixOriginPair]:
-        longest = self._index.longest(ip.version, int(ip))
+    def covering(self, version: int, addr: int) -> frozenset[PrefixOriginPair]:
+        longest = self._index.longest(version, addr)
         if longest is None:
             return _NO_PAIRS
         memo = longest.memo
@@ -432,8 +422,6 @@ def covering_pairs(
 
     The set is shared with the trie's memo, not copied per lookup.
     """
-    if isinstance(ip, str):
-        ip = ipaddress.ip_address(ip)
-    elif not isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
-        raise TypeError(f"not an IP address: {ip!r}")
-    return trie.covering(ip)
+    if isinstance(ip, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
+        return trie.covering(ip.version, int(ip))
+    return trie.covering(*parse_address(ip))  # text; anything else is a TypeError

@@ -11,14 +11,12 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import ipaddress
 import json
-from dataclasses import dataclass
 from typing import Iterable, Union
 
-from ._prefix_index import PrefixIndex
+from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_prefix
 from .diagnostics import Diagnostics
-from .rib_store import MAX_ASN, IPNetwork, PrefixOriginPair
+from .rib_store import MAX_ASN, PrefixOriginPair
 
 TRUST_ANCHORS = frozenset({"afrinic", "apnic", "arin", "lacnic", "ripe"})
 
@@ -34,30 +32,18 @@ class ValidationState(enum.Enum):
     NOT_FOUND = "notfound"
 
 
-@dataclass(frozen=True, slots=True)
-class RoaPayload:
-    asn: int
-    prefix: IPNetwork
-    max_length: int
-    trust_anchor: str = "other"
+class RoaPayload(Prefixed):
+    """One validated ROA payload, keyed by (version, net, plen, asn, maxLength, TA)."""
 
-    def __post_init__(self):
-        if not 0 <= self.asn <= MAX_ASN:
-            raise ValueError(f"ASN {self.asn} out of range")
-        if not self.prefix.prefixlen <= self.max_length <= self.prefix.max_prefixlen:
-            raise ValueError(
-                f"maxLength {self.max_length} outside "
-                f"[{self.prefix.prefixlen}, {self.prefix.max_prefixlen}]"
-            )
+    __slots__ = ("asn", "max_length", "trust_anchor")
 
-    def sort_key(self) -> tuple:
-        return (
-            self.prefix.version,
-            int(self.prefix.network_address),
-            self.prefix.prefixlen,
-            self.asn,
-            self.max_length,
-        )
+    def __init__(self, asn: int, prefix: Prefix, max_length: int, trust_anchor: str = "other"):
+        if not 0 <= asn <= MAX_ASN:
+            raise ValueError(f"ASN {asn} out of range")
+        self._keyed(prefix, asn, max_length, trust_anchor)
+        if not self.plen <= max_length <= WIDTH[self.version]:
+            raise ValueError(f"maxLength {max_length} out of range for a /{self.plen}")
+        self.asn, self.max_length, self.trust_anchor = asn, max_length, trust_anchor
 
 
 def _parse_asn_field(raw: Union[str, int]) -> int:
@@ -86,12 +72,12 @@ def _payload_from_fields(
     asn_field, prefix_field, maxlen_field, ta_field
 ) -> RoaPayload:
     asn = _parse_asn_field(asn_field)
-    prefix = ipaddress.ip_network(str(prefix_field).strip())
+    version, net, plen = parse_prefix(str(prefix_field).strip())
     if maxlen_field is None or (isinstance(maxlen_field, str) and not maxlen_field.strip()):
-        max_length = prefix.prefixlen  # absent maxLength: exact-prefix ROA
+        max_length = plen  # absent maxLength: exact-prefix ROA
     else:
         max_length = int(str(maxlen_field).strip())
-    return RoaPayload(asn, prefix, max_length, _normalize_ta(ta_field))
+    return RoaPayload(asn, (version, net, plen), max_length, _normalize_ta(ta_field))
 
 
 def load_roas(
@@ -156,10 +142,6 @@ class RoaIndex:
     def __init__(self) -> None:
         self._index = PrefixIndex()
 
-    def _insert(self, roa: RoaPayload) -> None:
-        prefix = roa.prefix
-        self._index.add(prefix.version, int(prefix.network_address), prefix.prefixlen, roa)
-
     def covering(self, prefix: IPNetwork) -> set[RoaPayload]:
         return set().union(
             *self._index.covering(prefix.version, int(prefix.network_address), prefix.prefixlen)
@@ -169,7 +151,7 @@ class RoaIndex:
 def build_roa_index(roas: Iterable[RoaPayload]) -> RoaIndex:
     index = RoaIndex()
     for roa in roas:
-        index._insert(roa)
+        index._index.add(roa.version, roa.net, roa.plen, roa)
     return index
 
 
@@ -183,11 +165,12 @@ def validate(pair: PrefixOriginPair, index: RoaIndex) -> ValidationState:
     if not isinstance(pair.origin_asn, int):
         # AS_SET-originated pairs are excluded upstream; reaching here is a bug.
         raise TypeError("validate() requires a plain-ASN origin")
-    covering = index.covering(pair.prefix)
+    covering = index._index.covering(pair.version, pair.net, pair.plen)
     if not covering:
         return ValidationState.NOT_FOUND
-    plen = pair.prefix.prefixlen
-    for roa in covering:
-        if roa.asn == pair.origin_asn and roa.asn != 0 and plen <= roa.max_length:
-            return ValidationState.VALID
+    origin, plen = pair.origin_asn, pair.plen
+    for roas in covering:
+        for roa in roas:
+            if roa.asn == origin and origin != 0 and plen <= roa.max_length:
+                return ValidationState.VALID
     return ValidationState.INVALID

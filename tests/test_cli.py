@@ -12,7 +12,7 @@ import pytest
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
-from rpkiaudit import cli, roa_validation
+from rpkiaudit import cli
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import StageDependencyMissingError, UsageError
 
@@ -101,27 +101,53 @@ class TestEndToEnd:
             assert read(out2 / name) == read(e2e_output / name), name
 
 
+def refuse(monkeypatch, *targets):
+    """Make each (owner, name) raise when it is called."""
+    def refused(*args, **kwargs):
+        raise AssertionError("an ipaddress object was parsed, built or printed")
+
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, refused)
+
+
+PARSERS = [(ipaddress, "ip_network"), (ipaddress, "ip_address")]
+NETWORKS = [(ipaddress.IPv4Network, "__init__"), (ipaddress.IPv6Network, "__init__")]
+
+
 class TestSingleDerivation:
-    """Stages after map work on artifact text, not on rebuilt ipaddress objects."""
+    """Prefix and address text goes through the codec; no stage rebuilds ipaddress objects."""
 
     def test_later_stages_parse_no_prefix(self, e2e_output, tmp_path, monkeypatch):
         out = tmp_path / "out"
         out.mkdir()
         for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl", "validated.jsonl"):
             shutil.copy(e2e_output / name, out)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an ipaddress object was built after map")
-
-        monkeypatch.setattr(ipaddress, "ip_network", refuse)
-        monkeypatch.setattr(ipaddress, "ip_address", refuse)
-        monkeypatch.setattr(ipaddress.IPv4Network, "__init__", refuse)
-        monkeypatch.setattr(ipaddress.IPv6Network, "__init__", refuse)
+        refuse(monkeypatch, *PARSERS, *NETWORKS)
         cfg = e2e_config(out)
         for stage in ("classify", "analyze", "report"):
             assert run_stage(stage, cfg) == 0
         for name in ("cdn_labels.jsonl", "bins_www.csv", "overlap.csv", "summary.json",
                      "report.txt", "report.csv"):
+            assert read(out / name) == read(e2e_output / name), name
+
+    def test_map_and_validate_build_no_network(self, e2e_output, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json"):
+            shutil.copy(e2e_output / name, out)
+        refuse(monkeypatch, *PARSERS, *NETWORKS)
+        cfg = e2e_config(out)
+        for stage in ("map", "validate"):
+            assert run_stage(stage, cfg) == 0
+        for name in ("pairs.jsonl", "validated.jsonl"):
+            assert read(out / name) == read(e2e_output / name), name
+
+    def test_resolve_parses_and_writes_through_the_codec(self, e2e_output, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        refuse(monkeypatch, *PARSERS,
+               (ipaddress.IPv4Address, "__str__"), (ipaddress.IPv6Address, "__str__"))
+        assert run_stage("resolve", e2e_config(out)) == 0
+        for name in ("resolved.jsonl", "resolve_meta.json"):
             assert read(out / name) == read(e2e_output / name), name
 
     def test_validate_parses_each_distinct_pair_once(self, e2e_output, tmp_path, monkeypatch):
@@ -133,16 +159,10 @@ class TestSingleDerivation:
         assert len(set(entries)) < len(entries)  # the fixture repeats pairs across rows
 
         calls = []
-        parse = ipaddress.ip_network
-        monkeypatch.setattr(
-            ipaddress, "ip_network", lambda *args, **kw: calls.append(args) or parse(*args, **kw)
-        )
-        cfg = e2e_config(out)
-        roa_validation.load_roas((E2E_DIR / "roas.csv").read_text())
-        roa_calls = len(calls)
-        calls.clear()
-        assert run_stage("validate", cfg) == 0
-        assert len(calls) - roa_calls <= len(set(entries))
+        parse = cli.parse_prefix  # the codec, as validate reaches it for pairs
+        monkeypatch.setattr(cli, "parse_prefix", lambda text: calls.append(text) or parse(text))
+        assert run_stage("validate", e2e_config(out)) == 0
+        assert 0 < len(calls) <= len(set(entries))
         assert read(out / "validated.jsonl") == read(e2e_output / "validated.jsonl")
 
 
@@ -508,6 +528,7 @@ class TestCorruptInputs:
         [
             ("prefix", "10.0.0.1/8"),
             ("prefix", "not-a-prefix"),
+            ("prefix", 5),
             ("asn", "AS15133"),
             ("asn", -1),
             ("asn", 2**32),
@@ -564,6 +585,8 @@ class TestCorruptInputs:
         [
             ("map", "resolve_meta.json", lambda row: {}),
             ("map", "resolve_meta.json", lambda row: [row]),
+            ("map", "resolve_meta.json", lambda row: dict(row, primary_resolver=5)),
+            ("classify", "resolve_meta.json", lambda row: dict(row, primary_resolver="nope")),
             ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
             ("map", "resolved.jsonl", lambda row: [1, 2]),
             ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
@@ -588,7 +611,8 @@ class TestCorruptInputs:
             ("report", "validated.jsonl", lambda row: dict(row, pairs=5)),
             ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
         ],
-        ids=["meta_empty", "meta_not_object", "no_addresses", "row_not_object",
+        ids=["meta_empty", "meta_not_object", "meta_primary_unlisted",
+             "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
              "bad_address", "int_address", "null_address",
              "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
              "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",

@@ -1,5 +1,6 @@
-"""The package's import graph: importing one module loads only what it uses."""
+"""The package's structure: its import graph, and the one reader of prefix text."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,23 @@ def test_library_import_loads_no_cli_or_dns_client():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_only_the_codec_parses_address_text():
+    # _prefix_index is the one reader of prefix and address text; every other
+    # module goes through its codec rather than ipaddress.ip_address/ip_network
+    package = Path(rpkiaudit.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_prefix_index.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "ipaddress":
+                calls += [f"{path.name}: from ipaddress import {a.name}" for a in node.names
+                          if a.name in ("ip_address", "ip_network")]
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("ip_address", "ip_network"):
+                    calls.append(f"{path.name}:{node.lineno}: {name}()")
+    assert calls == []

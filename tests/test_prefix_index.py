@@ -1,12 +1,21 @@
-"""The per-length prefix index against a linear scan, in both families."""
+"""The prefix text codec against ipaddress, and the per-length prefix index
+against a linear scan, in both families."""
 
 import ipaddress
 import random
+import socket
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rpkiaudit import rib_store
-from rpkiaudit._prefix_index import PrefixIndex
+from rpkiaudit._prefix_index import (
+    PrefixIndex,
+    format_address,
+    format_prefix,
+    parse_address,
+    parse_prefix,
+)
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.rib_store import (
     PrefixOriginPair,
@@ -19,6 +28,125 @@ from rpkiaudit.rib_store import (
 
 V4_LENGTHS = [0, 8, 16, 19, 20, 22, 24, 32]
 V6_LENGTHS = [0] + list(range(28, 49)) + [64, 128]  # /28-/48 and /64: 22 lengths
+
+
+# ---------------------------------------------------------------------------
+# the codec, with ipaddress as the oracle
+
+V4 = st.integers(0, 2**32 - 1)
+V6 = st.one_of(
+    st.integers(0, 2**128 - 1),
+    V4.map(lambda a: 0xFFFF << 32 | a),  # IPv4-mapped
+    V4,  # IPv4-compatible, :: and ::1 among them
+    st.integers(0, 2**16 - 1).map(lambda a: a << 112),
+)
+
+
+def sometimes(values, others):
+    """One of values three times in four, else one of others."""
+    return st.one_of(st.sampled_from(values), st.sampled_from(values),
+                     st.sampled_from(values), st.sampled_from(others))
+
+
+@st.composite
+def address_texts(draw, version, value):
+    """A text of the address: canonical, exploded, upper case, dotted or zero-padded."""
+    if version == 4:
+        octets = [str(octet) for octet in value.to_bytes(4, "big")]
+        at = draw(st.integers(0, 3))
+        octets[at] = draw(sometimes([""], ["0", "00"])) + octets[at]
+        return ".".join(octets)
+    addr = ipaddress.IPv6Address(value)
+    v4_tail = str(ipaddress.IPv4Address(value & 0xFFFFFFFF))
+    dotted = ":".join(addr.exploded.split(":")[:6]) + ":" + v4_tail
+    ntop = socket.inet_ntop(socket.AF_INET6, addr.packed)  # dotted when mapped or compatible
+    return draw(st.sampled_from([addr.compressed, addr.exploded, addr.compressed.upper(),
+                                 dotted, ntop]))
+
+
+@st.composite
+def codec_texts(draw):
+    """Prefix and address texts that ipaddress accepts, or rejects for one or more reasons."""
+    version = draw(st.sampled_from([4, 6]))
+    width = 32 if version == 4 else 128
+    value = draw(V4 if version == 4 else V6)
+    plen = draw(st.one_of(st.integers(0, width), st.sampled_from([0, 32, 128] + V6_LENGTHS)))
+    plen = min(plen, width)
+    if draw(sometimes([True], [False])):  # else host bits are most likely set
+        value = value >> (width - plen) << (width - plen)
+    fullwidth = "".join(chr(0xFF10 + int(c)) for c in str(plen))
+    suffixes = [f"/{plen}", f"/{plen}", "", f"/0{plen}"]
+    if version == 4:
+        mask = 0xFFFFFFFF ^ ((1 << (32 - plen)) - 1)
+        suffixes += [f"/{ipaddress.IPv4Address(mask)}",  # netmask and hostmask
+                     f"/{ipaddress.IPv4Address(~mask & 0xFFFFFFFF)}"]
+    faults = ["/", f"/{fullwidth}", f"/+{plen}", f"/ {plen}", f"/{plen}_0", f"/{plen}/{plen}",
+              f"/{width + 1}", f"/{ipaddress.IPv4Address(draw(V4))}"]
+    scopes = [""] if version == 4 else ["", "%eth0", "%1"]
+    text = (draw(address_texts(version, value)) + draw(sometimes(scopes, ["%", "%a%b", "%1"]))
+            + draw(sometimes(suffixes, faults)))
+    space = draw(st.sampled_from([" ", "\t", "\n"]))
+    return draw(sometimes([text], [space + text, text + space]))
+
+
+GARBAGE = st.text(alphabet="0123456789abcdefABCDEF:./% \t\x00\uff18g", max_size=46)
+
+
+def verdict(parse, text):
+    try:
+        return parse(text)
+    except ValueError:
+        return "rejected"
+
+
+def oracle_address(text):
+    addr = ipaddress.ip_address(text)
+    return addr.version, int(addr)
+
+
+def oracle_prefix(text):
+    network = ipaddress.ip_network(text)
+    return network.version, int(network.network_address), network.prefixlen
+
+
+def oracle_text(version, net, plen):
+    network = (ipaddress.IPv4Network if version == 4 else ipaddress.IPv6Network)((net, plen))
+    return str(network.network_address), str(network)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(codec_texts(), GARBAGE))
+def test_codec_matches_ipaddress(text):
+    for parse, oracle in ((parse_address, oracle_address), (parse_prefix, oracle_prefix)):
+        found = verdict(parse, text)
+        assert found == verdict(oracle, text)
+        if found != "rejected":
+            version, net = found[:2]
+            plen = found[2] if len(found) == 3 else 32 if version == 4 else 128
+            assert (format_address(version, net), format_prefix(version, net, plen)) == (
+                oracle_text(version, net, plen)
+            )
+
+
+@given(st.one_of(st.integers(), st.none(), st.binary(), st.floats(), st.lists(st.text())))
+def test_codec_takes_only_text(value):
+    with pytest.raises(TypeError):
+        parse_address(value)
+    with pytest.raises(TypeError):
+        parse_prefix(value)
+
+
+@pytest.mark.parametrize(
+    "version,plen", [(4, p) for p in V4_LENGTHS] + [(6, p) for p in V6_LENGTHS]
+)
+def test_codec_round_trips_every_length(version, plen):
+    rng = random.Random(plen)
+    width = 32 if version == 4 else 128
+    for value in [0, 2**width - 1] + [rng.getrandbits(width) for _ in range(50)]:
+        net = random_prefix(rng, version, plen, value)
+        text = oracle_text(version, net, plen)[1]
+        assert parse_prefix(text) == (version, net, plen)
+        assert format_prefix(version, net, plen) == text
 
 
 def random_prefix(rng, version, plen, near=None):
@@ -123,44 +251,45 @@ def test_routes_added_after_lookups_are_seen():
     trie = PrefixTrie()
     trie.add_routes([(4, 10 << 24, 8, 64500, None), (4, 10 << 24 | 1 << 16, 16, 64501, None)])
     ip = ipaddress.IPv4Address("10.1.2.3")
-    assert {p.origin_asn for p in trie.covering(ip)} == {64500, 64501}
+    assert {p.origin_asn for p in covering_pairs(ip, trie)} == {64500, 64501}
     trie.add_routes([(4, 0, 0, 64502, None), (4, 10 << 24, 8, 64503, None)])
-    assert {p.origin_asn for p in trie.covering(ip)} == {64500, 64501, 64502, 64503}
+    assert {p.origin_asn for p in covering_pairs(ip, trie)} == {64500, 64501, 64502, 64503}
 
 
 def test_streamed_trie_builds_only_what_a_lookup_lands_in(monkeypatch):
-    """add_routes builds no network or pair; a lookup builds at most its chain's."""
+    """add_routes builds no network or pair; a lookup builds at most its chain's
+    pairs, and no network."""
     rng = random.Random(7)
     rows = {4: random_table(rng, 4, V4_LENGTHS[1:], 200),
             6: random_table(rng, 6, V6_LENGTHS[1:], 200)}
     routes = [(v, net, plen, asn, None) for v, table in rows.items() for net, plen, asn in table]
     built = {"networks": 0, "pairs": 0}
 
-    def counting(cls, key):
+    def counting(fn, key):
         def make(*args, **kwargs):
             built[key] += 1
-            return cls(*args, **kwargs)
+            return fn(*args, **kwargs)
         return make
 
     monkeypatch.setattr(ipaddress, "IPv4Network", counting(ipaddress.IPv4Network, "networks"))
     monkeypatch.setattr(ipaddress, "IPv6Network", counting(ipaddress.IPv6Network, "networks"))
-    monkeypatch.setattr(rib_store, "PrefixOriginPair", counting(PrefixOriginPair, "pairs"))
+    monkeypatch.setattr(PrefixOriginPair, "_keyed", counting(PrefixOriginPair._keyed, "pairs"))
     trie = PrefixTrie()
     trie.add_routes(iter(routes))
     assert len(trie) == len({(v, n, p, a) for v, n, p, a, _ in routes})
     assert built == {"networks": 0, "pairs": 0}
 
-    for version, width, address in ((4, 32, ipaddress.IPv4Address),
-                                    (6, 128, ipaddress.IPv6Address)):
+    for version, width in ((4, 32), (6, 128)):
         net, plen, _ = rows[version][-1]
         addr = net | rng.getrandbits(width - plen)
         chain = scan(rows[version], version, addr, width)
         before = dict(built)
-        found = trie.covering(address(addr))
-        assert {(int(p.prefix.network_address), p.prefix.prefixlen, p.origin_asn)
-                for p in found} == {(n, p, a) for (n, p), asns in chain.items() for a in asns}
-        assert 0 < built["networks"] - before["networks"] <= len(chain)
-        assert built["pairs"] - before["pairs"] <= sum(map(len, chain.values()))
+        found = trie.covering(version, addr)
+        assert built["networks"] == before["networks"]
+        assert 0 < built["pairs"] - before["pairs"] <= sum(map(len, chain.values()))
+        assert {(p.net, p.plen, p.origin_asn) for p in found} == {
+            (n, p, a) for (n, p), asns in chain.items() for a in asns
+        }
         again = dict(built)
-        assert trie.covering(address(addr)) is found
+        assert trie.covering(version, addr) is found
         assert built == again
