@@ -6,7 +6,6 @@ section parsing with name compression, and the A/AAAA/CNAME record types.
 
 from __future__ import annotations
 
-import ipaddress
 import secrets
 import socket
 import struct
@@ -75,7 +74,10 @@ def _read_name(data: bytes, off: int) -> tuple[str, int]:
 
 
 def parse_answers(data: bytes) -> tuple[int, bool, list[tuple[str, int, object]]]:
-    """Return (rcode, truncated, [(owner, rtype, value), ...]) for a response."""
+    """Return (rcode, truncated, [(owner, rtype, value), ...]) for a response.
+
+    An A or AAAA value is the address as (version, int), a CNAME value the target name.
+    """
     if len(data) < 12:
         raise WireError("short message")
     _qid, flags, qdcount, ancount, _ns, _ar = struct.unpack(">HHHHHH", data[:12])
@@ -96,9 +98,9 @@ def parse_answers(data: bytes) -> tuple[int, bool, list[tuple[str, int, object]]
         if len(rdata) < rdlen:
             raise WireError("truncated rdata")
         if rtype == QTYPE_A and rdlen == 4:
-            answers.append((owner, rtype, ipaddress.IPv4Address(rdata)))
+            answers.append((owner, rtype, (4, int.from_bytes(rdata, "big"))))
         elif rtype == QTYPE_AAAA and rdlen == 16:
-            answers.append((owner, rtype, ipaddress.IPv6Address(rdata)))
+            answers.append((owner, rtype, (6, int.from_bytes(rdata, "big"))))
         elif rtype == QTYPE_CNAME:
             target, _ = _read_name(data, off)
             answers.append((owner, rtype, target))

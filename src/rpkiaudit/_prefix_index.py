@@ -5,7 +5,8 @@ zero.  The parsers accept what ``ipaddress.ip_address`` and strict
 ``ip_network`` accept, and the formatters write what ``str()`` does: the fast
 path is ``inet_pton``/``inet_ntop``, and what it rejects or cannot decide (a
 ``%scope``, a v4 netmask, a v6 text with a dotted quad) goes to ``ipaddress``
-itself.  A scope is dropped.
+itself.  A scope is dropped.  The fast path reads a prefix length as ASCII
+digits (``parse_decimal``); ranks, ASNs and maxLengths follow the same rule.
 
 The index keeps, per family, one dict per present prefix length, keyed by
 ``net >> (width - plen)``, of the Buckets of items stored at each prefix.  A
@@ -43,6 +44,13 @@ def parse_address(text: str) -> tuple[int, int]:
         return addr.version, int(addr)
 
 
+def parse_decimal(text: str) -> int:
+    """The int of a text of ASCII digits; ValueError when it is anything else."""
+    if not (text.isascii() and text.isdigit()):  # int() would take "+7", " 7", "7_0" or "٧"
+        raise ValueError(f"not a decimal: {text!r}")
+    return int(text)
+
+
 def parse_prefix(text: str) -> tuple[int, int, int]:
     """(version, net, plen) of a prefix text; ValueError when it is none or has host bits."""
     if not isinstance(text, str):
@@ -51,9 +59,7 @@ def parse_prefix(text: str) -> tuple[int, int, int]:
     try:
         version, net = _pton(addr)
         width = WIDTH[version]
-        if slash and not (length.isascii() and length.isdigit()):
-            raise ValueError(length)  # int() would take "+8", " 8" or "8_0"
-        plen = int(length) if slash else width
+        plen = parse_decimal(length) if slash else width
         if plen <= width and not net & ((1 << (width - plen)) - 1):
             return version, net, plen
     except (OSError, ValueError):
@@ -71,10 +77,6 @@ def format_address(version: int, addr: int) -> str:
 
 def format_prefix(version: int, net: int, plen: int) -> str:
     return f"{format_address(version, net)}/{plen}"
-
-
-def address(version: int, addr: int) -> IPAddress:
-    return (ipaddress.IPv6Address if version == 6 else ipaddress.IPv4Address)(addr)
 
 
 def network(version: int, net: int, plen: int) -> IPNetwork:

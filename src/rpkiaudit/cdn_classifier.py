@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 from .diagnostics import Diagnostics
 from .dns_resolution import ResolutionResult, ResolutionStatus
 from .domain_ingest import normalize_name
-from .rib_store import MAX_ASN
+from .rib_store import parse_asn
 
 CHAIN_THRESHOLD = 2
 
@@ -153,15 +153,9 @@ def parse_as_registry(text: str, diag: Diagnostics | None = None) -> list[AsRegi
         if asn_field is None:
             diag.count("malformed_registry_lines")
             continue
-        token = asn_field.strip()
-        if token[:2].upper() == "AS":
-            token = token[2:]
         try:
-            asn = int(token)
+            asn = parse_asn(asn_field)
         except ValueError:
-            diag.count("malformed_registry_lines")
-            continue
-        if not 0 <= asn <= MAX_ASN:
             diag.count("malformed_registry_lines")
             continue
         if asn in entries:

@@ -163,7 +163,8 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
     """An upstream stage's JSONL artifact, read as ``with _artifact(...) as rows``.
 
     The call exits 2 when the artifact's stage has not run.  In the ``with``
-    block, a bad row is a DataError (exit 3) naming the artifact and its domain.
+    block, a bad row is a DataError (exit 3) naming the artifact and its domain;
+    a row's rank, where it has one, is an int >= 1 and its domain is text.
     """
     path = cfg.out(name)
     if not path.exists():
@@ -173,6 +174,11 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
     def rows():
         nonlocal row
         for row in _read_jsonl(path):
+            rank = row.get("rank", 1)
+            if type(rank) is not int or rank < 1:  # a bool is not a rank
+                raise ValueError(f"rank {rank!r} is not a positive integer")
+            if not isinstance(row.get("domain", ""), str):
+                raise TypeError(f"domain {row['domain']!r} is not text")
             yield row
         row = {}  # a fault after the last row belongs to no one row
 
@@ -263,7 +269,7 @@ def _result_row(rank: int, variant: Variant, res) -> dict:
         "variant": variant.value,
         "resolver": res.resolver_id,
         "cnames": list(res.cname_chain),
-        "addresses": [format_address(a.version, int(a)) for a in res.sorted_addresses()],
+        "addresses": [format_address(*a) for a in sorted(res.addresses)],
         "status": res.status.value,
         "ts": res.observed_at,
     }
@@ -337,10 +343,8 @@ def stage_resolve(cfg: PipelineConfig) -> None:
             results.append(dns_resolution.apply_filter(res, table, diag))
         ok = [r for r in results if r.status is ResolutionStatus.OK]
         if len(ok) >= 2:
-            report = dns_resolution.cross_check(ok)
-            diag.count(
-                "cross_check_agree" if report.agree_addresses else "cross_check_disagree"
-            )
+            agree = dns_resolution.cross_check(ok)
+            diag.count("cross_check_agree" if agree else "cross_check_disagree")
         rows.extend(_result_row(rank, variant, r) for r in results)
 
     if not rows:
@@ -557,7 +561,7 @@ def _validated_row(row: dict) -> tuple[int, Variant, DomainCoverage]:
     """The rank, variant and coverage of one validated.jsonl row."""
     states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
     coverage = analytics.domain_coverage(row["domain"], states)
-    return operator.index(row["rank"]), Variant(row["variant"]), coverage
+    return row["rank"], Variant(row["variant"]), coverage
 
 
 def _bin_csv(stats: list[analytics.BinStat]) -> str:

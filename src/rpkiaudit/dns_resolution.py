@@ -9,15 +9,14 @@ resolver and merges the answers.
 from __future__ import annotations
 
 import enum
-import ipaddress
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Protocol
 
 from . import _dnswire
-from ._prefix_index import IPAddress, PrefixIndex, address, network, parse_address, parse_prefix
+from ._prefix_index import PrefixIndex, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
@@ -35,14 +34,7 @@ class ResolutionStatus(enum.Enum):
     EMPTY = "empty"
 
 
-class Tristate(enum.Enum):
-    UNKNOWN = "unknown"
-    AGREE = "agree"
-    DISAGREE = "disagree"
-
-
-def addr_sort_key(addr: IPAddress) -> tuple[int, int]:
-    return (addr.version, int(addr))
+Address = tuple[int, int]  # (version, int), as the prefix codec parses it
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,12 +42,9 @@ class ResolutionResult:
     domain: str
     resolver_id: str
     cname_chain: tuple[str, ...]
-    addresses: frozenset[IPAddress]
+    addresses: frozenset[Address]
     status: ResolutionStatus
     observed_at: int
-
-    def sorted_addresses(self) -> list[IPAddress]:
-        return sorted(self.addresses, key=addr_sort_key)
 
 
 def check_chain(domain: str, chain: Iterable[str]) -> tuple[str, ...]:
@@ -81,14 +70,12 @@ class Resolver(Protocol):
 def resolve_records(
     domain: str, resolver: "Resolver", timeout: float = DEFAULT_TIMEOUT
 ) -> ResolutionResult:
-    """Resolve one domain through a resolver endpoint and vet the chain.
+    """Resolve one normalized domain through a resolver endpoint and vet the chain.
 
     Timeouts surface as status=timeout results (that is what fixtures
     record); a looping or over-long CNAME chain raises ChainLoopError so
     the caller can discard and count it.
     """
-    if normalize_name(domain) != domain:
-        raise ValueError(f"not a normalized DNS name: {domain!r}")
     result = resolver.resolve(domain, timeout)
     check_chain(domain, result.cname_chain)
     return result
@@ -128,8 +115,7 @@ class DnsFixture:
             if any(c is None for c in cnames):
                 raise ValueError(line)
             addresses = frozenset(
-                address(*parse_address(a))
-                for a in list(obj.get("a", [])) + list(obj.get("aaaa", []))
+                map(parse_address, list(obj.get("a", [])) + list(obj.get("aaaa", [])))
             )
             ts = int(obj.get("ts", 0))
         except (ValueError, KeyError, TypeError):
@@ -190,18 +176,14 @@ class LiveResolver:
             rcodes.append(rcode)
             answers.extend(recs)
         now = int(time.time())
-        if timeouts == 2:
-            return ResolutionResult(
-                domain, self.resolver_id, (), frozenset(), ResolutionStatus.TIMEOUT, now
-            )
-        if all(rc == _dnswire.RCODE_NXDOMAIN for rc in rcodes):
-            return ResolutionResult(
-                domain, self.resolver_id, (), frozenset(), ResolutionStatus.NXDOMAIN, now
-            )
-        if all(rc not in (_dnswire.RCODE_NOERROR,) for rc in rcodes):
-            return ResolutionResult(
-                domain, self.resolver_id, (), frozenset(), ResolutionStatus.SERVFAIL, now
-            )
+        if _dnswire.RCODE_NOERROR not in rcodes:
+            if timeouts == 2:
+                failed = ResolutionStatus.TIMEOUT
+            elif all(rc == _dnswire.RCODE_NXDOMAIN for rc in rcodes):
+                failed = ResolutionStatus.NXDOMAIN
+            else:
+                failed = ResolutionStatus.SERVFAIL
+            return ResolutionResult(domain, self.resolver_id, (), frozenset(), failed, now)
 
         cname_map = {o: v for o, t, v in answers if t == _dnswire.QTYPE_CNAME}
         chain: list[str] = []
@@ -243,33 +225,30 @@ def parse_endpoint(text: str) -> LiveResolver:
 # Special-purpose filtering
 
 
-@dataclass(frozen=True)
 class SpecialPurposeTable:
-    v4_blocks: tuple[ipaddress.IPv4Network, ...]
-    v6_blocks: tuple[ipaddress.IPv6Network, ...]
-    _index: PrefixIndex = field(init=False, repr=False, compare=False)
+    """Registry blocks, each a (version, net, plen) prefix, and an index of them."""
 
-    def __post_init__(self) -> None:
-        index = PrefixIndex()
-        for block in self.v4_blocks + self.v6_blocks:
-            index.add(block.version, int(block.network_address), block.prefixlen, block)
-        object.__setattr__(self, "_index", index)
+    def __init__(self, blocks: Iterable[tuple[int, int, int]]) -> None:
+        self.blocks = tuple(blocks)
+        self._index = PrefixIndex()
+        for block in self.blocks:
+            self._index.add(*block, block)
 
     @classmethod
     def from_lines(
         cls, lines: Iterable[str], source: str = "special-purpose table"
     ) -> "SpecialPurposeTable":
         """Parse one CIDR per line; a malformed line raises DataError naming it."""
-        blocks: list = []
+        blocks = []
         for lineno, line in enumerate(lines, 1):
             entry = line.split("#", 1)[0].strip()
             if not entry:
                 continue
             try:
-                blocks.append(network(*parse_prefix(entry)))
+                blocks.append(parse_prefix(entry))
             except ValueError:
                 raise DataError(f"{source}:{lineno}: not a CIDR prefix: {entry!r}")
-        return cls(*(tuple(b for b in blocks if b.version == v) for v in (4, 6)))
+        return cls(blocks)
 
     @classmethod
     def default(cls) -> "SpecialPurposeTable":
@@ -280,16 +259,16 @@ class SpecialPurposeTable:
         )
         return cls.from_lines(text.split("\n"))
 
-    def contains(self, addr: IPAddress) -> bool:
-        return self._index.longest(addr.version, int(addr)) is not None
+    def contains(self, addr: Address) -> bool:
+        return self._index.longest(*addr) is not None
 
 
 def filter_special_purpose(
-    addresses: Iterable[IPAddress], table: SpecialPurposeTable
-) -> tuple[frozenset[IPAddress], frozenset[IPAddress]]:
+    addresses: Iterable[Address], table: SpecialPurposeTable
+) -> tuple[frozenset[Address], frozenset[Address]]:
     """Split addresses into (kept, rejected) by registry-block membership."""
-    kept: set[IPAddress] = set()
-    rejected: set[IPAddress] = set()
+    kept: set[Address] = set()
+    rejected: set[Address] = set()
     for addr in addresses:
         (rejected if table.contains(addr) else kept).add(addr)
     return frozenset(kept), frozenset(rejected)
@@ -313,30 +292,14 @@ def apply_filter(
 # Cross-resolver consistency
 
 
-@dataclass(slots=True)
-class ConsistencyReport:
-    domain: str
-    agree_addresses: bool
-    detail: dict[str, tuple[IPAddress, ...]]
-    agree_prefix_level: Tristate = field(default=Tristate.UNKNOWN)
-
-
-def cross_check(results: list[ResolutionResult]) -> ConsistencyReport:
-    """Compare kept-address sets for one domain across resolvers.
-
-    Prefix-level agreement stays Unknown here; it only becomes decidable
-    once addresses have been mapped to prefixes.
-    """
+def cross_check(results: list[ResolutionResult]) -> bool:
+    """Whether the Ok results for one domain agree on their kept addresses."""
     domains = {r.domain for r in results}
     if len(domains) != 1:
         raise ValueError(f"cross_check needs results for one domain, got {domains}")
-    ok = [r for r in results if r.status is ResolutionStatus.OK]
+    ok = [r.addresses for r in results if r.status is ResolutionStatus.OK]
     if len(ok) < 2:
         raise InsufficientResolversError(
             f"{domains.pop()}: {len(ok)} Ok result(s), need at least 2"
         )
-    sets = {frozenset(r.addresses) for r in ok}
-    detail = {
-        r.resolver_id: tuple(r.sorted_addresses()) for r in sorted(ok, key=lambda r: r.resolver_id)
-    }
-    return ConsistencyReport(domains.pop(), len(sets) == 1, detail)
+    return len(set(ok)) == 1

@@ -6,6 +6,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
+from ._prefix_index import parse_decimal
 from .diagnostics import Diagnostics
 from .errors import DuplicateRankError, EmptyInputError
 
@@ -92,7 +93,7 @@ def load_domain_list(
                 continue
             rank_field, name_field = parts
             try:
-                rank = int(rank_field.strip())
+                rank = parse_decimal(rank_field.strip())
             except ValueError:
                 diag.count("malformed_lines")
                 continue

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from ._prefix_index import WIDTH, Bucket, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
-from ._prefix_index import format_prefix, network, parse_address, parse_prefix
+from ._prefix_index import format_prefix, network, parse_address, parse_decimal, parse_prefix
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
 
@@ -289,19 +289,23 @@ def _parse_text_path(text: str) -> AsPath:
     path: list[int | frozenset[int]] = []
     for tok in tokens:
         if tok.startswith("{") and tok.endswith("}"):
-            members = frozenset(_parse_asn(t) for t in tok[1:-1].split(","))
+            members = frozenset(parse_asn(t) for t in tok[1:-1].split(","))
             if not members:
                 raise _Malformed
             path.append(members)
         else:
-            path.append(_parse_asn(tok))
+            path.append(parse_asn(tok))
     return tuple(path)
 
 
-def _parse_asn(token: str) -> int:
-    asn = int(token.strip())
-    if not 0 <= asn <= MAX_ASN:
-        raise _Malformed
+def parse_asn(text: str) -> int:
+    """The ASN of a decimal text, "AS" prefix optional; ValueError when it is none."""
+    digits = text.strip()
+    if digits[:2].upper() == "AS":
+        digits = digits[2:]
+    asn = parse_decimal(digits)
+    if asn > MAX_ASN:
+        raise ValueError(f"ASN {asn} out of range")
     return asn
 
 

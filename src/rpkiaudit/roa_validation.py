@@ -14,9 +14,10 @@ import io
 import json
 from typing import Iterable, Union
 
-from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_prefix
+from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_decimal
+from ._prefix_index import parse_prefix
 from .diagnostics import Diagnostics
-from .rib_store import MAX_ASN, PrefixOriginPair
+from .rib_store import MAX_ASN, PrefixOriginPair, parse_asn
 
 TRUST_ANCHORS = frozenset({"afrinic", "apnic", "arin", "lacnic", "ripe"})
 
@@ -48,17 +49,10 @@ class RoaPayload(Prefixed):
 
 def _parse_asn_field(raw: Union[str, int]) -> int:
     if type(raw) is int:  # a JSON true is not AS 1
-        asn = raw
-    elif isinstance(raw, str):
-        text = raw.strip()
-        if text[:2].upper() == "AS":
-            text = text[2:]
-        asn = int(text)
-    else:
+        raw = str(raw)
+    if not isinstance(raw, str):
         raise TypeError(f"ASN {raw!r} is neither a number nor text")
-    if not 0 <= asn <= MAX_ASN:
-        raise ValueError(f"ASN {asn} out of range")
-    return asn
+    return parse_asn(raw)
 
 
 def _normalize_ta(raw: object) -> str:
@@ -76,7 +70,7 @@ def _payload_from_fields(
     if maxlen_field is None or (isinstance(maxlen_field, str) and not maxlen_field.strip()):
         max_length = plen  # absent maxLength: exact-prefix ROA
     else:
-        max_length = int(str(maxlen_field).strip())
+        max_length = parse_decimal(str(maxlen_field).strip())
     return RoaPayload(asn, (version, net, plen), max_length, _normalize_ta(ta_field))
 
 

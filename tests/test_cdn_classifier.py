@@ -194,6 +194,14 @@ class TestLoaders:
         parse_as_registry("notanasn description\n", diag)
         assert diag.get("malformed_registry_lines") == 1
 
+    @pytest.mark.parametrize(
+        "line", ["AS1_0 ten", "+7 seven", "\u0665 five", "1_0,ten", "AS4294967296 too big"]
+    )
+    def test_registry_asn_is_an_ascii_decimal(self, line):
+        diag = Diagnostics()
+        assert parse_as_registry(line + "\n", diag) == []
+        assert diag.get("malformed_registry_lines") == 1
+
     def test_external_labels(self):
         raw = "d.example,1\nwйird,1\ne.example,0\nf.example,2\n"
         labels = load_external_labels(raw)

@@ -144,7 +144,8 @@ class TestSingleDerivation:
 
     def test_resolve_parses_and_writes_through_the_codec(self, e2e_output, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        refuse(monkeypatch, *PARSERS,
+        refuse(monkeypatch, *PARSERS, *NETWORKS,
+               (ipaddress.IPv4Address, "__init__"), (ipaddress.IPv6Address, "__init__"),
                (ipaddress.IPv4Address, "__str__"), (ipaddress.IPv6Address, "__str__"))
         assert run_stage("resolve", e2e_config(out)) == 0
         for name in ("resolved.jsonl", "resolve_meta.json"):
@@ -592,6 +593,8 @@ class TestCorruptInputs:
             ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
             ("map", "resolved.jsonl", lambda row: dict(row, addresses=[5])),
             ("map", "resolved.jsonl", lambda row: dict(row, addresses=[None])),
+            ("map", "resolved.jsonl", lambda row: dict(row, rank=-3)),
+            ("map", "resolved.jsonl", lambda row: dict(row, domain=5)),
             ("validate", "pairs.jsonl", lambda row: without(row, "domain")),
             ("validate", "pairs.jsonl", lambda row: without(row, "rank")),
             ("validate", "pairs.jsonl", lambda row: without(row, "variant")),
@@ -600,26 +603,34 @@ class TestCorruptInputs:
             ("classify", "resolved.jsonl", lambda row: without(row, "status")),
             ("classify", "resolved.jsonl", lambda row: without(row, "domain")),
             ("classify", "resolved.jsonl", lambda row: dict(row, cnames=5)),
+            ("classify", "resolved.jsonl", lambda row: dict(row, domain=5)),
             ("analyze", "cdn_labels.jsonl", lambda row: without(row, "by_chain")),
             ("analyze", "validated.jsonl", lambda row: without(row, "domain")),
             ("analyze", "validated.jsonl", lambda row: without(row, "rank")),
             ("analyze", "validated.jsonl", lambda row: dict(row, variant="foo")),
             ("analyze", "validated.jsonl", lambda row: dict(row, pairs=5)),
             ("analyze", "validated.jsonl", lambda row: dict(row, rank="x")),
+            ("analyze", "validated.jsonl", lambda row: dict(row, rank=0)),
+            ("analyze", "validated.jsonl", lambda row: dict(row, rank=True)),
             ("report", "validated.jsonl", lambda row: without(row, "rank")),
             ("report", "validated.jsonl", lambda row: without(row, "domain")),
             ("report", "validated.jsonl", lambda row: dict(row, pairs=5)),
             ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
+            ("report", "validated.jsonl", lambda row: dict(row, domain=5)),
+            ("report", "validated.jsonl", lambda row: dict(row, domain=5, variant="www")),
         ],
         ids=["meta_empty", "meta_not_object", "meta_primary_unlisted",
              "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
-             "bad_address", "int_address", "null_address",
+             "bad_address", "int_address", "null_address", "resolved_rank_negative",
+             "resolved_domain_int",
              "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
              "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",
-             "resolved_no_domain", "resolved_cnames_int", "labels_no_by_chain",
+             "resolved_no_domain", "resolved_cnames_int", "resolved_domain_int_classify",
+             "labels_no_by_chain",
              "validated_no_domain", "validated_no_rank", "validated_bad_variant",
-             "validated_pairs_int", "validated_rank_text", "report_no_rank",
-             "report_no_domain", "report_pairs_int", "report_bad_variant"],
+             "validated_pairs_int", "validated_rank_text", "validated_rank_zero",
+             "validated_rank_bool", "report_no_rank", "report_no_domain", "report_pairs_int",
+             "report_bad_variant", "report_domain_int", "report_www_domain_int"],
     )
     def test_malformed_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
         needs, output, inputs = {
@@ -646,7 +657,7 @@ class TestCorruptInputs:
         assert "Traceback" not in result.stderr
         assert artifact in result.stderr
         if isinstance(rows[at], dict) and "domain" in rows[at]:
-            assert rows[at]["domain"] in result.stderr
+            assert str(rows[at]["domain"]) in result.stderr
         assert not (out / output).exists()
 
     @pytest.mark.parametrize("text", ["", "# comments only\n\n   # and blanks\n"])

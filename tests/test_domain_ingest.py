@@ -57,6 +57,15 @@ class TestLoadDomainList:
         assert [r.name for r in records] == ["good.com", "ok.net"]
         assert diag.get("malformed_lines") == 3
 
+    @pytest.mark.parametrize(
+        "rank", ["1_0", "+7", "-3", "\u0665", "0", "", pytest.param("9" * 5000, id="5000_digits")]
+    )
+    def test_rank_is_a_positive_ascii_decimal(self, rank):
+        diag = Diagnostics()
+        records = load_domain_list(f"{rank},a.com\n2,b.com", diag=diag)
+        assert records == [DomainRecord(2, "b.com")]
+        assert diag.get("malformed_lines") == 1
+
     def test_plain_format_rank_is_line_number(self):
         records = load_domain_list(
             "alpha.com\nbeta.com\n\ngamma.com", ListFormat.PLAIN_ORDERED

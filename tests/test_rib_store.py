@@ -13,6 +13,7 @@ from rpkiaudit.rib_store import (
     build_trie,
     covering_pairs,
     origin_from_path,
+    parse_asn,
     parse_mrt,
     parse_text_rib,
 )
@@ -68,17 +69,39 @@ class TestParseTextRib:
         assert len(entries) == 1
 
     @pytest.mark.parametrize(
-        "line", ["no pipe", "10.0.0.0/8|", "10.0.0.0/8|notanasn", "x/8|1", "10.0.0.0/8|1|2"]
+        "line",
+        ["no pipe", "10.0.0.0/8|", "10.0.0.0/8|notanasn", "x/8|1", "10.0.0.0/8|1|2",
+         "10.0.0.0/8|65000 6_5001", "10.0.0.0/8|{1,+2}", "10.0.0.0/8|4294967296"],
     )
     def test_malformed_lines_counted(self, line):
         diag = Diagnostics()
         assert parse_text_rib(line, diag) == []
         assert diag.get("malformed_lines") == 1
 
+    def test_as_prefixed_path(self):
+        assert parse_text_rib("10.0.0.0/8|AS64496 as64497")[0].as_path == (64496, 64497)
+
     def test_v6_line(self):
         entries = parse_text_rib("2001:db8::/32|64496 64499")
         assert entries[0].prefix == ipaddress.ip_network("2001:db8::/32")
         assert entries[0].origin == 64499
+
+
+class TestParseAsn:
+    @pytest.mark.parametrize(
+        "text, asn",
+        [("0", 0), ("64496", 64496), ("AS64496", 64496), ("as64496", 64496),
+         (" AS4294967295 ", 2**32 - 1)],
+    )
+    def test_decimal_with_optional_as(self, text, asn):
+        assert parse_asn(text) == asn
+
+    @pytest.mark.parametrize(
+        "text", ["", "AS", "ASX", "AS 1", "1_0", "+7", "-1", "\u0665", "6 5", "4294967296"]
+    )
+    def test_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_asn(text)
 
 
 class TestParseMrt:

@@ -214,6 +214,16 @@ class TestLoadRoas:
         out = load_roas("AS64500,10.0.0.0/16,24\nAS64500,10.0.0.0/16,24")
         assert len(out) == 1
 
+    @pytest.mark.parametrize(
+        "row",
+        ["AS6_5000,10.0.0.0/8,16", "+65000,10.0.0.0/8,16", "AS\u0665,10.0.0.0/8,16",
+         "AS65000,10.0.0.0/8,1_6", "AS65000,10.0.0.0/8,+16", "AS65000,10.0.0.0/8,\u0661\u0666"],
+    )
+    def test_csv_asn_and_maxlength_are_ascii_decimals(self, row):
+        diag = Diagnostics()
+        assert load_roas(row, diag=diag) == set()
+        assert diag.get("malformed_roa_rows") == 1
+
     def test_csv_host_bits_rejected(self):
         diag = Diagnostics()
         assert load_roas("AS64500,10.0.0.1/16,24", diag=diag) == set()
