@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .domain_ingest import RankBin, bin_for_rank
@@ -155,18 +156,30 @@ def bin_aggregate(
     stats = []
     for rank_bin in bin_list:
         rows = members[rank_bin.index]
-        with_data = [c for c, _ in rows if c.classification is not CoverageClass.NO_DATA]
+        # Domains grouped by their pair total: a mean is one Fraction per
+        # distinct total over the summed counts, not one per domain.
+        by_total: dict[int, list[DomainCoverage]] = {}
+        for c, _ in rows:
+            if c.total_pairs:  # NoData domains stay out of the means
+                by_total.setdefault(c.total_pairs, []).append(c)
         cdn_count = sum(1 for _, is_cdn in rows if is_cdn)
-        n_data = len(with_data)
+        n_data = sum(map(len, by_total.values()))
         if n_data:
-            mean = lambda xs: sum(xs, Fraction(0)) / n_data  # noqa: E731
+
+            def mean(count: str) -> Fraction:
+                shares = (
+                    Fraction(sum(map(attrgetter(count), covs)), total)
+                    for total, covs in by_total.items()
+                )
+                return sum(shares, Fraction(0)) / n_data
+
             stats.append(
                 BinStat(
                     rank_bin,
-                    mean([c.covered_fraction for c in with_data]),
-                    mean([c.valid_fraction for c in with_data]),
-                    mean([c.invalid_fraction for c in with_data]),
-                    mean([c.notfound_fraction for c in with_data]),
+                    mean("covered_count"),
+                    mean("valid"),
+                    mean("invalid"),
+                    mean("notfound"),
                     Fraction(cdn_count, len(rows)),
                     len(rows),
                     n_data,

@@ -11,7 +11,6 @@ dependency, 3 data error (inputs parsed but nothing usable).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import functools
 import gc
@@ -20,21 +19,14 @@ import logging
 import operator
 import os
 import sys
-import threading
 import time
 import typing
 import zlib
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from . import analytics, cdn_classifier, dns_resolution, domain_ingest, rib_store, roa_validation
-from ._prefix_index import format_address, parse_prefix
-from .analytics import CoverageClass, DomainCoverage, format_fraction
 from .diagnostics import Diagnostics
-from .dns_resolution import DnsFixture, ResolutionStatus, SpecialPurposeTable
-from .domain_ingest import ListFormat, Variant
 from .errors import (
     AuditError,
     ChainLoopError,
@@ -44,8 +36,15 @@ from .errors import (
     StageDependencyMissingError,
     UsageError,
 )
-from .rib_store import PrefixOriginPair
-from .roa_validation import RoaFormat, ValidationState
+
+# Each stage imports the library modules it uses when it runs, so a stage
+# child loads and compiles only its own stage's code; these names are for
+# annotations alone.
+if typing.TYPE_CHECKING:
+    from .analytics import BinStat, DomainCoverage, OverallRates
+    from .domain_ingest import Variant
+    from .rib_store import PrefixOriginPair, PrefixTrie
+    from .roa_validation import RoaFormat, ValidationState
 
 log = logging.getLogger("rpkiaudit")
 
@@ -140,14 +139,49 @@ def _write_text(path: Path, text: str) -> None:
         raise
 
 
+_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode_value = json.JSONDecoder().raw_decode
+
+
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    lines = [json.dumps(row, sort_keys=True, separators=(",", ":")) for row in rows]
-    _write_text(path, "".join(line + "\n" for line in lines))
+    _write_text(path, "".join([_encode_row(row) + "\n" for row in rows]))
 
 
 def _read_jsonl(path: Path) -> list[dict]:
+    data = path.read_bytes()
+    try:
+        return _object_lines(data.decode("utf-8"))
+    except ValueError:  # not UTF-8, or a line that is not exactly one object
+        return _read_jsonl_lines(path, data)
+
+
+def _object_lines(text: str) -> list[dict]:
+    """The rows of a text whose every non-empty line is exactly one JSON object.
+
+    Any other line raises ValueError; so does a line that does not parse, and
+    the caller then reads the text again line by line.
+    """
     rows = []
-    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        if stop > start:
+            if text[start] != "{":
+                raise ValueError("line does not start an object")
+            row, row_end = _decode_value(text, start)
+            if row_end != stop:
+                raise ValueError("line holds more than one object")
+            rows.append(row)
+        start = stop + 1
+    return rows
+
+
+def _read_jsonl_lines(path: Path, data: bytes) -> list[dict]:
+    """Decode and parse each line on its own, so that a fault names its line."""
+    rows = []
+    for lineno, line in enumerate(data.split(b"\n"), 1):
         if line.strip():
             try:
                 row = json.loads(line.decode("utf-8"))
@@ -238,6 +272,8 @@ class _RateLimiter:
     """
 
     def __init__(self, qps: float):
+        import threading  # live resolution only
+
         self._interval = 1.0 / qps if qps > 0 else 0.0
         self._next = 0.0
         self._lock = threading.Lock()
@@ -253,40 +289,28 @@ class _RateLimiter:
             time.sleep(slot - now)
 
 
-def _load_special_table(cfg: PipelineConfig) -> SpecialPurposeTable:
-    path = cfg.special_purpose_table
-    if path:
-        return SpecialPurposeTable.from_lines(
-            _read_text(path, "special-purpose table").split("\n"), path
-        )
-    return SpecialPurposeTable.default()
-
-
-def _result_row(rank: int, variant: Variant, res) -> dict:
-    return {
-        "rank": rank,
-        "domain": res.domain,
-        "variant": variant.value,
-        "resolver": res.resolver_id,
-        "cnames": list(res.cname_chain),
-        "addresses": [format_address(*a) for a in sorted(res.addresses)],
-        "status": res.status.value,
-        "ts": res.observed_at,
-    }
-
-
 def stage_resolve(cfg: PipelineConfig) -> None:
+    from . import dns_resolution, domain_ingest
+    from ._prefix_index import format_address
+
     diag = Diagnostics()
     list_text = _read_text(cfg.domain_list, "domain list")
     try:
-        fmt = ListFormat(cfg.domain_list_format)
+        fmt = domain_ingest.ListFormat(cfg.domain_list_format)
     except ValueError:
-        raise UsageError(f"unknown domain list format {cfg.domain_list_format!r}")
+        expected = "expected " + " or ".join(f.value for f in domain_ingest.ListFormat)
+        raise UsageError(f"unknown domain list format {cfg.domain_list_format!r} ({expected})")
     records = domain_ingest.load_domain_list(list_text, fmt, diag)
-    table = _load_special_table(cfg)
+    if cfg.special_purpose_table:
+        table = dns_resolution.SpecialPurposeTable.from_lines(
+            _read_text(cfg.special_purpose_table, "special-purpose table").split("\n"),
+            cfg.special_purpose_table,
+        )
+    else:
+        table = dns_resolution.SpecialPurposeTable.default()
 
     if cfg.dns_fixture:
-        fixture = DnsFixture.load(_read_text(cfg.dns_fixture, "DNS fixture"), diag)
+        fixture = dns_resolution.DnsFixture.load(_read_text(cfg.dns_fixture, "DNS fixture"), diag)
         labels = fixture.resolver_ids()
         if not labels:
             raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
@@ -308,12 +332,14 @@ def stage_resolve(cfg: PipelineConfig) -> None:
         for record in records
         for rec in domain_ingest.expand_variants(record)
     ]
+    limiter = None if cfg.dns_fixture else _RateLimiter(cfg.resolver_qps)
 
     def resolve_task(task):
         rank, variant, name = task
         out = []
         for resolver in resolvers:
-            limiter.wait()
+            if limiter:
+                limiter.wait()
             try:
                 res = dns_resolution.resolve_records(name, resolver, cfg.timeout)
             except FixtureMissError:
@@ -325,15 +351,15 @@ def stage_resolve(cfg: PipelineConfig) -> None:
             out.append((None, res))
         return rank, variant, out
 
-    limiter = _RateLimiter(cfg.resolver_qps)
-    rows: list[dict] = []
-    collected: list[tuple[int, Variant, list]] = []
     if cfg.dns_fixture:
         collected = [resolve_task(t) for t in tasks]
     else:
+        import concurrent.futures  # live queries wait on the network, so they overlap
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
             collected = list(pool.map(resolve_task, tasks))
 
+    rows: list[dict] = []
     for rank, variant, outcomes in collected:
         results = []
         for err_key, res in outcomes:
@@ -341,11 +367,23 @@ def stage_resolve(cfg: PipelineConfig) -> None:
                 diag.count(err_key)
                 continue
             results.append(dns_resolution.apply_filter(res, table, diag))
-        ok = [r for r in results if r.status is ResolutionStatus.OK]
+        ok = [r for r in results if r.status is dns_resolution.ResolutionStatus.OK]
         if len(ok) >= 2:
             agree = dns_resolution.cross_check(ok)
             diag.count("cross_check_agree" if agree else "cross_check_disagree")
-        rows.extend(_result_row(rank, variant, r) for r in results)
+        for res in results:
+            rows.append(
+                {
+                    "rank": rank,
+                    "domain": res.domain,
+                    "variant": variant.value,
+                    "resolver": res.resolver_id,
+                    "cnames": list(res.cname_chain),
+                    "addresses": [format_address(*a) for a in sorted(res.addresses)],
+                    "status": res.status.value,
+                    "ts": res.observed_at,
+                }
+            )
 
     if not rows:
         raise DataError("resolve produced zero resolution rows")
@@ -364,7 +402,9 @@ def stage_resolve(cfg: PipelineConfig) -> None:
 # map (addresses -> covering prefix/origin pairs)
 
 
-def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
+def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> PrefixTrie:
+    from . import rib_store
+
     if not cfg.ribs:
         raise MissingInputError("<ribs>", "RIB source")
     trie = rib_store.PrefixTrie()
@@ -382,6 +422,8 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
 
 
 def stage_map(cfg: PipelineConfig) -> None:
+    from .rib_store import covering_pairs
+
     diag = Diagnostics()
     resolved = _artifact(cfg, "resolved.jsonl", "resolve")
     primary = _primary_resolver(cfg)
@@ -398,7 +440,7 @@ def stage_map(cfg: PipelineConfig) -> None:
             pairs: set[PrefixOriginPair] = set()
             unreachable = []
             for addr_text in row["addresses"]:
-                covering = rib_store.covering_pairs(addr_text, trie)
+                covering = covering_pairs(addr_text, trie)
                 if covering:
                     pairs |= covering
                 else:
@@ -427,15 +469,22 @@ def stage_map(cfg: PipelineConfig) -> None:
 
 
 def _roa_format(cfg: PipelineConfig) -> RoaFormat:
+    from .roa_validation import RoaFormat
+
     if cfg.roa_format:
         try:
             return RoaFormat(cfg.roa_format)
         except ValueError:
-            raise UsageError(f"unknown ROA format {cfg.roa_format!r}")
+            expected = "expected " + " or ".join(f.value for f in RoaFormat)
+            raise UsageError(f"unknown ROA format {cfg.roa_format!r} ({expected})")
     return RoaFormat.JSON if Path(str(cfg.roas)).suffix.lower() == ".json" else RoaFormat.CSV
 
 
 def stage_validate(cfg: PipelineConfig) -> None:
+    from . import analytics, roa_validation
+    from ._prefix_index import parse_prefix
+    from .rib_store import PrefixOriginPair
+
     diag = Diagnostics()
     pairs = _artifact(cfg, "pairs.jsonl", "map")
     roas = roa_validation.load_roas(_read_text(cfg.roas, "ROA export"), _roa_format(cfg), diag)
@@ -477,6 +526,9 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
 
 def stage_classify(cfg: PipelineConfig) -> None:
+    from . import analytics, cdn_classifier
+    from .dns_resolution import ResolutionStatus
+
     diag = Diagnostics()
     resolved = _artifact(cfg, "resolved.jsonl", "resolve")
     pairs = _artifact(cfg, "pairs.jsonl", "map")
@@ -557,14 +609,22 @@ def stage_classify(cfg: PipelineConfig) -> None:
 # analyze
 
 
-def _validated_row(row: dict) -> tuple[int, Variant, DomainCoverage]:
-    """The rank, variant and coverage of one validated.jsonl row."""
-    states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
-    coverage = analytics.domain_coverage(row["domain"], states)
-    return row["rank"], Variant(row["variant"]), coverage
+def _coverages(
+    validated_rows: Iterable[dict],
+) -> Iterator[tuple[dict, int, Variant, DomainCoverage]]:
+    """Each validated.jsonl row with its rank, variant and coverage."""
+    from .analytics import domain_coverage
+    from .domain_ingest import Variant
+    from .roa_validation import ValidationState
+
+    for row in validated_rows:
+        states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
+        yield row, row["rank"], Variant(row["variant"]), domain_coverage(row["domain"], states)
 
 
-def _bin_csv(stats: list[analytics.BinStat]) -> str:
+def _bin_csv(stats: list[BinStat]) -> str:
+    from .analytics import format_fraction
+
     lines = ["bin_lo,bin_hi,n,mean_covered,mean_valid,mean_invalid,mean_notfound,cdn_fraction"]
     for s in stats:
         lines.append(
@@ -584,7 +644,9 @@ def _bin_csv(stats: list[analytics.BinStat]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rates_obj(rates: analytics.OverallRates) -> dict:
+def _rates_obj(rates: OverallRates) -> dict:
+    from . import analytics
+
     return {
         "domains": rates.domains,
         "domains_with_data": rates.domains_with_data,
@@ -596,6 +658,9 @@ def _rates_obj(rates: analytics.OverallRates) -> dict:
 
 
 def stage_analyze(cfg: PipelineConfig) -> None:
+    from . import analytics
+    from .domain_ingest import Variant, make_bins
+
     diag = Diagnostics()
     validated = _artifact(cfg, "validated.jsonl", "validate")
     labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
@@ -604,8 +669,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     prefixes: dict[tuple[int, Variant], set[str]] = {}
     base_names: dict[int, str] = {}
     with validated as validated_rows:
-        for row in validated_rows:
-            rank, variant, coverage = _validated_row(row)
+        for row, rank, variant, coverage in _coverages(validated_rows):
             coverages[variant].append((rank, coverage))
             prefixes[(rank, variant)] = {p["prefix"] for p in row["pairs"]}
             if variant is Variant.BASE:
@@ -616,7 +680,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
 
     max_rank = max(rank for rank, _ in prefixes)
-    bins = domain_ingest.make_bins(max_rank, cfg.bin_size)
+    bins = make_bins(max_rank, cfg.bin_size)
 
     summary: dict[str, dict] = {}
     for variant, series in coverages.items():
@@ -626,7 +690,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         summary[variant.value] = _rates_obj(analytics.overall_rates([c for _, c in series]))
 
     overlap_lines = ["rank,domain,overlap"]
-    mean_parts: list[Fraction] = []
+    mean_parts = []
     for rank in sorted(base_names):
         name = base_names[rank]
         stat = analytics.prefix_overlap(
@@ -634,13 +698,13 @@ def stage_analyze(cfg: PipelineConfig) -> None:
             prefixes.get((rank, Variant.WWW), set()),
             prefixes.get((rank, Variant.BASE), set()),
         )
-        overlap_lines.append(f"{rank},{name},{format_fraction(stat.overlap)}")
+        overlap_lines.append(f"{rank},{name},{analytics.format_fraction(stat.overlap)}")
         if stat.overlap is not None:
             mean_parts.append(stat.overlap)
     _write_text(cfg.out("overlap.csv"), "\n".join(overlap_lines) + "\n")
 
     summary["overlap_mean"] = analytics.fraction_to_float(
-        sum(mean_parts, Fraction(0)) / len(mean_parts) if mean_parts else None
+        sum(mean_parts) / len(mean_parts) if mean_parts else None
     )
     _write_text(cfg.out("summary.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write_diag(cfg, "analyze", diag)
@@ -652,12 +716,14 @@ def stage_analyze(cfg: PipelineConfig) -> None:
 
 
 def stage_report(cfg: PipelineConfig) -> None:
+    from . import analytics
+    from .domain_ingest import Variant
+
     validated = _artifact(cfg, "validated.jsonl", "validate")
     per_rank: dict[int, dict[Variant, DomainCoverage]] = {}
     names: dict[int, str] = {}
     with validated as validated_rows:
-        for row in validated_rows:
-            rank, variant, coverage = _validated_row(row)
+        for row, rank, variant, coverage in _coverages(validated_rows):
             per_rank.setdefault(rank, {})[variant] = coverage
             if variant is Variant.BASE:
                 names[rank] = row["domain"]
@@ -683,7 +749,7 @@ def stage_report(cfg: PipelineConfig) -> None:
     csv_lines = ["rank,domain,www_class,www_covered,www_total,base_class,base_covered,base_total"]
     for r in rows:
         def cells(cov: Optional[DomainCoverage]) -> list[str]:
-            if cov is None or cov.classification is CoverageClass.NO_DATA:
+            if cov is None or cov.classification is analytics.CoverageClass.NO_DATA:
                 return ["n/a", "", ""]
             return [cov.classification.value, str(cov.covered_count), str(cov.total_pairs)]
 
@@ -734,11 +800,7 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV_VAR})")
     parser.add_argument("--output-dir", help="artifact directory")
     parser.add_argument("--domain-list", help="ranked domain list path")
-    parser.add_argument(
-        "--domain-list-format",
-        choices=[f.value for f in ListFormat],
-        help="domain list format",
-    )
+    parser.add_argument("--domain-list-format", help="domain list format (checked by resolve)")
     parser.add_argument(
         "--fixture-dns", dest="dns_fixture", help="DNS fixture JSONL path (offline mode)"
     )
@@ -755,7 +817,7 @@ def _build_parser() -> _ArgumentParser:
         "--rib", action="append", dest="ribs", help="RIB dump path, MRT or text (repeatable)"
     )
     parser.add_argument("--roas", help="validated ROA export (csv or json)")
-    parser.add_argument("--roa-format", choices=[f.value for f in RoaFormat])
+    parser.add_argument("--roa-format", help="ROA export format (checked by validate)")
     parser.add_argument("--keywords", help="CDN keyword file")
     parser.add_argument("--as-registry", help="AS registry dump")
     parser.add_argument("--external-labels", help="external CDN classification csv")

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Protocol
 
-from . import _dnswire
-from ._prefix_index import PrefixIndex, parse_address, parse_prefix
+from ._prefix_index import PrefixIndex, parse_address, parse_decimal, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
@@ -117,7 +116,9 @@ class DnsFixture:
             addresses = frozenset(
                 map(parse_address, list(obj.get("a", [])) + list(obj.get("aaaa", [])))
             )
-            ts = int(obj.get("ts", 0))
+            ts = obj.get("ts", 0)
+            if type(ts) is not int:  # a JSON integer; true, 1.9 and "1_0" are not
+                raise TypeError(f"ts {ts!r} is not an integer")
         except (ValueError, KeyError, TypeError):
             self._diag.count("malformed_fixture_lines")
             return
@@ -164,6 +165,8 @@ class LiveResolver:
     port: int = 53
 
     def resolve(self, domain: str, timeout: float = DEFAULT_TIMEOUT) -> ResolutionResult:
+        from . import _dnswire  # fixture replay never loads the wire client
+
         rcodes: list[int] = []
         answers: list[tuple[str, int, object]] = []
         timeouts = 0
@@ -204,19 +207,28 @@ class LiveResolver:
 
 
 def parse_endpoint(text: str) -> LiveResolver:
-    """Parse a "label=ip:port" endpoint entry (port optional, v6 in brackets)."""
+    """Parse a "label=ip:port" endpoint entry (port optional, v6 in brackets).
+
+    A port is ASCII digits in 1-65535; anything else raises ValueError.
+    """
     label, sep, rest = text.partition("=")
     if not sep or not label.strip() or not rest.strip():
         raise ValueError(f"expected label=ip[:port], got {text!r}")
     rest = rest.strip()
+    port_text = "53"
     if rest.startswith("["):
         host, _, tail = rest[1:].partition("]")
-        port = int(tail[1:]) if tail.startswith(":") else 53
+        if tail:
+            if not tail.startswith(":"):
+                raise ValueError(f"expected [ip]:port, got {rest!r}")
+            port_text = tail[1:]
     elif rest.count(":") == 1:
-        host, _, p = rest.partition(":")
-        port = int(p)
+        host, _, port_text = rest.partition(":")
     else:
-        host, port = rest, 53
+        host = rest
+    port = parse_decimal(port_text)
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port {port} is outside 1-65535")
     parse_address(host)
     return LiveResolver(label.strip(), host, port)
 

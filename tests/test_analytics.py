@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rpkiaudit.analytics import (
+    BinStat,
     CoverageClass,
+    DomainCoverage,
     bin_aggregate,
     cdn_conditional_rates,
     coverage_report,
@@ -182,6 +184,48 @@ class TestBinAggregate:
             assert stats[b.index].mean_covered == exp_covered
             assert stats[b.index].mean_valid == exp_valid
             assert stats[b.index].domain_count == len(rows)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.booleans()),
+            max_size=40,
+        ),
+        st.integers(1, 7),
+    )
+    def test_means_equal_the_per_domain_fraction_sums(self, design, bin_size):
+        # the reference sums each domain's own Fractions, as the paper's means read
+        coverages = [
+            (rank, DomainCoverage(f"d{rank}.example", v, i, n))
+            for rank, (v, i, n, _) in enumerate(design, 1)
+        ]
+        labels = {f"d{rank}.example": cdn for rank, (*_, cdn) in enumerate(design, 1)}
+        bins = make_bins(len(design), bin_size)
+
+        expected = []
+        for b in bins:
+            rows = [c for rank, c in coverages if b.lo <= rank <= b.hi]
+            data = [c for c in rows if c.total_pairs]
+            cdn = Fraction(sum(labels[c.domain] for c in rows), len(rows))
+            if not data:
+                expected.append(BinStat(b, None, None, None, None, cdn, len(rows), 0))
+                continue
+
+            def mean(share):
+                return sum((share(c) for c in data), Fraction(0)) / len(data)
+
+            expected.append(
+                BinStat(
+                    b,
+                    mean(lambda c: Fraction(c.valid + c.invalid, c.total_pairs)),
+                    mean(lambda c: Fraction(c.valid, c.total_pairs)),
+                    mean(lambda c: Fraction(c.invalid, c.total_pairs)),
+                    mean(lambda c: Fraction(c.notfound, c.total_pairs)),
+                    cdn,
+                    len(rows),
+                    len(data),
+                )
+            )
+        assert bin_aggregate(coverages, labels, bins) == expected
 
     def test_cdn_fraction_counts_labeled_chain_domains(self):
         bins = make_bins(4, 10)

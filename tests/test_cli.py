@@ -8,13 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
-from rpkiaudit import cli
+from rpkiaudit import _prefix_index, cli
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
-from rpkiaudit.errors import StageDependencyMissingError, UsageError
+from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
 
 
 PACKAGE_DATA = Path(rpkiaudit.__file__).parent / "data"
@@ -160,8 +162,10 @@ class TestSingleDerivation:
         assert len(set(entries)) < len(entries)  # the fixture repeats pairs across rows
 
         calls = []
-        parse = cli.parse_prefix  # the codec, as validate reaches it for pairs
-        monkeypatch.setattr(cli, "parse_prefix", lambda text: calls.append(text) or parse(text))
+        parse = _prefix_index.parse_prefix  # the codec, which validate imports when it runs
+        monkeypatch.setattr(
+            _prefix_index, "parse_prefix", lambda text: calls.append(text) or parse(text)
+        )
         assert run_stage("validate", e2e_config(out)) == 0
         assert 0 < len(calls) <= len(set(entries))
         assert read(out / "validated.jsonl") == read(e2e_output / "validated.jsonl")
@@ -189,6 +193,40 @@ class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["resolve", "--no-such-flag"]) == 1
+
+    @pytest.mark.parametrize(
+        "stage, flag, message",
+        [
+            ("resolve", "--domain-list-format",
+             "unknown domain list format 'xml' (expected csv_rank_domain or plain_ordered)"),
+            ("validate", "--roa-format", "unknown ROA format 'xml' (expected csv or json)"),
+        ],
+    )
+    def test_unknown_format_is_1(self, e2e_output, tmp_path, capsys, stage, flag, message):
+        # the stage that reads a format checks it; the argument parser knows no formats
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "pairs.jsonl", out)
+        cfg = e2e_config(out)
+        args = ["--domain-list", cfg.domain_list, "--fixture-dns", cfg.dns_fixture,
+                "--roas", cfg.roas, "--output-dir", str(out)]
+        assert main([stage, *args, flag, "xml"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("port", ["70000", "+5_3"])
+    def test_bad_resolver_port_is_1(self, tmp_path, port):
+        domains = tmp_path / "domains.csv"
+        domains.write_text("1,x.test\n")
+        result = run_cli(
+            "resolve",
+            "--domain-list", domains,
+            "--resolver", f"x=127.0.0.1:{port}",
+            "--timeout", "0.2",
+            "--output-dir", tmp_path / "out",
+        )
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "port" in result.stderr or "decimal" in result.stderr
 
     def test_missing_input_is_2(self, tmp_path, capsys):
         code = main(
@@ -686,3 +724,85 @@ class TestCorruptInputs:
             _write_text(path, "half written \ud800")  # fails mid-write
         assert path.read_text() == "complete\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+
+def read_jsonl_by_line(path):
+    """The artifact reader's per-line loop: the reference for what it accepts and says."""
+    rows = []
+    for lineno, line in enumerate(path.read_bytes().split(b"\n"), 1):
+        if line.strip():
+            try:
+                row = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
+            if not isinstance(row, dict):
+                raise DataError(f"{path}:{lineno}: corrupt artifact (row is not an object)")
+            rows.append(row)
+    return rows
+
+
+def outcome(read, path):
+    try:
+        return "rows", read(path)
+    except DataError as exc:
+        return "error", str(exc)
+
+
+JSONL_CASES = {
+    "canonical": b'{"a":1}\n{"b":[2,"x"]}\n',
+    "no final newline": b'{"a":1}\n{"b":2}',
+    "empty": b"",
+    "truncated row": b'{"a":1}\n{"b":',
+    "non-utf8 byte": b'{"a":1}\n{"b":"\xff"}\n',
+    "array row": b'{"a":1}\n[1,2]\n',
+    "number row": b"7\n",
+    "null row": b'{"a":1}\nnull\n',
+    "blank lines": b'\n{"a":1}\n\n\n{"b":2}\n\n',
+    "whitespace-only lines": b'{"a":1}\n   \n\t\n\x0b\n{"b":2}\n',
+    "crlf endings": b'{"a":1}\r\n{"b":2}\r\n',
+    "padded row": b' {"a":1} \n',
+    "trailing garbage": b'{"a":1}x\n{"b":2}\n',
+    "trailing garbage after space": b'{"a":1} ,\n',
+    "two objects on a line": b'{"a":1}{"b":2}\n',
+    "two objects spaced": b'{"a":1} {"b":2}\n',
+    "row split over two lines": b'{"a":\n1}\n',
+    "object split at a comma": b'{"a":1,\n"b":2}\n',
+    "utf-8 bom": b'\xef\xbb\xbf{"a":1}\n',
+    "raw control character": b'{"a":"x\ty"}\n',
+    "unicode text": '{"a":"\u00e9\u2028z"}\n'.encode("utf-8"),
+    "duplicate keys": b'{"a":1,"a":2}\n',
+}
+
+
+class TestJsonlReader:
+    """The one-pass reader returns what the per-line loop returns, or raises its text."""
+
+    @pytest.mark.parametrize("case", sorted(JSONL_CASES))
+    def test_matches_the_per_line_loop(self, tmp_path, case):
+        path = tmp_path / "artifact.jsonl"
+        path.write_bytes(JSONL_CASES[case])
+        assert outcome(cli._read_jsonl, path) == outcome(read_jsonl_by_line, path)
+
+    @given(
+        st.lists(
+            st.sampled_from(
+                ['{"a":1}', '{"b":[1,{"c":null}]}', "", " ", "\r", "[]", "3", '{"a":', "}",
+                 '{"a":1}{"b":2}', '{"a":1} ', '"s"', "\t{}", "{}", '{"\u00e9":"\\n"}']
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    def test_random_line_mixes_match_the_per_line_loop(self, tmp_path_factory, lines, final):
+        path = tmp_path_factory.mktemp("jsonl") / "artifact.jsonl"
+        path.write_bytes(("\n".join(lines) + ("\n" if final else "")).encode("utf-8"))
+        assert outcome(cli._read_jsonl, path) == outcome(read_jsonl_by_line, path)
+
+    def test_artifacts_are_read_in_one_pass(self, e2e_output, monkeypatch):
+        def refuse(path, data):
+            raise AssertionError(f"{path} fell back to the per-line loop")
+
+        monkeypatch.setattr(cli, "_read_jsonl_lines", refuse)
+        for name in ("resolved.jsonl", "pairs.jsonl", "validated.jsonl", "cdn_labels.jsonl"):
+            path = e2e_output / name
+            assert cli._read_jsonl(path) == read_jsonl_by_line(path), name

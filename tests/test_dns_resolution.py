@@ -114,6 +114,20 @@ class TestFixtureReplay:
         load_fixture("{not json", fixture_line("ok.example", a=["192.0.2.9"]), diag=diag)
         assert diag.get("malformed_fixture_lines") == 1
 
+    @pytest.mark.parametrize("ts", ["1_0", True, 1.9])
+    def test_timestamp_must_be_a_json_integer(self, ts):
+        diag = Diagnostics()
+        fixture = load_fixture(
+            fixture_line("bad.example", a=["192.0.2.9"], ts=ts),
+            fixture_line("ok.example", a=["192.0.2.9"], ts=10),
+            diag=diag,
+        )
+        assert diag.get("malformed_fixture_lines") == 1
+        assert fixture.resolver_ids() == ["fixture"]
+        assert fixture.get("ok.example", "fixture").observed_at == 10
+        with pytest.raises(FixtureMissError):
+            fixture.get("bad.example", "fixture")
+
     def test_resolver_ids_sorted(self):
         fixture = load_fixture(
             fixture_line("x.example", resolver="opendns"),
@@ -295,7 +309,15 @@ class TestParseEndpoint:
         r = parse_endpoint("q=[2001:db8::1]:5353")
         assert (r.ip, r.port) == ("2001:db8::1", 5353)
 
-    @pytest.mark.parametrize("bad", ["nolabel", "x=", "=1.2.3.4", "x=notanip"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "nolabel", "x=", "=1.2.3.4", "x=notanip",
+            # a port is ASCII digits in 1-65535
+            "x=127.0.0.1:70000", "x=127.0.0.1:0", "x=127.0.0.1:+5_3", "x=127.0.0.1:",
+            "x=[::1]:65536", "x=[::1]:٥٣", "x=[::1]junk",
+        ],
+    )
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_endpoint(bad)

@@ -1,29 +1,73 @@
 """The package's structure: its import graph, and the one reader of prefix text."""
 
 import ast
+import dataclasses
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import rpkiaudit
+from e2e_support import e2e_config
+from rpkiaudit.cli import STAGES
+
+
+def modules_after(code):
+    """The module names in sys.modules of a fresh interpreter once it has run the code."""
+    env = dict(os.environ)
+    src = str(Path(rpkiaudit.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code += "\nimport sys\nprint(*sorted(sys.modules))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
 
 
 def test_library_import_loads_no_cli_or_dns_client():
     # the package re-exports nothing, so a library module pulls in neither
     # the pipeline driver nor the DNS wire client
-    env = dict(os.environ)
-    src = str(Path(rpkiaudit.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, rpkiaudit.rib_store; "
-        "print(sorted({'rpkiaudit.cli', 'rpkiaudit._dnswire'} & set(sys.modules)))"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    loaded = modules_after("import rpkiaudit.rib_store")
+    assert "rpkiaudit.rib_store" in loaded
+    assert {"rpkiaudit.cli", "rpkiaudit._dnswire"} & loaded == set()
+
+
+def package(*names):
+    return {f"rpkiaudit.{name}" for name in names}
+
+
+# What each stage child must not load: a stage imports its own library modules
+# when it runs, and only the live resolver loads the DNS client and threads.
+NOT_LOADED = {
+    "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
+    "validate": package("cdn_classifier", "dns_resolution", "_dnswire"),
+    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire"),
+    "report": package("cdn_classifier", "dns_resolution", "_dnswire"),
+    "resolve": package("_dnswire") | {"concurrent.futures"},
+    "classify": package("_dnswire") | {"concurrent.futures"},
+}
+
+
+def test_cli_import_loads_no_stage_module():
+    loaded = modules_after("import rpkiaudit.cli")
+    assert "rpkiaudit.cli" in loaded
+    unwanted = package("analytics", "cdn_classifier", "dns_resolution", "_dnswire")
+    assert (unwanted | {"concurrent.futures", "fractions"}) & loaded == set()
+
+
+def test_each_stage_loads_only_its_own_modules(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dataclasses.asdict(e2e_config(tmp_path / "out"))))
+    for stage in STAGES:  # each in its own child, in pipeline order, on the e2e fixture
+        loaded = modules_after(
+            "from rpkiaudit.cli import main\n"
+            f"if main([{stage!r}, '--config', {str(config)!r}]) != 0:\n"
+            f"    raise SystemExit('{stage} failed')"
+        )
+        assert "rpkiaudit.cli" in loaded
+        assert NOT_LOADED[stage] & loaded == set(), stage
 
 
 def uses_outside_the_codec(names):
