@@ -8,6 +8,7 @@ anything other than not-found.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -235,19 +236,19 @@ def coverage_report(
     """Lowest-ranked domains with Partial or Full coverage on either variant.
 
     Input rows are (rank, base name, www coverage, base coverage); a missing
-    or unresolved variant renders as "n/a".
+    or unresolved variant renders as "n/a".  Only the top_n best rows are
+    held while the input is consumed.
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     interesting = (CoverageClass.PARTIAL, CoverageClass.FULL)
-    rows = [
+    rows = (
         ReportRow(rank, name, www, base)
         for rank, name, www, base in variants
         if (www is not None and www.classification in interesting)
         or (base is not None and base.classification in interesting)
-    ]
-    rows.sort(key=lambda r: r.rank)
-    return rows[:top_n]
+    )
+    return heapq.nsmallest(top_n, rows, key=attrgetter("rank"))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,32 @@ def external_label(external: Mapping[str, bool], domain: str) -> bool | None:
     return value
 
 
+class Agreement:
+    """The running tally of ``compare_external``, one label at a time."""
+
+    def __init__(self, external: Mapping[str, bool]):
+        if not external:
+            raise ValueError("external classification map is empty")
+        self.external = external
+        self.labels = 0
+        # (heuristic, external) -> count, over the labels the external map knows
+        self.confusion = {(h, e): 0 for h in (0, 1) for e in (0, 1)}
+
+    def add(self, label: CdnLabel) -> None:
+        self.labels += 1
+        value = external_label(self.external, label.domain)
+        if value is not None:
+            self.confusion[(int(label.by_chain), int(value))] += 1
+
+    def report(self) -> AgreementReport:
+        if not self.labels:
+            raise ValueError("no labels to compare")
+        matched = sum(self.confusion.values())
+        agreed = self.confusion[(0, 0)] + self.confusion[(1, 1)]
+        agree = Fraction(agreed, matched) if matched else None
+        return AgreementReport(Fraction(matched, self.labels), agree, dict(self.confusion))
+
+
 def compare_external(
     labels: Iterable[CdnLabel], external: Mapping[str, bool]
 ) -> AgreementReport:
@@ -95,25 +121,10 @@ def compare_external(
     subset.  External entries are keyed by domain; a www-prefixed label
     falls back to its base name.
     """
-    if not external:
-        raise ValueError("external classification map is empty")
-    labels = list(labels)
-    if not labels:
-        raise ValueError("no labels to compare")
-    confusion = {(h, e): 0 for h in (0, 1) for e in (0, 1)}
-    matched = 0
-    agreed = 0
+    agreement = Agreement(external)
     for label in labels:
-        value = external_label(external, label.domain)
-        if value is None:
-            continue
-        matched += 1
-        confusion[(int(label.by_chain), int(value))] += 1
-        if label.by_chain == value:
-            agreed += 1
-    coverage = Fraction(matched, len(labels))
-    agree = Fraction(agreed, matched) if matched else None
-    return AgreementReport(coverage, agree, confusion)
+        agreement.add(label)
+    return agreement.report()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import itertools
 import json
 import logging
 import operator
@@ -126,71 +127,83 @@ def _is_a(value: object, hint) -> bool:
 # artifact I/O helpers
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write via a temp file renamed into place: never a partial artifact."""
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[typing.TextIO]:
+    """A text file that replaces ``path`` when the block ends; a fault leaves ``path`` as is."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
+def _write_text(path: Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 _encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _decode_value = json.JSONDecoder().raw_decode
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    _write_text(path, "".join([_encode_row(row) + "\n" for row in rows]))
+def _write_rows(path: Path, rows: Iterable[dict]) -> int:
+    """Write each row as one JSONL line as it comes; returns the row count."""
+    count = 0
+    with _replacing(path) as fh:
+        for count, row in enumerate(rows, 1):
+            fh.write(_encode_row(row) + "\n")
+    return count
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    data = path.read_bytes()
-    try:
-        return _object_lines(data.decode("utf-8"))
-    except ValueError:  # not UTF-8, or a line that is not exactly one object
-        return _read_jsonl_lines(path, data)
+def _jsonl_rows(path: Path) -> Iterator[dict]:
+    """The rows of a JSONL file, read and yielded one line at a time.
 
-
-def _object_lines(text: str) -> list[dict]:
-    """The rows of a text whose every non-empty line is exactly one JSON object.
-
-    Any other line raises ValueError; so does a line that does not parse, and
-    the caller then reads the text again line by line.
+    A line that is exactly one JSON object is decoded in one call; any other
+    line goes to ``_line_row``, so that a fault names its line.
     """
-    rows = []
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        if stop > start:
-            if text[start] != "{":
-                raise ValueError("line does not start an object")
-            row, row_end = _decode_value(text, start)
-            if row_end != stop:
-                raise ValueError("line holds more than one object")
-            rows.append(row)
-        start = stop + 1
-    return rows
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line[:1] == b"{":
+                try:
+                    text = line.decode("utf-8")
+                    row, end = _decode_value(text)
+                except ValueError:  # not UTF-8, or not one JSON value
+                    pass
+                else:
+                    if text[end:] in ("", "\n"):
+                        yield row
+                        continue
+            row = _line_row(path, lineno, line.removesuffix(b"\n"))
+            if row is not None:
+                yield row
 
 
-def _read_jsonl_lines(path: Path, data: bytes) -> list[dict]:
-    """Decode and parse each line on its own, so that a fault names its line."""
-    rows = []
-    for lineno, line in enumerate(data.split(b"\n"), 1):
-        if line.strip():
-            try:
-                row = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # a truncated row or undecodable bytes
-                raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
-            if not isinstance(row, dict):
-                raise DataError(f"{path}:{lineno}: corrupt artifact (row is not an object)")
-            rows.append(row)
-    return rows
+def _line_row(path: Path, lineno: int, line: bytes) -> Optional[dict]:
+    """One line parsed on its own: its row, None if it is blank, or a DataError naming it."""
+    if not line.strip():
+        return None
+    try:
+        row = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # a truncated row or undecodable bytes
+        raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
+    if not isinstance(row, dict):
+        raise DataError(f"{path}:{lineno}: corrupt artifact (row is not an object)")
+    return row
+
+
+_row_order = operator.itemgetter("rank", "variant", "domain")  # of map, validate, classify rows
+
+# The key each JSONL artifact is written in, strictly ascending.
+_ARTIFACT_ORDER = {
+    "resolved.jsonl": operator.itemgetter("rank", "variant", "resolver", "domain"),
+    "pairs.jsonl": _row_order,
+    "validated.jsonl": _row_order,
+    "cdn_labels.jsonl": _row_order,
+}
 
 
 def _artifact(cfg: PipelineConfig, name: str, stage: str):
@@ -198,21 +211,29 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
 
     The call exits 2 when the artifact's stage has not run.  In the ``with``
     block, a bad row is a DataError (exit 3) naming the artifact and its domain;
-    a row's rank, where it has one, is an int >= 1 and its domain is text.
+    a row's rank, where it has one, is an int >= 1 and its domain is text, and
+    rows arrive strictly ascending in the artifact's order.
     """
     path = cfg.out(name)
     if not path.exists():
         raise StageDependencyMissingError(stage, str(path))
+    order = _ARTIFACT_ORDER.get(name)
     row: dict = {}
 
     def rows():
         nonlocal row
-        for row in _read_jsonl(path):
+        last = None
+        for row in _jsonl_rows(path):
             rank = row.get("rank", 1)
             if type(rank) is not int or rank < 1:  # a bool is not a rank
                 raise ValueError(f"rank {rank!r} is not a positive integer")
             if not isinstance(row.get("domain", ""), str):
                 raise TypeError(f"domain {row['domain']!r} is not text")
+            if order is not None:
+                key = order(row)
+                if last is not None and not last < key:
+                    raise ValueError(f"row {key} is out of order or repeated after {last}")
+                last = key
             yield row
         row = {}  # a fault after the last row belongs to no one row
 
@@ -225,9 +246,6 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
             raise DataError(f"{where}: corrupt artifact ({type(exc).__name__}: {exc})") from None
 
     return reading()
-
-
-_row_order = operator.itemgetter("rank", "variant", "domain")  # of map, validate, classify rows
 
 
 def _primary_resolver(cfg: PipelineConfig) -> str:
@@ -321,17 +339,19 @@ def stage_resolve(cfg: PipelineConfig) -> None:
         except ValueError as exc:
             raise UsageError(str(exc))
         labels = [r.resolver_id for r in resolvers]
+        if len(set(labels)) < len(labels):  # a label names its rows in resolved.jsonl
+            raise UsageError(f"resolver labels repeat: {labels}")
     else:
         raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
     primary = cfg.primary_resolver or labels[0]
     if primary not in labels:
         raise UsageError(f"primary resolver {primary!r} not among {labels}")
 
-    tasks = [
+    tasks = (  # in (rank, variant) order, as records ascend by rank and base < www
         (record.rank, rec.variant, rec.name)
         for record in records
         for rec in domain_ingest.expand_variants(record)
-    ]
+    )
     limiter = None if cfg.dns_fixture else _RateLimiter(cfg.resolver_qps)
 
     def resolve_task(task):
@@ -351,29 +371,21 @@ def stage_resolve(cfg: PipelineConfig) -> None:
             out.append((None, res))
         return rank, variant, out
 
-    if cfg.dns_fixture:
-        collected = [resolve_task(t) for t in tasks]
-    else:
-        import concurrent.futures  # live queries wait on the network, so they overlap
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
-            collected = list(pool.map(resolve_task, tasks))
-
-    rows: list[dict] = []
-    for rank, variant, outcomes in collected:
-        results = []
-        for err_key, res in outcomes:
-            if err_key:
-                diag.count(err_key)
-                continue
-            results.append(dns_resolution.apply_filter(res, table, diag))
-        ok = [r for r in results if r.status is dns_resolution.ResolutionStatus.OK]
-        if len(ok) >= 2:
-            agree = dns_resolution.cross_check(ok)
-            diag.count("cross_check_agree" if agree else "cross_check_disagree")
-        for res in results:
-            rows.append(
-                {
+    def resolved_rows(collected):
+        """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task."""
+        for rank, variant, outcomes in collected:
+            results = []
+            for err_key, res in outcomes:
+                if err_key:
+                    diag.count(err_key)
+                    continue
+                results.append(dns_resolution.apply_filter(res, table, diag))
+            ok = [r for r in results if r.status is dns_resolution.ResolutionStatus.OK]
+            if len(ok) >= 2:
+                agree = dns_resolution.cross_check(ok)
+                diag.count("cross_check_agree" if agree else "cross_check_disagree")
+            for res in sorted(results, key=operator.attrgetter("resolver_id", "domain")):
+                yield {
                     "rank": rank,
                     "domain": res.domain,
                     "variant": variant.value,
@@ -383,19 +395,29 @@ def stage_resolve(cfg: PipelineConfig) -> None:
                     "status": res.status.value,
                     "ts": res.observed_at,
                 }
-            )
 
-    if not rows:
-        raise DataError("resolve produced zero resolution rows")
-    rows.sort(key=lambda r: (r["rank"], r["variant"], r["resolver"], r["domain"]))
-    _write_jsonl(cfg.out("resolved.jsonl"), rows)
+    def write(collected) -> int:
+        rows = resolved_rows(collected)
+        first = next(rows, None)
+        if first is None:
+            raise DataError("resolve produced zero resolution rows")
+        return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
+
+    if cfg.dns_fixture:
+        count = write(map(resolve_task, tasks))
+    else:
+        import concurrent.futures  # live queries wait on the network, so they overlap
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
+            count = write(pool.map(resolve_task, tasks))
+
     _write_text(
         cfg.out("resolve_meta.json"),
         json.dumps({"primary_resolver": primary, "resolvers": labels}, sort_keys=True)
         + "\n",
     )
     _write_diag(cfg, "resolve", diag)
-    log.info("resolve: %d rows from %d domains", len(rows), len(records))
+    log.info("resolve: %d rows from %d domains", count, len(records))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +454,7 @@ def stage_map(cfg: PipelineConfig) -> None:
     if len(trie) == 0 and trie.as_set_count == 0:
         raise DataError("RIB sources contained zero usable entries")
 
-    rows = []
-    with resolved as resolved_rows:
+    def pair_rows(resolved_rows):
         for row in resolved_rows:
             if row["resolver"] != primary:
                 continue
@@ -446,22 +467,21 @@ def stage_map(cfg: PipelineConfig) -> None:
                 else:
                     unreachable.append(addr_text)
                     diag.count("unreachable_addresses")
-            rows.append(
-                {
-                    "rank": row["rank"],
-                    "domain": row["domain"],
-                    "variant": row["variant"],
-                    "pairs": [
-                        {"prefix": p.text, "asn": p.origin_asn}
-                        for p in sorted(pairs, key=operator.attrgetter("key"))
-                    ],
-                    "unreachable": sorted(unreachable),
-                }
-            )
-        rows.sort(key=_row_order)
-    _write_jsonl(cfg.out("pairs.jsonl"), rows)
+            yield {
+                "rank": row["rank"],
+                "domain": row["domain"],
+                "variant": row["variant"],
+                "pairs": [
+                    {"prefix": p.text, "asn": p.origin_asn}
+                    for p in sorted(pairs, key=operator.attrgetter("key"))
+                ],
+                "unreachable": sorted(unreachable),
+            }
+
+    with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order
+        count = _write_rows(cfg.out("pairs.jsonl"), pair_rows(resolved_rows))
     _write_diag(cfg, "map", diag)
-    log.info("map: %d rows against %d prefix-origin pairs", len(rows), len(trie))
+    log.info("map: %d rows against %d prefix-origin pairs", count, len(trie))
 
 
 # ---------------------------------------------------------------------------
@@ -494,31 +514,29 @@ def stage_validate(cfg: PipelineConfig) -> None:
     def state_of(prefix: str, asn: int) -> ValidationState:
         return roa_validation.validate(PrefixOriginPair(parse_prefix(prefix), asn, prefix), index)
 
-    rows = []
-    with pairs as pair_rows:
+    def validated_rows(pair_rows):
         for row in pair_rows:
             # map wrote the pairs sorted and distinct, so their order is kept
             states = {
                 (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
             }
             coverage = analytics.domain_coverage(row["domain"], states.items())
-            rows.append(
-                {
-                    "rank": row["rank"],
-                    "domain": row["domain"],
-                    "variant": row["variant"],
-                    "pairs": [
-                        {"prefix": prefix, "asn": asn, "state": state.value}
-                        for (prefix, asn), state in states.items()
-                    ],
-                    "covered": analytics.fraction_to_float(coverage.covered_fraction),
-                    "class": coverage.classification.value,
-                }
-            )
-        rows.sort(key=_row_order)
-    _write_jsonl(cfg.out("validated.jsonl"), rows)
+            yield {
+                "rank": row["rank"],
+                "domain": row["domain"],
+                "variant": row["variant"],
+                "pairs": [
+                    {"prefix": prefix, "asn": asn, "state": state.value}
+                    for (prefix, asn), state in states.items()
+                ],
+                "covered": analytics.fraction_to_float(coverage.covered_fraction),
+                "class": coverage.classification.value,
+            }
+
+    with pairs as pair_rows:
+        count = _write_rows(cfg.out("validated.jsonl"), validated_rows(pair_rows))
     _write_diag(cfg, "validate", diag)
-    log.info("validate: %d rows against %d ROAs", len(rows), len(roas))
+    log.info("validate: %d rows against %d ROAs", count, len(roas))
 
 
 # ---------------------------------------------------------------------------
@@ -547,43 +565,44 @@ def stage_classify(cfg: PipelineConfig) -> None:
             _read_text(cfg.external_labels, "external labels"), diag
         )
 
-    with pairs as pair_rows:
-        origins_by_key = {
-            (row["rank"], row["domain"]): [p["asn"] for p in row["pairs"]] for row in pair_rows
-        }
+    agreement = cdn_classifier.Agreement(external) if external else None
+    origins = _origins(pairs)
 
-    labels = []
-    rows = []
-    with resolved as resolved_rows:
+    def label_rows(resolved_rows):
+        """The primary resolver's OK rows, joined in step with pairs.jsonl's rows."""
+        key, asns = next(origins, (None, ()))
         for row in resolved_rows:
             if row["resolver"] != primary or row["status"] != ResolutionStatus.OK.value:
                 continue
+            here = _row_order(row)
+            while key is not None and key < here:
+                key, asns = next(origins, (None, ()))
             chain_length = len(row["cnames"])
             label = cdn_classifier.CdnLabel(
                 row["domain"],
                 chain_length,
                 chain_length >= cdn_classifier.CHAIN_THRESHOLD,
-                by_asn=cdn_classifier.classify_by_asn(
-                    origins_by_key.get((row["rank"], row["domain"]), ()), cdn_asns
-                ),
+                by_asn=cdn_classifier.classify_by_asn(asns if key == here else (), cdn_asns),
             )
             label.external = cdn_classifier.external_label(external, label.domain)
-            labels.append(label)
-            rows.append(
-                {
-                    "rank": row["rank"],
-                    "domain": label.domain,
-                    "variant": row["variant"],
-                    "chain_length": label.chain_length,
-                    "by_chain": label.by_chain,
-                    "by_asn": label.by_asn,
-                    "external": label.external,
-                }
-            )
-        rows.sort(key=_row_order)
-    _write_jsonl(cfg.out("cdn_labels.jsonl"), rows)
-    if external and labels:
-        report = cdn_classifier.compare_external(labels, external)
+            if agreement is not None:
+                agreement.add(label)
+            yield {
+                "rank": row["rank"],
+                "domain": label.domain,
+                "variant": row["variant"],
+                "chain_length": label.chain_length,
+                "by_chain": label.by_chain,
+                "by_asn": label.by_asn,
+                "external": label.external,
+            }
+        for _ in origins:  # the rows no label joins are still read and checked
+            pass
+
+    with resolved as resolved_rows:
+        count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
+    if agreement is not None and count:
+        report = agreement.report()
         _write_text(
             cfg.out("agreement.json"),
             json.dumps(
@@ -602,7 +621,14 @@ def stage_classify(cfg: PipelineConfig) -> None:
             + "\n",
         )
     _write_diag(cfg, "classify", diag)
-    log.info("classify: %d labels, %d CDN ASes spotted", len(rows), len(cdn_asns))
+    log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))
+
+
+def _origins(pairs) -> Iterator[tuple[tuple, list[int]]]:
+    """Each pairs.jsonl row's order key and origin ASNs; a bad row names pairs.jsonl."""
+    with pairs as pair_rows:
+        for row in pair_rows:
+            yield _row_order(row), [p["asn"] for p in row["pairs"]]
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +646,14 @@ def _coverages(
     for row in validated_rows:
         states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
         yield row, row["rank"], Variant(row["variant"]), domain_coverage(row["domain"], states)
+
+
+def _ranks(validated_rows: Iterable[dict]):
+    """The rows of validated.jsonl grouped by rank, as ``(rank, rows of _coverages)``.
+
+    Each row is read as its group is iterated, so a fault in it names that row.
+    """
+    return itertools.groupby(_coverages(validated_rows), key=operator.itemgetter(1))
 
 
 def _bin_csv(stats: list[BinStat]) -> str:
@@ -664,47 +698,50 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     validated = _artifact(cfg, "validated.jsonl", "validate")
     labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
-
-    coverages: dict[Variant, list[tuple[int, DomainCoverage]]] = {v: [] for v in Variant}
-    prefixes: dict[tuple[int, Variant], set[str]] = {}
-    base_names: dict[int, str] = {}
-    with validated as validated_rows:
-        for row, rank, variant, coverage in _coverages(validated_rows):
-            coverages[variant].append((rank, coverage))
-            prefixes[(rank, variant)] = {p["prefix"] for p in row["pairs"]}
-            if variant is Variant.BASE:
-                base_names[rank] = row["domain"]
-    if not prefixes:
-        raise DataError("validated.jsonl holds zero rows")
     with labels as label_rows:
         by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
 
-    max_rank = max(rank for rank, _ in prefixes)
-    bins = make_bins(max_rank, cfg.bin_size)
+    coverages: dict[Variant, list[tuple[int, DomainCoverage]]] = {v: [] for v in Variant}
+    max_rank = 0
+    overlap_sum, overlap_count = 0, 0
 
+    def overlap_lines(validated_rows):
+        """overlap.csv, one line per rank with a base row, as the ranks stream past."""
+        nonlocal max_rank, overlap_sum, overlap_count
+        yield "rank,domain,overlap\n"
+        for rank, rows in _ranks(validated_rows):
+            max_rank = rank
+            prefixes: dict[Variant, set[str]] = {}
+            name = None
+            for row, _, variant, coverage in rows:
+                coverages[variant].append((rank, coverage))
+                prefixes[variant] = {p["prefix"] for p in row["pairs"]}
+                if variant is Variant.BASE:
+                    name = row["domain"]
+            if name is None:
+                continue
+            stat = analytics.prefix_overlap(
+                name, prefixes.get(Variant.WWW, ()), prefixes.get(Variant.BASE, ())
+            )
+            yield f"{rank},{name},{analytics.format_fraction(stat.overlap)}\n"
+            if stat.overlap is not None:
+                overlap_sum += stat.overlap
+                overlap_count += 1
+        if not max_rank:
+            raise DataError("validated.jsonl holds zero rows")
+
+    with validated as validated_rows, _replacing(cfg.out("overlap.csv")) as fh:
+        fh.writelines(overlap_lines(validated_rows))
+
+    bins = make_bins(max_rank, cfg.bin_size)
     summary: dict[str, dict] = {}
     for variant, series in coverages.items():
         cdn_series, all_series = analytics.cdn_conditional_rates(series, by_chain, bins)
         _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(all_series))
         _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_series))
         summary[variant.value] = _rates_obj(analytics.overall_rates([c for _, c in series]))
-
-    overlap_lines = ["rank,domain,overlap"]
-    mean_parts = []
-    for rank in sorted(base_names):
-        name = base_names[rank]
-        stat = analytics.prefix_overlap(
-            name,
-            prefixes.get((rank, Variant.WWW), set()),
-            prefixes.get((rank, Variant.BASE), set()),
-        )
-        overlap_lines.append(f"{rank},{name},{analytics.format_fraction(stat.overlap)}")
-        if stat.overlap is not None:
-            mean_parts.append(stat.overlap)
-    _write_text(cfg.out("overlap.csv"), "\n".join(overlap_lines) + "\n")
-
     summary["overlap_mean"] = analytics.fraction_to_float(
-        sum(mean_parts) / len(mean_parts) if mean_parts else None
+        overlap_sum / overlap_count if overlap_count else None
     )
     _write_text(cfg.out("summary.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write_diag(cfg, "analyze", diag)
@@ -719,21 +756,21 @@ def stage_report(cfg: PipelineConfig) -> None:
     from . import analytics
     from .domain_ingest import Variant
 
-    validated = _artifact(cfg, "validated.jsonl", "validate")
-    per_rank: dict[int, dict[Variant, DomainCoverage]] = {}
-    names: dict[int, str] = {}
-    with validated as validated_rows:
-        for row, rank, variant, coverage in _coverages(validated_rows):
-            per_rank.setdefault(rank, {})[variant] = coverage
-            if variant is Variant.BASE:
-                names[rank] = row["domain"]
-            else:
-                names.setdefault(rank, row["domain"].removeprefix("www."))
-    inputs = [
-        (rank, names[rank], per_rank[rank].get(Variant.WWW), per_rank[rank].get(Variant.BASE))
-        for rank in sorted(per_rank)
-    ]
-    rows = analytics.coverage_report(inputs, cfg.top_n)
+    def report_inputs(validated_rows):
+        """(rank, base name, www coverage, base coverage) of each rank, one rank at a time."""
+        for rank, rows in _ranks(validated_rows):
+            by_variant: dict[Variant, DomainCoverage] = {}
+            name = None
+            for row, _, variant, coverage in rows:  # a rank's base rows come before its www
+                by_variant[variant] = coverage
+                if variant is Variant.BASE:
+                    name = row["domain"]
+                elif name is None:
+                    name = row["domain"].removeprefix("www.")
+            yield rank, name, by_variant.get(Variant.WWW), by_variant.get(Variant.BASE)
+
+    with _artifact(cfg, "validated.jsonl", "validate") as validated_rows:
+        rows = analytics.coverage_report(report_inputs(validated_rows), cfg.top_n)
 
     width_name = max([len(r.domain) for r in rows], default=6)
     width_www = max([len(r.www_cell) for r in rows], default=3)

@@ -1,10 +1,12 @@
 import gzip
 import ipaddress
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -430,12 +432,125 @@ class TestLiveResolvePath:
         ]
         assert rows[1]["cnames"] == ["edge.live.test", "pop.live.test"]
 
+    def test_output_does_not_depend_on_resolver_flag_order(self, tmp_path, monkeypatch):
+        from dns_fake import FakeDnsServer
+        from rpkiaudit import dns_resolution
+
+        monkeypatch.setattr(dns_resolution.time, "time", lambda: 1_700_000_000)  # fixed "ts"
+        server = FakeDnsServer(
+            {
+                "one.test": {"a": ["93.184.216.34"]},
+                "www.one.test": {"cname": "edge.one.test"},
+                "edge.one.test": {"a": ["93.184.216.35"], "aaaa": ["2001:db8::1"]},
+                "two.test": {"aaaa": ["2001:db8::2"]},
+            }
+        )
+        server.start()
+        try:
+            domains = tmp_path / "domains.csv"
+            domains.write_text("1,one.test\n2,two.test\n")
+            outputs = []
+            for labels in (["alpha", "beta"], ["beta", "alpha"]):
+                out = tmp_path / "-".join(labels)
+                cfg = PipelineConfig(
+                    domain_list=str(domains),
+                    resolvers=[f"{label}=127.0.0.1:{server.port}" for label in labels],
+                    primary_resolver="alpha",
+                    timeout=2.0,
+                    max_inflight=4,
+                    output_dir=str(out),
+                )
+                assert run_stage("resolve", cfg) == 0
+                outputs.append(read(out / "resolved.jsonl"))
+        finally:
+            server.stop()
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in outputs[0].splitlines()]
+        assert [(r["rank"], r["variant"], r["resolver"]) for r in rows[:4]] == [
+            (1, "base", "alpha"), (1, "base", "beta"), (1, "www", "alpha"), (1, "www", "beta"),
+        ]
+
+    def test_repeated_resolver_label_is_usage_error(self, tmp_path):
+        domains = tmp_path / "domains.csv"
+        domains.write_text("1,x.test\n")
+        cfg = PipelineConfig(
+            domain_list=str(domains),
+            resolvers=["a=127.0.0.1:5353", "a=127.0.0.2:5353"],
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(UsageError, match="repeat"):
+            run_stage("resolve", cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_no_fixture_and_no_resolvers_is_usage_error(self, tmp_path):
         domains = tmp_path / "domains.csv"
         domains.write_text("1,x.test\n")
         cfg = PipelineConfig(domain_list=str(domains), output_dir=str(tmp_path / "out"))
         with pytest.raises(UsageError):
             run_stage("resolve", cfg)
+
+
+class TestClassifyJoin:
+    def test_labels_equal_a_dict_join_when_either_side_lacks_rows(self, e2e_output, tmp_path):
+        from rpkiaudit import cdn_classifier
+
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "resolve_meta.json", out)
+        resolved = [json.loads(line) for line in read(e2e_output / "resolved.jsonl").splitlines()]
+        pairs = [json.loads(line) for line in read(e2e_output / "pairs.jsonl").splitlines()]
+        resolved = [row for i, row in enumerate(resolved) if i % 5]  # rows pairs.jsonl has
+        pairs = [row for i, row in enumerate(pairs) if i % 3]  # rows resolved.jsonl has
+        for name, rows in (("resolved.jsonl", resolved), ("pairs.jsonl", pairs)):
+            (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert run_stage("classify", e2e_config(out)) == 0
+
+        registry = cdn_classifier.parse_as_registry((E2E_DIR / "as_registry.txt").read_text())
+        cdn_asns = cdn_classifier.spot_keywords(cdn_classifier.load_keywords(), registry)
+        origins = {(row["rank"], row["domain"]): {p["asn"] for p in row["pairs"]} for row in pairs}
+        labels = [json.loads(line) for line in read(out / "cdn_labels.jsonl").splitlines()]
+        assert [(r["rank"], r["domain"]) for r in labels] == [
+            (r["rank"], r["domain"]) for r in resolved
+            if r["resolver"] == "fixture" and r["status"] == "ok"
+        ]
+        expected = [bool(cdn_asns & origins.get((r["rank"], r["domain"]), set())) for r in labels]
+        assert [r["by_asn"] for r in labels] == expected
+        assert any(expected)
+        assert any((r["rank"], r["domain"]) not in origins for r in labels)
+
+
+def resolved_rows_like_e2e(e2e_output, count):
+    """``count`` resolved.jsonl rows: the e2e rows repeated at ever higher ranks."""
+    rows = [json.loads(line) for line in read(e2e_output / "resolved.jsonl").splitlines()]
+    span = rows[-1]["rank"]
+    copies = (dict(row, rank=row["rank"] + span * n) for n in itertools.count() for row in rows)
+    return "".join(json.dumps(row) + "\n" for row in itertools.islice(copies, count))
+
+
+def traced_peak(stage, cfg):
+    """The peak bytes Python allocated while the stage ran."""
+    tracemalloc.start()
+    try:
+        stage(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedMemory:
+    def test_map_and_validate_peaks_do_not_grow_with_rows(self, e2e_output, tmp_path):
+        peaks = {}
+        for count in (2000, 8000):
+            out = tmp_path / str(count)
+            out.mkdir()
+            shutil.copy(e2e_output / "resolve_meta.json", out)
+            (out / "resolved.jsonl").write_text(resolved_rows_like_e2e(e2e_output, count))
+            cfg = e2e_config(out).validated()
+            stages = (cli.stage_map, cli.stage_validate)
+            peaks[count] = [traced_peak(stage, cfg) for stage in stages]
+            assert len(read(out / "validated.jsonl").splitlines()) > count // 3
+        for small, large in zip(peaks[2000], peaks[8000]):
+            assert large < 1.25 * small, peaks
 
 
 class TestMrtInputPath:
@@ -486,6 +601,96 @@ def run_cli(*args):
         [sys.executable, "-m", "rpkiaudit", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+# (stage, artifact, damage to one row of the artifact): each exits 3 and names the row
+ROW_DAMAGE = [
+    ("map", "resolve_meta.json", lambda row: {}),
+    ("map", "resolve_meta.json", lambda row: [row]),
+    ("map", "resolve_meta.json", lambda row: dict(row, primary_resolver=5)),
+    ("classify", "resolve_meta.json", lambda row: dict(row, primary_resolver="nope")),
+    ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
+    ("map", "resolved.jsonl", lambda row: [1, 2]),
+    ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
+    ("map", "resolved.jsonl", lambda row: dict(row, addresses=[5])),
+    ("map", "resolved.jsonl", lambda row: dict(row, addresses=[None])),
+    ("map", "resolved.jsonl", lambda row: dict(row, rank=-3)),
+    ("map", "resolved.jsonl", lambda row: dict(row, domain=5)),
+    ("validate", "pairs.jsonl", lambda row: without(row, "domain")),
+    ("validate", "pairs.jsonl", lambda row: without(row, "rank")),
+    ("validate", "pairs.jsonl", lambda row: without(row, "variant")),
+    ("classify", "pairs.jsonl", lambda row: without(row, "domain")),
+    ("classify", "resolved.jsonl", lambda row: without(row, "cnames")),
+    ("classify", "resolved.jsonl", lambda row: without(row, "status")),
+    ("classify", "resolved.jsonl", lambda row: without(row, "domain")),
+    ("classify", "resolved.jsonl", lambda row: dict(row, cnames=5)),
+    ("classify", "resolved.jsonl", lambda row: dict(row, domain=5)),
+    ("analyze", "cdn_labels.jsonl", lambda row: without(row, "by_chain")),
+    ("analyze", "validated.jsonl", lambda row: without(row, "domain")),
+    ("analyze", "validated.jsonl", lambda row: without(row, "rank")),
+    ("analyze", "validated.jsonl", lambda row: dict(row, variant="foo")),
+    ("analyze", "validated.jsonl", lambda row: dict(row, pairs=5)),
+    ("analyze", "validated.jsonl", lambda row: dict(row, rank="x")),
+    ("analyze", "validated.jsonl", lambda row: dict(row, rank=0)),
+    ("analyze", "validated.jsonl", lambda row: dict(row, rank=True)),
+    ("report", "validated.jsonl", lambda row: without(row, "rank")),
+    ("report", "validated.jsonl", lambda row: without(row, "domain")),
+    ("report", "validated.jsonl", lambda row: dict(row, pairs=5)),
+    ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
+    ("report", "validated.jsonl", lambda row: dict(row, domain=5)),
+    ("report", "validated.jsonl", lambda row: dict(row, domain=5, variant="www")),
+]
+ROW_DAMAGE_IDS = [
+    "meta_empty", "meta_not_object", "meta_primary_unlisted",
+    "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
+    "bad_address", "int_address", "null_address", "resolved_rank_negative",
+    "resolved_domain_int",
+    "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
+    "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",
+    "resolved_no_domain", "resolved_cnames_int", "resolved_domain_int_classify",
+    "labels_no_by_chain",
+    "validated_no_domain", "validated_no_rank", "validated_bad_variant",
+    "validated_pairs_int", "validated_rank_text", "validated_rank_zero",
+    "validated_rank_bool", "report_no_rank", "report_no_domain", "report_pairs_int",
+    "report_bad_variant", "report_domain_int", "report_www_domain_int",
+]
+
+# stage -> (the artifacts it reads, the input flags it needs)
+STAGE_IO = {
+    "map": (["resolved.jsonl", "resolve_meta.json"], ["--rib", E2E_DIR / "rib.txt"]),
+    "validate": (["pairs.jsonl"], ["--roas", E2E_DIR / "roas.csv"]),
+    "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
+                 ["--as-registry", E2E_DIR / "as_registry.txt"]),
+    "analyze": (["validated.jsonl", "cdn_labels.jsonl"], []),
+    "report": (["validated.jsonl"], []),
+}
+
+
+def exits_3_on_damaged_row(e2e_output, tmp_path, stage, artifact, damage, first):
+    """Damage the first or last full row of an artifact and run the stage on it.
+
+    The stage must exit 3 naming the artifact and the row's domain, and leave
+    nothing in its output directory but its inputs: no artifact, no temp file.
+    """
+    needs, inputs = STAGE_IO[stage]
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in needs:
+        shutil.copy(e2e_output / name, out)
+    rows = [json.loads(line) for line in read(e2e_output / artifact).splitlines()]
+    # a row the stage reads in full: the primary resolver's, with addresses
+    full = [i for i, r in enumerate(rows)
+            if r.get("resolver", "fixture") == "fixture" and r.get("addresses", True)]
+    at = full[0] if first else full[-1]
+    rows[at] = damage(rows[at])
+    (out / artifact).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    result = run_cli(stage, *inputs, "--output-dir", out)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert artifact in result.stderr
+    if isinstance(rows[at], dict) and "domain" in rows[at]:
+        assert str(rows[at]["domain"]) in result.stderr
+    assert sorted(p.name for p in out.iterdir()) == sorted(needs)
 
 
 class TestCorruptInputs:
@@ -619,84 +824,41 @@ class TestCorruptInputs:
         assert "Traceback" not in result.stderr
         assert str(bad) in result.stderr
 
-    @pytest.mark.parametrize(
-        "stage, artifact, damage",
-        [
-            ("map", "resolve_meta.json", lambda row: {}),
-            ("map", "resolve_meta.json", lambda row: [row]),
-            ("map", "resolve_meta.json", lambda row: dict(row, primary_resolver=5)),
-            ("classify", "resolve_meta.json", lambda row: dict(row, primary_resolver="nope")),
-            ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
-            ("map", "resolved.jsonl", lambda row: [1, 2]),
-            ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
-            ("map", "resolved.jsonl", lambda row: dict(row, addresses=[5])),
-            ("map", "resolved.jsonl", lambda row: dict(row, addresses=[None])),
-            ("map", "resolved.jsonl", lambda row: dict(row, rank=-3)),
-            ("map", "resolved.jsonl", lambda row: dict(row, domain=5)),
-            ("validate", "pairs.jsonl", lambda row: without(row, "domain")),
-            ("validate", "pairs.jsonl", lambda row: without(row, "rank")),
-            ("validate", "pairs.jsonl", lambda row: without(row, "variant")),
-            ("classify", "pairs.jsonl", lambda row: without(row, "domain")),
-            ("classify", "resolved.jsonl", lambda row: without(row, "cnames")),
-            ("classify", "resolved.jsonl", lambda row: without(row, "status")),
-            ("classify", "resolved.jsonl", lambda row: without(row, "domain")),
-            ("classify", "resolved.jsonl", lambda row: dict(row, cnames=5)),
-            ("classify", "resolved.jsonl", lambda row: dict(row, domain=5)),
-            ("analyze", "cdn_labels.jsonl", lambda row: without(row, "by_chain")),
-            ("analyze", "validated.jsonl", lambda row: without(row, "domain")),
-            ("analyze", "validated.jsonl", lambda row: without(row, "rank")),
-            ("analyze", "validated.jsonl", lambda row: dict(row, variant="foo")),
-            ("analyze", "validated.jsonl", lambda row: dict(row, pairs=5)),
-            ("analyze", "validated.jsonl", lambda row: dict(row, rank="x")),
-            ("analyze", "validated.jsonl", lambda row: dict(row, rank=0)),
-            ("analyze", "validated.jsonl", lambda row: dict(row, rank=True)),
-            ("report", "validated.jsonl", lambda row: without(row, "rank")),
-            ("report", "validated.jsonl", lambda row: without(row, "domain")),
-            ("report", "validated.jsonl", lambda row: dict(row, pairs=5)),
-            ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
-            ("report", "validated.jsonl", lambda row: dict(row, domain=5)),
-            ("report", "validated.jsonl", lambda row: dict(row, domain=5, variant="www")),
-        ],
-        ids=["meta_empty", "meta_not_object", "meta_primary_unlisted",
-             "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
-             "bad_address", "int_address", "null_address", "resolved_rank_negative",
-             "resolved_domain_int",
-             "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
-             "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",
-             "resolved_no_domain", "resolved_cnames_int", "resolved_domain_int_classify",
-             "labels_no_by_chain",
-             "validated_no_domain", "validated_no_rank", "validated_bad_variant",
-             "validated_pairs_int", "validated_rank_text", "validated_rank_zero",
-             "validated_rank_bool", "report_no_rank", "report_no_domain", "report_pairs_int",
-             "report_bad_variant", "report_domain_int", "report_www_domain_int"],
-    )
+    @pytest.mark.parametrize("stage, artifact, damage", ROW_DAMAGE, ids=ROW_DAMAGE_IDS)
     def test_malformed_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
-        needs, output, inputs = {
-            "map": (["resolved.jsonl", "resolve_meta.json"], "pairs.jsonl",
-                    ["--rib", E2E_DIR / "rib.txt"]),
-            "validate": (["pairs.jsonl"], "validated.jsonl", ["--roas", E2E_DIR / "roas.csv"]),
-            "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
-                         "cdn_labels.jsonl", ["--as-registry", E2E_DIR / "as_registry.txt"]),
-            "analyze": (["validated.jsonl", "cdn_labels.jsonl"], "summary.json", []),
-            "report": (["validated.jsonl"], "report.txt", []),
-        }[stage]
+        exits_3_on_damaged_row(e2e_output, tmp_path, stage, artifact, damage, first=True)
+
+    @pytest.mark.parametrize("stage, artifact, damage", ROW_DAMAGE, ids=ROW_DAMAGE_IDS)
+    def test_malformed_last_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
+        # the rows before it have already been streamed to the stage's temp file
+        exits_3_on_damaged_row(e2e_output, tmp_path, stage, artifact, damage, first=False)
+
+    @pytest.mark.parametrize("stage, artifact", [
+        ("map", "resolved.jsonl"), ("validate", "pairs.jsonl"), ("classify", "resolved.jsonl"),
+        ("classify", "pairs.jsonl"), ("analyze", "validated.jsonl"),
+        ("analyze", "cdn_labels.jsonl"), ("report", "validated.jsonl"),
+    ])
+    @pytest.mark.parametrize("damage", ["swapped", "repeated"])
+    def test_artifact_rows_out_of_order_are_3(self, e2e_output, tmp_path, stage, artifact, damage):
+        needs, inputs = STAGE_IO[stage]
         out = tmp_path / "out"
         out.mkdir()
         for name in needs:
             shutil.copy(e2e_output / name, out)
-        rows = [json.loads(line) for line in read(e2e_output / artifact).splitlines()]
-        # a row the stage reads in full: the primary resolver's, with addresses
-        at = next(i for i, r in enumerate(rows)
-                  if r.get("resolver", "fixture") == "fixture" and r.get("addresses", True))
-        rows[at] = damage(rows[at])
-        (out / artifact).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        lines = read(e2e_output / artifact).splitlines(keepends=True)
+        at = len(lines) // 2
+        if damage == "swapped":
+            lines[at], lines[at + 1] = lines[at + 1], lines[at]
+        else:
+            lines.insert(at + 1, lines[at])
+        (out / artifact).write_bytes(b"".join(lines))
         result = run_cli(stage, *inputs, "--output-dir", out)
         assert result.returncode == 3
         assert "Traceback" not in result.stderr
         assert artifact in result.stderr
-        if isinstance(rows[at], dict) and "domain" in rows[at]:
-            assert str(rows[at]["domain"]) in result.stderr
-        assert not (out / output).exists()
+        assert "out of order or repeated" in result.stderr
+        assert json.loads(lines[at + 1])["domain"] in result.stderr  # the row out of place
+        assert sorted(p.name for p in out.iterdir()) == sorted(needs)
 
     @pytest.mark.parametrize("text", ["", "# comments only\n\n   # and blanks\n"])
     def test_keyword_file_without_tokens_is_3(self, e2e_output, tmp_path, text):
@@ -724,6 +886,20 @@ class TestCorruptInputs:
             _write_text(path, "half written \ud800")  # fails mid-write
         assert path.read_text() == "complete\n"
         assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+
+        rows_path = tmp_path / "artifact.jsonl"
+        assert cli._write_rows(rows_path, ({"n": n} for n in range(3))) == 3
+
+        def rows():
+            for n in range(6):
+                if n == 3:
+                    raise DataError("a fault halfway through the rows")
+                yield {"n": n}
+
+        with pytest.raises(DataError):
+            cli._write_rows(rows_path, rows())
+        assert rows_path.read_text() == '{"n":0}\n{"n":1}\n{"n":2}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.jsonl", "artifact.txt"]
 
 
 def read_jsonl_by_line(path):
@@ -774,14 +950,18 @@ JSONL_CASES = {
 }
 
 
+def read_jsonl(path):
+    return list(cli._jsonl_rows(path))
+
+
 class TestJsonlReader:
-    """The one-pass reader returns what the per-line loop returns, or raises its text."""
+    """The streamed reader yields what the per-line loop returns, or raises its text."""
 
     @pytest.mark.parametrize("case", sorted(JSONL_CASES))
     def test_matches_the_per_line_loop(self, tmp_path, case):
         path = tmp_path / "artifact.jsonl"
         path.write_bytes(JSONL_CASES[case])
-        assert outcome(cli._read_jsonl, path) == outcome(read_jsonl_by_line, path)
+        assert outcome(read_jsonl, path) == outcome(read_jsonl_by_line, path)
 
     @given(
         st.lists(
@@ -796,13 +976,22 @@ class TestJsonlReader:
     def test_random_line_mixes_match_the_per_line_loop(self, tmp_path_factory, lines, final):
         path = tmp_path_factory.mktemp("jsonl") / "artifact.jsonl"
         path.write_bytes(("\n".join(lines) + ("\n" if final else "")).encode("utf-8"))
-        assert outcome(cli._read_jsonl, path) == outcome(read_jsonl_by_line, path)
+        assert outcome(read_jsonl, path) == outcome(read_jsonl_by_line, path)
 
     def test_artifacts_are_read_in_one_pass(self, e2e_output, monkeypatch):
-        def refuse(path, data):
-            raise AssertionError(f"{path} fell back to the per-line loop")
+        def refuse(path, lineno, line):
+            raise AssertionError(f"{path}:{lineno} fell back to the per-line parse")
 
-        monkeypatch.setattr(cli, "_read_jsonl_lines", refuse)
+        monkeypatch.setattr(cli, "_line_row", refuse)
         for name in ("resolved.jsonl", "pairs.jsonl", "validated.jsonl", "cdn_labels.jsonl"):
             path = e2e_output / name
-            assert cli._read_jsonl(path) == read_jsonl_by_line(path), name
+            assert read_jsonl(path) == read_jsonl_by_line(path), name
+
+    def test_rows_before_a_corrupt_line_are_yielded_first(self, tmp_path):
+        path = tmp_path / "artifact.jsonl"
+        path.write_bytes(b'{"a":1}\n{"b":2}\n{"c":')
+        rows = cli._jsonl_rows(path)
+        assert next(rows) == {"a": 1}
+        assert next(rows) == {"b": 2}
+        with pytest.raises(DataError, match="artifact.jsonl:3: corrupt artifact"):
+            next(rows)
