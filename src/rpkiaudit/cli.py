@@ -11,6 +11,7 @@ dependency, 3 data error (inputs parsed but nothing usable).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import gc
@@ -32,7 +33,6 @@ from .errors import (
     AuditError,
     ChainLoopError,
     DataError,
-    FixtureMissError,
     MissingInputError,
     StageDependencyMissingError,
     UsageError,
@@ -269,13 +269,41 @@ def _require_file(path: Optional[str], what: str) -> Path:
     return p
 
 
+def _not_utf8(
+    path: Optional[str], what: str, exc: UnicodeDecodeError, offset: int = 0
+) -> DataError:
+    """The error for undecodable bytes at ``exc``'s positions, ``offset`` bytes into the file.
+
+    Its text is that of decoding the whole file at once.
+    """
+    start = offset + exc.start
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{offset + exc.end - 1}"
+    reason = f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+    return DataError(f"{path}: {what} is not UTF-8 text ({reason})")
+
+
 def _read_text(path: Optional[str], what: str) -> str:
     """The text of an input file; bytes that are not UTF-8 raise DataError."""
     data = _require_file(path, what).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {what} is not UTF-8 text ({exc})")
+        raise _not_utf8(path, what, exc) from None
+
+
+def _text_lines(path: str, what: str) -> Iterator[str]:
+    """The lines of an input file, read and decoded one at a time, each with its newline.
+
+    Bytes that are not UTF-8 raise the DataError ``_read_text`` raises for the whole file.
+    """
+    with open(path, "rb") as fh:
+        try:
+            yield from map(bytes.decode, fh)
+        except UnicodeDecodeError as exc:  # in the line that ends where fh now is
+            raise _not_utf8(path, what, exc, fh.tell() - len(exc.object)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +335,24 @@ class _RateLimiter:
             time.sleep(slot - now)
 
 
+def _in_order(pool, fn, items: Iterable, window: int) -> Iterator:
+    """``fn`` over ``items`` on ``pool``, in order; at most ``window`` calls are not yet yielded.
+
+    ``Executor.map`` would submit a call for every item at once.
+    """
+    pending: collections.deque = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def stage_resolve(cfg: PipelineConfig) -> None:
     from . import dns_resolution, domain_ingest
     from ._prefix_index import format_address
@@ -327,49 +373,48 @@ def stage_resolve(cfg: PipelineConfig) -> None:
     else:
         table = dns_resolution.SpecialPurposeTable.default()
 
-    if cfg.dns_fixture:
-        fixture = dns_resolution.DnsFixture.load(_read_text(cfg.dns_fixture, "DNS fixture"), diag)
-        labels = fixture.resolver_ids()
+    def tasks():  # in (rank, variant) order, as records ascend by rank and base < www
+        return (
+            (record.rank, rec.variant, rec.name)
+            for record in records
+            for rec in domain_ingest.expand_variants(record)
+        )
+
+    meta: dict = {}
+
+    def choose_primary(labels: list[str]) -> None:
+        primary = cfg.primary_resolver or labels[0]
+        if primary not in labels:
+            raise UsageError(f"primary resolver {primary!r} not among {labels}")
+        meta.update(primary_resolver=primary, resolvers=labels)
+
+    def replayed(groups, labels):
+        """Each task's outcomes from its name's fixture answers, by label.
+
+        ``labels`` is read once ``groups`` runs out, which for a streamed
+        fixture is at its end; the fixture checks run then, inside the row
+        generator, so a failure leaves no resolved.jsonl.
+        """
+        asked = found = 0
+        for answers, (rank, variant, name) in zip(groups, tasks()):
+            asked += 1
+            found += len(answers)
+            outcomes = []
+            for res in answers.values():
+                try:
+                    dns_resolution.check_chain(name, res.cname_chain)
+                except ChainLoopError:
+                    outcomes.append(("chain_loops", None))
+                    continue
+                outcomes.append((None, res))
+            yield rank, variant, outcomes
+        labels = sorted(labels)
         if not labels:
             raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
-        resolvers = [fixture.resolver(label) for label in labels]
-    elif cfg.resolvers:
-        try:
-            resolvers = [dns_resolution.parse_endpoint(e) for e in cfg.resolvers]
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        labels = [r.resolver_id for r in resolvers]
-        if len(set(labels)) < len(labels):  # a label names its rows in resolved.jsonl
-            raise UsageError(f"resolver labels repeat: {labels}")
-    else:
-        raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
-    primary = cfg.primary_resolver or labels[0]
-    if primary not in labels:
-        raise UsageError(f"primary resolver {primary!r} not among {labels}")
-
-    tasks = (  # in (rank, variant) order, as records ascend by rank and base < www
-        (record.rank, rec.variant, rec.name)
-        for record in records
-        for rec in domain_ingest.expand_variants(record)
-    )
-    limiter = None if cfg.dns_fixture else _RateLimiter(cfg.resolver_qps)
-
-    def resolve_task(task):
-        rank, variant, name = task
-        out = []
-        for resolver in resolvers:
-            if limiter:
-                limiter.wait()
-            try:
-                res = dns_resolution.resolve_records(name, resolver, cfg.timeout)
-            except FixtureMissError:
-                out.append(("fixture_misses", None))
-                continue
-            except ChainLoopError:
-                out.append(("chain_loops", None))
-                continue
-            out.append((None, res))
-        return rank, variant, out
+        choose_primary(labels)
+        misses = asked * len(labels) - found
+        if misses:
+            diag.count("fixture_misses", misses)
 
     def resolved_rows(collected):
         """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task."""
@@ -404,18 +449,58 @@ def stage_resolve(cfg: PipelineConfig) -> None:
         return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
 
     if cfg.dns_fixture:
-        count = write(map(resolve_task, tasks))
-    else:
+        _require_file(cfg.dns_fixture, "DNS fixture")
+        names = [name for _, _, name in tasks()]
+        list_counts = diag.counters.copy()
+        labels: set[str] = set()
+        lines = _text_lines(cfg.dns_fixture, "DNS fixture")
+        try:
+            groups = dns_resolution.replay_in_turn(lines, names, diag, labels)
+            count = write(replayed(groups, labels))
+        except dns_resolution.FixtureOrderError as exc:
+            lines.close()
+            log.warning(
+                "DNS fixture %s: %s; replaying it from a whole-file index", cfg.dns_fixture, exc
+            )
+            diag.counters = list_counts  # the domain list's counts, and no fixture's
+            fixture = dns_resolution.DnsFixture.load(
+                _read_text(cfg.dns_fixture, "DNS fixture"), diag
+            )
+            groups = map(fixture.answers, names)
+            count = write(replayed(groups, fixture.resolver_ids()))
+    elif cfg.resolvers:
+        try:
+            resolvers = [dns_resolution.parse_endpoint(e) for e in cfg.resolvers]
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        labels = [r.resolver_id for r in resolvers]
+        if len(set(labels)) < len(labels):  # a label names its rows in resolved.jsonl
+            raise UsageError(f"resolver labels repeat: {labels}")
+        choose_primary(labels)
+        limiter = _RateLimiter(cfg.resolver_qps)
+
+        def resolve_task(task):
+            rank, variant, name = task
+            out = []
+            for resolver in resolvers:
+                limiter.wait()
+                try:
+                    res = dns_resolution.resolve_records(name, resolver, cfg.timeout)
+                except ChainLoopError:
+                    out.append(("chain_loops", None))
+                    continue
+                out.append((None, res))
+            return rank, variant, out
+
         import concurrent.futures  # live queries wait on the network, so they overlap
 
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, cfg.max_inflight)) as pool:
-            count = write(pool.map(resolve_task, tasks))
+        workers = max(1, cfg.max_inflight)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            count = write(_in_order(pool, resolve_task, tasks(), 2 * workers))
+    else:
+        raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
 
-    _write_text(
-        cfg.out("resolve_meta.json"),
-        json.dumps({"primary_resolver": primary, "resolvers": labels}, sort_keys=True)
-        + "\n",
-    )
+    _write_text(cfg.out("resolve_meta.json"), json.dumps(meta, sort_keys=True) + "\n")
     _write_diag(cfg, "resolve", diag)
     log.info("resolve: %d rows from %d domains", count, len(records))
 

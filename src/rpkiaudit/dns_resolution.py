@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, Protocol
+from typing import Iterable, Iterator, Protocol, Sequence
 
 from ._prefix_index import PrefixIndex, parse_address, parse_decimal, parse_prefix
 from .diagnostics import Diagnostics
@@ -84,11 +84,59 @@ def resolve_records(
 # Fixture replay
 
 
+def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
+    """The answer one fixture line records, or None for a blank or malformed line.
+
+    ``domain``, ``resolver`` and ``status`` are JSON strings, ``cnames``, ``a``
+    and ``aaaa`` arrays of strings and ``ts`` a JSON integer; a line that breaks
+    any of this is counted in ``malformed_fixture_lines``.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+        if type(obj) is not dict:
+            raise TypeError("line is not an object")
+        domain = obj.get("domain")
+        resolver = obj.get("resolver", "fixture")
+        status = obj.get("status", "ok")
+        chain, a, aaaa = obj.get("cnames", []), obj.get("a", []), obj.get("aaaa", [])
+        ts = obj.get("ts", 0)
+        if not type(domain) is type(resolver) is type(status) is str:
+            raise TypeError("domain, resolver and status must be strings")
+        if not type(chain) is type(a) is type(aaaa) is list:
+            raise TypeError("cnames, a and aaaa must be arrays")
+        domain = normalize_name(domain)
+        if domain is None:
+            raise ValueError(line)
+        status = ResolutionStatus(status.lower())
+        cnames = tuple(normalize_name(c) if type(c) is str else None for c in chain)
+        if None in cnames:
+            raise ValueError(line)
+        addresses = frozenset(map(parse_address, a + aaaa))  # TypeError on a non-string
+        if type(ts) is not int:  # a JSON integer; true, 1.9 and "1_0" are not
+            raise TypeError(f"ts {ts!r} is not an integer")
+    except (ValueError, TypeError):
+        diag.count("malformed_fixture_lines")
+        return None
+    if status is not ResolutionStatus.OK:
+        if addresses:
+            diag.count("fixture_status_conflicts")
+        addresses = frozenset()
+    elif not addresses:
+        status = ResolutionStatus.EMPTY
+    return ResolutionResult(domain, resolver, cnames, addresses, status, ts)
+
+
+Answers = dict[str, ResolutionResult]  # one name's answers by resolver label
+
+
 class DnsFixture:
     """Recorded (domain, resolver) answers loaded from a JSON-lines file."""
 
     def __init__(self, diag: Diagnostics | None = None) -> None:
-        self._entries: dict[tuple[str, str], ResolutionResult] = {}
+        self._entries: dict[str, Answers] = {}
         self._diag = diag if diag is not None else Diagnostics()
 
     @classmethod
@@ -96,53 +144,79 @@ class DnsFixture:
         """Fixture of the JSON-lines text; malformed lines are skipped and counted."""
         fixture = cls(diag)
         for line in text.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            fixture._load_line(line)
+            result = fixture_result(line, fixture._diag)
+            if result is not None:
+                fixture._entries.setdefault(result.domain, {})[result.resolver_id] = result
         return fixture
 
-    def _load_line(self, line: str) -> None:
-        try:
-            obj = json.loads(line)
-            domain = normalize_name(obj["domain"])
-            resolver = str(obj.get("resolver", "fixture"))
-            if domain is None:
-                raise ValueError(line)
-            status = ResolutionStatus(str(obj.get("status", "ok")).lower())
-            cnames = tuple(normalize_name(c) for c in obj.get("cnames", []))
-            if any(c is None for c in cnames):
-                raise ValueError(line)
-            addresses = frozenset(
-                map(parse_address, list(obj.get("a", [])) + list(obj.get("aaaa", [])))
-            )
-            ts = obj.get("ts", 0)
-            if type(ts) is not int:  # a JSON integer; true, 1.9 and "1_0" are not
-                raise TypeError(f"ts {ts!r} is not an integer")
-        except (ValueError, KeyError, TypeError):
-            self._diag.count("malformed_fixture_lines")
-            return
-        if status is not ResolutionStatus.OK:
-            if addresses:
-                self._diag.count("fixture_status_conflicts")
-            addresses = frozenset()
-        elif not addresses:
-            status = ResolutionStatus.EMPTY
-        self._entries[(domain, resolver)] = ResolutionResult(
-            domain, resolver, cnames, addresses, status, ts
-        )
-
     def resolver_ids(self) -> list[str]:
-        return sorted({resolver for _, resolver in self._entries})
+        return sorted({label for answers in self._entries.values() for label in answers})
+
+    def answers(self, domain: str) -> Answers:
+        return self._entries.get(domain, {})
 
     def get(self, domain: str, resolver_id: str) -> ResolutionResult:
         try:
-            return self._entries[(domain, resolver_id)]
+            return self._entries[domain][resolver_id]
         except KeyError:
             raise FixtureMissError(f"no fixture entry for {domain} @ {resolver_id}")
 
     def resolver(self, resolver_id: str) -> "FixtureResolver":
         return FixtureResolver(self, resolver_id)
+
+
+class FixtureOrderError(Exception):
+    """A fixture line answers a name whose turn has passed."""
+
+    def __init__(self, lineno: int, domain: str) -> None:
+        super().__init__(f"line {lineno} answers {domain} after its turn")
+        self.lineno = lineno
+
+
+def replay_in_turn(
+    lines: Iterable[str], names: Sequence[str], diag: Diagnostics, labels: set[str]
+) -> Iterator[Answers]:
+    """The answers for each of ``names`` in turn, from one pass over fixture lines.
+
+    The lines are merge-joined with ``names``: a name's answers are complete
+    once a line answers a name whose turn comes later, or the lines run out,
+    and a name listed twice keeps its answers until its last turn.  Every
+    line is parsed and counted as ``DnsFixture.load`` does, and the resolver
+    label of every usable line is added to ``labels``, of names not in
+    ``names`` too.  A line for a name whose turn has passed raises
+    FixtureOrderError: the fixture is not grouped by name in ``names``' order.
+    """
+    turn: dict[str, int] = {}
+    last_turn: dict[str, int] = {}  # of names listed twice
+    for i, name in enumerate(names):
+        if turn.setdefault(name, i) != i:
+            last_turn[name] = i
+    pending: dict[str, Answers] = {}
+    done = 0  # names whose answers have been yielded
+
+    def take(i: int) -> Answers:
+        name = names[i]
+        if last_turn.get(name, i) == i:
+            return pending.pop(name, {})
+        return pending.get(name, {})
+
+    for lineno, line in enumerate(lines, 1):
+        result = fixture_result(line, diag)
+        if result is None:
+            continue
+        labels.add(result.resolver_id)
+        at = turn.get(result.domain)
+        if at is None:
+            continue
+        if at < done:
+            raise FixtureOrderError(lineno, result.domain)
+        while done < at:
+            yield take(done)
+            done += 1
+        pending.setdefault(result.domain, {})[result.resolver_id] = result
+    while done < len(names):
+        yield take(done)
+        done += 1
 
 
 @dataclass(frozen=True, slots=True)

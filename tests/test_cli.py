@@ -2,21 +2,23 @@ import gzip
 import ipaddress
 import itertools
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
-from rpkiaudit import _prefix_index, cli
+from rpkiaudit import _prefix_index, cli, dns_resolution
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
 
@@ -995,3 +997,318 @@ class TestJsonlReader:
         assert next(rows) == {"b": 2}
         with pytest.raises(DataError, match="artifact.jsonl:3: corrupt artifact"):
             next(rows)
+
+
+# ---------------------------------------------------------------------------
+# DNS fixture replay: streamed in the domain list's order, or the whole-file index
+
+RESOLVE_ARTIFACTS = ("resolved.jsonl", "resolve_meta.json", "resolve_diagnostics.json")
+
+
+class WarningLog(logging.Handler):
+    """The warnings the rpkiaudit logger emits while the block runs."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+    def __enter__(self):
+        logging.getLogger("rpkiaudit").addHandler(self)
+        return self.messages
+
+    def __exit__(self, *exc):
+        logging.getLogger("rpkiaudit").removeHandler(self)
+
+
+def fallbacks(messages):
+    return [m for m in messages if "whole-file index" in m]
+
+
+def resolve_outcome(domains, fixture, out):
+    """resolve's exit code, its artifacts (None where absent) and the fallback warnings."""
+    with WarningLog() as messages:
+        code = main([
+            "resolve", "--domain-list", str(domains), "--fixture-dns", str(fixture),
+            "--primary-resolver", "fixture", "--output-dir", str(out),
+        ])
+    artifacts = {name: read(out / name) if (out / name).exists() else None
+                 for name in RESOLVE_ARTIFACTS}
+    return code, artifacts, fallbacks(messages)
+
+
+def index_only(lines, names, diag, labels):
+    """A replay_in_turn that sends every fixture to the whole-file index."""
+    raise dns_resolution.FixtureOrderError(0, "every name")
+    yield
+
+
+E2E_FIXTURE_LINES = (E2E_DIR / "dns.jsonl").read_text().splitlines()
+
+# The first 8 e2e domains, and www.site002.test, listed as well as resolved as
+# the www variant of site002.test.
+DIFF_DOMAINS = "".join(f"{rank},site{rank:03d}.test\n" for rank in range(1, 9))
+DIFF_DOMAINS += "9,www.site002.test\n"
+DIFF_TURN = {}
+for _rank in range(1, 9):
+    DIFF_TURN.setdefault(f"site{_rank:03d}.test", len(DIFF_TURN))
+    DIFF_TURN.setdefault(f"www.site{_rank:03d}.test", len(DIFF_TURN))
+
+
+def fixture_domain(line):
+    try:
+        return json.loads(line)["domain"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def diff_pool():
+    listed = [line for line in E2E_FIXTURE_LINES if fixture_domain(line) in DIFF_TURN]
+    unlisted = [line for line in E2E_FIXTURE_LINES if fixture_domain(line) == "site050.test"]
+    first = json.loads(listed[0])
+    return listed + unlisted + [
+        json.dumps(dict(first, a=["198.51.100.1"])),  # repeats (site001.test, fixture)
+        json.dumps({"domain": "unlisted.test", "resolver": "extra", "a": ["198.51.100.2"]}),
+        listed[1] + "\r",
+        "", "   ", "{bad", '{"domain": 5}', "[1]",
+    ]
+
+
+DIFF_POOL = diff_pool()
+
+
+def in_turn(lines):
+    """The lines grouped by name in the domain list's order; other lines follow the line before."""
+    keyed, key = [], -1
+    for i, line in enumerate(lines):
+        key = DIFF_TURN.get(fixture_domain(line), key)
+        keyed.append((key, i, line))
+    return [line for *_, line in sorted(keyed)]
+
+
+class TestFixtureReplayOrder:
+    def test_e2e_and_in_order_fixtures_stream(self, e2e_output, tmp_path):
+        in_order = tmp_path / "in_order.jsonl"
+        in_order.write_text("\n\n".join(in_turn(DIFF_POOL)) + "\n")
+        domains = tmp_path / "domains.csv"
+        domains.write_text(DIFF_DOMAINS)
+        code, artifacts, warned = resolve_outcome(domains, in_order, tmp_path / "in_order")
+        assert (code, warned) == (0, [])
+
+        code, artifacts, warned = resolve_outcome(
+            E2E_DIR / "domains.csv", E2E_DIR / "dns.jsonl", tmp_path / "e2e"
+        )
+        assert (code, warned) == (0, [])
+        for name in RESOLVE_ARTIFACTS:
+            assert artifacts[name] == read(e2e_output / name), name
+
+    def test_shuffled_fixture_falls_back_once_to_the_same_bytes(self, e2e_output, tmp_path):
+        lines = E2E_FIXTURE_LINES[:]
+        lines[0], lines[-1] = lines[-1], lines[0]
+        shuffled = tmp_path / "dns.jsonl"
+        shuffled.write_text("\n".join(lines) + "\n")
+        code, artifacts, warned = resolve_outcome(
+            E2E_DIR / "domains.csv", shuffled, tmp_path / "out"
+        )
+        assert code == 0
+        assert len(warned) == 1 and f"{shuffled}: line 2 " in warned[0], warned
+        for name in RESOLVE_ARTIFACTS:
+            assert artifacts[name] == read(e2e_output / name), name
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(RESOLVE_ARTIFACTS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(DIFF_POOL), max_size=40), st.booleans(), st.booleans())
+    def test_streamed_replay_equals_the_index(self, tmp_path_factory, lines, grouped, final):
+        tmp = tmp_path_factory.mktemp("replay")
+        domains = tmp / "domains.csv"
+        domains.write_text(DIFF_DOMAINS)
+        fixture = tmp / "dns.jsonl"
+        if grouped:
+            lines = in_turn(lines)
+        fixture.write_text("\n".join(lines) + ("\n" if final else ""))
+        streamed = resolve_outcome(domains, fixture, tmp / "streamed")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dns_resolution, "replay_in_turn", index_only)
+            indexed = resolve_outcome(domains, fixture, tmp / "indexed")
+        assert streamed[:2] == indexed[:2]
+        assert len(indexed[2]) == 1
+        if grouped:
+            assert streamed[2] == []
+
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            (b"{bad\n\n[1]\n", 3, "has no usable entries"),
+            (b"", 3, "has no usable entries"),
+            ("\n".join(E2E_FIXTURE_LINES).replace('"fixture"', '"other"').encode(), 1,
+             "primary resolver 'fixture' not among ['other', 'verifier']"),
+        ],
+        ids=["malformed-only", "empty", "unknown-primary"],
+    )
+    def test_fixture_failure_leaves_the_old_artifact(
+        self, tmp_path, capsys, data, code, message
+    ):
+        fixture = tmp_path / "dns.jsonl"
+        fixture.write_bytes(data)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "resolved.jsonl").write_text("old\n")
+        assert resolve_outcome(E2E_DIR / "domains.csv", fixture, out)[0] == code
+        assert message in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["resolved.jsonl"]
+        assert (out / "resolved.jsonl").read_text() == "old\n"
+
+    @pytest.mark.parametrize(
+        "at, bad",
+        [(0, b"\xff"), (20, b"\xff"), (40000, b"\xff"), (300, b"\xe2\x82\n"),
+         (500, b"\xed\xa0\x80"), (None, b"\xe2\x82")],
+    )
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_non_utf8_fixture_names_its_byte_in_the_file(
+        self, tmp_path, capsys, at, bad, shuffled
+    ):
+        lines = E2E_FIXTURE_LINES[::-1] if shuffled else E2E_FIXTURE_LINES
+        text = ("\n".join(lines) + "\n").encode()
+        at = len(text) if at is None else at
+        data = text[:at] + bad + text[at:]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        fixture = tmp_path / "dns.jsonl"
+        fixture.write_bytes(data)
+        assert resolve_outcome(E2E_DIR / "domains.csv", fixture, tmp_path / "out")[0] == 3
+        message = f"error: {fixture}: DNS fixture is not UTF-8 text ({whole.value})\n"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "resolved.jsonl").exists()
+
+    def test_mistyped_fixture_fields_are_counted_not_raised(self, tmp_path):
+        fixture = tmp_path / "dns.jsonl"
+        fine = json.loads(E2E_FIXTURE_LINES[0])
+        mistyped = [{"domain": 5}, {"cnames": [5]}, {"cnames": "abc"}, {"resolver": None},
+                    {"resolver": 7}, {"a": {"1.2.3.4": 1}}]
+        fixture.write_text("".join(json.dumps(dict(fine, **m)) + "\n" for m in mistyped)
+                           + "\n".join(E2E_FIXTURE_LINES) + "\n")
+        out = tmp_path / "out"
+        result = run_cli(
+            "resolve", "--domain-list", E2E_DIR / "domains.csv", "--fixture-dns", fixture,
+            "--output-dir", out,
+        )
+        assert result.returncode == 0 and "Traceback" not in result.stderr, result.stderr
+        diag = json.loads((out / "resolve_diagnostics.json").read_text())
+        assert diag["malformed_fixture_lines"] == len(mistyped)
+        assert json.loads((out / "resolve_meta.json").read_text())["resolvers"] == [
+            "fixture", "verifier"
+        ]
+
+
+def e2e_copies(names):
+    """A domain list of e2e-like domains and the e2e answers for its first ``names`` names.
+
+    Copy n of the 100 e2e domains is ranked 100·n higher and named ``c<n>-siteNNN.test``.
+    """
+    domains, lines = [], []
+    for n in itertools.count():
+        if len(lines) >= 2 * names:  # two resolvers per name
+            break
+        for line in E2E_FIXTURE_LINES:
+            obj = json.loads(line)
+            base = obj["domain"].removeprefix("www.")
+            obj["domain"] = obj["domain"].replace(base, f"c{n}-{base}")
+            lines.append(json.dumps(obj))
+        domains += [f"c{n}-site{rank:03d}.test" for rank in range(1, 101)]
+    return domains, lines[: 2 * names]
+
+
+class TestStreamedFixtureMemory:
+    def test_resolve_peak_does_not_grow_with_fixture_answers(self, tmp_path):
+        """One list of 8,000 names; the fixture answers 2,000 or all 8,000 of them, in order."""
+        domains, lines = e2e_copies(8000)
+        list_path = tmp_path / "domains.csv"
+        list_path.write_text("".join(f"{r},{d}\n" for r, d in enumerate(domains[:4000], 1)))
+        peaks = {}
+        for count in (2000, 8000):
+            fixture = tmp_path / f"dns{count}.jsonl"
+            fixture.write_text("\n".join(lines[: 2 * count]) + "\n")
+            cfg = PipelineConfig(
+                domain_list=str(list_path), dns_fixture=str(fixture),
+                primary_resolver="fixture", output_dir=str(tmp_path / str(count)),
+            ).validated()
+            with WarningLog() as messages:
+                peaks[count] = traced_peak(cli.stage_resolve, cfg)
+            assert fallbacks(messages) == []
+            rows = read(tmp_path / str(count) / "resolved.jsonl").count(b"\n")
+            assert rows > 2 * count * 0.9
+        assert peaks[8000] < 1.25 * peaks[2000], peaks
+
+
+class CountingResolver:
+    """A live resolver that counts its calls; the first query blocks until released."""
+
+    def __init__(self, first):
+        self.resolver_id = "counting"
+        self.first = first
+        self.calls = 0
+        self.lock = threading.Lock()
+        self.release = threading.Event()
+
+    def resolve(self, domain, timeout=5.0):
+        with self.lock:
+            self.calls += 1
+        if domain == self.first:
+            self.release.wait(30)
+        return dns_resolution.ResolutionResult(
+            domain, self.resolver_id, (), frozenset({(4, 0x5DB8D822)}),
+            dns_resolution.ResolutionStatus.OK, 1,
+        )
+
+
+class TestBoundedLiveResolution:
+    def test_at_most_two_tasks_per_worker_are_outstanding(self, tmp_path, monkeypatch):
+        domains = tmp_path / "domains.csv"
+        domains.write_text("".join(f"{r},n{r}.test\n" for r in range(1, 101)))
+        resolver = CountingResolver("n1.test")
+        monkeypatch.setattr(dns_resolution, "parse_endpoint", lambda entry: resolver)
+        seen = []
+
+        def release():
+            seen.append(resolver.calls)
+            resolver.release.set()
+
+        # While the first name's query blocks, the other worker runs the names
+        # already submitted, and no more.
+        timer = threading.Timer(0.5, release)
+        timer.start()
+        try:
+            cfg = PipelineConfig(
+                domain_list=str(domains), resolvers=["counting=127.0.0.1"], max_inflight=2,
+                output_dir=str(tmp_path / "out"),
+            )
+            assert run_stage("resolve", cfg) == 0
+        finally:
+            timer.cancel()
+            resolver.release.set()
+        assert seen and seen[0] <= 2 * 2, seen
+        assert resolver.calls == 200
+        rows = read(tmp_path / "out" / "resolved.jsonl").splitlines()
+        assert [(r["rank"], r["variant"]) for r in map(json.loads, rows)] == [
+            (rank, variant) for rank in range(1, 101) for variant in ("base", "www")
+        ]
+
+    def test_in_order_bounds_the_calls_not_yet_consumed(self):
+        import concurrent.futures
+
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(50):
+                pulled += 1
+                yield i
+
+        with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
+            out = []
+            for value in cli._in_order(pool, lambda i: i * i, items(), 6):
+                assert pulled <= len(out) + 1 + 6
+                out.append(value)
+        assert out == [i * i for i in range(50)]

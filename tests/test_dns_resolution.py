@@ -11,6 +11,7 @@ from rpkiaudit import _dnswire
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.dns_resolution import (
     DnsFixture,
+    FixtureOrderError,
     LiveResolver,
     ResolutionResult,
     ResolutionStatus,
@@ -18,7 +19,9 @@ from rpkiaudit.dns_resolution import (
     check_chain,
     cross_check,
     filter_special_purpose,
+    fixture_result,
     parse_endpoint,
+    replay_in_turn,
     resolve_records,
 )
 from rpkiaudit.errors import (
@@ -134,6 +137,149 @@ class TestFixtureReplay:
             fixture_line("x.example", resolver="google"),
         )
         assert fixture.resolver_ids() == ["google", "opendns"]
+
+
+class TestFixtureFieldTypes:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("domain", 5),
+            ("domain", None),
+            ("domain", ["typed.example"]),
+            ("resolver", None),
+            ("resolver", 7),
+            ("status", None),
+            ("status", 1),
+            ("cnames", [5]),
+            ("cnames", [None]),
+            ("cnames", "abc"),
+            ("cnames", {"a.example": 1}),
+            ("a", {"192.0.2.9": 1}),
+            ("a", "192.0.2.9"),
+            ("a", [1]),
+            ("aaaa", [None]),
+            ("aaaa", "2001:db8::1"),
+        ],
+    )
+    def test_field_of_the_wrong_json_type_is_malformed(self, field, value):
+        obj = json.loads(fixture_line("typed.example", a=["192.0.2.9"]))
+        diag = Diagnostics()
+        assert fixture_result(json.dumps(dict(obj, **{field: value})), diag) is None
+        assert diag.as_dict() == {"malformed_fixture_lines": 1}
+
+    def test_missing_domain_is_malformed(self):
+        diag = Diagnostics()
+        assert fixture_result('{"resolver": "fixture", "a": ["192.0.2.9"]}', diag) is None
+        assert diag.get("malformed_fixture_lines") == 1
+
+    @pytest.mark.parametrize("line", ["[1]", "5", '"typed.example"', "null", "{bad"])
+    def test_line_that_is_not_an_object_is_malformed(self, line):
+        diag = Diagnostics()
+        assert fixture_result(line, diag) is None
+        assert diag.get("malformed_fixture_lines") == 1
+
+    @pytest.mark.parametrize("line", ["", "   ", "\r\n", "\n"])
+    def test_blank_line_is_skipped_uncounted(self, line):
+        diag = Diagnostics()
+        assert fixture_result(line, diag) is None
+        assert diag.as_dict() == {}
+
+    def test_well_typed_line_with_defaults(self):
+        diag = Diagnostics()
+        result = fixture_result('{"domain": "Typed.Example.", "a": ["192.0.2.9"]}\r\n', diag)
+        assert result == ResolutionResult(
+            "typed.example", "fixture", (), frozenset(addresses("192.0.2.9")),
+            ResolutionStatus.OK, 0,
+        )
+        assert diag.as_dict() == {}
+
+    def test_fixture_load_counts_each_mistyped_line(self):
+        diag = Diagnostics()
+        fixture = load_fixture(
+            json.dumps({"domain": 5, "resolver": "fixture"}),
+            json.dumps({"domain": "x.example", "resolver": None, "a": ["192.0.2.9"]}),
+            json.dumps({"domain": "x.example", "cnames": "abc", "a": ["192.0.2.9"]}),
+            fixture_line("x.example", a=["192.0.2.9"], resolver="google"),
+            diag=diag,
+        )
+        assert diag.get("malformed_fixture_lines") == 3
+        assert fixture.resolver_ids() == ["google"]
+
+
+def replay(lines, names):
+    """replay_in_turn's groups, labels and diagnostics, read to the end."""
+    diag, labels = Diagnostics(), set()
+    groups = list(replay_in_turn(lines, names, diag, labels))
+    return groups, labels, diag
+
+
+class TestReplayInTurn:
+    def test_groups_follow_the_names_and_match_the_index(self):
+        lines = [
+            fixture_line("a.example", a=["192.0.2.1"]),
+            fixture_line("a.example", a=["192.0.2.2"], resolver="google"),
+            "",
+            "{bad",
+            fixture_line("c.example", status="nxdomain"),
+        ]
+        names = ["a.example", "b.example", "c.example"]
+        groups, labels, diag = replay(lines, names)
+        index = load_fixture(*lines)
+        assert groups == [index.answers(name) for name in names]
+        assert [sorted(g) for g in groups] == [["fixture", "google"], [], ["fixture"]]
+        assert labels == {"fixture", "google"}
+        assert diag.as_dict() == {"malformed_fixture_lines": 1}
+
+    def test_repeated_label_in_a_group_last_wins(self):
+        groups, _, _ = replay(
+            [
+                fixture_line("a.example", a=["192.0.2.1"]),
+                fixture_line("a.example", a=["192.0.2.2"]),
+            ],
+            ["a.example"],
+        )
+        assert groups[0]["fixture"].addresses == addresses("192.0.2.2")
+
+    def test_unlisted_names_add_their_label_anywhere(self):
+        groups, labels, _ = replay(
+            [
+                fixture_line("z.example", resolver="early"),
+                fixture_line("a.example", a=["192.0.2.1"]),
+                fixture_line("y.example", resolver="middle"),
+                fixture_line("b.example", a=["192.0.2.1"]),
+                fixture_line("x.example", resolver="late"),
+            ],
+            ["a.example", "b.example"],
+        )
+        assert [sorted(g) for g in groups] == [["fixture"], ["fixture"]]
+        assert labels == {"early", "middle", "late", "fixture"}
+
+    def test_name_listed_twice_keeps_its_answers_until_its_last_turn(self):
+        names = ["x.example", "www.x.example", "y.example", "www.x.example"]
+        groups, _, _ = replay(
+            [
+                fixture_line("x.example", a=["192.0.2.1"]),
+                fixture_line("www.x.example", a=["192.0.2.2"]),
+                fixture_line("y.example", a=["192.0.2.3"]),
+            ],
+            names,
+        )
+        assert groups[1] == groups[3] and sorted(groups[3]) == ["fixture"]
+
+    @pytest.mark.parametrize(
+        "order, lineno",
+        [
+            (["b.example", "a.example"], 2),  # shuffled
+            (["a.example", "b.example", "a.example"], 3),  # a split group
+            # a name listed twice, answered again after its first turn
+            (["a.example", "www.a.example", "b.example", "www.a.example"], 4),
+        ],
+    )
+    def test_answer_after_its_turn_raises(self, order, lineno):
+        names = ["a.example", "www.a.example", "b.example", "www.a.example"]
+        with pytest.raises(FixtureOrderError) as raised:
+            replay([fixture_line(name) for name in order], names)
+        assert raised.value.lineno == lineno
 
 
 class TestChainChecks:
