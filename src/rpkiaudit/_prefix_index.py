@@ -8,10 +8,11 @@ path is ``inet_pton``/``inet_ntop``, and what it rejects or cannot decide (a
 itself.  A scope is dropped.  The fast path reads a prefix length as ASCII
 digits (``parse_decimal``); ranks, ASNs and maxLengths follow the same rule.
 
-The index keeps, per family, one dict per present prefix length, keyed by
-``net >> (width - plen)``, of the Buckets of items stored at each prefix.  A
-query probes each present length once, so it finds every stored prefix that
-covers the queried address or prefix, not just the longest one.
+The index keeps, per family, one dict per present prefix length, from
+``net >> (width - plen)`` to the tuple of distinct items stored at that
+prefix; no object stands for a prefix.  A query probes each present length
+once, so it finds every stored prefix that covers the queried address or
+prefix, not just the longest one.
 """
 
 from __future__ import annotations
@@ -113,20 +114,11 @@ class Prefixed:
         return f"{type(self).__name__}{self.key}"
 
 
-class Bucket(list):
-    """The distinct items stored at one prefix; ``memo`` is free for the owner."""
-
-    __slots__ = ("version", "net", "plen", "memo")
-
-    def __init__(self, version: int, net: int, plen: int) -> None:
-        self.version, self.net, self.plen, self.memo = version, net, plen, None
-
-
 class PrefixIndex:
     def __init__(self) -> None:
-        self._tables: dict[int, dict[int, dict[int, Bucket]]] = {4: {}, 6: {}}
+        self._tables: dict[int, dict[int, dict[int, tuple]]] = {4: {}, 6: {}}
         # per family: (plen, width - plen, table), ascending plen
-        self._probes: dict[int, list[tuple[int, int, dict[int, Bucket]]]] = {4: [], 6: []}
+        self._probes: dict[int, list[tuple[int, int, dict[int, tuple]]]] = {4: [], 6: []}
 
     def add(self, version: int, net: int, plen: int, item: Any) -> None:
         tables, width = self._tables[version], WIDTH[version]
@@ -137,33 +129,36 @@ class PrefixIndex:
             table = tables[plen] = {}
             self._probes[version] = sorted((p, width - p, t) for p, t in tables.items())
         key = net >> (width - plen)
-        bucket = table.get(key)
-        if bucket is None:
-            bucket = table[key] = Bucket(version, net, plen)
-        if item not in bucket:
-            bucket.append(item)
+        items = table.get(key)
+        if items is None:
+            table[key] = (item,)
+        elif item not in items:
+            table[key] = items + (item,)
 
-    def covering(self, version: int, net: int, plen: int) -> list[Bucket]:
-        """Buckets of every stored prefix that covers net/plen, shortest first."""
+    def covering(self, version: int, net: int, plen: int) -> list[tuple[int, int, tuple]]:
+        """(net, plen, items) of every stored prefix that covers net/plen, shortest first."""
         return [
-            bucket
+            (net >> shift << shift, length, items)
             for length, shift, table in self._probes[version]
-            if length <= plen and (bucket := table.get(net >> shift)) is not None
+            if length <= plen and (items := table.get(net >> shift)) is not None
         ]
 
-    def longest(self, version: int, addr: int) -> Bucket | None:
-        """Bucket of the longest stored prefix that contains the address, if any."""
-        for _, shift, table in reversed(self._probes[version]):
-            bucket = table.get(addr >> shift)
-            if bucket is not None:
-                return bucket
+    def longest(self, version: int, addr: int) -> tuple[int, int, tuple] | None:
+        """(net, plen, items) of the longest stored prefix that contains the address, if any."""
+        for length, shift, table in reversed(self._probes[version]):
+            items = table.get(addr >> shift)
+            if items is not None:
+                return addr >> shift << shift, length, items
         return None
 
-    def __iter__(self) -> Iterator[Bucket]:
-        for tables in self._tables.values():
-            for table in tables.values():
-                yield from table.values()
+    def __iter__(self) -> Iterator[tuple[int, int, int, tuple]]:
+        """(version, net, plen, items) of every stored prefix."""
+        for version, tables in self._tables.items():
+            for plen, table in tables.items():
+                shift = WIDTH[version] - plen
+                for key, items in table.items():
+                    yield version, key << shift, plen, items
 
     def __len__(self) -> int:
         """Number of stored items."""
-        return sum(map(len, self))
+        return sum(len(items) for *_, items in self)

@@ -15,7 +15,7 @@ import struct
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
-from ._prefix_index import WIDTH, Bucket, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
+from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
 from ._prefix_index import format_prefix, network, parse_address, parse_decimal, parse_prefix
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
@@ -344,15 +344,17 @@ class PrefixTrie:
     """Index answering all-covering-prefix queries.
 
     Origins are stored as ints.  The prefixes that cover an address are
-    nested, so the longest one fixes the answer: a bucket's memo is the
+    nested, so the longest one fixes the answer: a prefix's memo is the
     frozenset of pairs of every stored prefix covering it, and a lookup
     returns the memo of the longest prefix that matches.  Memos, with their
-    pairs and each prefix's text, are built on a prefix's first lookup, so a
-    stored prefix that no lookup lands in never gets any.
+    pairs and each prefix's text, live in a side table keyed by
+    (version, net, plen) and are built on a lookup, for the prefix it hits
+    and those covering it; a stored prefix that no lookup lands in has none.
     """
 
     def __init__(self) -> None:
         self._index = PrefixIndex()
+        self._memos: dict[tuple[int, int, int], frozenset[PrefixOriginPair]] = {}
         self.as_set_count = 0
 
     def __len__(self) -> int:
@@ -372,31 +374,34 @@ class PrefixTrie:
                 diag.count("as_set_entries")
             else:
                 add(version, net, plen, origin)
-        for bucket in self._index:
-            bucket.memo = None
+        self._memos.clear()
 
-    def _memo(self, bucket: Bucket) -> frozenset[PrefixOriginPair]:
-        """The bucket's memo, built with those of the prefixes covering it."""
-        pairs = bucket.memo
+    def _memo(self, version: int, net: int, plen: int) -> frozenset[PrefixOriginPair]:
+        """The memo of a stored prefix, built with those of the prefixes covering it."""
+        memos = self._memos
+        pairs = memos.get((version, net, plen))
         if pairs is None:
             pairs = _NO_PAIRS
-            for origins in self._index.covering(bucket.version, bucket.net, bucket.plen):
-                if origins.memo is None:  # shortest first: each memo extends the last
-                    key = origins.version, origins.net, origins.plen
+            for covering_net, covering_plen, origins in self._index.covering(version, net, plen):
+                key = version, covering_net, covering_plen
+                memo = memos.get(key)
+                if memo is None:  # shortest first: each memo extends the last
                     text = format_prefix(*key)
-                    origins.memo = pairs.union([PrefixOriginPair(key, o, text) for o in origins])
-                pairs = origins.memo
+                    memo = pairs.union([PrefixOriginPair(key, o, text) for o in origins])
+                    memos[key] = memo
+                pairs = memo
         return pairs
 
     def covering(self, version: int, addr: int) -> frozenset[PrefixOriginPair]:
-        longest = self._index.longest(version, addr)
-        if longest is None:
+        found = self._index.longest(version, addr)
+        if found is None:
             return _NO_PAIRS
-        memo = longest.memo
-        return memo if memo is not None else self._memo(longest)
+        key = version, found[0], found[1]
+        memo = self._memos.get(key)
+        return memo if memo is not None else self._memo(*key)
 
     def pairs(self) -> set[PrefixOriginPair]:
-        return set().union(*map(self._memo, self._index))
+        return set().union(*(self._memo(*entry[:3]) for entry in self._index))
 
 
 def build_trie(
@@ -414,8 +419,7 @@ def build_trie(
         ),
         diag,
     )
-    for bucket in trie._index:
-        trie._memo(bucket)
+    trie.pairs()  # builds every memo
     return trie
 
 

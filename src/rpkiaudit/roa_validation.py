@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from typing import Iterable, Union
+from typing import Iterable, Iterator
 
 from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_decimal
 from ._prefix_index import parse_prefix
@@ -33,6 +33,12 @@ class ValidationState(enum.Enum):
     NOT_FOUND = "notfound"
 
 
+# One payload as the decoder yields it: (version, net, plen, asn, maxLength, TA)
+RoaFields = tuple[int, int, int, int, int, str]
+
+_TRUST_ANCHOR = {ta: ta for ta in TRUST_ANCHORS}  # one string per TA, shared by every payload
+
+
 class RoaPayload(Prefixed):
     """One validated ROA payload, keyed by (version, net, plen, asn, maxLength, TA)."""
 
@@ -47,105 +53,126 @@ class RoaPayload(Prefixed):
         self.asn, self.max_length, self.trust_anchor = asn, max_length, trust_anchor
 
 
-def _parse_asn_field(raw: Union[str, int]) -> int:
-    if type(raw) is int:  # a JSON true is not AS 1
-        raw = str(raw)
-    if not isinstance(raw, str):
-        raise TypeError(f"ASN {raw!r} is neither a number nor text")
-    return parse_asn(raw)
+def _fields(row) -> RoaFields | None:
+    """The payload of a row (asn, prefix[, maxLength[, TA]]); None when the row is malformed."""
+    if row is None or not 2 <= len(row) <= 4:
+        return None
+    asn_field, prefix_field, maxlen_field, ta_field = (*row, None, None)[:4]
+    try:
+        if type(asn_field) is int:  # a JSON true is not AS 1
+            asn_field = str(asn_field)
+        asn = parse_asn(asn_field)  # anything but text has no .strip(): AttributeError
+        version, net, plen = parse_prefix(str(prefix_field).strip())
+        if maxlen_field is None or (isinstance(maxlen_field, str) and not maxlen_field.strip()):
+            max_length = plen  # absent maxLength: exact-prefix ROA
+        else:
+            max_length = parse_decimal(str(maxlen_field).strip())
+    except (ValueError, TypeError, AttributeError):
+        return None
+    if not plen <= max_length <= WIDTH[version]:
+        return None
+    ta = "other" if ta_field is None else _TRUST_ANCHOR.get(str(ta_field).strip().lower(), "other")
+    return version, net, plen, asn, max_length, ta
 
 
-def _normalize_ta(raw: object) -> str:
-    if raw is None:
-        return "other"
-    ta = str(raw).strip().lower()
-    return ta if ta in TRUST_ANCHORS else "other"
+def _csv_rows(lines: Iterable[str]) -> Iterator[list[str] | None]:
+    """The rows of csv lines but a header and blank lines; None for a row the csv module
+    cannot read (a field over its size limit, a bare CR): it resumes at the next line."""
+    rows = csv.reader(lines)
+    first = True
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error:
+            row = None
+        header = first and row and row[0].strip().upper() == "ASN"
+        first = False
+        if row is None or (row and not header and (len(row) > 1 or row[0].strip())):
+            yield row
 
 
-def _payload_from_fields(
-    asn_field, prefix_field, maxlen_field, ta_field
-) -> RoaPayload:
-    asn = _parse_asn_field(asn_field)
-    version, net, plen = parse_prefix(str(prefix_field).strip())
-    if maxlen_field is None or (isinstance(maxlen_field, str) and not maxlen_field.strip()):
-        max_length = plen  # absent maxLength: exact-prefix ROA
-    else:
-        max_length = parse_decimal(str(maxlen_field).strip())
-    return RoaPayload(asn, (version, net, plen), max_length, _normalize_ta(ta_field))
+def _json_rows(text: str) -> Iterator[tuple | None]:
+    """(asn, prefix, maxLength, TA) of each object of a json array; None once for
+    a document that is no array, and for each item that is no such object."""
+    try:
+        doc = json.loads(text) if text.strip() else []
+    except (ValueError, RecursionError):  # a syntax error, a 4,300-digit number, deep nesting
+        doc = None
+    if not isinstance(doc, list):
+        yield None
+        return
+    for obj in doc:
+        try:
+            yield obj["asn"], obj["prefix"], obj.get("maxLength"), obj.get("ta")
+        except (TypeError, KeyError):  # not an object, or one without asn or prefix
+            yield None
 
 
-def load_roas(
-    text: str,
-    fmt: RoaFormat = RoaFormat.CSV,
-    diag: Diagnostics | None = None,
-) -> set[RoaPayload]:
-    """Load validated ROA payloads from csv or json export text.
+def roa_fields(
+    lines: Iterable[str], fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
+) -> Iterator[RoaFields]:
+    """The payloads of a ROA export's lines: a csv one is read a line at a time.
 
     Rows violating the maxLength invariant (or otherwise unparseable) could
-    not have come from a correct relying-party validator; they are rejected
-    and counted.  An empty result is a warning, not an error: validation
+    not have come from a correct relying-party validator; they are skipped
+    and counted.  No payload at all is a warning, not an error: validation
     then yields NotFound everywhere.
     """
     diag = diag if diag is not None else Diagnostics()
-    payloads: set[RoaPayload] = set()
-    if fmt is RoaFormat.CSV:
-        rows = list(csv.reader(io.StringIO(text)))
-        if rows and rows[0] and rows[0][0].strip().upper() == "ASN":
-            rows = rows[1:]  # header line
-        for row in rows:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if not 2 <= len(row) <= 4:
-                diag.count("malformed_roa_rows")
-                continue
-            fields = row + [None] * (4 - len(row))
-            try:
-                payloads.add(_payload_from_fields(*fields[:4]))
-            except (ValueError, TypeError):
-                diag.count("malformed_roa_rows")
-    else:
-        try:
-            doc = json.loads(text) if text.strip() else []
-        except json.JSONDecodeError:
+    decoded = 0
+    for row in _csv_rows(lines) if fmt is RoaFormat.CSV else _json_rows("".join(lines)):
+        fields = _fields(row)
+        if fields is None:
             diag.count("malformed_roa_rows")
-            doc = []
-        if not isinstance(doc, list):
-            diag.count("malformed_roa_rows")
-            doc = []
-        for obj in doc:
-            try:
-                payloads.add(
-                    _payload_from_fields(
-                        obj["asn"],
-                        obj["prefix"],
-                        obj.get("maxLength"),
-                        obj.get("ta"),
-                    )
-                )
-            except (ValueError, TypeError, KeyError):
-                diag.count("malformed_roa_rows")
-
-    if not payloads:
+        else:
+            decoded += 1
+            yield fields
+    if not decoded:
         diag.warn("empty_roa_set", "no ROA payloads loaded; everything validates NotFound")
-    return payloads
+
+
+def load_roas(
+    text: str, fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
+) -> set[RoaPayload]:
+    """Validated ROA payloads of a csv or json export text; roa_fields' checks and counters."""
+    return {
+        RoaPayload(asn, (version, net, plen), max_length, ta)
+        for version, net, plen, asn, max_length, ta in roa_fields(io.StringIO(text), fmt, diag)
+    }
 
 
 class RoaIndex:
-    """Prefix-keyed ROA lookup: covering(p) = ROAs whose prefix contains p."""
+    """Prefix-keyed ROA lookup: covering(p) = ROAs whose prefix contains p.
+
+    Each prefix keeps its distinct (asn, maxLength, TA) triples; payload
+    objects are built only when ``covering`` is asked.
+    """
 
     def __init__(self) -> None:
         self._index = PrefixIndex()
 
+    def __len__(self) -> int:
+        """Number of distinct payloads."""
+        return len(self._index)
+
+    def add(self, version: int, net: int, plen: int, asn: int, max_length: int, ta: str) -> None:
+        self._index.add(version, net, plen, (asn, max_length, ta))
+
     def covering(self, prefix: IPNetwork) -> set[RoaPayload]:
-        return set().union(
-            *self._index.covering(prefix.version, int(prefix.network_address), prefix.prefixlen)
-        )
+        v, net, plen = prefix.version, int(prefix.network_address), prefix.prefixlen
+        return {
+            RoaPayload(asn, (v, n, p), max_length, ta)
+            for n, p, triples in self._index.covering(v, net, plen)
+            for asn, max_length, ta in triples
+        }
 
 
 def build_roa_index(roas: Iterable[RoaPayload]) -> RoaIndex:
     index = RoaIndex()
     for roa in roas:
-        index._index.add(roa.version, roa.net, roa.plen, roa)
+        index.add(roa.version, roa.net, roa.plen, roa.asn, roa.max_length, roa.trust_anchor)
     return index
 
 
@@ -163,8 +190,8 @@ def validate(pair: PrefixOriginPair, index: RoaIndex) -> ValidationState:
     if not covering:
         return ValidationState.NOT_FOUND
     origin, plen = pair.origin_asn, pair.plen
-    for roas in covering:
-        for roa in roas:
-            if roa.asn == origin and origin != 0 and plen <= roa.max_length:
+    for _net, _plen, triples in covering:
+        for asn, max_length, _ta in triples:
+            if asn == origin and origin != 0 and plen <= max_length:
                 return ValidationState.VALID
     return ValidationState.INVALID

@@ -1,8 +1,10 @@
+import csv
+import io
 import ipaddress
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpkiaudit.cdn_classifier import (
@@ -14,9 +16,12 @@ from rpkiaudit.cdn_classifier import (
     load_external_labels,
     load_keywords,
     parse_as_registry,
+    registry_entries,
     spot_keywords,
 )
+from rpkiaudit.cli import _text_lines
 from rpkiaudit.diagnostics import Diagnostics
+from rpkiaudit.rib_store import parse_asn
 from rpkiaudit.dns_resolution import ResolutionResult, ResolutionStatus
 
 
@@ -206,3 +211,93 @@ class TestLoaders:
         raw = "d.example,1\nwйird,1\ne.example,0\nf.example,2\n"
         labels = load_external_labels(raw)
         assert labels == {"d.example": True, "e.example": False}
+
+
+# ---------------------------------------------------------------------------
+# The classify stage's streamed registry pass, against the whole-text parser
+
+
+def reference_registry(text):
+    """Entries and counters of the whole-text parser that preceded ``registry_entries``."""
+    diag = Diagnostics()
+    entries = {}
+    for line in text.split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        comma = line.find(",")
+        space = next((i for i, ch in enumerate(line) if ch.isspace()), len(line))
+        if 0 <= comma < space:
+            row = next(csv.reader(io.StringIO(line)), None)
+            field, description = (None, "")
+            if row and len(row) > 1:
+                field, description = row[0], ",".join(row[1:])
+        else:
+            field, description = (line[:space], line[space:]) if space < len(line) else (None, "")
+        try:
+            asn = parse_asn(field)
+        except (ValueError, AttributeError):  # AttributeError: no field
+            diag.count("malformed_registry_lines")
+            continue
+        if asn in entries:
+            diag.count("duplicate_registry_asns")
+            continue
+        entries[asn] = AsRegistryEntry(asn, description.strip())
+    return [entries[asn] for asn in sorted(entries)], diag.as_dict()
+
+
+REGISTRY_DESCRIPTIONS = ["Example Networks", "AKAMAI-EDGE Akamai Intl", "Fastly, Inc.",
+                         "cloudflarenet", "", "  Transit  Co ", "Amazon.com, Inc."]
+
+
+@st.composite
+def registry_text(draw):
+    """Registry lines in both forms, ASNs from a small pool (many repeats), junk lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        asn = draw(st.sampled_from([1, 7, 13, 64500, 64501, 99999, 4200000000]))
+        name = draw(st.sampled_from(["AS", "as", ""])) + str(asn)
+        description = draw(st.sampled_from(REGISTRY_DESCRIPTIONS))
+        line = draw(st.sampled_from([
+            f"{name}  {description}", f"{name}\t{description}", f"{name},{description}",
+            f'{name},"{description}"', f" {name} {description} ", f"{name},{description},x",
+            name, f"{name},", "# comment", "", "notanasn description", "AS1_0 ten",
+            f'"{name}",{description}', f"{name} {description}",
+        ]))
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + end
+
+
+class TestStreamedRegistryPath:
+    @settings(max_examples=200, deadline=None)
+    @given(registry_text())
+    def test_stage_pass_matches_parse_as_registry(self, tmp_path_factory, text):
+        keywords = load_keywords()
+        entries, counts = reference_registry(text)
+        diag = Diagnostics()
+        assert parse_as_registry(text, diag) == entries
+        assert diag.as_dict() == counts
+        path = tmp_path_factory.mktemp("registry") / "as_registry.txt"
+        path.write_bytes(text.encode("utf-8"))
+        streamed = Diagnostics()
+        cdn_asns = spot_keywords(
+            keywords, registry_entries(_text_lines(str(path), "AS registry"), streamed)
+        )
+        assert cdn_asns == spot_keywords(keywords, parse_as_registry(text)) == spot_keywords(
+            keywords, entries
+        )
+        assert streamed.as_dict() == counts
+
+    def test_first_entry_for_an_asn_wins_over_a_later_match(self):
+        text = "AS64500  Example Networks\nAS7 Akamai\nAS64500  Akamai Intl\nAS7 nothing\n"
+        diag = Diagnostics()
+        cdn_asns = spot_keywords(["akamai"], registry_entries(text.split("\n"), diag))
+        assert cdn_asns == spot_keywords(["akamai"], parse_as_registry(text)) == {7}
+        assert diag.get("duplicate_registry_asns") == 2
+
+    def test_out_of_order_asns_are_still_seen(self):
+        lines = ["AS5 a", "AS3 b", "AS9 c", "AS3 d", "AS4 e", "AS9 f", "AS5 g", "AS1 h", "AS4 i"]
+        diag = Diagnostics()
+        assert [e.asn for e in registry_entries(lines, diag)] == [5, 3, 9, 4, 1]
+        assert diag.get("duplicate_registry_asns") == 4

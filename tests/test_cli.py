@@ -1,9 +1,11 @@
+import gc
 import gzip
 import ipaddress
 import itertools
 import json
 import logging
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -555,6 +557,107 @@ class TestStreamedMemory:
             assert large < 1.25 * small, peaks
 
 
+def mrt_table(rng, count):
+    """MRT bytes of ``count`` prefixes, 85% v4 (mostly /24) and 15% v6, 3 peers each."""
+    records = [mb.peer_index_table((64500, 64501, 64502))]
+    for _ in range(count):
+        if rng.random() < 0.85:
+            width, plen = 32, rng.choice([24] * 8 + [16, 20, 22, 23])
+        else:
+            width, plen = 128, rng.choice([32, 40, 44, 48, 48, 48])
+        net = rng.getrandbits(width) >> (width - plen) << (width - plen)
+        prefix = ipaddress.ip_network((net, plen))
+        path = mb.as_path_attr(mb.path_segment(2, [64500, rng.randrange(1, 400_000)]))
+        entries = [mb.rib_entry(mb.origin_attr() + path, peer) for peer in range(3)]
+        records.append(mb.rib_record(str(prefix), entries))
+    return b"".join(records)
+
+
+def roa_csv(rng, count):
+    """A CSV export of ``count`` VRPs, as a relying-party tool writes one."""
+    lines = ["ASN,prefix,maxLength,TA"]
+    for _ in range(count):
+        v4 = rng.random() < 0.85
+        width, plen = (32, rng.randint(16, 24)) if v4 else (128, rng.randint(29, 48))
+        net = rng.getrandbits(width) >> (width - plen) << (width - plen)
+        max_length = min(plen + rng.choice([0, 0, 0, 2, 4]), width)
+        ta = rng.choice(["afrinic", "apnic", "arin", "lacnic", "ripe"])
+        prefix = ipaddress.ip_network((net, plen))
+        lines.append(f"AS{rng.randrange(1, 400_000)},{prefix},{max_length},{ta}")
+    return "\n".join(lines) + "\n"
+
+
+def registry_lines(rng, count):
+    """An AS registry of ``count`` lines, sorted as text, as registry dumps often are."""
+    asns = rng.sample(range(1, 400_000), count)
+    return "".join(sorted(f"AS{a}  ORG-{a} Example Networks {a % 97}\n" for a in asns))
+
+
+class TestTableMemory:
+    """Each table-sized structure costs a bounded number of bytes per table entry."""
+
+    @pytest.mark.parametrize("count", [6_000, 20_000])
+    def test_rib_index_bytes_per_prefix(self, count):
+        from rpkiaudit import rib_store
+
+        data = mrt_table(random.Random(count), count)
+        tracemalloc.start()
+        try:
+            trie = rib_store.PrefixTrie()
+            trie.add_routes(rib_store.read_routes(data))
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        prefixes = sum(1 for _ in trie._index)
+        assert prefixes > 0.99 * count
+        assert retained < 160 * prefixes, retained / prefixes
+
+    def stage_inputs(self, e2e_output, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / name, out)
+        return out
+
+    def test_validate_roa_index_bytes_per_vrp(self, e2e_output, tmp_path):
+        count = 20_000
+        roas = tmp_path / "roas.csv"
+        roas.write_text(roa_csv(random.Random(1), count))
+        out = self.stage_inputs(e2e_output, tmp_path)
+        cfg = PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
+        peak = traced_peak(cli.stage_validate, cfg)
+        assert peak < 300 * count, peak / count
+        validate_diag = json.loads((out / "validate_diagnostics.json").read_text())
+        assert "malformed_roa_rows" not in validate_diag
+
+    def test_classify_registry_bytes_per_line(self, e2e_output, tmp_path):
+        count = 25_000
+        registry = tmp_path / "as_registry.txt"
+        registry.write_text(registry_lines(random.Random(1), count))
+        out = self.stage_inputs(e2e_output, tmp_path)
+        cfg = PipelineConfig(as_registry=str(registry), output_dir=str(out)).validated()
+        peak = traced_peak(cli.stage_classify, cfg)
+        assert peak < 120 * count, peak / count
+        assert (out / "cdn_labels.jsonl").exists()
+
+    def test_validate_builds_no_roa_payload(self, e2e_output, tmp_path, monkeypatch):
+        from rpkiaudit import roa_validation
+
+        built = []
+        init = roa_validation.RoaPayload.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(roa_validation.RoaPayload, "__init__", counting)
+        out = self.stage_inputs(e2e_output, tmp_path)
+        assert run_stage("validate", e2e_config(out)) == 0
+        assert read(out / "validated.jsonl") == read(e2e_output / "validated.jsonl")
+        assert built == []
+
+
 class TestMrtInputPath:
     """A compact pipeline run whose RIB input is real MRT bytes."""
 
@@ -861,6 +964,63 @@ class TestCorruptInputs:
         assert "out of order or repeated" in result.stderr
         assert json.loads(lines[at + 1])["domain"] in result.stderr  # the row out of place
         assert sorted(p.name for p in out.iterdir()) == sorted(needs)
+
+    @pytest.mark.parametrize(
+        "stage, flag, name, key, extra",
+        [
+            ("validate", "--roas", "roas.csv", "malformed_roa_rows",
+             b"AS64500,10.0.0.0/8," + b"8" * 131_073 + b",ripe\n"),
+            ("validate", "--roas", "roas.csv", "malformed_roa_rows",
+             b'AS64500,"' + b"1" * 131_073 + b'",8\n'),
+            ("validate", "--roas", "roas.csv", "malformed_roa_rows", b"AS64500,10.0.0.0/8\r8\n"),
+            ("classify", "--as-registry", "as_registry.txt", "malformed_registry_lines",
+             b"64500," + b"x" * 131_073 + b"\n"),
+            ("classify", "--as-registry", "as_registry.txt", "malformed_registry_lines",
+             b"64500,Example\rNetworks\n"),
+        ],
+        ids=["roa-long-field", "roa-long-quoted-field", "roa-bare-cr",
+             "registry-long-field", "registry-bare-cr"],
+    )
+    def test_row_the_csv_module_cannot_read_is_counted(
+        self, e2e_output, tmp_path, stage, flag, name, key, extra
+    ):
+        """A csv.Error is one malformed row: the stage counts it and reads on."""
+        out = tmp_path / "out"
+        out.mkdir()
+        for artifact in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / artifact, out)
+        text = (E2E_DIR / name).read_bytes()
+        head, _, tail = text.partition(b"\n")  # the bad row is the second line, before the rest
+        source = tmp_path / name
+        source.write_bytes(head + b"\n" + extra + tail)
+        labels = ["--external-labels", E2E_DIR / "external_labels.csv"]  # as e2e_output had
+        result = run_cli(stage, flag, source, *labels, "--output-dir", out)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        diag = json.loads((out / f"{stage}_diagnostics.json").read_text())
+        expected = json.loads((e2e_output / f"{stage}_diagnostics.json").read_text())
+        expected[key] = expected.get(key, 0) + 1
+        assert diag == expected
+        artifact = {"validate": "validated.jsonl", "classify": "cdn_labels.jsonl"}[stage]
+        assert read(out / artifact) == read(e2e_output / artifact)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000, '[{"asn": 1' + "0" * 5000 + ', "prefix": "10.0.0.0/8"}]'],
+        ids=["deep-nesting", "long-number"],
+    )
+    def test_undecodable_json_roa_export_is_counted(self, e2e_output, tmp_path, text):
+        """Deep nesting and a number over the int-conversion limit are one malformed document."""
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "pairs.jsonl", out)
+        source = tmp_path / "roas.json"
+        source.write_text(text)
+        result = run_cli("validate", "--roas", source, "--output-dir", out)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        diag = json.loads((out / "validate_diagnostics.json").read_text())
+        assert diag == {"empty_roa_set": 1, "malformed_roa_rows": 1}
 
     @pytest.mark.parametrize("text", ["", "# comments only\n\n   # and blanks\n"])
     def test_keyword_file_without_tokens_is_3(self, e2e_output, tmp_path, text):

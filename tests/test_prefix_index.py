@@ -200,13 +200,13 @@ def test_index_matches_linear_scan(version, lengths):
     for net, plen in queries:
         expected = scan(rows, version, net, plen)
         found = index.covering(version, net, plen)
-        assert {(b.net, b.plen): set(b) for b in found} == expected
-        assert [b.plen for b in found] == sorted(b.plen for b in found)
-        assert all(len(b) == len(set(b)) for b in found)
+        assert {(n, p): set(items) for n, p, items in found} == expected
+        assert [p for _, p, _ in found] == sorted(p for _, p, _ in found)
+        assert all(len(items) == len(set(items)) for _, _, items in found)
         if plen == width:
             longest = index.longest(version, net)
             assert (longest is None) == (not found)
-            assert longest is None or longest is found[-1]
+            assert longest is None or longest == found[-1]
 
 
 def test_out_of_range_length_rejected():

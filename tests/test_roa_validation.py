@@ -1,3 +1,5 @@
+import csv
+import io
 import ipaddress
 import json
 import random
@@ -6,14 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpkiaudit._prefix_index import parse_decimal, parse_prefix
+from rpkiaudit.cli import PipelineConfig, run_stage
 from rpkiaudit.diagnostics import Diagnostics
-from rpkiaudit.rib_store import PrefixOriginPair
+from rpkiaudit.rib_store import PrefixOriginPair, parse_asn
 from rpkiaudit.roa_validation import (
+    TRUST_ANCHORS,
     RoaFormat,
+    RoaIndex,
     RoaPayload,
     ValidationState,
     build_roa_index,
     load_roas,
+    roa_fields,
     validate,
 )
 
@@ -297,3 +304,150 @@ class TestRoaPayloadInvariants:
     def test_asn_range_enforced(self):
         with pytest.raises(ValueError):
             roa(2**32, "10.0.0.0/16", 24)
+
+
+# ---------------------------------------------------------------------------
+# The validate stage's streamed decoder and compact index, against load_roas
+# and a linear RFC 6811 scan
+
+
+def reference_roas(text, fmt):
+    """Payloads and counters of the whole-text loader that preceded ``roa_fields``."""
+    diag = Diagnostics()
+    payloads = set()
+
+    def add(asn, prefix, max_length, ta):
+        try:
+            if type(asn) is int:
+                asn = str(asn)
+            if not isinstance(asn, str):
+                raise TypeError(asn)
+            network = parse_prefix(str(prefix).strip())
+            if max_length is None or (isinstance(max_length, str) and not max_length.strip()):
+                max_length = network[2]
+            else:
+                max_length = parse_decimal(str(max_length).strip())
+            ta = "other" if ta is None else str(ta).strip().lower()
+            ta = ta if ta in TRUST_ANCHORS else "other"
+            payloads.add(RoaPayload(parse_asn(asn), network, max_length, ta))
+        except (ValueError, TypeError):
+            diag.count("malformed_roa_rows")
+
+    if fmt is RoaFormat.CSV:
+        rows = list(csv.reader(io.StringIO(text)))
+        if rows and rows[0] and rows[0][0].strip().upper() == "ASN":
+            rows = rows[1:]
+        for row in rows:
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if not 2 <= len(row) <= 4:
+                diag.count("malformed_roa_rows")
+                continue
+            add(*row, *[None] * (4 - len(row)))
+    else:
+        try:
+            doc = json.loads(text) if text.strip() else []
+        except json.JSONDecodeError:
+            diag.count("malformed_roa_rows")
+            doc = []
+        if not isinstance(doc, list):
+            diag.count("malformed_roa_rows")
+            doc = []
+        for obj in doc:
+            try:
+                fields = obj["asn"], obj["prefix"], obj.get("maxLength"), obj.get("ta")
+            except (TypeError, KeyError):
+                diag.count("malformed_roa_rows")
+                continue
+            add(*fields)
+    if not payloads:
+        diag.warn("empty_roa_set", "no ROA payloads loaded")
+    return payloads, diag.as_dict()
+
+
+EXPORT_PREFIXES = ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25", "11.0.0.0/8",
+                   "2001:db8::/32", "2001:db8:1::/48", "10.1.2.1/24", "not-a-prefix",
+                   " 10.1.0.0/16 "]
+EXPORT_ASNS = ["AS64500", "64500", "as64501", "AS0", "0", "AS4294967296", "ASX", "", " AS64501 "]
+EXPORT_MAXLENS = [None, "", "8", "16", "24", "25", "33", "7", "128", "x"]  # None: column absent
+EXPORT_TAS = [None, "ripe", " RIPE ", "arin", "weird", ""]
+QUERY_PAIRS = [(prefix, asn) for prefix in ("10.1.2.0/24", "10.1.2.128/25", "10.1.0.0/16",
+                                            "10.0.0.0/8", "10.9.0.0/16", "11.1.0.0/24",
+                                            "2001:db8:1::/48", "2001:db8:1:2::/64", "12.0.0.0/8")
+               for asn in (0, 64500, 64501)]
+
+
+@st.composite
+def roa_export(draw):
+    """(format, export text): rows of 1 to 5 fields, some repeated with another TA."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        row = [draw(st.sampled_from(EXPORT_ASNS)), draw(st.sampled_from(EXPORT_PREFIXES))]
+        max_length, ta = draw(st.sampled_from(EXPORT_MAXLENS)), draw(st.sampled_from(EXPORT_TAS))
+        if max_length is not None:
+            row.append(max_length)
+            if ta is not None:
+                row.append(ta)
+        if draw(st.booleans()):
+            row = row[: draw(st.integers(0, 1))] if draw(st.booleans()) else row + ["x"] * 2
+        rows.append(row)
+        if len(row) == 4 and draw(st.booleans()):
+            rows.append(row[:3] + [draw(st.sampled_from(["ripe", "apnic", "lacnic", "zz"]))])
+    if draw(st.booleans()):  # JSON: numbers where the CSV has text, some items no objects
+        items = []
+        for row in rows:
+            obj = dict(zip(("asn", "prefix", "maxLength", "ta"), row))
+            for key in ("asn", "maxLength"):
+                if key in obj and obj[key].strip().isdigit() and draw(st.booleans()):
+                    obj[key] = int(obj[key])
+            items.append(obj if draw(st.integers(0, 9)) else draw(st.sampled_from([5, "x", [1]])))
+        doc = draw(st.sampled_from(["list", "list", "list", "object", "broken"]))
+        text = {"list": json.dumps(items), "object": json.dumps({"roas": items}),
+                "broken": json.dumps(items)[:-1]}[doc]
+        return "json", text
+    lines = ["ASN,prefix,maxLength,TA"] if draw(st.booleans()) else []
+    for row in rows:
+        quote = draw(st.booleans())
+        lines.append(",".join(f'"{field}"' if quote else field for field in row))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "   ", ","])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "csv", end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def stage_states(tmp_path, fmt, text):
+    """Each QUERY_PAIRS state and the diagnostics of the validate stage over the export."""
+    export = tmp_path / f"roas.{fmt}"
+    export.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = [{"rank": i, "domain": f"d{i}.test", "variant": "base", "unreachable": [],
+             "pairs": [{"prefix": prefix, "asn": asn}]}
+            for i, (prefix, asn) in enumerate(QUERY_PAIRS, 1)]
+    (out / "pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert run_stage("validate", PipelineConfig(roas=str(export), output_dir=str(out))) == 0
+    validated = [json.loads(line) for line in (out / "validated.jsonl").read_text().splitlines()]
+    states = [ValidationState(row["pairs"][0]["state"]) for row in validated]
+    return states, json.loads((out / "validate_diagnostics.json").read_text())
+
+
+class TestStreamedRoaPath:
+    @settings(max_examples=150, deadline=None)
+    @given(roa_export())
+    def test_stage_matches_load_roas_and_a_linear_scan(self, tmp_path_factory, export):
+        fmt, text = export
+        diag = Diagnostics()
+        roas = load_roas(text, RoaFormat(fmt), diag)
+        assert (roas, diag.as_dict()) == reference_roas(text, RoaFormat(fmt))
+        expected = [oracle_validate(pair(prefix, asn), roas) for prefix, asn in QUERY_PAIRS]
+        states, stage_diag = stage_states(tmp_path_factory.mktemp("roas"), fmt, text)
+        assert states == expected
+        assert stage_diag == diag.as_dict()  # malformed_roa_rows and empty_roa_set alike
+
+    def test_duplicates_differing_in_ta_are_distinct_payloads(self):
+        text = "AS1,10.0.0.0/8,8,ripe\nAS1,10.0.0.0/8,8,arin\nAS1,10.0.0.0/8,8,RIPE\n"
+        index = RoaIndex()
+        for fields in roa_fields(io.StringIO(text)):
+            index.add(*fields)
+        assert len(index) == len(load_roas(text)) == 2
+        assert index.covering(ipaddress.ip_network("10.1.0.0/16")) == load_roas(text)
