@@ -4,9 +4,8 @@ agreement against an external classification."""
 from __future__ import annotations
 
 import csv
+import io
 import operator
-from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -140,9 +139,17 @@ def load_keywords(text: str | None = None) -> list[str]:
     names) is used.
     """
     if text is None:
-        text = resources.files("rpkiaudit").joinpath("data/cdn_keywords.txt").read_text("utf-8")
-    tokens = (line.split("#", 1)[0].strip().lower() for line in text.split("\n"))
-    return [token for token in tokens if token]
+        text = (
+            resources.files("rpkiaudit")
+            .joinpath("data/cdn_keywords.txt")
+            .read_text("utf-8")
+        )
+    out = []
+    for line in text.split("\n"):
+        token = line.split("#", 1)[0].strip().lower()
+        if token:
+            out.append(token)
+    return out
 
 
 def registry_entries(
@@ -151,12 +158,10 @@ def registry_entries(
     """The first entry for each ASN of an AS assignment list's lines, in file order.
 
     A line is "ASN  description" or "asn,description" CSV; the separator is
-    sniffed per line.  Only the ASNs seen so far are kept: those that came in
-    ascending order, as in a sorted registry, at 4 bytes each, the rest in a set.
+    sniffed per line.  Only the set of ASNs seen so far is kept.
     """
     diag = diag if diag is not None else Diagnostics()
-    run = array("I")  # ascending; "I" holds any 32-bit ASN
-    rest: set[int] = set()
+    seen: set[int] = set()
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -170,13 +175,10 @@ def registry_entries(
         except ValueError:
             diag.count("malformed_registry_lines")
             continue
-        if run and asn <= run[-1]:
-            if run[bisect_left(run, asn)] == asn or asn in rest:
-                diag.count("duplicate_registry_asns")
-                continue
-            rest.add(asn)
-        else:
-            run.append(asn)
+        if asn in seen:
+            diag.count("duplicate_registry_asns")
+            continue
+        seen.add(asn)
         yield AsRegistryEntry(asn, description.strip())
 
 
@@ -186,15 +188,23 @@ def parse_as_registry(text: str, diag: Diagnostics | None = None) -> list[AsRegi
 
 
 def _split_registry_line(line: str) -> tuple[str | None, str]:
-    """(ASN field, description) of a stripped line; (None, "") when it has none."""
-    parts = line.split(None, 1)
-    if "," in parts[0]:  # a comma before any whitespace: a csv line
+    comma = line.find(",")
+    space = len(line)
+    for i, ch in enumerate(line):
+        if ch.isspace():
+            space = i
+            break
+    if 0 <= comma < space:
         try:
-            row = next(csv.reader([line]), None)
+            row = next(csv.reader(io.StringIO(line)), None)
         except csv.Error:  # a field over the csv module's size limit, or a bare CR
             return None, ""
-        return (row[0], ",".join(row[1:])) if row and len(row) >= 2 else (None, "")
-    return (parts[0], parts[1]) if len(parts) == 2 else (None, "")
+        if not row or len(row) < 2:
+            return None, ""
+        return row[0], ",".join(row[1:])
+    if space == len(line):
+        return None, ""
+    return line[:space], line[space:]
 
 
 def load_external_labels(text: str, diag: Diagnostics | None = None) -> dict[str, bool]:

@@ -593,9 +593,13 @@ def stage_validate(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     pairs = _artifact(cfg, "pairs.jsonl", "map")
     _require_file(cfg.roas, "ROA export")
+    fmt = _roa_format(cfg)
+    if fmt is roa_validation.RoaFormat.CSV:
+        export = _text_lines(cfg.roas, "ROA export")  # one line at a time
+    else:
+        export = _read_text(cfg.roas, "ROA export")
     index = roa_validation.RoaIndex()
-    lines = _text_lines(cfg.roas, "ROA export")
-    for fields in roa_validation.roa_fields(lines, _roa_format(cfg), diag):
+    for fields in roa_validation.roa_fields(export, fmt, diag):
         index.add(*fields)
 
     @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
@@ -692,12 +696,23 @@ def stage_classify(cfg: PipelineConfig) -> None:
         count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
     if agreement is not None and count:
         report = agreement.report()
-        doc = {
-            "coverage": analytics.fraction_to_float(report.coverage),
-            "agree": analytics.fraction_to_float(report.agree),
-            "confusion": {f"{h}{e}": n for (h, e), n in report.confusion.items()},
-        }
-        _write_text(cfg.out("agreement.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(
+            cfg.out("agreement.json"),
+            json.dumps(
+                {
+                    "coverage": analytics.fraction_to_float(report.coverage),
+                    "agree": analytics.fraction_to_float(report.agree),
+                    "confusion": {
+                        f"{h}{e}": report.confusion[(h, e)]
+                        for h in (0, 1)
+                        for e in (0, 1)
+                    },
+                },
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n",
+        )
     _write_diag(cfg, "classify", diag)
     log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))
 
@@ -739,9 +754,20 @@ def _bin_csv(stats: list[BinStat]) -> str:
 
     lines = ["bin_lo,bin_hi,n,mean_covered,mean_valid,mean_invalid,mean_notfound,cdn_fraction"]
     for s in stats:
-        means = (s.mean_covered, s.mean_valid, s.mean_invalid, s.mean_notfound, s.cdn_fraction)
-        counts = (str(s.bin.lo), str(s.bin.hi), str(s.domain_count))
-        lines.append(",".join(counts + tuple(map(format_fraction, means))))
+        lines.append(
+            ",".join(
+                [
+                    str(s.bin.lo),
+                    str(s.bin.hi),
+                    str(s.domain_count),
+                    format_fraction(s.mean_covered),
+                    format_fraction(s.mean_valid),
+                    format_fraction(s.mean_invalid),
+                    format_fraction(s.mean_notfound),
+                    format_fraction(s.cdn_fraction),
+                ]
+            )
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -841,7 +867,9 @@ def stage_report(cfg: PipelineConfig) -> None:
 
     width_name = max([len(r.domain) for r in rows], default=6)
     width_www = max([len(r.www_cell) for r in rows], default=3)
-    text_lines = [f"{'rank':>6}  {'domain':<{width_name}}  {'www':<{width_www}}  w/o www"]
+    text_lines = [
+        f"{'rank':>6}  {'domain':<{width_name}}  {'www':<{width_www}}  w/o www"
+    ]
     for r in rows:
         text_lines.append(
             f"{r.rank:>6}  {r.domain:<{width_name}}  {r.www_cell:<{width_www}}  {r.base_cell}"
@@ -947,12 +975,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             if value is not None:
                 setattr(cfg, f.name, value)
         return run_stage(args.stage, cfg)
-    except AuditError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, UsageError):
-            return 1
-        missing = isinstance(exc, (MissingInputError, StageDependencyMissingError))
-        return 2 if missing else 3  # 3: DataError and every other input fault
+        return 1
+    except (MissingInputError, StageDependencyMissingError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except AuditError as exc:  # DataError and every other input fault
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -147,8 +147,15 @@ def make_bins(max_rank: int, bin_size: int) -> list[RankBin]:
     """Partition [1, max_rank] into consecutive bins of bin_size ranks."""
     if bin_size < 1:
         raise ValueError("bin_size must be >= 1")
-    starts = range(1, max_rank + 1, bin_size)
-    return [RankBin(i, lo, min(lo + bin_size - 1, max_rank)) for i, lo in enumerate(starts)]
+    bins = []
+    index = 0
+    lo = 1
+    while lo <= max_rank:
+        hi = min(lo + bin_size - 1, max_rank)
+        bins.append(RankBin(index, lo, hi))
+        index += 1
+        lo = hi + 1
+    return bins
 
 
 def assign_bins(records: Iterable[DomainRecord], bin_size: int) -> list[RankBin]:

@@ -347,14 +347,16 @@ class PrefixTrie:
     nested, so the longest one fixes the answer: a prefix's memo is the
     frozenset of pairs of every stored prefix covering it, and a lookup
     returns the memo of the longest prefix that matches.  Memos, with their
-    pairs and each prefix's text, live in a side table keyed by
-    (version, net, plen) and are built on a lookup, for the prefix it hits
-    and those covering it; a stored prefix that no lookup lands in has none.
+    pairs and each prefix's text, live in side tables, one per family and
+    length keyed like the index by ``net >> (width - plen)``, and are built on
+    a lookup, for the prefix it hits and those covering it; a stored prefix
+    that no lookup lands in has none.
     """
 
     def __init__(self) -> None:
         self._index = PrefixIndex()
-        self._memos: dict[tuple[int, int, int], frozenset[PrefixOriginPair]] = {}
+        # per family: plen -> {net >> (width - plen): memo}
+        self._memos: dict[int, dict[int, dict[int, frozenset[PrefixOriginPair]]]] = {4: {}, 6: {}}
         self.as_set_count = 0
 
     def __len__(self) -> int:
@@ -374,31 +376,35 @@ class PrefixTrie:
                 diag.count("as_set_entries")
             else:
                 add(version, net, plen, origin)
-        self._memos.clear()
+        for tables in self._memos.values():
+            tables.clear()
 
     def _memo(self, version: int, net: int, plen: int) -> frozenset[PrefixOriginPair]:
         """The memo of a stored prefix, built with those of the prefixes covering it."""
-        memos = self._memos
-        pairs = memos.get((version, net, plen))
-        if pairs is None:
-            pairs = _NO_PAIRS
-            for covering_net, covering_plen, origins in self._index.covering(version, net, plen):
-                key = version, covering_net, covering_plen
-                memo = memos.get(key)
-                if memo is None:  # shortest first: each memo extends the last
-                    text = format_prefix(*key)
-                    memo = pairs.union([PrefixOriginPair(key, o, text) for o in origins])
-                    memos[key] = memo
-                pairs = memo
+        tables, width = self._memos[version], WIDTH[version]
+        pairs = _NO_PAIRS
+        for covering_net, covering_plen, origins in self._index.covering(version, net, plen):
+            table = tables.get(covering_plen)
+            if table is None:
+                table = tables[covering_plen] = {}
+            key = covering_net >> (width - covering_plen)
+            memo = table.get(key)
+            if memo is None:  # shortest first: each memo extends the last
+                prefix = version, covering_net, covering_plen
+                text = format_prefix(*prefix)
+                memo = pairs.union([PrefixOriginPair(prefix, o, text) for o in origins])
+                table[key] = memo
+            pairs = memo
         return pairs
 
     def covering(self, version: int, addr: int) -> frozenset[PrefixOriginPair]:
         found = self._index.longest(version, addr)
         if found is None:
             return _NO_PAIRS
-        key = version, found[0], found[1]
-        memo = self._memos.get(key)
-        return memo if memo is not None else self._memo(*key)
+        net, plen, _ = found
+        table = self._memos[version].get(plen)
+        memo = table.get(net >> (WIDTH[version] - plen)) if table is not None else None
+        return memo if memo is not None else self._memo(version, net, plen)
 
     def pairs(self) -> set[PrefixOriginPair]:
         return set().union(*(self._memo(*entry[:3]) for entry in self._index))

@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Union
 
 from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_decimal
 from ._prefix_index import parse_prefix
@@ -53,21 +53,27 @@ class RoaPayload(Prefixed):
         self.asn, self.max_length, self.trust_anchor = asn, max_length, trust_anchor
 
 
+def _parse_asn_field(raw: Union[str, int]) -> int:
+    if type(raw) is int:  # a JSON true is not AS 1
+        raw = str(raw)
+    if not isinstance(raw, str):
+        raise TypeError(f"ASN {raw!r} is neither a number nor text")
+    return parse_asn(raw)
+
+
 def _fields(row) -> RoaFields | None:
     """The payload of a row (asn, prefix[, maxLength[, TA]]); None when the row is malformed."""
     if row is None or not 2 <= len(row) <= 4:
         return None
     asn_field, prefix_field, maxlen_field, ta_field = (*row, None, None)[:4]
     try:
-        if type(asn_field) is int:  # a JSON true is not AS 1
-            asn_field = str(asn_field)
-        asn = parse_asn(asn_field)  # anything but text has no .strip(): AttributeError
+        asn = _parse_asn_field(asn_field)
         version, net, plen = parse_prefix(str(prefix_field).strip())
         if maxlen_field is None or (isinstance(maxlen_field, str) and not maxlen_field.strip()):
             max_length = plen  # absent maxLength: exact-prefix ROA
         else:
             max_length = parse_decimal(str(maxlen_field).strip())
-    except (ValueError, TypeError, AttributeError):
+    except (ValueError, TypeError):
         return None
     if not plen <= max_length <= WIDTH[version]:
         return None
@@ -111,9 +117,12 @@ def _json_rows(text: str) -> Iterator[tuple | None]:
 
 
 def roa_fields(
-    lines: Iterable[str], fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
+    export: Union[str, Iterable[str]],
+    fmt: RoaFormat = RoaFormat.CSV,
+    diag: Diagnostics | None = None,
 ) -> Iterator[RoaFields]:
-    """The payloads of a ROA export's lines: a csv one is read a line at a time.
+    """The payloads of a ROA export: a csv export's lines, read one at a time, or
+    a json export's text.
 
     Rows violating the maxLength invariant (or otherwise unparseable) could
     not have come from a correct relying-party validator; they are skipped
@@ -122,7 +131,7 @@ def roa_fields(
     """
     diag = diag if diag is not None else Diagnostics()
     decoded = 0
-    for row in _csv_rows(lines) if fmt is RoaFormat.CSV else _json_rows("".join(lines)):
+    for row in _csv_rows(export) if fmt is RoaFormat.CSV else _json_rows(export):
         fields = _fields(row)
         if fields is None:
             diag.count("malformed_roa_rows")
@@ -137,9 +146,10 @@ def load_roas(
     text: str, fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
 ) -> set[RoaPayload]:
     """Validated ROA payloads of a csv or json export text; roa_fields' checks and counters."""
+    export = io.StringIO(text) if fmt is RoaFormat.CSV else text
     return {
         RoaPayload(asn, (version, net, plen), max_length, ta)
-        for version, net, plen, asn, max_length, ta in roa_fields(io.StringIO(text), fmt, diag)
+        for version, net, plen, asn, max_length, ta in roa_fields(export, fmt, diag)
     }
 
 
