@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Optional
 
-from .domain_ingest import RankBin, bin_for_rank
-from .roa_validation import ValidationState
+from .domain_ingest import RankBin, make_bins
 
 
 class CoverageClass(enum.Enum):
@@ -80,24 +79,28 @@ class DomainCoverage:
         return CoverageClass.PARTIAL
 
 
+_STATES = ("valid", "invalid", "notfound")
+
+
 def domain_coverage(
-    domain: str, states: Iterable[tuple[Hashable, ValidationState]]
+    domain: str, states: Iterable[tuple[Hashable, str]]
 ) -> DomainCoverage:
     """Count the validation states of a domain's pairs, keyed by any hashable pair.
 
-    Identical duplicates collapse; a pair listed with two states is rejected.
+    A state is its text ("valid", "invalid" or "notfound") or the
+    ``ValidationState`` member of that value.  Identical duplicates collapse;
+    a pair listed with two states, or an unknown state, is rejected.
     """
-    by_pair: dict[Hashable, ValidationState] = {}
+    by_pair: dict[Hashable, str] = {}
     for pair, state in states:
-        if by_pair.setdefault(pair, state) is not state:
+        if by_pair.setdefault(pair, state) != state:  # states read from text are not interned
             raise ValueError(f"{domain}: pair {pair} has conflicting states")
     found = list(by_pair.values())
-    return DomainCoverage(
-        domain,
-        found.count(ValidationState.VALID),
-        found.count(ValidationState.INVALID),
-        found.count(ValidationState.NOT_FOUND),
-    )
+    valid, invalid, notfound = map(found.count, _STATES)
+    if valid + invalid + notfound != len(found):
+        unknown = next(s for s in found if s not in _STATES)
+        raise ValueError(f"{domain}: unknown validation state {unknown!r}")
+    return DomainCoverage(domain, valid, invalid, notfound)
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,75 +138,114 @@ class BinStat:
     data_count: int
 
 
-def bin_aggregate(
-    coverages: Iterable[tuple[int, DomainCoverage]],
-    by_chain: Mapping[str, bool],
-    bins: Sequence[RankBin],
-) -> list[BinStat]:
-    """Arithmetic bin means of the per-domain fractions.
+@dataclass(frozen=True)
+class OverallRates:
+    domains: int
+    domains_with_data: int
+    total_pairs: int
+    covered_pairs: int
+    domain_weighted_covered: Optional[Fraction]
+    pair_weighted_covered: Optional[Fraction]
 
-    NoData domains are excluded from the means but counted in the bin; the
-    cdn fraction is the share of binned domains whose chain label is true
-    (unlabeled domains count as not CDN).
+
+_DOMAINS, _VALID, _INVALID = range(3)  # the columns of a pair total's counts
+
+
+@dataclass(slots=True)
+class _Sums:
+    domains: int = 0
+    cdn: int = 0
+    by_total: dict[int, list[int]] = field(default_factory=dict)  # NoData domains stay out
+
+    def add_counts(self, total: int, counts: Iterable[int]) -> None:
+        summed = self.by_total.setdefault(total, [0, 0, 0])
+        for column, count in enumerate(counts):
+            summed[column] += count
+
+    @property
+    def data_count(self) -> int:
+        return sum(counts[_DOMAINS] for counts in self.by_total.values())
+
+    def mean_share(self, *columns: int) -> Optional[Fraction]:
+        """The mean over domains with data of their share of pairs in the columns.
+
+        Domains are grouped by their pair total, so the sum is one Fraction per
+        distinct total over the summed counts, not one per domain.
+        """
+        if not self.by_total:
+            return None
+        shares = (
+            Fraction(sum(counts[c] for c in columns), total)
+            for total, counts in self.by_total.items()
+        )
+        return sum(shares, Fraction(0)) / self.data_count
+
+
+class BinnedSums:
+    """Running sums of per-domain coverage by rank bin, the one source of exact means.
+
+    A domain at ``rank`` counts in bin ``(rank - 1) // bin_size``; the means
+    are taken when the sums are read, so no per-domain row is held.
     """
-    bin_list = list(bins)
-    members: dict[int, list[tuple[DomainCoverage, bool]]] = {
-        b.index: [] for b in bin_list
-    }
-    for rank, cov in coverages:
-        rank_bin = bin_for_rank(bin_list, rank)
-        members[rank_bin.index].append((cov, by_chain.get(cov.domain, False)))
 
-    stats = []
-    for rank_bin in bin_list:
-        rows = members[rank_bin.index]
-        # Domains grouped by their pair total: a mean is one Fraction per
-        # distinct total over the summed counts, not one per domain.
-        by_total: dict[int, list[DomainCoverage]] = {}
-        for c, _ in rows:
-            if c.total_pairs:  # NoData domains stay out of the means
-                by_total.setdefault(c.total_pairs, []).append(c)
-        cdn_count = sum(1 for _, is_cdn in rows if is_cdn)
-        n_data = sum(map(len, by_total.values()))
-        if n_data:
+    def __init__(self, bin_size: int):
+        if bin_size < 1:
+            raise ValueError("bin_size must be >= 1")
+        self.bin_size = bin_size
+        self._bins: dict[int, _Sums] = {}
 
-            def mean(count: str) -> Fraction:
-                shares = (
-                    Fraction(sum(map(attrgetter(count), covs)), total)
-                    for total, covs in by_total.items()
-                )
-                return sum(shares, Fraction(0)) / n_data
+    def add(self, rank: int, coverage: DomainCoverage, is_cdn: bool) -> None:
+        sums = self._bins.setdefault((rank - 1) // self.bin_size, _Sums())
+        sums.domains += 1
+        sums.cdn += bool(is_cdn)
+        if coverage.total_pairs:
+            sums.add_counts(coverage.total_pairs, (1, coverage.valid, coverage.invalid))
 
+    def stats(self, max_rank: int) -> list[BinStat]:
+        """Arithmetic bin means of the per-domain fractions, one line per bin of [1, max_rank].
+
+        NoData domains are excluded from the means but counted in the bin; the
+        cdn fraction is the share of the bin's domains added as CDN.
+        """
+        bins = make_bins(max_rank, self.bin_size)
+        if any(not 0 <= index < len(bins) for index in self._bins):
+            raise ValueError(f"a rank outside [1, {max_rank}] was added")
+        stats = []
+        for rank_bin in bins:
+            sums = self._bins.get(rank_bin.index, _Sums())
+            covered = sums.mean_share(_VALID, _INVALID)
             stats.append(
                 BinStat(
                     rank_bin,
-                    mean("covered_count"),
-                    mean("valid"),
-                    mean("invalid"),
-                    mean("notfound"),
-                    Fraction(cdn_count, len(rows)),
-                    len(rows),
-                    n_data,
+                    covered,
+                    sums.mean_share(_VALID),
+                    sums.mean_share(_INVALID),
+                    None if covered is None else 1 - covered,  # exact for rationals
+                    Fraction(sums.cdn, sums.domains) if sums.domains else None,
+                    sums.domains,
+                    sums.data_count,
                 )
             )
-        else:
-            cdn = Fraction(cdn_count, len(rows)) if rows else None
-            stats.append(BinStat(rank_bin, None, None, None, None, cdn, len(rows), 0))
-    return stats
+        return stats
 
-
-def cdn_conditional_rates(
-    coverages: Iterable[tuple[int, DomainCoverage]],
-    by_chain: Mapping[str, bool],
-    bins: Sequence[RankBin],
-) -> tuple[list[BinStat], list[BinStat]]:
-    """(CDN-only, all-domains) bin series under the chain label."""
-    coverages = list(coverages)
-    cdn_only = [(r, c) for r, c in coverages if by_chain.get(c.domain, False)]
-    return (
-        bin_aggregate(cdn_only, by_chain, bins),
-        bin_aggregate(coverages, by_chain, bins),
-    )
+    def rates(self) -> OverallRates:
+        """Mean coverage both per domain (each domain weighs 1) and per pair, over every bin."""
+        merged = _Sums()
+        for sums in self._bins.values():
+            merged.domains += sums.domains
+            for total, counts in sums.by_total.items():
+                merged.add_counts(total, counts)
+        totals = merged.by_total.items()
+        total_pairs = sum(total * counts[_DOMAINS] for total, counts in totals)
+        covered_pairs = sum(counts[_VALID] + counts[_INVALID] for _, counts in totals)
+        return OverallRates(
+            merged.domains,
+            merged.data_count,
+            total_pairs,
+            covered_pairs,
+            merged.mean_share(_VALID, _INVALID),
+            Fraction(covered_pairs, total_pairs) if total_pairs else None,
+        )
 
 
 @dataclass(frozen=True)
@@ -249,34 +291,6 @@ def coverage_report(
         or (base is not None and base.classification in interesting)
     )
     return heapq.nsmallest(top_n, rows, key=attrgetter("rank"))
-
-
-@dataclass(frozen=True)
-class OverallRates:
-    domains: int
-    domains_with_data: int
-    total_pairs: int
-    covered_pairs: int
-    domain_weighted_covered: Optional[Fraction]
-    pair_weighted_covered: Optional[Fraction]
-
-
-def overall_rates(coverages: Iterable[DomainCoverage]) -> OverallRates:
-    """Mean coverage both per-domain (each domain weighs 1) and per-pair."""
-    covs = list(coverages)
-    with_data = [c for c in covs if c.classification is not CoverageClass.NO_DATA]
-    total_pairs = sum(c.total_pairs for c in with_data)
-    covered_pairs = sum(c.covered_count for c in with_data)
-    domain_weighted = (
-        sum((c.covered_fraction for c in with_data), Fraction(0)) / len(with_data)
-        if with_data
-        else None
-    )
-    pair_weighted = Fraction(covered_pairs, total_pairs) if total_pairs else None
-    return OverallRates(
-        len(covs), len(with_data), total_pairs, covered_pairs,
-        domain_weighted, pair_weighted,
-    )
 
 
 # ---------------------------------------------------------------------------

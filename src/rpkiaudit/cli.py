@@ -248,6 +248,30 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
     return reading()
 
 
+def _joined(rows: Iterable[dict], artifact, value, missing) -> Iterator[tuple[dict, object]]:
+    """Each of ``rows`` with ``value`` of the ``artifact`` row of its key, or ``missing``.
+
+    Both sides ascend in ``_row_order``, so the join reads them in step, one row of each.
+    The artifact is read in its own generator, so a bad row names its own artifact; the
+    artifact's rows no key asks for are still read and checked once ``rows`` runs out.
+    """
+
+    def keyed():
+        with artifact as joined_rows:
+            for row in joined_rows:
+                yield _row_order(row), value(row)
+
+    others = keyed()
+    key, found = next(others, (None, missing))
+    for row in rows:
+        here = _row_order(row)
+        while key is not None and key < here:
+            key, found = next(others, (None, missing))
+        yield row, found if key == here else missing
+    for _ in others:
+        pass
+
+
 def _primary_resolver(cfg: PipelineConfig) -> str:
     with _artifact(cfg, "resolve_meta.json", "resolve") as meta_rows:
         (meta,) = meta_rows
@@ -659,23 +683,19 @@ def stage_classify(cfg: PipelineConfig) -> None:
         )
 
     agreement = cdn_classifier.Agreement(external) if external else None
-    origins = _origins(pairs)
 
     def label_rows(resolved_rows):
-        """The primary resolver's OK rows, joined in step with pairs.jsonl's rows."""
-        key, asns = next(origins, (None, ()))
-        for row in resolved_rows:
-            if row["resolver"] != primary or row["status"] != ResolutionStatus.OK.value:
-                continue
-            here = _row_order(row)
-            while key is not None and key < here:
-                key, asns = next(origins, (None, ()))
+        """The primary resolver's OK rows, each with the origin ASNs of its pairs.jsonl row."""
+        ok = ResolutionStatus.OK.value
+        labelled = (r for r in resolved_rows if r["resolver"] == primary and r["status"] == ok)
+        joined = _joined(labelled, pairs, lambda r: [p["asn"] for p in r["pairs"]], ())
+        for row, asns in joined:
             chain_length = len(row["cnames"])
             label = cdn_classifier.CdnLabel(
                 row["domain"],
                 chain_length,
                 chain_length >= cdn_classifier.CHAIN_THRESHOLD,
-                by_asn=cdn_classifier.classify_by_asn(asns if key == here else (), cdn_asns),
+                by_asn=cdn_classifier.classify_by_asn(asns, cdn_asns),
             )
             label.external = cdn_classifier.external_label(external, label.domain)
             if agreement is not None:
@@ -689,8 +709,6 @@ def stage_classify(cfg: PipelineConfig) -> None:
                 "by_asn": label.by_asn,
                 "external": label.external,
             }
-        for _ in origins:  # the rows no label joins are still read and checked
-            pass
 
     with resolved as resolved_rows:
         count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
@@ -717,36 +735,16 @@ def stage_classify(cfg: PipelineConfig) -> None:
     log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))
 
 
-def _origins(pairs) -> Iterator[tuple[tuple, list[int]]]:
-    """Each pairs.jsonl row's order key and origin ASNs; a bad row names pairs.jsonl."""
-    with pairs as pair_rows:
-        for row in pair_rows:
-            yield _row_order(row), [p["asn"] for p in row["pairs"]]
-
-
 # ---------------------------------------------------------------------------
 # analyze
 
 
-def _coverages(
-    validated_rows: Iterable[dict],
-) -> Iterator[tuple[dict, int, Variant, DomainCoverage]]:
-    """Each validated.jsonl row with its rank, variant and coverage."""
+def _coverage(row: dict) -> DomainCoverage:
+    """The coverage of a validated.jsonl row, counted from its state strings."""
     from .analytics import domain_coverage
-    from .domain_ingest import Variant
-    from .roa_validation import ValidationState
 
-    for row in validated_rows:
-        states = (((p["prefix"], p["asn"]), ValidationState(p["state"])) for p in row["pairs"])
-        yield row, row["rank"], Variant(row["variant"]), domain_coverage(row["domain"], states)
-
-
-def _ranks(validated_rows: Iterable[dict]):
-    """The rows of validated.jsonl grouped by rank, as ``(rank, rows of _coverages)``.
-
-    Each row is read as its group is iterated, so a fault in it names that row.
-    """
-    return itertools.groupby(_coverages(validated_rows), key=operator.itemgetter(1))
+    states = (((p["prefix"], p["asn"]), p["state"]) for p in row["pairs"])
+    return domain_coverage(row["domain"], states)
 
 
 def _bin_csv(stats: list[BinStat]) -> str:
@@ -786,15 +784,16 @@ def _rates_obj(rates: OverallRates) -> dict:
 
 def stage_analyze(cfg: PipelineConfig) -> None:
     from . import analytics
-    from .domain_ingest import Variant, make_bins
+    from .domain_ingest import Variant
 
     diag = Diagnostics()
     validated = _artifact(cfg, "validated.jsonl", "validate")
     labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
-    with labels as label_rows:
-        by_chain = {row["domain"]: bool(row["by_chain"]) for row in label_rows}
 
-    coverages: dict[Variant, list[tuple[int, DomainCoverage]]] = {v: [] for v in Variant}
+    # per variant: every domain, and the domains with a true chain label (a row
+    # with no label row counts as not CDN)
+    every = {v: analytics.BinnedSums(cfg.bin_size) for v in Variant}
+    cdn = {v: analytics.BinnedSums(cfg.bin_size) for v in Variant}
     max_rank = 0
     overlap_sum, overlap_count = 0, 0
 
@@ -802,12 +801,17 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         """overlap.csv, one line per rank with a base row, as the ranks stream past."""
         nonlocal max_rank, overlap_sum, overlap_count
         yield "rank,domain,overlap\n"
-        for rank, rows in _ranks(validated_rows):
+        joined = _joined(validated_rows, labels, lambda r: bool(r["by_chain"]), False)
+        for rank, rows in itertools.groupby(joined, key=lambda item: item[0]["rank"]):
             max_rank = rank
             prefixes: dict[Variant, set[str]] = {}
             name = None
-            for row, _, variant, coverage in rows:
-                coverages[variant].append((rank, coverage))
+            for row, by_chain in rows:
+                variant = Variant(row["variant"])
+                coverage = _coverage(row)
+                every[variant].add(rank, coverage, by_chain)
+                if by_chain:
+                    cdn[variant].add(rank, coverage, by_chain)
                 prefixes[variant] = {p["prefix"] for p in row["pairs"]}
                 if variant is Variant.BASE:
                     name = row["domain"]
@@ -826,19 +830,18 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     with validated as validated_rows, _replacing(cfg.out("overlap.csv")) as fh:
         fh.writelines(overlap_lines(validated_rows))
 
-    bins = make_bins(max_rank, cfg.bin_size)
     summary: dict[str, dict] = {}
-    for variant, series in coverages.items():
-        cdn_series, all_series = analytics.cdn_conditional_rates(series, by_chain, bins)
-        _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(all_series))
-        _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_series))
-        summary[variant.value] = _rates_obj(analytics.overall_rates([c for _, c in series]))
+    for variant in Variant:
+        stats, cdn_stats = every[variant].stats(max_rank), cdn[variant].stats(max_rank)
+        _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(stats))
+        _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_stats))
+        summary[variant.value] = _rates_obj(every[variant].rates())
     summary["overlap_mean"] = analytics.fraction_to_float(
         overlap_sum / overlap_count if overlap_count else None
     )
     _write_text(cfg.out("summary.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write_diag(cfg, "analyze", diag)
-    log.info("analyze: %d bins over %d ranks", len(bins), max_rank)
+    log.info("analyze: %d bins over %d ranks", len(stats), max_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +854,12 @@ def stage_report(cfg: PipelineConfig) -> None:
 
     def report_inputs(validated_rows):
         """(rank, base name, www coverage, base coverage) of each rank, one rank at a time."""
-        for rank, rows in _ranks(validated_rows):
+        for rank, rows in itertools.groupby(validated_rows, key=operator.itemgetter("rank")):
             by_variant: dict[Variant, DomainCoverage] = {}
             name = None
-            for row, _, variant, coverage in rows:  # a rank's base rows come before its www
-                by_variant[variant] = coverage
+            for row in rows:  # a rank's base rows come before its www
+                variant = Variant(row["variant"])
+                by_variant[variant] = _coverage(row)
                 if variant is Variant.BASE:
                     name = row["domain"]
                 elif name is None:

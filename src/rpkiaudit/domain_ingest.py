@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
 
 from ._prefix_index import parse_decimal
 from .diagnostics import Diagnostics
@@ -38,9 +37,6 @@ class RankBin:
     index: int
     lo: int
     hi: int
-
-    def contains(self, rank: int) -> bool:
-        return self.lo <= rank <= self.hi
 
 
 def normalize_name(raw: str) -> str | None:
@@ -156,20 +152,3 @@ def make_bins(max_rank: int, bin_size: int) -> list[RankBin]:
         index += 1
         lo = hi + 1
     return bins
-
-
-def assign_bins(records: Iterable[DomainRecord], bin_size: int) -> list[RankBin]:
-    """Bins covering the records' rank range; the last bin may be short.
-
-    Empty input yields no bins.
-    """
-    return make_bins(max((r.rank for r in records), default=0), bin_size)
-
-
-def bin_for_rank(bins: list[RankBin], rank: int) -> RankBin:
-    """Locate the bin containing a rank; bins are contiguous from 1."""
-    if not bins or rank < bins[0].lo or rank > bins[-1].hi:
-        raise ValueError(f"rank {rank} falls outside the bin partition")
-    size = bins[0].hi - bins[0].lo + 1
-    idx = min((rank - 1) // size, len(bins) - 1)
-    return bins[idx]

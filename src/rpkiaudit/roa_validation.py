@@ -27,7 +27,7 @@ class RoaFormat(enum.Enum):
     JSON = "json"
 
 
-class ValidationState(enum.Enum):
+class ValidationState(str, enum.Enum):  # a member equals its text, as artifacts hold it
     VALID = "valid"
     INVALID = "invalid"
     NOT_FOUND = "notfound"

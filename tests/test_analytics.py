@@ -6,15 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rpkiaudit.analytics import (
+    BinnedSums,
     BinStat,
     CoverageClass,
     DomainCoverage,
-    bin_aggregate,
-    cdn_conditional_rates,
+    OverallRates,
     coverage_report,
     domain_coverage,
     format_fraction,
-    overall_rates,
     prefix_overlap,
 )
 from rpkiaudit.domain_ingest import make_bins
@@ -36,6 +35,33 @@ def cov(domain, valid=0, invalid=0, notfound=0):
             states.append((pair(f"10.{slot}.0.0/24"), state))
             slot += 1
     return domain_coverage(domain, states)
+
+
+def summed(coverages, labels, bin_size=10):
+    """Every (rank, coverage) added to one BinnedSums, CDN where ``labels`` says so."""
+    sums = BinnedSums(bin_size)
+    for rank, c in coverages:
+        sums.add(rank, c, labels.get(c.domain, False))
+    return sums
+
+
+def bin_stats(coverages, labels, max_rank, bin_size):
+    """The bin series of (rank, coverage) rows over [1, max_rank]."""
+    return summed(coverages, labels, bin_size).stats(max_rank)
+
+
+def cdn_and_all(coverages, labels, max_rank, bin_size):
+    """(CDN-only, all-domains) bin series: analyze's two sums per variant."""
+    cdn_only = [(r, c) for r, c in coverages if labels.get(c.domain, False)]
+    return (
+        bin_stats(cdn_only, labels, max_rank, bin_size),
+        bin_stats(coverages, labels, max_rank, bin_size),
+    )
+
+
+def overall(coverages):
+    """The overall rates of the coverages, at ranks 1, 2, ... in one sum."""
+    return summed(enumerate(coverages, 1), {}).rates()
 
 
 class TestDomainCoverage:
@@ -80,6 +106,21 @@ class TestDomainCoverage:
         p = pair("10.0.0.0/24")
         with pytest.raises(ValueError):
             domain_coverage("conflict.example", [(p, V), (p, N)])
+
+    def test_state_text_counts_as_its_member(self):
+        # validated.jsonl's states are counted as read; text built at run time is not interned
+        text = ["valid", "invalid", "".join(["not", "found"]), "notfound"]
+        rows = [(pair(f"10.{i}.0.0/24"), state) for i, state in enumerate(text)]
+        members = [(p, ValidationState(state)) for p, state in rows]
+        c = domain_coverage("t.example", rows)
+        assert c == domain_coverage("t.example", members)
+        assert (c.valid, c.invalid, c.notfound) == (1, 1, 2)
+        p = pair("10.0.0.0/24")
+        assert domain_coverage("t.example", [(p, "valid"), (p, "".join(["val", "id"]))]).valid == 1
+
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            domain_coverage("u.example", [(pair("10.0.0.0/24"), "bogus")])
 
     @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8))
     def test_fraction_closure(self, valid, invalid, notfound):
@@ -133,30 +174,27 @@ class TestPrefixOverlap:
 
 class TestBinAggregate:
     def test_single_bin_mean(self):
-        bins = make_bins(2, 10)
         coverages = [(1, cov("a.example", valid=1)), (2, cov("b.example", notfound=1))]
-        stats = bin_aggregate(coverages, {}, bins)
+        stats = bin_stats(coverages, {}, 2, 10)
         assert len(stats) == 1
         assert stats[0].mean_covered == Fraction(1, 2)
         assert stats[0].domain_count == 2
         assert stats[0].data_count == 2
 
     def test_nodata_only_bin_emits_empty_means(self):
-        bins = make_bins(2, 10)
         coverages = [(1, domain_coverage("a.example", [])), (2, domain_coverage("b.example", []))]
-        stats = bin_aggregate(coverages, {}, bins)
+        stats = bin_stats(coverages, {}, 2, 10)
         assert stats[0].mean_covered is None
         assert stats[0].domain_count == 2
         assert stats[0].data_count == 0
 
     def test_nodata_excluded_from_means_but_counted(self):
-        bins = make_bins(3, 10)
         coverages = [
             (1, cov("a.example", valid=1)),
             (2, domain_coverage("b.example", [])),
             (3, cov("c.example", notfound=1)),
         ]
-        stats = bin_aggregate(coverages, {}, bins)
+        stats = bin_stats(coverages, {}, 3, 10)
         assert stats[0].mean_covered == Fraction(1, 2)
         assert stats[0].domain_count == 3
         assert stats[0].data_count == 2
@@ -171,7 +209,7 @@ class TestBinAggregate:
             (rank, cov(f"d{rank}.example", v, i, n)) for rank, v, i, n in design
         ]
         bins = make_bins(30, 10)
-        stats = bin_aggregate(coverages, {}, bins)
+        stats = bin_stats(coverages, {}, 30, 10)
 
         for b in bins:
             rows = [(v, i, n) for rank, v, i, n in design if b.lo <= rank <= b.hi]
@@ -225,22 +263,34 @@ class TestBinAggregate:
                     len(data),
                 )
             )
-        assert bin_aggregate(coverages, labels, bins) == expected
+        sums = summed(coverages, labels, bin_size)
+        assert sums.stats(len(design)) == expected
+
+        data = [c for _, c in coverages if c.total_pairs]
+        total_pairs = sum(c.total_pairs for c in data)
+        covered_pairs = sum(c.valid + c.invalid for c in data)
+        shares = [Fraction(c.valid + c.invalid, c.total_pairs) for c in data]
+        assert sums.rates() == OverallRates(
+            len(coverages),
+            len(data),
+            total_pairs,
+            covered_pairs,
+            sum(shares, Fraction(0)) / len(data) if data else None,
+            Fraction(covered_pairs, total_pairs) if total_pairs else None,
+        )
 
     def test_cdn_fraction_counts_labeled_chain_domains(self):
-        bins = make_bins(4, 10)
         coverages = [(r, cov(f"d{r}.example", valid=1)) for r in range(1, 5)]
         labels = {"d1.example": True, "d2.example": False, "d3.example": True}
-        stats = bin_aggregate(coverages, labels, bins)
+        stats = bin_stats(coverages, labels, 4, 10)
         assert stats[0].cdn_fraction == Fraction(2, 4)
 
     def test_bin_mean_consistency_identity(self):
-        bins = make_bins(20, 5)
         coverages = [
             (r, cov(f"d{r}.example", valid=r % 2, notfound=1 + r % 3))
             for r in range(1, 21)
         ]
-        stats = bin_aggregate(coverages, {}, bins)
+        stats = bin_stats(coverages, {}, 20, 5)
         for stat in stats:
             members = [
                 c for r, c in coverages
@@ -251,36 +301,36 @@ class TestBinAggregate:
             assert stat.mean_covered * stat.data_count == total
 
     def test_rank_outside_bins_rejected(self):
-        bins = make_bins(10, 10)
         with pytest.raises(ValueError):
-            bin_aggregate([(11, cov("x.example", valid=1))], {}, bins)
+            bin_stats([(11, cov("x.example", valid=1))], {}, 10, 10)
+        sums = BinnedSums(10)
+        sums.add(0, cov("x.example", valid=1), False)
+        with pytest.raises(ValueError):
+            sums.stats(10)
 
 
 class TestCdnConditionalRates:
     def test_cdn_zero_overall_third(self):
-        bins = make_bins(3, 10)
         coverages = [
             (1, cov("cdn1.example", notfound=1)),
             (2, cov("cdn2.example", notfound=1)),
             (3, cov("plain.example", valid=1)),
         ]
         labels = {"cdn1.example": True, "cdn2.example": True, "plain.example": False}
-        cdn_series, all_series = cdn_conditional_rates(coverages, labels, bins)
+        cdn_series, all_series = cdn_and_all(coverages, labels, 3, 10)
         assert cdn_series[0].mean_covered == Fraction(0)
         assert all_series[0].mean_covered == Fraction(1, 3)
 
     def test_no_cdn_domains_in_bin_gives_empty_series(self):
-        bins = make_bins(2, 10)
         coverages = [(1, cov("a.example", valid=1)), (2, cov("b.example", valid=1))]
-        cdn_series, _ = cdn_conditional_rates(coverages, {}, bins)
+        cdn_series, _ = cdn_and_all(coverages, {}, 2, 10)
         assert cdn_series[0].mean_covered is None
         assert cdn_series[0].domain_count == 0
 
     def test_all_cdn_series_equal(self):
-        bins = make_bins(2, 10)
         coverages = [(1, cov("a.example", valid=1)), (2, cov("b.example", notfound=2))]
         labels = {"a.example": True, "b.example": True}
-        cdn_series, all_series = cdn_conditional_rates(coverages, labels, bins)
+        cdn_series, all_series = cdn_and_all(coverages, labels, 2, 10)
         assert [s.mean_covered for s in cdn_series] == [s.mean_covered for s in all_series]
         assert [s.data_count for s in cdn_series] == [s.data_count for s in all_series]
 
@@ -348,14 +398,14 @@ class TestOverallRates:
             cov("b.example", valid=3),               # 3/3
             domain_coverage("c.example", []),        # excluded
         ]
-        rates = overall_rates(coverages)
+        rates = overall(coverages)
         assert rates.domains == 3
         assert rates.domains_with_data == 2
         assert rates.domain_weighted_covered == Fraction(3, 4)  # (1/2 + 1) / 2
         assert rates.pair_weighted_covered == Fraction(4, 5)    # 4 covered of 5 pairs
 
     def test_empty(self):
-        rates = overall_rates([])
+        rates = overall([])
         assert rates.domain_weighted_covered is None
         assert rates.pair_weighted_covered is None
 

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import gzip
 import ipaddress
@@ -43,6 +44,10 @@ class TestEndToEnd:
 
     def test_overlap_matches(self, e2e_output):
         assert read(e2e_output / "overlap.csv") == read(EXPECTED_DIR / "overlap.csv")
+
+    def test_summary_and_report_csv_match_committed_expectations(self, e2e_output):
+        for name in ("summary.json", "report.csv"):
+            assert read(e2e_output / name) == read(EXPECTED_DIR / name), name
 
     def test_report_rows(self, e2e_output):
         lines = (e2e_output / "report.csv").read_text().strip().split("\n")
@@ -523,6 +528,39 @@ class TestClassifyJoin:
         assert any((r["rank"], r["domain"]) not in origins for r in labels)
 
 
+class TestAnalyzeJoin:
+    def test_each_row_bins_with_its_own_label(self, tmp_path):
+        # www.a.test is rank 1's www variant and rank 2's base name, and live answers
+        # may give its two rows different chains; only a join on (rank, variant,
+        # domain) keeps each label with its own row
+        out = tmp_path / "out"
+        out.mkdir()
+        pairs = [{"prefix": "10.0.0.0/24", "asn": 64500, "state": "valid"}]
+        keys = [(1, "base", "a.test"), (1, "www", "www.a.test"), (2, "base", "www.a.test")]
+        validated = [
+            {"rank": rank, "variant": variant, "domain": domain, "pairs": pairs,
+             "covered": 1.0, "class": "full"}
+            for rank, variant, domain in keys
+        ]
+        labels = [
+            {"rank": rank, "variant": variant, "domain": domain, "by_chain": by_chain}
+            for (rank, variant, domain), by_chain in zip(keys, [False, True, False])
+        ]
+        for name, rows in (("validated.jsonl", validated), ("cdn_labels.jsonl", labels)):
+            (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
+        cfg = dataclasses.replace(e2e_config(out), bin_size=1)
+        assert run_stage("analyze", cfg) == 0
+
+        def bin_lines(name):  # (bin_lo, n, cdn_fraction) of each bin
+            lines = (out / name).read_text().splitlines()[1:]
+            return [(c[0], c[2], c[-1]) for c in (line.split(",") for line in lines)]
+
+        assert bin_lines("bins_www.csv") == [("1", "1", "1.000000"), ("2", "0", "")]
+        assert bin_lines("cdn_bins_www.csv") == [("1", "1", "1.000000"), ("2", "0", "")]
+        assert bin_lines("bins_base.csv") == [("1", "1", "0.000000"), ("2", "1", "0.000000")]
+        assert bin_lines("cdn_bins_base.csv") == [("1", "0", ""), ("2", "0", "")]
+
+
 def resolved_rows_like_e2e(e2e_output, count):
     """``count`` resolved.jsonl rows: the e2e rows repeated at ever higher ranks."""
     rows = [json.loads(line) for line in read(e2e_output / "resolved.jsonl").splitlines()]
@@ -542,15 +580,17 @@ def traced_peak(stage, cfg):
 
 
 class TestStreamedMemory:
-    def test_map_and_validate_peaks_do_not_grow_with_rows(self, e2e_output, tmp_path):
+    def test_stage_peaks_do_not_grow_with_rows(self, e2e_output, tmp_path):
         peaks = {}
         for count in (2000, 8000):
             out = tmp_path / str(count)
             out.mkdir()
             shutil.copy(e2e_output / "resolve_meta.json", out)
             (out / "resolved.jsonl").write_text(resolved_rows_like_e2e(e2e_output, count))
-            cfg = e2e_config(out).validated()
-            stages = (cli.stage_map, cli.stage_validate)
+            # one bin for every rank: the bins analyze writes grow with the ranks, by design
+            cfg = dataclasses.replace(e2e_config(out), bin_size=10**9).validated()
+            stages = (cli.stage_map, cli.stage_validate, cli.stage_classify, cli.stage_analyze,
+                      cli.stage_report)
             peaks[count] = [traced_peak(stage, cfg) for stage in stages]
             assert len(read(out / "validated.jsonl").splitlines()) > count // 3
         for small, large in zip(peaks[2000], peaks[8000]):

@@ -2,13 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rpkiaudit.analytics import BinnedSums, DomainCoverage
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.domain_ingest import (
     DomainRecord,
     ListFormat,
     Variant,
-    assign_bins,
-    bin_for_rank,
     expand_variants,
     load_domain_list,
     make_bins,
@@ -149,18 +148,16 @@ class TestAssignBins:
         assert bins[-1].lo == 990_001 and bins[-1].hi == 1_000_000
 
     def test_five_records_one_short_bin(self):
-        records = [DomainRecord(i, f"d{i}.com") for i in range(1, 6)]
-        bins = assign_bins(records, 10)
+        bins = make_bins(5, 10)
         assert len(bins) == 1
         assert (bins[0].lo, bins[0].hi) == (1, 5)
 
     def test_25_records_bin_size_10(self):
-        records = [DomainRecord(i, f"d{i}.com") for i in range(1, 26)]
-        bins = assign_bins(records, 10)
+        bins = make_bins(25, 10)
         assert [(b.lo, b.hi) for b in bins] == [(1, 10), (11, 20), (21, 25)]
 
     def test_empty_records_no_bins(self):
-        assert assign_bins([], 10) == []
+        assert make_bins(0, 10) == []
 
     @given(st.integers(1, 2000), st.integers(1, 400), st.data())
     def test_partition_property(self, max_rank, bin_size, data):
@@ -168,11 +165,12 @@ class TestAssignBins:
         assert bins[0].lo == 1 and bins[-1].hi == max_rank
         assert all(a.hi + 1 == b.lo for a, b in zip(bins, bins[1:]))
         rank = data.draw(st.integers(1, max_rank))
-        containing = [b for b in bins if b.contains(rank)]
+        containing = [b for b in bins if b.lo <= rank <= b.hi]
         assert len(containing) == 1
-        assert bin_for_rank(bins, rank) == containing[0]
+        assert bins[(rank - 1) // bin_size] == containing[0]  # the bin BinnedSums adds to
 
     def test_rank_outside_partition_raises(self):
-        bins = make_bins(20, 10)
+        sums = BinnedSums(10)
+        sums.add(21, DomainCoverage("x.example", 1, 0, 0), False)
         with pytest.raises(ValueError):
-            bin_for_rank(bins, 21)
+            sums.stats(20)

@@ -40,13 +40,16 @@ def package(*names):
 
 # What each stage child must not load: a stage imports its own library modules
 # when it runs, and only the live resolver loads the DNS client and threads.
+# analyze and report count validated.jsonl's state strings, so they load no
+# validation or routing code.
+NO_VALIDATION = package("roa_validation", "rib_store") | {"gzip", "csv"}
 NOT_LOADED = {
     "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
     "validate": package("cdn_classifier", "dns_resolution", "_dnswire"),
-    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire"),
-    "report": package("cdn_classifier", "dns_resolution", "_dnswire"),
+    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
+    "report": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
     "resolve": package("_dnswire") | {"concurrent.futures"},
-    "classify": package("_dnswire") | {"concurrent.futures"},
+    "classify": package("_dnswire", "roa_validation") | {"concurrent.futures"},
 }
 
 
