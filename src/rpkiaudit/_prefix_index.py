@@ -9,10 +9,12 @@ itself.  A scope is dropped.  The fast path reads a prefix length as ASCII
 digits (``parse_decimal``); ranks, ASNs and maxLengths follow the same rule.
 
 The index keeps, per family, one dict per present prefix length, from
-``net >> (width - plen)`` to the tuple of distinct items stored at that
-prefix; no object stands for a prefix.  A query probes each present length
-once, so it finds every stored prefix that covers the queried address or
-prefix, not just the longest one.
+``net >> (width - plen)`` to what is stored at that prefix: a lone item bare,
+two or more distinct items in a tuple of a private type, so an item that is
+itself a tuple is never taken for a group.  No object stands for a prefix.  A
+query probes each present length once, so it finds every stored prefix that
+covers the queried address or prefix, not just the longest one, and hands back
+each prefix's items as a tuple.
 """
 
 from __future__ import annotations
@@ -114,13 +116,24 @@ class Prefixed:
         return f"{type(self).__name__}{self.key}"
 
 
+class _Group(tuple):
+    """Two or more distinct items stored at one prefix."""
+
+    __slots__ = ()
+
+
 class PrefixIndex:
     def __init__(self) -> None:
-        self._tables: dict[int, dict[int, dict[int, tuple]]] = {4: {}, 6: {}}
+        # per family: plen -> {net >> (width - plen): an item, or a _Group of them}
+        self._tables: dict[int, dict[int, dict[int, Any]]] = {4: {}, 6: {}}
         # per family: (plen, width - plen, table), ascending plen
-        self._probes: dict[int, list[tuple[int, int, dict[int, tuple]]]] = {4: [], 6: []}
+        self._probes: dict[int, list[tuple[int, int, dict[int, Any]]]] = {4: [], 6: []}
+        self._count = 0
 
     def add(self, version: int, net: int, plen: int, item: Any) -> None:
+        """Store the item at net/plen, unless an equal one is stored there; never None."""
+        if item is None:
+            raise TypeError("None is not an item")
         tables, width = self._tables[version], WIDTH[version]
         table = tables.get(plen)
         if table is None:
@@ -129,26 +142,34 @@ class PrefixIndex:
             table = tables[plen] = {}
             self._probes[version] = sorted((p, width - p, t) for p, t in tables.items())
         key = net >> (width - plen)
-        items = table.get(key)
-        if items is None:
-            table[key] = (item,)
-        elif item not in items:
-            table[key] = items + (item,)
+        stored = table.get(key)
+        if stored is None:
+            table[key] = item
+        elif type(stored) is _Group:
+            if item in stored:
+                return
+            table[key] = _Group((*stored, item))
+        elif stored == item:
+            return
+        else:
+            table[key] = _Group((stored, item))
+        self._count += 1
 
     def covering(self, version: int, net: int, plen: int) -> list[tuple[int, int, tuple]]:
         """(net, plen, items) of every stored prefix that covers net/plen, shortest first."""
         return [
-            (net >> shift << shift, length, items)
+            (net >> shift << shift, length, items if type(items) is _Group else (items,))
             for length, shift, table in self._probes[version]
             if length <= plen and (items := table.get(net >> shift)) is not None
         ]
 
-    def longest(self, version: int, addr: int) -> tuple[int, int, tuple] | None:
-        """(net, plen, items) of the longest stored prefix that contains the address, if any."""
+    def longest(self, version: int, addr: int) -> tuple[int, int] | None:
+        """(plen, net >> (width - plen)) of the longest stored prefix that contains
+        the address, if any."""
         for length, shift, table in reversed(self._probes[version]):
-            items = table.get(addr >> shift)
-            if items is not None:
-                return addr >> shift << shift, length, items
+            key = addr >> shift
+            if key in table:
+                return length, key
         return None
 
     def __iter__(self) -> Iterator[tuple[int, int, int, tuple]]:
@@ -157,8 +178,8 @@ class PrefixIndex:
             for plen, table in tables.items():
                 shift = WIDTH[version] - plen
                 for key, items in table.items():
-                    yield version, key << shift, plen, items
+                    yield version, key << shift, plen, items if type(items) is _Group else (items,)
 
     def __len__(self) -> int:
         """Number of stored items."""
-        return sum(len(items) for *_, items in self)
+        return self._count

@@ -44,7 +44,7 @@ from .errors import (
 if typing.TYPE_CHECKING:
     from .analytics import BinStat, DomainCoverage, OverallRates
     from .domain_ingest import Variant
-    from .rib_store import PrefixOriginPair, PrefixTrie
+    from .rib_store import PrefixTrie
     from .roa_validation import RoaFormat, ValidationState
 
 log = logging.getLogger("rpkiaudit")
@@ -553,7 +553,7 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> PrefixTrie:
 
 
 def stage_map(cfg: PipelineConfig) -> None:
-    from .rib_store import covering_pairs
+    from ._prefix_index import format_prefix, parse_address
 
     diag = Diagnostics()
     resolved = _artifact(cfg, "resolved.jsonl", "resolve")
@@ -562,17 +562,18 @@ def stage_map(cfg: PipelineConfig) -> None:
     trie = _load_rib(cfg, diag)
     if len(trie) == 0 and trie.as_set_count == 0:
         raise DataError("RIB sources contained zero usable entries")
+    origin_keys = trie.origin_keys
 
     def pair_rows(resolved_rows):
         for row in resolved_rows:
             if row["resolver"] != primary:
                 continue
-            pairs: set[PrefixOriginPair] = set()
+            keys: set[tuple[int, int, int, int]] = set()
             unreachable = []
             for addr_text in row["addresses"]:
-                covering = covering_pairs(addr_text, trie)
+                covering = origin_keys(*parse_address(addr_text))
                 if covering:
-                    pairs |= covering
+                    keys.update(covering)
                 else:
                     unreachable.append(addr_text)
                     diag.count("unreachable_addresses")
@@ -580,9 +581,10 @@ def stage_map(cfg: PipelineConfig) -> None:
                 "rank": row["rank"],
                 "domain": row["domain"],
                 "variant": row["variant"],
+                # (version, net, plen, origin) is PrefixOriginPair.key, so the order holds
                 "pairs": [
-                    {"prefix": p.text, "asn": p.origin_asn}
-                    for p in sorted(pairs, key=operator.attrgetter("key"))
+                    {"prefix": format_prefix(version, net, plen), "asn": origin}
+                    for version, net, plen, origin in sorted(keys)
                 ],
                 "unreachable": sorted(unreachable),
             }
@@ -628,7 +630,7 @@ def stage_validate(cfg: PipelineConfig) -> None:
 
     @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
     def state_of(prefix: str, asn: int) -> ValidationState:
-        return roa_validation.validate(PrefixOriginPair(parse_prefix(prefix), asn, prefix), index)
+        return roa_validation.validate(PrefixOriginPair(parse_prefix(prefix), asn), index)
 
     def validated_rows(pair_rows):
         for row in pair_rows:

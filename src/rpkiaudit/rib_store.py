@@ -12,11 +12,12 @@ import gzip
 import io
 import ipaddress
 import struct
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
-from ._prefix_index import format_prefix, network, parse_address, parse_decimal, parse_prefix
+from ._prefix_index import network, parse_address, parse_decimal, parse_prefix
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
 
@@ -66,22 +67,17 @@ class RibEntry:
 
 
 class PrefixOriginPair(Prefixed):
-    """A prefix and the plain ASN originating it, keyed by (version, net, plen, origin).
+    """A prefix and the plain ASN originating it, keyed by (version, net, plen, origin)."""
 
-    ``text`` is the prefix as artifacts hold it: the text it was read from, if
-    given, else formatted from its integers.
-    """
+    __slots__ = ("origin_asn",)
 
-    __slots__ = ("origin_asn", "text")
-
-    def __init__(self, prefix: Prefix, origin_asn: int, text: str | None = None) -> None:
+    def __init__(self, prefix: Prefix, origin_asn: int) -> None:
         if type(origin_asn) is not int:  # never an AS_SET, nor a bool
             raise TypeError(f"origin_asn must be a plain ASN, not {origin_asn!r}")
         if not 0 <= origin_asn <= MAX_ASN:
             raise ValueError(f"ASN {origin_asn} out of range")
         self._keyed(prefix, origin_asn)
         self.origin_asn = origin_asn
-        self.text = format_prefix(self.version, self.net, self.plen) if text is None else text
 
 
 def origin_from_path(as_path: AsPath) -> int | None:
@@ -343,20 +339,28 @@ _NO_PAIRS: frozenset[PrefixOriginPair] = frozenset()
 class PrefixTrie:
     """Index answering all-covering-prefix queries.
 
-    Origins are stored as ints.  The prefixes that cover an address are
-    nested, so the longest one fixes the answer: a prefix's memo is the
-    frozenset of pairs of every stored prefix covering it, and a lookup
-    returns the memo of the longest prefix that matches.  Memos, with their
-    pairs and each prefix's text, live in side tables, one per family and
-    length keyed like the index by ``net >> (width - plen)``, and are built on
-    a lookup, for the prefix it hits and those covering it; a stored prefix
-    that no lookup lands in has none.
+    Origins are stored as ints, a lone origin bare in the shared prefix index.
+    ``origin_keys`` answers a lookup with the (version, net, plen, origin)
+    keys of the covering routes, read straight off the index: it builds no
+    object and keeps nothing, so a trie used only through it holds the index
+    alone.  That is the map stage's path.
+
+    ``covering`` answers with PrefixOriginPairs and memoises.  The prefixes
+    that cover an address are nested, so the longest one fixes the answer: a
+    prefix's memo is the frozenset of pairs of every stored prefix covering
+    it, and a lookup returns the memo of the longest prefix that matches.
+    Memos live in side tables, one per family and length keyed like the index
+    by ``net >> (width - plen)``, and are built on a lookup, for the prefix it
+    hits and those covering it; a stored prefix that no lookup lands in has
+    none.
     """
 
     def __init__(self) -> None:
         self._index = PrefixIndex()
         # per family: plen -> {net >> (width - plen): memo}
-        self._memos: dict[int, dict[int, dict[int, frozenset[PrefixOriginPair]]]] = {4: {}, 6: {}}
+        self._memos: dict[int, defaultdict[int, dict[int, frozenset[PrefixOriginPair]]]] = {
+            4: defaultdict(dict), 6: defaultdict(dict)
+        }
         self.as_set_count = 0
 
     def __len__(self) -> int:
@@ -384,15 +388,12 @@ class PrefixTrie:
         tables, width = self._memos[version], WIDTH[version]
         pairs = _NO_PAIRS
         for covering_net, covering_plen, origins in self._index.covering(version, net, plen):
-            table = tables.get(covering_plen)
-            if table is None:
-                table = tables[covering_plen] = {}
+            table = tables[covering_plen]
             key = covering_net >> (width - covering_plen)
             memo = table.get(key)
             if memo is None:  # shortest first: each memo extends the last
                 prefix = version, covering_net, covering_plen
-                text = format_prefix(*prefix)
-                memo = pairs.union([PrefixOriginPair(prefix, o, text) for o in origins])
+                memo = pairs.union([PrefixOriginPair(prefix, o) for o in origins])
                 table[key] = memo
             pairs = memo
         return pairs
@@ -401,10 +402,20 @@ class PrefixTrie:
         found = self._index.longest(version, addr)
         if found is None:
             return _NO_PAIRS
-        net, plen, _ = found
-        table = self._memos[version].get(plen)
-        memo = table.get(net >> (WIDTH[version] - plen)) if table is not None else None
-        return memo if memo is not None else self._memo(version, net, plen)
+        plen, key = found
+        memo = self._memos[version][plen].get(key)
+        if memo is None:
+            memo = self._memo(version, key << (WIDTH[version] - plen), plen)
+        return memo
+
+    def origin_keys(self, version: int, addr: int) -> list[tuple[int, int, int, int]]:
+        """(version, net, plen, origin) of every stored route whose prefix contains
+        the address, shortest prefix first; nothing is built for the trie or kept."""
+        return [
+            (version, net, plen, origin)
+            for net, plen, origins in self._index.covering(version, addr, WIDTH[version])
+            for origin in origins
+        ]
 
     def pairs(self) -> set[PrefixOriginPair]:
         return set().union(*(self._memo(*entry[:3]) for entry in self._index))

@@ -206,7 +206,67 @@ def test_index_matches_linear_scan(version, lengths):
         if plen == width:
             longest = index.longest(version, net)
             assert (longest is None) == (not found)
-            assert longest is None or longest == found[-1]
+            if found:
+                last_net, last_plen, _ = found[-1]
+                assert longest == (last_plen, last_net >> (width - last_plen))
+
+
+@pytest.mark.parametrize("items", [
+    [(64496, 24, "ripe")],  # one tuple
+    [(64496,)],  # a 1-tuple, shaped like a group of one
+    [(64496, 24, "ripe"), (64497, 20, "arin")],  # two tuples
+    [64496, (64496, 24, "ripe")],  # an int, then a tuple
+    [(64496, 24, "ripe"), 64496, (64496, 24, "ripe")],  # a repeated tuple
+], ids=["one-tuple", "one-1-tuple", "two-tuples", "int-then-tuple", "repeated-tuple"])
+@pytest.mark.parametrize("version,lengths", [(4, V4_LENGTHS), (6, V6_LENGTHS)])
+def test_tuple_items_match_linear_scan(version, lengths, items):
+    """An item that is itself a tuple is stored and handed back as one item."""
+    rng = random.Random(len(items))
+    width = 32 if version == 4 else 128
+    anchor = rng.getrandbits(width)
+    rows = [(random_prefix(rng, version, plen, anchor), plen, item)
+            for plen in lengths for item in items]
+    index = PrefixIndex()
+    for net, plen, item in rows:
+        index.add(version, net, plen, item)
+
+    expected = scan(rows, version, anchor, width)
+    found = index.covering(version, anchor, width)
+    assert {(n, p): set(stored) for n, p, stored in found} == expected
+    assert [len(stored) for _, _, stored in found] == [len(set(items))] * len(lengths)
+    net, plen, _ = found[-1]
+    assert index.longest(version, anchor) == (plen, net >> (width - plen))
+    assert {(n, p): set(stored) for _, n, p, stored in index} == expected
+    assert len(index) == len(set(rows))
+
+
+def test_len_counts_what_a_walk_finds():
+    """len is kept as items are stored: repeats, MOAS, tuple items, adds after lookups."""
+    rng = random.Random(3)
+    index = PrefixIndex()
+
+    def walked():
+        return sum(len(items) for *_, items in index)
+
+    assert len(index) == walked() == 0
+    for version, lengths in ((4, V4_LENGTHS), (6, V6_LENGTHS)):
+        for net, plen, asn in random_table(rng, version, lengths, 150):  # MOAS and repeats
+            index.add(version, net, plen, asn)
+            index.add(version, net, plen, (asn, plen, "ripe"))
+            index.add(version, net, plen, (asn, plen, "ripe"))
+        assert len(index) == walked()
+        width = 32 if version == 4 else 128
+        for _ in range(20):
+            index.covering(version, rng.getrandbits(width), width)
+            index.longest(version, rng.getrandbits(width))
+        index.add(version, 0, 0, "after lookups")
+        index.add(version, 0, 0, "after lookups")
+        assert len(index) == walked()
+
+
+def test_none_is_no_item():
+    with pytest.raises(TypeError):
+        PrefixIndex().add(4, 0, 0, None)
 
 
 def test_out_of_range_length_rejected():
@@ -256,6 +316,46 @@ def test_routes_added_after_lookups_are_seen():
     assert {p.origin_asn for p in covering_pairs(ip, trie)} == {64500, 64501, 64502, 64503}
 
 
+@st.composite
+def route_batches(draw):
+    """Batches of routes on nested prefixes of a few anchors, in both families,
+    and addresses near those anchors."""
+    anchors = {4: draw(st.lists(V4, min_size=1, max_size=3)),
+               6: draw(st.lists(V6, min_size=1, max_size=3))}
+    lengths = {4: V4_LENGTHS, 6: V6_LENGTHS}  # /0, /32 and /128 among them
+
+    def route(version):
+        width = 32 if version == 4 else 128
+        plen = draw(st.sampled_from(lengths[version]))
+        net = draw(st.sampled_from(anchors[version])) >> (width - plen) << (width - plen)
+        return version, net, plen, draw(st.sampled_from([0, 64496, 64497, 2**32 - 1])), None
+
+    batches = [[route(draw(st.sampled_from([4, 6]))) for _ in range(draw(st.integers(1, 30)))]
+               for _ in range(draw(st.integers(1, 3)))]
+    addresses = [(version, draw(st.sampled_from(anchors[version])) ^ draw(st.integers(0, 255)))
+                 for version in (4, 6) for _ in range(4)]
+    addresses += [(version, draw(V4 if version == 4 else V6))
+                  for version in (4, 6) for _ in range(2)]
+    return batches, addresses
+
+
+@settings(max_examples=150, deadline=None)
+@given(route_batches())
+def test_origin_keys_match_covering_pairs(case):
+    """Map's integer lookup and the pair lookup answer alike, as routes keep coming."""
+    batches, addresses = case
+    trie = PrefixTrie()
+    for batch in batches:
+        trie.add_routes(batch)
+        for version, addr in addresses:
+            keys = trie.origin_keys(version, addr)
+            assert len(keys) == len(set(keys))
+            assert [k[2] for k in keys] == sorted(k[2] for k in keys)  # shortest first
+            pairs = covering_pairs(format_address(version, addr), trie)
+            assert set(keys) == {p.key for p in pairs}
+            assert trie.origin_keys(version, addr) == keys
+
+
 def test_streamed_trie_builds_only_what_a_lookup_lands_in(monkeypatch):
     """add_routes builds no network or pair; a lookup builds at most its chain's
     pairs, and no network."""
@@ -278,6 +378,11 @@ def test_streamed_trie_builds_only_what_a_lookup_lands_in(monkeypatch):
     trie.add_routes(iter(routes))
     assert len(trie) == len({(v, n, p, a) for v, n, p, a, _ in routes})
     assert built == {"networks": 0, "pairs": 0}
+    for version, width in ((4, 32), (6, 128)):  # map's lookup builds and keeps nothing
+        for net, plen, _ in rows[version]:
+            assert trie.origin_keys(version, net | rng.getrandbits(width - plen))
+    assert built == {"networks": 0, "pairs": 0}
+    assert trie._memos == {4: {}, 6: {}}  # not even an empty table
 
     for version, width in ((4, 32), (6, 128)):
         net, plen, _ = rows[version][-1]
