@@ -23,6 +23,8 @@ import ipaddress
 from socket import AF_INET, AF_INET6, inet_ntop, inet_pton
 from typing import Any, Iterator, Union
 
+from .vocabulary import parse_decimal
+
 WIDTH = {4: 32, 6: 128}
 
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
@@ -45,13 +47,6 @@ def parse_address(text: str) -> tuple[int, int]:
     except (OSError, ValueError):
         addr = ipaddress.ip_address(text)  # a %scope, or the error
         return addr.version, int(addr)
-
-
-def parse_decimal(text: str) -> int:
-    """The int of a text of ASCII digits; ValueError when it is anything else."""
-    if not (text.isascii() and text.isdigit()):  # int() would take "+7", " 7", "7_0" or "٧"
-        raise ValueError(f"not a decimal: {text!r}")
-    return int(text)
 
 
 def parse_prefix(text: str) -> tuple[int, int, int]:

@@ -1,8 +1,8 @@
 """Per-domain coverage, rank-binned statistics, variant overlap and reports.
 
 All fractions are exact rationals; floats appear only when serializing
-(6 decimal places).  A pair counts as covered iff its validation state is
-anything other than not-found.
+(``vocabulary.fraction_to_float``).  A pair counts as covered iff its
+validation state is anything other than not-found.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from .domain_ingest import RankBin, make_bins
+from .vocabulary import ValidationState
 
 
 class CoverageClass(enum.Enum):
@@ -79,7 +80,7 @@ class DomainCoverage:
         return CoverageClass.PARTIAL
 
 
-_STATES = ("valid", "invalid", "notfound")
+_STATES = tuple(state.value for state in ValidationState)  # valid, invalid, notfound
 
 
 def domain_coverage(
@@ -101,6 +102,12 @@ def domain_coverage(
         unknown = next(s for s in found if s not in _STATES)
         raise ValueError(f"{domain}: unknown validation state {unknown!r}")
     return DomainCoverage(domain, valid, invalid, notfound)
+
+
+def row_coverage(row: dict) -> DomainCoverage:
+    """The coverage of a validated.jsonl row, counted from its state strings."""
+    states = (((p["prefix"], p["asn"]), p["state"]) for p in row["pairs"])
+    return domain_coverage(row["domain"], states)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,15 +298,3 @@ def coverage_report(
         or (base is not None and base.classification in interesting)
     )
     return heapq.nsmallest(top_n, rows, key=attrgetter("rank"))
-
-
-# ---------------------------------------------------------------------------
-# Serialization (floats only here, 6 decimal places)
-
-
-def fraction_to_float(value: Optional[Fraction]) -> Optional[float]:
-    return None if value is None else round(float(value), 6)
-
-
-def format_fraction(value: Optional[Fraction]) -> str:
-    return "" if value is None else f"{float(value):.6f}"

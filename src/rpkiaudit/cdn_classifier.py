@@ -5,16 +5,17 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .diagnostics import Diagnostics
-from .dns_resolution import ResolutionResult, ResolutionStatus
 from .domain_ingest import normalize_name
-from .rib_store import parse_asn
+from .vocabulary import ResolutionStatus, parse_asn
+
+if TYPE_CHECKING:  # classify reads resolved.jsonl rows and loads no resolver code
+    from .dns_resolution import ResolutionResult
 
 CHAIN_THRESHOLD = 2
 
@@ -87,7 +88,13 @@ def external_label(external: Mapping[str, bool], domain: str) -> bool | None:
 
 
 class Agreement:
-    """The running tally of ``compare_external``, one label at a time."""
+    """Agreement of the chain heuristic with an external classification, one label at a time.
+
+    Coverage is the fraction of labels the external map knows about; the
+    agreement fraction and 2x2 confusion counts are computed over that
+    subset.  External entries are keyed by domain; a www-prefixed label
+    falls back to its base name.
+    """
 
     def __init__(self, external: Mapping[str, bool]):
         if not external:
@@ -110,22 +117,6 @@ class Agreement:
         agreed = self.confusion[(0, 0)] + self.confusion[(1, 1)]
         agree = Fraction(agreed, matched) if matched else None
         return AgreementReport(Fraction(matched, self.labels), agree, dict(self.confusion))
-
-
-def compare_external(
-    labels: Iterable[CdnLabel], external: Mapping[str, bool]
-) -> AgreementReport:
-    """Agreement of the chain heuristic with an external classification.
-
-    Coverage is the fraction of labels the external map knows about; the
-    agreement fraction and 2x2 confusion counts are computed over that
-    subset.  External entries are keyed by domain; a www-prefixed label
-    falls back to its base name.
-    """
-    agreement = Agreement(external)
-    for label in labels:
-        agreement.add(label)
-    return agreement.report()
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +171,6 @@ def registry_entries(
             continue
         seen.add(asn)
         yield AsRegistryEntry(asn, description.strip())
-
-
-def parse_as_registry(text: str, diag: Diagnostics | None = None) -> list[AsRegistryEntry]:
-    """registry_entries of an AS assignment list's text, sorted by ASN."""
-    return sorted(registry_entries(text.split("\n"), diag), key=operator.attrgetter("asn"))
 
 
 def _split_registry_line(line: str) -> tuple[str | None, str]:

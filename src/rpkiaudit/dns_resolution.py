@@ -8,29 +8,21 @@ resolver and merges the answers.
 
 from __future__ import annotations
 
-import enum
 import json
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ._prefix_index import PrefixIndex, parse_address, parse_decimal, parse_prefix
+from ._prefix_index import PrefixIndex, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
+from .vocabulary import ResolutionStatus, parse_decimal
 
 MAX_CNAME_HOPS = 16
 
 DEFAULT_TIMEOUT = 5.0
-
-
-class ResolutionStatus(enum.Enum):
-    OK = "ok"
-    NXDOMAIN = "nxdomain"
-    SERVFAIL = "servfail"
-    TIMEOUT = "timeout"
-    EMPTY = "empty"
 
 
 Address = tuple[int, int]  # (version, int), as the prefix codec parses it

@@ -5,19 +5,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ._prefix_index import parse_decimal
 from .diagnostics import Diagnostics
 from .errors import DuplicateRankError, EmptyInputError
+from .vocabulary import Variant, parse_decimal
 
 MAX_NAME_LEN = 253
 MAX_LABEL_LEN = 63
 
 _LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
-
-
-class Variant(enum.Enum):
-    BASE = "base"
-    WWW = "www"
 
 
 class ListFormat(enum.Enum):

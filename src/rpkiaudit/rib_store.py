@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Optional, Union
 
 from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
-from ._prefix_index import network, parse_address, parse_decimal, parse_prefix
+from ._prefix_index import network, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .errors import BadMagicError, EmptyPathError
+from .vocabulary import parse_asn, plain_asn
 
 # An AS path is a flat segment tuple: plain ints for AS_SEQUENCE members,
 # frozensets for AS_SET segments.
@@ -28,8 +29,6 @@ AsPath = tuple[Union[int, frozenset[int]], ...]
 # (version, network int, prefix length, origin or None for a terminal
 # AS_SET, AS path or None when the MRT decoder was not asked for paths)
 Route = tuple[int, int, int, Optional[int], Optional[AsPath]]
-
-MAX_ASN = 2**32 - 1
 
 # MRT record types (RFC 6396); anything else in the first header means the
 # stream is not MRT at all.
@@ -72,11 +71,7 @@ class PrefixOriginPair(Prefixed):
     __slots__ = ("origin_asn",)
 
     def __init__(self, prefix: Prefix, origin_asn: int) -> None:
-        if type(origin_asn) is not int:  # never an AS_SET, nor a bool
-            raise TypeError(f"origin_asn must be a plain ASN, not {origin_asn!r}")
-        if not 0 <= origin_asn <= MAX_ASN:
-            raise ValueError(f"ASN {origin_asn} out of range")
-        self._keyed(prefix, origin_asn)
+        self._keyed(prefix, plain_asn(origin_asn))
         self.origin_asn = origin_asn
 
 
@@ -292,17 +287,6 @@ def _parse_text_path(text: str) -> AsPath:
         else:
             path.append(parse_asn(tok))
     return tuple(path)
-
-
-def parse_asn(text: str) -> int:
-    """The ASN of a decimal text, "AS" prefix optional; ValueError when it is none."""
-    digits = text.strip()
-    if digits[:2].upper() == "AS":
-        digits = digits[2:]
-    asn = parse_decimal(digits)
-    if asn > MAX_ASN:
-        raise ValueError(f"ASN {asn} out of range")
-    return asn
 
 
 def read_routes(data: bytes, diag: Diagnostics | None = None) -> Iterator[Route]:

@@ -1,7 +1,7 @@
 """Route-origin validation of prefix/origin pairs against ROA payloads.
 
 Consumes validated ROA exports (relying-party tool output) and classifies
-each PrefixOriginPair as valid, invalid or not-found: a pair is valid iff
+each prefix/origin pair as valid, invalid or not-found: a pair is valid iff
 some covering ROA authorizes its origin AS at its prefix length, not-found
 iff no ROA covers the prefix at all, invalid otherwise.
 """
@@ -14,10 +14,9 @@ import io
 import json
 from typing import Iterable, Iterator, Union
 
-from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_decimal
-from ._prefix_index import parse_prefix
+from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_prefix
 from .diagnostics import Diagnostics
-from .rib_store import MAX_ASN, PrefixOriginPair, parse_asn
+from .vocabulary import ValidationState, parse_asn, parse_decimal, plain_asn
 
 TRUST_ANCHORS = frozenset({"afrinic", "apnic", "arin", "lacnic", "ripe"})
 
@@ -25,12 +24,6 @@ TRUST_ANCHORS = frozenset({"afrinic", "apnic", "arin", "lacnic", "ripe"})
 class RoaFormat(enum.Enum):
     CSV = "csv"
     JSON = "json"
-
-
-class ValidationState(str, enum.Enum):  # a member equals its text, as artifacts hold it
-    VALID = "valid"
-    INVALID = "invalid"
-    NOT_FOUND = "notfound"
 
 
 # One payload as the decoder yields it: (version, net, plen, asn, maxLength, TA)
@@ -45,9 +38,7 @@ class RoaPayload(Prefixed):
     __slots__ = ("asn", "max_length", "trust_anchor")
 
     def __init__(self, asn: int, prefix: Prefix, max_length: int, trust_anchor: str = "other"):
-        if not 0 <= asn <= MAX_ASN:
-            raise ValueError(f"ASN {asn} out of range")
-        self._keyed(prefix, asn, max_length, trust_anchor)
+        self._keyed(prefix, plain_asn(asn), max_length, trust_anchor)
         if not self.plen <= max_length <= WIDTH[self.version]:
             raise ValueError(f"maxLength {max_length} out of range for a /{self.plen}")
         self.asn, self.max_length, self.trust_anchor = asn, max_length, trust_anchor
@@ -170,6 +161,23 @@ class RoaIndex:
     def add(self, version: int, net: int, plen: int, asn: int, max_length: int, ta: str) -> None:
         self._index.add(version, net, plen, (asn, max_length, ta))
 
+    def state(self, version: int, net: int, plen: int, asn: int) -> ValidationState:
+        """Three-state route origin validation of the prefix net/plen originated by ``asn``.
+
+        NotFound iff no ROA covers the prefix; Valid iff a covering ROA names
+        the origin (AS0 never authorizes) and its maxLength admits the prefix
+        length; Invalid otherwise.  The ASN must pass ``plain_asn``.
+        """
+        plain_asn(asn)
+        covering = self._index.covering(version, net, plen)
+        if not covering:
+            return ValidationState.NOT_FOUND
+        for _net, _plen, triples in covering:
+            for roa_asn, max_length, _ta in triples:
+                if roa_asn == asn and asn != 0 and plen <= max_length:
+                    return ValidationState.VALID
+        return ValidationState.INVALID
+
     def covering(self, prefix: IPNetwork) -> set[RoaPayload]:
         v, net, plen = prefix.version, int(prefix.network_address), prefix.prefixlen
         return {
@@ -186,22 +194,6 @@ def build_roa_index(roas: Iterable[RoaPayload]) -> RoaIndex:
     return index
 
 
-def validate(pair: PrefixOriginPair, index: RoaIndex) -> ValidationState:
-    """Three-state route origin validation of one prefix/origin pair.
-
-    NotFound iff no ROA covers the prefix; Valid iff a covering ROA names
-    the pair's origin (AS0 never authorizes) and its maxLength admits the
-    prefix length; Invalid otherwise.
-    """
-    if not isinstance(pair.origin_asn, int):
-        # AS_SET-originated pairs are excluded upstream; reaching here is a bug.
-        raise TypeError("validate() requires a plain-ASN origin")
-    covering = index._index.covering(pair.version, pair.net, pair.plen)
-    if not covering:
-        return ValidationState.NOT_FOUND
-    origin, plen = pair.origin_asn, pair.plen
-    for _net, _plen, triples in covering:
-        for asn, max_length, _ta in triples:
-            if asn == origin and origin != 0 and plen <= max_length:
-                return ValidationState.VALID
-    return ValidationState.INVALID
+def validate(pair: Prefixed, index: RoaIndex) -> ValidationState:
+    """``RoaIndex.state`` of a prefix/origin pair: a ``rib_store.PrefixOriginPair``."""
+    return index.state(pair.version, pair.net, pair.plen, pair.origin_asn)

@@ -1,0 +1,74 @@
+"""classify: CDN labels of the primary resolver's answers, by CNAME chain and origin AS."""
+
+from __future__ import annotations
+
+import json
+
+from .. import cdn_classifier
+from ..cli import PipelineConfig, _artifact, _joined, _primary_resolver, _read_text
+from ..cli import _require_file, _text_lines, _write_diag, _write_rows, _write_text
+from ..diagnostics import Diagnostics, log
+from ..errors import DataError
+from ..vocabulary import ResolutionStatus, fraction_to_float
+
+
+def run(cfg: PipelineConfig) -> None:
+    diag = Diagnostics()
+    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
+    pairs = _artifact(cfg, "pairs.jsonl", "map")
+    primary = _primary_resolver(cfg)
+
+    _require_file(cfg.as_registry, "AS registry")
+    keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
+    keywords = cdn_classifier.load_keywords(keyword_text)
+    if not keywords:
+        raise DataError(f"{cfg.keywords}: keyword file holds no keywords")
+    registry = cdn_classifier.registry_entries(_text_lines(cfg.as_registry, "AS registry"), diag)
+    cdn_asns = cdn_classifier.spot_keywords(keywords, registry)
+
+    external: dict[str, bool] = {}
+    if cfg.external_labels:
+        external = cdn_classifier.load_external_labels(
+            _read_text(cfg.external_labels, "external labels"), diag
+        )
+
+    agreement = cdn_classifier.Agreement(external) if external else None
+
+    def label_rows(resolved_rows):
+        """The primary resolver's OK rows, each with the origin ASNs of its pairs.jsonl row."""
+        ok = ResolutionStatus.OK.value
+        labelled = (r for r in resolved_rows if r["resolver"] == primary and r["status"] == ok)
+        joined = _joined(labelled, pairs, lambda r: [p["asn"] for p in r["pairs"]], ())
+        for row, asns in joined:
+            chain_length = len(row["cnames"])
+            label = cdn_classifier.CdnLabel(
+                row["domain"],
+                chain_length,
+                chain_length >= cdn_classifier.CHAIN_THRESHOLD,
+                by_asn=cdn_classifier.classify_by_asn(asns, cdn_asns),
+            )
+            label.external = cdn_classifier.external_label(external, label.domain)
+            if agreement is not None:
+                agreement.add(label)
+            yield {
+                "rank": row["rank"],
+                "domain": label.domain,
+                "variant": row["variant"],
+                "chain_length": label.chain_length,
+                "by_chain": label.by_chain,
+                "by_asn": label.by_asn,
+                "external": label.external,
+            }
+
+    with resolved as resolved_rows:
+        count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
+    if agreement is not None and count:
+        report = agreement.report()
+        doc = {
+            "coverage": fraction_to_float(report.coverage),
+            "agree": fraction_to_float(report.agree),
+            "confusion": {f"{h}{e}": n for (h, e), n in report.confusion.items()},
+        }
+        _write_text(cfg.out("agreement.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_diag(cfg, "classify", diag)
+    log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))

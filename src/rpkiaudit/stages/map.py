@@ -1,0 +1,71 @@
+"""map: each resolved address to the prefix/origin pairs of the routes covering it."""
+
+from __future__ import annotations
+
+import gc
+import zlib
+
+from .. import rib_store
+from .._prefix_index import format_prefix, parse_address
+from ..cli import PipelineConfig, _artifact, _primary_resolver, _require_file, _write_diag
+from ..cli import _write_rows
+from ..diagnostics import Diagnostics, log
+from ..errors import DataError, MissingInputError
+
+
+def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
+    if not cfg.ribs:
+        raise MissingInputError("<ribs>", "RIB source")
+    trie = rib_store.PrefixTrie()
+    for path in cfg.ribs:
+        data = _require_file(path, "RIB dump").read_bytes()
+        try:
+            trie.add_routes(rib_store.read_routes(data, diag), diag)
+        except (EOFError, OSError, UnicodeDecodeError, zlib.error) as exc:
+            # a cut or corrupt gzip stream, or a text dump that is not UTF-8
+            raise DataError(f"{path}: unreadable RIB dump ({exc})")
+    # The index lives until the stage ends; kept out of the collector, it no
+    # longer turns the first allocations after the build into a full pass.
+    gc.freeze()
+    return trie
+
+
+def run(cfg: PipelineConfig) -> None:
+    diag = Diagnostics()
+    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
+    primary = _primary_resolver(cfg)
+
+    trie = _load_rib(cfg, diag)
+    if len(trie) == 0 and trie.as_set_count == 0:
+        raise DataError("RIB sources contained zero usable entries")
+    origin_keys = trie.origin_keys
+
+    def pair_rows(resolved_rows):
+        for row in resolved_rows:
+            if row["resolver"] != primary:
+                continue
+            keys: set[tuple[int, int, int, int]] = set()
+            unreachable = []
+            for addr_text in row["addresses"]:
+                covering = origin_keys(*parse_address(addr_text))
+                if covering:
+                    keys.update(covering)
+                else:
+                    unreachable.append(addr_text)
+                    diag.count("unreachable_addresses")
+            yield {
+                "rank": row["rank"],
+                "domain": row["domain"],
+                "variant": row["variant"],
+                # (version, net, plen, origin) is PrefixOriginPair.key, so the order holds
+                "pairs": [
+                    {"prefix": format_prefix(version, net, plen), "asn": origin}
+                    for version, net, plen, origin in sorted(keys)
+                ],
+                "unreachable": sorted(unreachable),
+            }
+
+    with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order
+        count = _write_rows(cfg.out("pairs.jsonl"), pair_rows(resolved_rows))
+    _write_diag(cfg, "map", diag)
+    log.info("map: %d rows against %d prefix-origin pairs", count, len(trie))

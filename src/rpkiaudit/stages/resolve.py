@@ -1,0 +1,210 @@
+"""resolve: the ranked list's names, and their www variants, to addresses."""
+
+from __future__ import annotations
+
+import collections
+import itertools
+import json
+import operator
+import time
+from typing import Iterable, Iterator
+
+from .. import dns_resolution, domain_ingest
+from .._prefix_index import format_address
+from ..cli import PipelineConfig, _read_text, _require_file, _text_lines, _write_diag
+from ..cli import _write_rows, _write_text
+from ..diagnostics import Diagnostics, log
+from ..errors import ChainLoopError, DataError, UsageError
+from ..vocabulary import ResolutionStatus
+
+
+class _RateLimiter:
+    """Spaces queries at a fixed minimum interval of 1/qps.
+
+    One limiter is shared by all resolvers and worker threads, so qps caps
+    the total query rate, not the rate per resolver.
+    """
+
+    def __init__(self, qps: float):
+        import threading  # live resolution only
+
+        self._interval = 1.0 / qps if qps > 0 else 0.0
+        self._next = 0.0
+        self._lock = threading.Lock()
+
+    def wait(self) -> None:
+        if not self._interval:
+            return
+        with self._lock:
+            now = time.monotonic()
+            slot = max(self._next, now)
+            self._next = slot + self._interval
+        if slot > now:
+            time.sleep(slot - now)
+
+
+def _in_order(pool, fn, items: Iterable, window: int) -> Iterator:
+    """``fn`` over ``items`` on ``pool``, in order; at most ``window`` calls are not yet yielded.
+
+    ``Executor.map`` would submit a call for every item at once.
+    """
+    pending: collections.deque = collections.deque()
+    try:
+        for item in items:
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, item))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
+def run(cfg: PipelineConfig) -> None:
+    diag = Diagnostics()
+    list_text = _read_text(cfg.domain_list, "domain list")
+    try:
+        fmt = domain_ingest.ListFormat(cfg.domain_list_format)
+    except ValueError:
+        expected = "expected " + " or ".join(f.value for f in domain_ingest.ListFormat)
+        raise UsageError(f"unknown domain list format {cfg.domain_list_format!r} ({expected})")
+    records = domain_ingest.load_domain_list(list_text, fmt, diag)
+    if cfg.special_purpose_table:
+        table = dns_resolution.SpecialPurposeTable.from_lines(
+            _read_text(cfg.special_purpose_table, "special-purpose table").split("\n"),
+            cfg.special_purpose_table,
+        )
+    else:
+        table = dns_resolution.SpecialPurposeTable.default()
+
+    def tasks():  # in (rank, variant) order, as records ascend by rank and base < www
+        return (
+            (record.rank, rec.variant, rec.name)
+            for record in records
+            for rec in domain_ingest.expand_variants(record)
+        )
+
+    meta: dict = {}
+
+    def choose_primary(labels: list[str]) -> None:
+        primary = cfg.primary_resolver or labels[0]
+        if primary not in labels:
+            raise UsageError(f"primary resolver {primary!r} not among {labels}")
+        meta.update(primary_resolver=primary, resolvers=labels)
+
+    def replayed(groups, labels):
+        """Each task's outcomes from its name's fixture answers, by label.
+
+        ``labels`` is read once ``groups`` runs out, which for a streamed
+        fixture is at its end; the fixture checks run then, inside the row
+        generator, so a failure leaves no resolved.jsonl.
+        """
+        asked = found = 0
+        for answers, (rank, variant, name) in zip(groups, tasks()):
+            asked += 1
+            found += len(answers)
+            outcomes = []
+            for res in answers.values():
+                try:
+                    dns_resolution.check_chain(name, res.cname_chain)
+                except ChainLoopError:
+                    outcomes.append(("chain_loops", None))
+                    continue
+                outcomes.append((None, res))
+            yield rank, variant, outcomes
+        labels = sorted(labels)
+        if not labels:
+            raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
+        choose_primary(labels)
+        misses = asked * len(labels) - found
+        if misses:
+            diag.count("fixture_misses", misses)
+
+    def resolved_rows(collected):
+        """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task."""
+        for rank, variant, outcomes in collected:
+            results = []
+            for err_key, res in outcomes:
+                if err_key:
+                    diag.count(err_key)
+                    continue
+                results.append(dns_resolution.apply_filter(res, table, diag))
+            ok = [r for r in results if r.status is ResolutionStatus.OK]
+            if len(ok) >= 2:
+                agree = dns_resolution.cross_check(ok)
+                diag.count("cross_check_agree" if agree else "cross_check_disagree")
+            for res in sorted(results, key=operator.attrgetter("resolver_id", "domain")):
+                yield {
+                    "rank": rank,
+                    "domain": res.domain,
+                    "variant": variant.value,
+                    "resolver": res.resolver_id,
+                    "cnames": list(res.cname_chain),
+                    "addresses": [format_address(*a) for a in sorted(res.addresses)],
+                    "status": res.status.value,
+                    "ts": res.observed_at,
+                }
+
+    def write(collected) -> int:
+        rows = resolved_rows(collected)
+        first = next(rows, None)
+        if first is None:
+            raise DataError("resolve produced zero resolution rows")
+        return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
+
+    if cfg.dns_fixture:
+        _require_file(cfg.dns_fixture, "DNS fixture")
+        names = [name for _, _, name in tasks()]
+        list_counts = diag.counters.copy()
+        labels: set[str] = set()
+        lines = _text_lines(cfg.dns_fixture, "DNS fixture")
+        try:
+            groups = dns_resolution.replay_in_turn(lines, names, diag, labels)
+            count = write(replayed(groups, labels))
+        except dns_resolution.FixtureOrderError as exc:
+            lines.close()
+            log.warning(
+                "DNS fixture %s: %s; replaying it from a whole-file index", cfg.dns_fixture, exc
+            )
+            diag.counters = list_counts  # the domain list's counts, and no fixture's
+            fixture = dns_resolution.DnsFixture.load(
+                _read_text(cfg.dns_fixture, "DNS fixture"), diag
+            )
+            groups = map(fixture.answers, names)
+            count = write(replayed(groups, fixture.resolver_ids()))
+    elif cfg.resolvers:
+        try:
+            resolvers = [dns_resolution.parse_endpoint(e) for e in cfg.resolvers]
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        labels = [r.resolver_id for r in resolvers]
+        if len(set(labels)) < len(labels):  # a label names its rows in resolved.jsonl
+            raise UsageError(f"resolver labels repeat: {labels}")
+        choose_primary(labels)
+        limiter = _RateLimiter(cfg.resolver_qps)
+
+        def resolve_task(task):
+            rank, variant, name = task
+            out = []
+            for resolver in resolvers:
+                limiter.wait()
+                try:
+                    res = dns_resolution.resolve_records(name, resolver, cfg.timeout)
+                except ChainLoopError:
+                    out.append(("chain_loops", None))
+                    continue
+                out.append((None, res))
+            return rank, variant, out
+
+        import concurrent.futures  # live queries wait on the network, so they overlap
+
+        workers = max(1, cfg.max_inflight)
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            count = write(_in_order(pool, resolve_task, tasks(), 2 * workers))
+    else:
+        raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
+
+    _write_text(cfg.out("resolve_meta.json"), json.dumps(meta, sort_keys=True) + "\n")
+    _write_diag(cfg, "resolve", diag)
+    log.info("resolve: %d rows from %d domains", count, len(records))

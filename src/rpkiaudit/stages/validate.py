@@ -1,0 +1,67 @@
+"""validate: RFC 6811 origin validation of each pair, and each domain's coverage."""
+
+from __future__ import annotations
+
+import functools
+from pathlib import Path
+
+from .._prefix_index import parse_prefix
+from ..analytics import domain_coverage
+from ..cli import PipelineConfig, _artifact, _read_text, _require_file, _text_lines
+from ..cli import _write_diag, _write_rows
+from ..diagnostics import Diagnostics, log
+from ..errors import UsageError
+from ..roa_validation import RoaFormat, RoaIndex, roa_fields
+from ..vocabulary import ValidationState, fraction_to_float
+
+
+def _roa_format(cfg: PipelineConfig) -> RoaFormat:
+    if cfg.roa_format:
+        try:
+            return RoaFormat(cfg.roa_format)
+        except ValueError:
+            expected = "expected " + " or ".join(f.value for f in RoaFormat)
+            raise UsageError(f"unknown ROA format {cfg.roa_format!r} ({expected})")
+    return RoaFormat.JSON if Path(str(cfg.roas)).suffix.lower() == ".json" else RoaFormat.CSV
+
+
+def run(cfg: PipelineConfig) -> None:
+    diag = Diagnostics()
+    pairs = _artifact(cfg, "pairs.jsonl", "map")
+    _require_file(cfg.roas, "ROA export")
+    fmt = _roa_format(cfg)
+    if fmt is RoaFormat.CSV:
+        export = _text_lines(cfg.roas, "ROA export")  # one line at a time
+    else:
+        export = _read_text(cfg.roas, "ROA export")
+    index = RoaIndex()
+    for fields in roa_fields(export, fmt, diag):
+        index.add(*fields)
+
+    @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
+    def state_of(prefix: str, asn: int) -> ValidationState:
+        return index.state(*parse_prefix(prefix), asn)
+
+    def validated_rows(pair_rows):
+        for row in pair_rows:
+            # map wrote the pairs sorted and distinct, so their order is kept
+            states = {
+                (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
+            }
+            coverage = domain_coverage(row["domain"], states.items())
+            yield {
+                "rank": row["rank"],
+                "domain": row["domain"],
+                "variant": row["variant"],
+                "pairs": [
+                    {"prefix": prefix, "asn": asn, "state": state.value}
+                    for (prefix, asn), state in states.items()
+                ],
+                "covered": fraction_to_float(coverage.covered_fraction),
+                "class": coverage.classification.value,
+            }
+
+    with pairs as pair_rows:
+        count = _write_rows(cfg.out("validated.jsonl"), validated_rows(pair_rows))
+    _write_diag(cfg, "validate", diag)
+    log.info("validate: %d rows against %d ROAs", count, len(index))

@@ -1,0 +1,73 @@
+"""The names more than one stage shares: artifact enums, the ASN reader and the
+6-decimal rule for fractions.
+
+A leaf: it imports nothing from the package, so a stage child that needs one
+of these names loads no other library module for it.
+"""
+
+from __future__ import annotations
+
+import enum
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+MAX_ASN = 2**32 - 1
+
+
+class ValidationState(str, enum.Enum):  # a member equals its text, as artifacts hold it
+    VALID = "valid"
+    INVALID = "invalid"
+    NOT_FOUND = "notfound"
+
+
+class Variant(enum.Enum):
+    BASE = "base"
+    WWW = "www"
+
+
+class ResolutionStatus(enum.Enum):
+    OK = "ok"
+    NXDOMAIN = "nxdomain"
+    SERVFAIL = "servfail"
+    TIMEOUT = "timeout"
+    EMPTY = "empty"
+
+
+def parse_decimal(text: str) -> int:
+    """The int of a text of ASCII digits; ValueError when it is anything else."""
+    if not (text.isascii() and text.isdigit()):  # int() would take "+7", " 7", "7_0" or "٧"
+        raise ValueError(f"not a decimal: {text!r}")
+    return int(text)
+
+
+def parse_asn(text: str) -> int:
+    """The ASN of a decimal text, "AS" prefix optional; ValueError when it is none."""
+    digits = text.strip()
+    if digits[:2].upper() == "AS":
+        digits = digits[2:]
+    asn = parse_decimal(digits)
+    if asn > MAX_ASN:
+        raise ValueError(f"ASN {asn} out of range")
+    return asn
+
+
+def plain_asn(value: object) -> int:
+    """``value`` when it is a plain ASN: an int, never a bool or an AS_SET, in 0..MAX_ASN."""
+    if type(value) is not int:
+        raise TypeError(f"origin_asn must be a plain ASN, not {value!r}")
+    if not 0 <= value <= MAX_ASN:
+        raise ValueError(f"ASN {value} out of range")
+    return value
+
+
+# Floats appear only when serializing, at 6 decimal places.
+
+
+def fraction_to_float(value: Optional[Fraction]) -> Optional[float]:
+    return None if value is None else round(float(value), 6)
+
+
+def format_fraction(value: Optional[Fraction]) -> str:
+    return "" if value is None else f"{float(value):.6f}"

@@ -13,12 +13,12 @@ from rpkiaudit.analytics import (
     OverallRates,
     coverage_report,
     domain_coverage,
-    format_fraction,
     prefix_overlap,
 )
 from rpkiaudit.domain_ingest import make_bins
 from rpkiaudit.rib_store import PrefixOriginPair
 from rpkiaudit.roa_validation import ValidationState
+from rpkiaudit.vocabulary import format_fraction
 
 V, I, N = ValidationState.VALID, ValidationState.INVALID, ValidationState.NOT_FOUND
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import ipaddress
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,21 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpkiaudit.cdn_classifier import (
+    Agreement,
     AsRegistryEntry,
     CdnLabel,
     classify_by_asn,
     classify_by_chain,
-    compare_external,
     load_external_labels,
     load_keywords,
-    parse_as_registry,
     registry_entries,
     spot_keywords,
 )
 from rpkiaudit.cli import _text_lines
 from rpkiaudit.diagnostics import Diagnostics
-from rpkiaudit.rib_store import parse_asn
-from rpkiaudit.dns_resolution import ResolutionResult, ResolutionStatus
+from rpkiaudit.dns_resolution import ResolutionResult
+from rpkiaudit.vocabulary import ResolutionStatus, parse_asn
+
+
+def sorted_entries(text, diag=None):
+    """The registry entries of a whole text, sorted by ASN."""
+    return sorted(registry_entries(text.split("\n"), diag), key=operator.attrgetter("asn"))
 
 
 def ok_result(domain, chain):
@@ -122,44 +127,56 @@ class TestClassifyByAsn:
         assert classify_by_asn([], {10913}) is False
 
 
+def agreement_of(labels, external):
+    """The report of an ``Agreement`` that each label was added to, as classify tallies it."""
+    agreement = Agreement(external)
+    for label in labels:
+        agreement.add(label)
+    return agreement.report()
+
+
 class TestCompareExternal:
     def _label(self, domain, by_chain):
         return CdnLabel(domain, 2 if by_chain else 0, by_chain)
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(ValueError):
+            Agreement({"d.example": True}).report()
+
     def test_full_agreement(self):
         labels = [self._label(f"d{i}.example", True) for i in range(3)]
-        report = compare_external(labels, {f"d{i}.example": True for i in range(3)})
+        report = agreement_of(labels, {f"d{i}.example": True for i in range(3)})
         assert report.agree == Fraction(1)
         assert report.coverage == Fraction(1)
 
     def test_half_coverage(self):
         labels = [self._label(f"d{i}.example", True) for i in range(4)]
-        report = compare_external(
+        report = agreement_of(
             labels, {"d0.example": True, "d1.example": False}
         )
         assert report.coverage == Fraction(1, 2)
 
     def test_confusion_cell_heuristic_true_external_false(self):
         labels = [self._label("d.example", True)]
-        report = compare_external(labels, {"d.example": False})
+        report = agreement_of(labels, {"d.example": False})
         assert report.confusion[(1, 0)] == 1
         assert report.confusion[(1, 1)] == 0
         assert report.agree == Fraction(0)
 
     def test_www_label_falls_back_to_base_name(self):
         labels = [self._label("www.d.example", True)]
-        report = compare_external(labels, {"d.example": True})
+        report = agreement_of(labels, {"d.example": True})
         assert report.coverage == Fraction(1)
         assert report.agree == Fraction(1)
 
     def test_empty_external_rejected(self):
         with pytest.raises(ValueError):
-            compare_external([self._label("d.example", True)], {})
+            agreement_of([self._label("d.example", True)], {})
 
     def test_bounds(self):
         labels = [self._label(f"d{i}.example", i % 2 == 0) for i in range(6)]
         external = {"d0.example": False, "d1.example": False, "d2.example": True}
-        report = compare_external(labels, external)
+        report = agreement_of(labels, external)
         assert 0 <= report.coverage <= 1
         assert 0 <= report.agree <= 1
         assert sum(report.confusion.values()) == 3
@@ -175,14 +192,14 @@ class TestLoaders:
         assert load_keywords("# c\nAkamai\n\nfastly\n") == ["akamai", "fastly"]
 
     def test_registry_whitespace_form(self):
-        entries = parse_as_registry("AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
+        entries = sorted_entries("AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
         assert entries == [
             AsRegistryEntry(3320, "DTAG Deutsche Telekom"),
             AsRegistryEntry(10913, "INTERNAP-BLK"),
         ]
 
     def test_registry_csv_form(self):
-        entries = parse_as_registry('10913,INTERNAP-BLK\n16509,"Amazon.com, Inc."\n')
+        entries = sorted_entries('10913,INTERNAP-BLK\n16509,"Amazon.com, Inc."\n')
         assert entries == [
             AsRegistryEntry(10913, "INTERNAP-BLK"),
             AsRegistryEntry(16509, "Amazon.com, Inc."),
@@ -190,13 +207,13 @@ class TestLoaders:
 
     def test_registry_duplicate_asn_counted(self):
         diag = Diagnostics()
-        entries = parse_as_registry("1 first\n1 second\n", diag)
+        entries = sorted_entries("1 first\n1 second\n", diag)
         assert entries == [AsRegistryEntry(1, "first")]
         assert diag.get("duplicate_registry_asns") == 1
 
     def test_registry_malformed_counted(self):
         diag = Diagnostics()
-        parse_as_registry("notanasn description\n", diag)
+        sorted_entries("notanasn description\n", diag)
         assert diag.get("malformed_registry_lines") == 1
 
     @pytest.mark.parametrize(
@@ -204,7 +221,7 @@ class TestLoaders:
     )
     def test_registry_asn_is_an_ascii_decimal(self, line):
         diag = Diagnostics()
-        assert parse_as_registry(line + "\n", diag) == []
+        assert sorted_entries(line + "\n", diag) == []
         assert diag.get("malformed_registry_lines") == 1
 
     def test_external_labels(self):
@@ -276,7 +293,7 @@ class TestStreamedRegistryPath:
         keywords = load_keywords()
         entries, counts = reference_registry(text)
         diag = Diagnostics()
-        assert parse_as_registry(text, diag) == entries
+        assert sorted_entries(text, diag) == entries
         assert diag.as_dict() == counts
         path = tmp_path_factory.mktemp("registry") / "as_registry.txt"
         path.write_bytes(text.encode("utf-8"))
@@ -284,7 +301,7 @@ class TestStreamedRegistryPath:
         cdn_asns = spot_keywords(
             keywords, registry_entries(_text_lines(str(path), "AS registry"), streamed)
         )
-        assert cdn_asns == spot_keywords(keywords, parse_as_registry(text)) == spot_keywords(
+        assert cdn_asns == spot_keywords(keywords, sorted_entries(text)) == spot_keywords(
             keywords, entries
         )
         assert streamed.as_dict() == counts
@@ -293,7 +310,7 @@ class TestStreamedRegistryPath:
         text = "AS64500  Example Networks\nAS7 Akamai\nAS64500  Akamai Intl\nAS7 nothing\n"
         diag = Diagnostics()
         cdn_asns = spot_keywords(["akamai"], registry_entries(text.split("\n"), diag))
-        assert cdn_asns == spot_keywords(["akamai"], parse_as_registry(text)) == {7}
+        assert cdn_asns == spot_keywords(["akamai"], sorted_entries(text)) == {7}
         assert diag.get("duplicate_registry_asns") == 2
 
     def test_out_of_order_asns_are_still_seen(self):

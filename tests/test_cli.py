@@ -22,6 +22,8 @@ import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
 from rpkiaudit import _prefix_index, cli, dns_resolution
+from rpkiaudit.stages import classify, resolve, validate
+from rpkiaudit.stages import analyze, map as map_stage, report
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
 
@@ -173,9 +175,9 @@ class TestSingleDerivation:
         assert len(set(entries)) < len(entries)  # the fixture repeats pairs across rows
 
         calls = []
-        parse = _prefix_index.parse_prefix  # the codec, which validate imports when it runs
+        parse = validate.parse_prefix  # the codec, as the validate stage imports it
         monkeypatch.setattr(
-            _prefix_index, "parse_prefix", lambda text: calls.append(text) or parse(text)
+            validate, "parse_prefix", lambda text: calls.append(text) or parse(text)
         )
         assert run_stage("validate", e2e_config(out)) == 0
         assert 0 < len(calls) <= len(set(entries))
@@ -514,7 +516,9 @@ class TestClassifyJoin:
             (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
         assert run_stage("classify", e2e_config(out)) == 0
 
-        registry = cdn_classifier.parse_as_registry((E2E_DIR / "as_registry.txt").read_text())
+        registry = cdn_classifier.registry_entries(
+            (E2E_DIR / "as_registry.txt").read_text().split("\n")
+        )
         cdn_asns = cdn_classifier.spot_keywords(cdn_classifier.load_keywords(), registry)
         origins = {(row["rank"], row["domain"]): {p["asn"] for p in row["pairs"]} for row in pairs}
         labels = [json.loads(line) for line in read(out / "cdn_labels.jsonl").splitlines()]
@@ -589,8 +593,7 @@ class TestStreamedMemory:
             (out / "resolved.jsonl").write_text(resolved_rows_like_e2e(e2e_output, count))
             # one bin for every rank: the bins analyze writes grow with the ranks, by design
             cfg = dataclasses.replace(e2e_config(out), bin_size=10**9).validated()
-            stages = (cli.stage_map, cli.stage_validate, cli.stage_classify, cli.stage_analyze,
-                      cli.stage_report)
+            stages = (map_stage.run, validate.run, classify.run, analyze.run, report.run)
             peaks[count] = [traced_peak(stage, cfg) for stage in stages]
             assert len(read(out / "validated.jsonl").splitlines()) > count // 3
         for small, large in zip(peaks[2000], peaks[8000]):
@@ -619,7 +622,7 @@ class TestStreamedMemory:
             )
             (out / "resolved.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
             cfg = dataclasses.replace(e2e_config(out), ribs=[str(rib)]).validated()
-            peaks[count] = traced_peak(cli.stage_map, cfg)
+            peaks[count] = traced_peak(map_stage.run, cfg)
             pair_rows = [json.loads(line) for line in read(out / "pairs.jsonl").splitlines()]
             assert len(pair_rows) == count
             # pairs ascend by (version, net, plen, origin): the last is the prefix landed in
@@ -715,7 +718,7 @@ class TestTableMemory:
         roas.write_text(roa_csv(random.Random(1), count))
         out = self.stage_inputs(e2e_output, tmp_path)
         cfg = PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
-        peak = traced_peak(cli.stage_validate, cfg)
+        peak = traced_peak(validate.run, cfg)
         assert peak < 300 * count, peak / count
         validate_diag = json.loads((out / "validate_diagnostics.json").read_text())
         assert "malformed_roa_rows" not in validate_diag
@@ -727,7 +730,7 @@ class TestTableMemory:
         registry.write_text(registry_lines(random.Random(1), count, order))
         out = self.stage_inputs(e2e_output, tmp_path)
         cfg = PipelineConfig(as_registry=str(registry), output_dir=str(out)).validated()
-        peak = traced_peak(cli.stage_classify, cfg)
+        peak = traced_peak(classify.run, cfg)
         # The pass keeps a set of the ASNs seen: an int and a slot in a table that
         # grows fourfold, so up to about 160 B per line while it resizes.
         assert peak < 170 * count, peak / count
@@ -800,6 +803,34 @@ def run_cli(*args):
     )
 
 
+# (a pairs.jsonl pair, the fault validate names for it): a pair's ASN must be a
+# plain int in 0..2**32-1, never a bool, and its prefix text a prefix without host bits
+PAIR_FAULTS = [
+    ({"prefix": "192.0.2.0/24", "asn": True},
+     "TypeError: origin_asn must be a plain ASN, not True"),
+    ({"prefix": "192.0.2.0/24", "asn": "64500"},
+     "TypeError: origin_asn must be a plain ASN, not '64500'"),
+    ({"prefix": "192.0.2.0/24", "asn": 1.5}, "TypeError: origin_asn must be a plain ASN, not 1.5"),
+    ({"prefix": "192.0.2.0/24", "asn": None},
+     "TypeError: origin_asn must be a plain ASN, not None"),
+    ({"prefix": "192.0.2.0/24", "asn": -1}, "ValueError: ASN -1 out of range"),
+    ({"prefix": "192.0.2.0/24", "asn": 2**32}, "ValueError: ASN 4294967296 out of range"),
+    ({"prefix": "192.0.2.0/24"}, "KeyError: 'asn'"),
+    ({"prefix": "10.0.0.1/8", "asn": 64500}, "ValueError: 10.0.0.1/8 has host bits set"),
+    ({"prefix": "nope", "asn": 64500},
+     "ValueError: 'nope' does not appear to be an IPv4 or IPv6 network"),
+    ({"prefix": 5, "asn": 64500}, "TypeError: prefix 5 is not text"),
+]
+PAIR_FAULT_IDS = [
+    "asn_true", "asn_text", "asn_float", "asn_null", "asn_negative", "asn_2_32", "no_asn",
+    "prefix_host_bits", "prefix_nope", "prefix_int",
+]
+
+
+def one_pair(pair):
+    return lambda row: dict(row, pairs=[pair])
+
+
 # (stage, artifact, damage to one row of the artifact): each exits 3 and names the row
 ROW_DAMAGE = [
     ("map", "resolve_meta.json", lambda row: {}),
@@ -836,6 +867,7 @@ ROW_DAMAGE = [
     ("report", "validated.jsonl", lambda row: dict(row, variant="foo")),
     ("report", "validated.jsonl", lambda row: dict(row, domain=5)),
     ("report", "validated.jsonl", lambda row: dict(row, domain=5, variant="www")),
+    *(("validate", "pairs.jsonl", one_pair(pair)) for pair, _ in PAIR_FAULTS),
 ]
 ROW_DAMAGE_IDS = [
     "meta_empty", "meta_not_object", "meta_primary_unlisted",
@@ -850,6 +882,7 @@ ROW_DAMAGE_IDS = [
     "validated_pairs_int", "validated_rank_text", "validated_rank_zero",
     "validated_rank_bool", "report_no_rank", "report_no_domain", "report_pairs_int",
     "report_bad_variant", "report_domain_int", "report_www_domain_int",
+    *(f"pairs_{name}" for name in PAIR_FAULT_IDS),
 ]
 
 # stage -> (the artifacts it reads, the input flags it needs)
@@ -989,6 +1022,17 @@ class TestCorruptInputs:
         assert "pairs.jsonl" in result.stderr
         assert row["domain"] in result.stderr
         assert not (out / "validated.jsonl").exists()
+
+    @pytest.mark.parametrize("pair, fault", PAIR_FAULTS, ids=PAIR_FAULT_IDS)
+    def test_bad_pair_names_its_fault(self, e2e_output, tmp_path, pair, fault):
+        out = tmp_path / "out"
+        out.mkdir()
+        rows = [json.loads(line) for line in read(e2e_output / "pairs.jsonl").splitlines()]
+        rows[0] = one_pair(pair)(rows[0])
+        (out / "pairs.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+        with pytest.raises(DataError) as info:
+            run_stage("validate", e2e_config(out))
+        assert f"pairs.jsonl: {rows[0]['domain']}: corrupt artifact ({fault})" in str(info.value)
 
     @pytest.mark.parametrize(
         "stage, flag, source",
@@ -1487,7 +1531,7 @@ class TestStreamedFixtureMemory:
                 primary_resolver="fixture", output_dir=str(tmp_path / str(count)),
             ).validated()
             with WarningLog() as messages:
-                peaks[count] = traced_peak(cli.stage_resolve, cfg)
+                peaks[count] = traced_peak(resolve.run, cfg)
             assert fallbacks(messages) == []
             rows = read(tmp_path / str(count) / "resolved.jsonl").count(b"\n")
             assert rows > 2 * count * 0.9
@@ -1560,7 +1604,7 @@ class TestBoundedLiveResolution:
 
         with concurrent.futures.ThreadPoolExecutor(max_workers=3) as pool:
             out = []
-            for value in cli._in_order(pool, lambda i: i * i, items(), 6):
+            for value in resolve._in_order(pool, lambda i: i * i, items(), 6):
                 assert pulled <= len(out) + 1 + 6
                 out.append(value)
         assert out == [i * i for i in range(50)]

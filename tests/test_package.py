@@ -38,18 +38,23 @@ def package(*names):
     return {f"rpkiaudit.{name}" for name in names}
 
 
-# What each stage child must not load: a stage imports its own library modules
-# when it runs, and only the live resolver loads the DNS client and threads.
-# analyze and report count validated.jsonl's state strings, so they load no
-# validation or routing code.
+STAGE_MODULES = {stage: f"rpkiaudit.stages.{stage}" for stage in STAGES}
+
+# What each stage child must not load, besides every other stage's module: a
+# stage module imports only the library modules its stage uses, and only the
+# live resolver loads the DNS client and threads.  Validate reads integer pairs,
+# so it loads no RIB decoder; analyze and report count validated.jsonl's state
+# strings, so they load no validation or routing code; classify reads the
+# resolved and pairs rows, so it loads no resolver, RIB or coverage code.
 NO_VALIDATION = package("roa_validation", "rib_store") | {"gzip", "csv"}
 NOT_LOADED = {
     "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
-    "validate": package("cdn_classifier", "dns_resolution", "_dnswire"),
+    "validate": package("cdn_classifier", "dns_resolution", "_dnswire", "rib_store") | {"gzip"},
     "analyze": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
     "report": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
     "resolve": package("_dnswire") | {"concurrent.futures"},
-    "classify": package("_dnswire", "roa_validation") | {"concurrent.futures"},
+    "classify": package("_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics")
+    | {"concurrent.futures"},
 }
 
 
@@ -57,6 +62,7 @@ def test_cli_import_loads_no_stage_module():
     loaded = modules_after("import rpkiaudit.cli")
     assert "rpkiaudit.cli" in loaded
     unwanted = package("analytics", "cdn_classifier", "dns_resolution", "_dnswire")
+    unwanted |= {"rpkiaudit.stages", *STAGE_MODULES.values()}
     assert (unwanted | {"concurrent.futures", "fractions"}) & loaded == set()
 
 
@@ -71,24 +77,26 @@ def test_each_stage_loads_only_its_own_modules(tmp_path):
         )
         assert "rpkiaudit.cli" in loaded
         assert NOT_LOADED[stage] & loaded == set(), stage
+        assert {m for m in loaded if m.startswith("rpkiaudit.stages.")} == {STAGE_MODULES[stage]}
 
 
 def uses_outside_the_codec(names):
     """Each import or call of the named ipaddress functions in a module but _prefix_index."""
     package = Path(rpkiaudit.__file__).parent
     uses = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         if path.name == "_prefix_index.py":
             continue
+        where = path.relative_to(package)
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "ipaddress":
-                uses += [f"{path.name}: from ipaddress import {a.name}" for a in node.names
+                uses += [f"{where}: from ipaddress import {a.name}" for a in node.names
                          if a.name in names]
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
                 if name in names:
-                    uses.append(f"{path.name}:{node.lineno}: {name}()")
+                    uses.append(f"{where}:{node.lineno}: {name}()")
     return uses
 
 
