@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -66,12 +67,9 @@ def spot_keywords(
     tokens = [k.strip().lower() for k in keywords if k.strip()]
     if not tokens:
         raise ValueError("keyword list must be nonempty")
-    hits: set[int] = set()
-    for entry in registry:
-        description = entry.description.lower()
-        if any(token in description for token in tokens):
-            hits.add(entry.asn)
-    return hits
+    # one scan of each description for all tokens: a match anywhere is a token in it
+    search = re.compile("|".join(map(re.escape, tokens))).search
+    return {entry.asn for entry in registry if search(entry.description.lower())}
 
 
 def classify_by_asn(origin_asns: Iterable[int], cdn_asns: set[int]) -> bool:
@@ -173,13 +171,13 @@ def registry_entries(
         yield AsRegistryEntry(asn, description.strip())
 
 
+_SPACE = re.compile(r"\s")  # matches where str.isspace is true, on every code point
+
+
 def _split_registry_line(line: str) -> tuple[str | None, str]:
     comma = line.find(",")
-    space = len(line)
-    for i, ch in enumerate(line):
-        if ch.isspace():
-            space = i
-            break
+    found = _SPACE.search(line)
+    space = found.start() if found else len(line)
     if 0 <= comma < space:
         try:
             row = next(csv.reader(io.StringIO(line)), None)

@@ -5,13 +5,14 @@ on-disk artifacts and writes its own, so expensive inputs (DNS campaigns,
 RIB parses) are cached between runs.
 Artifacts are canonically sorted: identical inputs give identical bytes.
 
-Exit codes: 0 success, 1 usage error, 2 missing input or missing stage
-dependency, 3 data error (inputs parsed but nothing usable).
+Exit codes: 0 success, 1 usage error, 2 missing or unreadable input or missing
+stage dependency, 3 data error (inputs parsed but nothing usable).
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import importlib
 import json
@@ -29,7 +30,9 @@ from .errors import (
     AuditError,
     DataError,
     MissingInputError,
+    NotUtf8Error,
     StageDependencyMissingError,
+    UnreadableInputError,
     UsageError,
 )
 
@@ -62,11 +65,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
+        with _open_input(path, "config file") as fh:
+            data = fh.read()
         try:
-            doc = json.loads(Path(path).read_text("utf-8"))
-        except FileNotFoundError:
-            raise MissingInputError(path, "config file")
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.loads(data.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             raise UsageError(f"config {path}: {exc}")
         if not isinstance(doc, dict):
             raise UsageError(f"config {path}: expected a JSON object")
@@ -155,7 +158,7 @@ def _jsonl_rows(path: Path) -> Iterator[dict]:
                 try:
                     text = line.decode("utf-8")
                     row, end = _decode_value(text)
-                except ValueError:  # not UTF-8, or not one JSON value
+                except (ValueError, RecursionError):  # not UTF-8, not one JSON value, too deep
                     pass
                 else:
                     if text[end:] in ("", "\n"):
@@ -172,7 +175,7 @@ def _line_row(path: Path, lineno: int, line: bytes) -> Optional[dict]:
         return None
     try:
         row = json.loads(line.decode("utf-8"))
-    except ValueError as exc:  # a truncated row or undecodable bytes
+    except (ValueError, RecursionError) as exc:  # a truncated row, undecodable bytes, deep nesting
         raise DataError(f"{path}:{lineno}: corrupt artifact ({exc})")
     if not isinstance(row, dict):
         raise DataError(f"{path}:{lineno}: corrupt artifact (row is not an object)")
@@ -268,50 +271,80 @@ def _write_diag(cfg: PipelineConfig, stage: str, diag: Diagnostics) -> None:
     _write_text(cfg.out(f"{stage}_diagnostics.json"), diag.to_json())
 
 
-def _require_file(path: Optional[str], what: str) -> Path:
+def _open_input(path: Optional[str], what: str) -> typing.BinaryIO:
+    """An input file opened for binary reading; exit 2 when it is absent or cannot be
+    opened (a directory, say).  A pipe opens like a file."""
     if not path:
         raise MissingInputError(f"<{what}>", what)
-    p = Path(path)
-    if not p.exists():
-        raise MissingInputError(str(p), what)
-    return p
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise MissingInputError(path, what) from None
+    except OSError as exc:
+        raise UnreadableInputError(path, what, exc) from None
 
 
-def _not_utf8(
-    path: Optional[str], what: str, exc: UnicodeDecodeError, offset: int = 0
-) -> DataError:
-    """The error for undecodable bytes at ``exc``'s positions, ``offset`` bytes into the file.
-
-    Its text is that of decoding the whole file at once.
-    """
-    start = offset + exc.start
-    if exc.end - exc.start == 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        where = f"bytes in position {start}-{offset + exc.end - 1}"
-    reason = f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
-    return DataError(f"{path}: {what} is not UTF-8 text ({reason})")
+def _not_utf8(fh: typing.BinaryIO, what: str, exc: UnicodeDecodeError, offset: int) -> DataError:
+    """The error for undecodable bytes at ``exc``'s positions, ``offset`` bytes into the file."""
+    return DataError(f"{fh.name}: {what} is not UTF-8 text ({NotUtf8Error(exc, offset)})")
 
 
 def _read_text(path: Optional[str], what: str) -> str:
     """The text of an input file; bytes that are not UTF-8 raise DataError."""
-    data = _require_file(path, what).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, what, exc) from None
-
-
-def _text_lines(path: str, what: str) -> Iterator[str]:
-    """The lines of an input file, read and decoded one at a time, each with its newline.
-
-    Bytes that are not UTF-8 raise the DataError ``_read_text`` raises for the whole file.
-    """
-    with open(path, "rb") as fh:
+    with _open_input(path, what) as fh:
+        data = fh.read()
         try:
-            yield from map(bytes.decode, fh)
-        except UnicodeDecodeError as exc:  # in the line that ends where fh now is
-            raise _not_utf8(path, what, exc, fh.tell() - len(exc.object)) from None
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(fh, what, exc, 0) from None
+
+
+def _text_lines(fh: typing.BinaryIO, what: str) -> Iterator[str]:
+    """The lines of an open input, read and decoded one at a time, each with its newline.
+
+    The input is closed at its end.  Bytes that are not UTF-8 raise the DataError
+    ``_read_text`` raises for the whole file.
+    """
+    read = 0
+    with fh:
+        try:
+            for line in fh:
+                read += len(line)
+                yield line.decode("utf-8")
+        except UnicodeDecodeError as exc:  # in the line that ends where the read is
+            raise _not_utf8(fh, what, exc, read - len(exc.object)) from None
+
+
+# Bytes _text_chunks reads at a time: a file-system block, as much as the line reader
+# buffers, so reading a json export holds no more than reading a csv one.
+_CHUNK = 1 << 12
+
+
+def _text_chunks(fh: typing.BinaryIO, what: str) -> Iterator[str]:
+    """The text of an open input, read ``_CHUNK`` bytes at a time and decoded as it comes.
+
+    A character cut between two reads is completed by the second.  The input is
+    closed at its end, and bytes that are not UTF-8 raise ``_read_text``'s DataError.
+    """
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    read = 0
+
+    def chunk() -> bytes:
+        nonlocal read
+        data = fh.read(_CHUNK)
+        read += len(data)
+        return data
+
+    with fh:
+        try:
+            while True:
+                start = read
+                yield decode(chunk())  # no name here holds the chunk or its text meanwhile
+                if read == start:
+                    break
+            decode(b"", True)  # bytes of a character the file cut short
+        except UnicodeDecodeError as exc:  # in bytes that end where the read is
+            raise _not_utf8(fh, what, exc, read - len(exc.object)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +427,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (MissingInputError, StageDependencyMissingError) as exc:
+    except (MissingInputError, UnreadableInputError, StageDependencyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AuditError as exc:  # DataError and every other input fault

@@ -109,7 +109,7 @@ def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
         addresses = frozenset(map(parse_address, a + aaaa))  # TypeError on a non-string
         if type(ts) is not int:  # a JSON integer; true, 1.9 and "1_0" are not
             raise TypeError(f"ts {ts!r} is not an integer")
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, RecursionError):  # RecursionError: nested too deep
         diag.count("malformed_fixture_lines")
         return None
     if status is not ResolutionStatus.OK:

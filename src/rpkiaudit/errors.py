@@ -29,6 +29,21 @@ class BadMagicError(AuditError):
     """The input stream is not an MRT file at all."""
 
 
+class NotUtf8Error(AuditError):
+    """Bytes that are not UTF-8, found ``offset`` bytes into a stream.
+
+    Its text is that of the error decoding the whole stream at once raises.
+    """
+
+    def __init__(self, exc: UnicodeDecodeError, offset: int = 0):
+        start = offset + exc.start
+        if exc.end - exc.start == 1:
+            where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+        else:
+            where = f"bytes in position {start}-{offset + exc.end - 1}"
+        super().__init__(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
 class EmptyPathError(AuditError):
     """An AS path with no segments has no origin."""
 
@@ -42,6 +57,14 @@ class MissingInputError(AuditError):
 
     def __init__(self, path: str, what: str = "input"):
         super().__init__(f"missing {what}: {path}")
+        self.path = path
+
+
+class UnreadableInputError(AuditError):
+    """An input path that cannot be opened for reading, a directory say (exit code 2)."""
+
+    def __init__(self, path: str, what: str, exc: OSError):
+        super().__init__(f"cannot read {what} {path}: {exc.strerror}")
         self.path = path
 
 

@@ -19,7 +19,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
 from ._prefix_index import network, parse_address, parse_prefix
 from .diagnostics import Diagnostics
-from .errors import BadMagicError, EmptyPathError
+from .errors import BadMagicError, EmptyPathError, NotUtf8Error
 from .vocabulary import parse_asn, plain_asn
 
 # An AS path is a flat segment tuple: plain ints for AS_SEQUENCE members,
@@ -89,27 +89,42 @@ def origin_from_path(as_path: AsPath) -> int | None:
 # MRT TABLE_DUMP_V2 decoding
 
 
-def _open_stream(data: bytes) -> IO[bytes]:
-    stream = io.BytesIO(data)
-    if data[:2] == b"\x1f\x8b":
-        # buffered, so the many small record reads stay out of GzipFile.read
-        return io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)  # type: ignore[arg-type]
-    return stream
+_GZIP_MAGIC = b"\x1f\x8b"
+
+
+class _Unread(io.RawIOBase):
+    """A raw stream that gives back ``head`` before it reads on in ``stream``."""
+
+    def __init__(self, head: bytes, stream: IO[bytes]) -> None:
+        self._head, self._stream = head, stream
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:  # type: ignore[override]
+        if not self._head:
+            return self._stream.readinto(buffer)  # type: ignore[attr-defined]
+        size = min(len(buffer), len(self._head))
+        buffer[:size], self._head = self._head[:size], self._head[size:]
+        return size
 
 
 def mrt_routes(
-    data: bytes, diag: Diagnostics | None = None, with_paths: bool = False
+    stream: io.BufferedReader, diag: Diagnostics | None = None, with_paths: bool = False
 ) -> Iterator[Route]:
-    """Routes of the TABLE_DUMP_V2 RIB records in an MRT stream (gzip sniffed).
+    """Routes of the TABLE_DUMP_V2 RIB records of an MRT stream (gzip sniffed), read
+    one record at a time from a buffered binary stream.
 
-    BadMagicError is raised at once when the stream is not MRT at all.
-    Unsupported types/subtypes, truncated records and inconsistent AS_PATH
-    attributes skip the whole record and are counted (mrt_skipped_records
-    plus a per-reason key).
+    BadMagicError is raised at once when the stream is not MRT at all; a stream
+    that is not gzip is then left unread.  Unsupported types/subtypes, truncated
+    records and inconsistent AS_PATH attributes skip the whole record and are
+    counted (mrt_skipped_records plus a per-reason key).
     """
     diag = diag if diag is not None else Diagnostics()
-    stream = _open_stream(data)
-    header = stream.read(12)
+    if stream.peek(2)[:2] == _GZIP_MAGIC:
+        # buffered, so the many small record reads stay out of GzipFile.read
+        stream = io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)  # type: ignore
+    header = stream.peek(12)[:12]
     if not header:
         raise BadMagicError("empty stream is not an MRT file")
     if len(header) < 12:
@@ -117,12 +132,12 @@ def mrt_routes(
     mtype = _MRT_HEADER.unpack(header)[0]
     if mtype not in _MRT_TYPES:
         raise BadMagicError(f"type {mtype} is not an MRT record type")
-    return _mrt_records(stream, header, diag, with_paths)
+    return _mrt_records(stream, diag, with_paths)
 
 
-def _mrt_records(stream: IO[bytes], header: bytes, diag: Diagnostics, with_paths: bool):
+def _mrt_records(stream: IO[bytes], diag: Diagnostics, with_paths: bool):
     read = stream.read
-    while header:
+    while header := read(12):
         if len(header) < 12:
             diag.count("mrt_skipped_records")
             diag.count("mrt_truncated")
@@ -133,7 +148,6 @@ def _mrt_records(stream: IO[bytes], header: bytes, diag: Diagnostics, with_paths
             diag.count("mrt_skipped_records")
             diag.count("mrt_truncated")
             return
-        header = read(12)
         if mtype != _TABLE_DUMP_V2:
             diag.count("mrt_skipped_records")
             diag.count("mrt_unsupported_type")
@@ -249,15 +263,22 @@ def _decode_path(data: bytes, as_size: int) -> AsPath:
 # Text RIB decoding ("prefix|as_path" lines)
 
 
-def text_routes(text: str, diag: Diagnostics | None = None) -> Iterator[Route]:
-    """Decode "prefix|as_path" lines; "{a,b}" denotes an AS_SET segment.
+def text_routes(stream: IO[bytes], diag: Diagnostics | None = None) -> Iterator[Route]:
+    """Decode the "prefix|as_path" lines of a binary stream, one line at a time;
+    "{a,b}" denotes an AS_SET segment.
 
     Routes match mrt_routes output; malformed lines (bad prefix, host bits
-    set, bad ASN) are skipped and counted.
+    set, bad ASN) are skipped and counted.  A line that is not UTF-8 raises
+    NotUtf8Error, placed in the stream as decoding it whole would place it.
     """
     diag = diag if diag is not None else Diagnostics()
-    for line in text.split("\n"):
-        line = line.strip()
+    offset = 0
+    for raw in stream:
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise NotUtf8Error(exc, offset) from None
+        offset += len(raw)
         if not line or line.startswith("#"):
             continue
         parts = line.split("|")
@@ -289,12 +310,23 @@ def _parse_text_path(text: str) -> AsPath:
     return tuple(path)
 
 
-def read_routes(data: bytes, diag: Diagnostics | None = None) -> Iterator[Route]:
-    """Routes of a RIB dump: MRT (gzip sniffed) when it is MRT, else UTF-8 text."""
+def read_routes(stream: IO[bytes], diag: Diagnostics | None = None) -> Iterator[Route]:
+    """Routes of a RIB dump read as it streams from a binary stream: MRT (gzip
+    sniffed) when it is MRT, else UTF-8 text.
+
+    The format is sniffed with ``peek``, never a seek, so a pipe is read as a file
+    is.  A pipe may hand over fewer bytes at a time than a sniff needs, so the first
+    12 are read in full and given back first.
+    """
+    head = stream.read(12)
+    stream = io.BufferedReader(_Unread(head, stream))
+    gzipped = head[:2] == _GZIP_MAGIC
     try:
-        return mrt_routes(data, diag)
+        return mrt_routes(stream, diag)
     except BadMagicError:
-        return text_routes(data.decode("utf-8"), diag)
+        # A gzip dump that is not MRT is text that fails at its second byte, 0x8b,
+        # as it does read whole; GzipFile has read past it, so decode the magic alone.
+        return text_routes(io.BytesIO(_GZIP_MAGIC) if gzipped else stream, diag)
 
 
 def _entries(routes: Iterable[Route]) -> list[RibEntry]:
@@ -306,12 +338,12 @@ def _entries(routes: Iterable[Route]) -> list[RibEntry]:
 
 def parse_mrt(data: bytes, diag: Diagnostics | None = None) -> list[RibEntry]:
     """RibEntry list of mrt_routes, with AS paths; same checks and counters."""
-    return _entries(mrt_routes(data, diag, with_paths=True))
+    return _entries(mrt_routes(io.BufferedReader(io.BytesIO(data)), diag, with_paths=True))
 
 
 def parse_text_rib(text: str, diag: Diagnostics | None = None) -> list[RibEntry]:
     """RibEntry list of text_routes; same checks and counters."""
-    return _entries(text_routes(text, diag))
+    return _entries(text_routes(io.BytesIO(text.encode("utf-8")), diag))
 
 
 # ---------------------------------------------------------------------------

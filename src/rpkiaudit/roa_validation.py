@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import itertools
 import json
+import re
 from typing import Iterable, Iterator, Union
 
 from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_prefix
@@ -90,58 +92,152 @@ def _csv_rows(lines: Iterable[str]) -> Iterator[list[str] | None]:
             yield row
 
 
-def _json_rows(text: str) -> Iterator[tuple | None]:
-    """(asn, prefix, maxLength, TA) of each object of a json array; None once for
-    a document that is no array, and for each item that is no such object."""
-    try:
-        doc = json.loads(text) if text.strip() else []
-    except (ValueError, RecursionError):  # a syntax error, a 4,300-digit number, deep nesting
-        doc = None
-    if not isinstance(doc, list):
-        yield None
+class ExportFault(ValueError):
+    """A json export that is not one whole array: none of its payloads may load."""
+
+
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace json allows between tokens
+# what follows an array item: the array's end, or a comma and the space before the next item
+_AFTER_ITEM = re.compile(r"[ \t\n\r]*(?:(\])|,[ \t\n\r]*)")
+_decode_item = json.JSONDecoder().raw_decode
+_MARGIN = 16  # characters from the end of the text read where a token may be cut short
+
+
+def _cut_short(exc: ValueError, text: str) -> bool:
+    """Whether the fault ``exc`` in ``text`` may be its end cutting a token short."""
+    if isinstance(exc, json.JSONDecodeError):
+        # an unterminated string is reported where it starts
+        return exc.msg.startswith("Unterminated string") or exc.pos >= len(text) - _MARGIN
+    # a number over int's digit limit may prove a float once its fraction or exponent is read
+    return text[-1] in "0123456789.eE+-"
+
+
+def _json_rows(pieces: Iterable[str]) -> Iterator[tuple | None]:
+    """(asn, prefix, maxLength, TA) of each object of the json array the text
+    ``pieces`` spell, or None for an item that is no such object, decoded one item
+    at a time.
+
+    A document that ``str.strip`` leaves empty has no items.  One that
+    ``json.loads`` would reject, or read as no array, raises ExportFault once the
+    items before its fault are yielded; the text after the fault is still read.
+    """
+    pieces = iter(pieces)
+    buf, pos, eof = "", 0, False
+
+    def fill() -> None:
+        """Drop the text decoded; add at least as much text again as is left, or all there is."""
+        nonlocal buf, pos, eof
+        buf, pos = buf[pos:], 0
+        want = max(len(buf), 1)
+        for piece in pieces:
+            buf += piece
+            want -= len(piece)
+            if want <= 0:
+                break
+        else:
+            eof = True
+
+    def fault() -> ExportFault:
+        for _ in pieces:  # so that bytes of it that are not UTF-8 still raise
+            pass
+        return ExportFault("the export is not one json array")
+
+    odd_space = False  # json.loads allows only its own whitespace before the array
+    for buf in pieces:
+        start = len(buf) - len(buf.lstrip())
+        odd_space = odd_space or bool(buf[:start].strip(" \t\n\r"))
+        if start < len(buf):
+            buf = buf[start:]
+            break
+    else:
         return
-    for obj in doc:
-        try:
-            yield obj["asn"], obj["prefix"], obj.get("maxLength"), obj.get("ta")
-        except (TypeError, KeyError):  # not an object, or one without asn or prefix
-            yield None
+    if odd_space or buf[0] != "[":
+        raise fault()
+    pos = 1
+    while (pos := _JSON_SPACE.match(buf, pos).end()) == len(buf) and not eof:  # type: ignore
+        fill()
+    if buf[pos : pos + 1] == "]":
+        pos += 1
+    else:
+        while True:
+            try:
+                obj, end = _decode_item(buf, pos)
+            except RecursionError:
+                raise fault() from None
+            except ValueError as exc:
+                if eof or not _cut_short(exc, buf):
+                    raise fault() from None
+                fill()
+                continue
+            after = _AFTER_ITEM.match(buf, end)
+            # the item is whole once what follows it is read: a number may run on past the text
+            if not eof and (end + _MARGIN > len(buf) if after is None else after.end() == len(buf)):
+                fill()
+                continue
+            if after is None:
+                raise fault()
+            try:
+                row = obj["asn"], obj["prefix"], obj.get("maxLength"), obj.get("ta")
+            except (TypeError, KeyError):  # not an object, or one without asn or prefix
+                row = None
+            yield row
+            pos = after.end()
+            if after.lastindex:  # the "]"
+                break
+    for rest in itertools.chain((buf[pos:],), pieces):
+        if rest.strip(" \t\n\r"):  # data after the array
+            raise fault()
+
+
+_NO_PAYLOADS = "no ROA payloads loaded; everything validates NotFound"
 
 
 def roa_fields(
-    export: Union[str, Iterable[str]],
+    export: Iterable[str],
     fmt: RoaFormat = RoaFormat.CSV,
     diag: Diagnostics | None = None,
 ) -> Iterator[RoaFields]:
-    """The payloads of a ROA export: a csv export's lines, read one at a time, or
-    a json export's text.
+    """The payloads of a ROA export, as read: a csv export's lines, or the text of a
+    json export in pieces of any size.
 
     Rows violating the maxLength invariant (or otherwise unparseable) could
     not have come from a correct relying-party validator; they are skipped
     and counted.  No payload at all is a warning, not an error: validation
-    then yields NotFound everywhere.
+    then yields NotFound everywhere.  A json document that faults counts as
+    one malformed row, whatever its items counted, and raises ExportFault: the
+    payloads it yielded before must not load.
     """
     diag = diag if diag is not None else Diagnostics()
+    before = diag.get("malformed_roa_rows")
     decoded = 0
-    for row in _csv_rows(export) if fmt is RoaFormat.CSV else _json_rows(export):
-        fields = _fields(row)
-        if fields is None:
-            diag.count("malformed_roa_rows")
-        else:
-            decoded += 1
-            yield fields
+    try:
+        for row in _csv_rows(export) if fmt is RoaFormat.CSV else _json_rows(export):
+            fields = _fields(row)
+            if fields is None:
+                diag.count("malformed_roa_rows")
+            else:
+                decoded += 1
+                yield fields
+    except ExportFault:
+        diag.counters["malformed_roa_rows"] = before + 1
+        diag.warn("empty_roa_set", _NO_PAYLOADS)
+        raise
     if not decoded:
-        diag.warn("empty_roa_set", "no ROA payloads loaded; everything validates NotFound")
+        diag.warn("empty_roa_set", _NO_PAYLOADS)
 
 
 def load_roas(
     text: str, fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
 ) -> set[RoaPayload]:
     """Validated ROA payloads of a csv or json export text; roa_fields' checks and counters."""
-    export = io.StringIO(text) if fmt is RoaFormat.CSV else text
-    return {
-        RoaPayload(asn, (version, net, plen), max_length, ta)
-        for version, net, plen, asn, max_length, ta in roa_fields(export, fmt, diag)
-    }
+    export = io.StringIO(text) if fmt is RoaFormat.CSV else (text,)
+    try:
+        return {
+            RoaPayload(asn, (version, net, plen), max_length, ta)
+            for version, net, plen, asn, max_length, ta in roa_fields(export, fmt, diag)
+        }
+    except ExportFault:
+        return set()
 
 
 class RoaIndex:
@@ -157,6 +253,20 @@ class RoaIndex:
     def __len__(self) -> int:
         """Number of distinct payloads."""
         return len(self._index)
+
+    @classmethod
+    def load(
+        cls, export: Iterable[str], fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
+    ) -> "RoaIndex":
+        """The index of an export's payloads, added as ``roa_fields`` yields them; an
+        empty index for a json document that faults."""
+        index = cls()
+        try:
+            for fields in roa_fields(export, fmt, diag):
+                index.add(*fields)
+        except ExportFault:
+            return cls()
+        return index
 
     def add(self, version: int, net: int, plen: int, asn: int, max_length: int, ta: str) -> None:
         self._index.add(version, net, plen, (asn, max_length, ta))

@@ -5,8 +5,8 @@ from __future__ import annotations
 import json
 
 from .. import cdn_classifier
-from ..cli import PipelineConfig, _artifact, _joined, _primary_resolver, _read_text
-from ..cli import _require_file, _text_lines, _write_diag, _write_rows, _write_text
+from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_resolver
+from ..cli import _read_text, _text_lines, _write_diag, _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
 from ..vocabulary import ResolutionStatus, fraction_to_float
@@ -18,13 +18,14 @@ def run(cfg: PipelineConfig) -> None:
     pairs = _artifact(cfg, "pairs.jsonl", "map")
     primary = _primary_resolver(cfg)
 
-    _require_file(cfg.as_registry, "AS registry")
-    keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
-    keywords = cdn_classifier.load_keywords(keyword_text)
-    if not keywords:
-        raise DataError(f"{cfg.keywords}: keyword file holds no keywords")
-    registry = cdn_classifier.registry_entries(_text_lines(cfg.as_registry, "AS registry"), diag)
-    cdn_asns = cdn_classifier.spot_keywords(keywords, registry)
+    with _open_input(cfg.as_registry, "AS registry") as registry_file:
+        keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
+        keywords = cdn_classifier.load_keywords(keyword_text)
+        if not keywords:
+            raise DataError(f"{cfg.keywords}: keyword file holds no keywords")
+        registry_lines = _text_lines(registry_file, "AS registry")
+        registry = cdn_classifier.registry_entries(registry_lines, diag)
+        cdn_asns = cdn_classifier.spot_keywords(keywords, registry)
 
     external: dict[str, bool] = {}
     if cfg.external_labels:

@@ -7,10 +7,10 @@ import zlib
 
 from .. import rib_store
 from .._prefix_index import format_prefix, parse_address
-from ..cli import PipelineConfig, _artifact, _primary_resolver, _require_file, _write_diag
+from ..cli import PipelineConfig, _artifact, _open_input, _primary_resolver, _write_diag
 from ..cli import _write_rows
 from ..diagnostics import Diagnostics, log
-from ..errors import DataError, MissingInputError
+from ..errors import DataError, MissingInputError, NotUtf8Error
 
 
 def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
@@ -18,12 +18,12 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
         raise MissingInputError("<ribs>", "RIB source")
     trie = rib_store.PrefixTrie()
     for path in cfg.ribs:
-        data = _require_file(path, "RIB dump").read_bytes()
-        try:
-            trie.add_routes(rib_store.read_routes(data, diag), diag)
-        except (EOFError, OSError, UnicodeDecodeError, zlib.error) as exc:
-            # a cut or corrupt gzip stream, or a text dump that is not UTF-8
-            raise DataError(f"{path}: unreadable RIB dump ({exc})")
+        with _open_input(path, "RIB dump") as dump:  # read and decoded as it streams in
+            try:
+                trie.add_routes(rib_store.read_routes(dump, diag), diag)
+            except (EOFError, OSError, NotUtf8Error, zlib.error) as exc:
+                # a cut or corrupt gzip stream, or a text dump that is not UTF-8
+                raise DataError(f"{path}: unreadable RIB dump ({exc})")
     # The index lives until the stage ends; kept out of the collector, it no
     # longer turns the first allocations after the build into a full pass.
     gc.freeze()

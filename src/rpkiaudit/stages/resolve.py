@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 from .. import dns_resolution, domain_ingest
 from .._prefix_index import format_address
-from ..cli import PipelineConfig, _read_text, _require_file, _text_lines, _write_diag
+from ..cli import PipelineConfig, _open_input, _read_text, _text_lines, _write_diag
 from ..cli import _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import ChainLoopError, DataError, UsageError
@@ -154,16 +154,16 @@ def run(cfg: PipelineConfig) -> None:
         return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
 
     if cfg.dns_fixture:
-        _require_file(cfg.dns_fixture, "DNS fixture")
+        fixture_file = _open_input(cfg.dns_fixture, "DNS fixture")
         names = [name for _, _, name in tasks()]
         list_counts = diag.counters.copy()
         labels: set[str] = set()
-        lines = _text_lines(cfg.dns_fixture, "DNS fixture")
         try:
-            groups = dns_resolution.replay_in_turn(lines, names, diag, labels)
-            count = write(replayed(groups, labels))
+            with fixture_file:
+                lines = _text_lines(fixture_file, "DNS fixture")
+                groups = dns_resolution.replay_in_turn(lines, names, diag, labels)
+                count = write(replayed(groups, labels))
         except dns_resolution.FixtureOrderError as exc:
-            lines.close()
             log.warning(
                 "DNS fixture %s: %s; replaying it from a whole-file index", cfg.dns_fixture, exc
             )

@@ -7,11 +7,11 @@ from pathlib import Path
 
 from .._prefix_index import parse_prefix
 from ..analytics import domain_coverage
-from ..cli import PipelineConfig, _artifact, _read_text, _require_file, _text_lines
+from ..cli import PipelineConfig, _artifact, _open_input, _text_chunks, _text_lines
 from ..cli import _write_diag, _write_rows
 from ..diagnostics import Diagnostics, log
 from ..errors import UsageError
-from ..roa_validation import RoaFormat, RoaIndex, roa_fields
+from ..roa_validation import RoaFormat, RoaIndex
 from ..vocabulary import ValidationState, fraction_to_float
 
 
@@ -28,17 +28,15 @@ def _roa_format(cfg: PipelineConfig) -> RoaFormat:
 def run(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
     pairs = _artifact(cfg, "pairs.jsonl", "map")
-    _require_file(cfg.roas, "ROA export")
-    fmt = _roa_format(cfg)
-    if fmt is RoaFormat.CSV:
-        export = _text_lines(cfg.roas, "ROA export")  # one line at a time
-    else:
-        export = _read_text(cfg.roas, "ROA export")
-    index = RoaIndex()
-    for fields in roa_fields(export, fmt, diag):
-        index.add(*fields)
+    export = _open_input(cfg.roas, "ROA export")
+    with export:
+        fmt = _roa_format(cfg)
+        read = _text_lines if fmt is RoaFormat.CSV else _text_chunks  # as the index is built
+        index = RoaIndex.load(read(export, "ROA export"), fmt, diag)
 
-    @functools.lru_cache(maxsize=None, typed=True)  # once per distinct pair; true is not AS 1
+    # Rows come in rank order, base and www side by side, so recent pairs repeat most;
+    # a bounded cache keeps most hits at a fixed cost.  True is not AS 1.
+    @functools.lru_cache(maxsize=1024, typed=True)
     def state_of(prefix: str, asn: int) -> ValidationState:
         return index.state(*parse_prefix(prefix), asn)
 

@@ -2,6 +2,7 @@ import csv
 import io
 import ipaddress
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpkiaudit.cdn_classifier import (
+    _SPACE,
     Agreement,
     AsRegistryEntry,
     CdnLabel,
@@ -114,6 +116,41 @@ class TestKeywordSpotting:
             st.lists(st.sampled_from(keywords), min_size=1, max_size=4, unique=True)
         )
         assert spot_keywords(subset, registry) <= spot_keywords(keywords, registry)
+
+
+def spot_keywords_by_scan(keywords, registry):
+    """The token-by-token substring scan that the one compiled search replaced."""
+    tokens = [k.strip().lower() for k in keywords if k.strip()]
+    if not tokens:
+        raise ValueError("keyword list must be nonempty")
+    return {e.asn for e in registry if any(t in e.description.lower() for t in tokens)}
+
+
+# regex metacharacters, case pairs, and characters whose lowercase is longer or another letter
+SPOT_ALPHABET = "ab.*+?()[]{}|^$\\ -AB\u0130\u0131\u00df"
+
+
+class TestCompiledSearches:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text(SPOT_ALPHABET, max_size=4), max_size=5),
+        st.lists(st.text(SPOT_ALPHABET, max_size=12), max_size=8),
+    )
+    def test_spot_keywords_matches_the_token_scan(self, keywords, descriptions):
+        registry = [AsRegistryEntry(asn, text) for asn, text in enumerate(descriptions, 1)]
+        try:
+            expected = spot_keywords_by_scan(keywords, registry)
+        except ValueError:
+            with pytest.raises(ValueError):
+                spot_keywords(keywords, registry)
+        else:
+            assert spot_keywords(keywords, registry) == expected
+
+    def test_space_search_finds_what_isspace_finds_on_every_code_point(self):
+        """The registry splits a line at its first \\s, which str.isspace defines."""
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        found = {m.start() for m in _SPACE.finditer(text)}
+        assert found == {i for i, ch in enumerate(text) if ch.isspace()}
 
 
 class TestClassifyByAsn:
@@ -299,7 +336,7 @@ class TestStreamedRegistryPath:
         path.write_bytes(text.encode("utf-8"))
         streamed = Diagnostics()
         cdn_asns = spot_keywords(
-            keywords, registry_entries(_text_lines(str(path), "AS registry"), streamed)
+            keywords, registry_entries(_text_lines(open(path, "rb"), "AS registry"), streamed)
         )
         assert cdn_asns == spot_keywords(keywords, sorted_entries(text)) == spot_keywords(
             keywords, entries

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import gzip
+import io
 import ipaddress
 import itertools
 import json
@@ -11,8 +12,10 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -347,6 +350,14 @@ class TestConfigHandling:
         assert (cfg.ribs, cfg.resolvers) == (["rib.txt"], ["a=192.0.2.1"])
         assert (cfg.timeout, cfg.resolver_qps) == (3, 2)
 
+    def test_config_nested_too_deep_is_1(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 200_000 + "]" * 200_000)
+        result = run_cli("analyze", "--config", config)
+        assert result.returncode == 1, result.stderr
+        assert "Traceback" not in result.stderr
+        assert str(config) in result.stderr
+
     def test_non_utf8_config_is_1(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{"bin_size": 10, "top_n": "\xff"}')
@@ -606,7 +617,8 @@ class TestStreamedMemory:
         rng = random.Random(2)
         rib = tmp_path / "rib.mrt"
         rib.write_bytes(mrt_table(rng, 20_000))
-        prefixes = sorted({route[:3] for route in rib_store.read_routes(rib.read_bytes())})
+        with open(rib, "rb") as dump:
+            prefixes = sorted({route[:3] for route in rib_store.read_routes(dump)})
         rng.shuffle(prefixes)
         peaks, hit = {}, {}
         for count in (2000, 8000):
@@ -679,7 +691,7 @@ class TestTableMemory:
         tracemalloc.start()
         try:
             trie = rib_store.PrefixTrie()
-            trie.add_routes(rib_store.read_routes(data))
+            trie.add_routes(rib_store.read_routes(io.BytesIO(data)))
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0]
         finally:
@@ -696,7 +708,7 @@ class TestTableMemory:
         tracemalloc.start()
         try:
             trie = rib_store.PrefixTrie()
-            trie.add_routes(rib_store.read_routes(data))
+            trie.add_routes(rib_store.read_routes(io.BytesIO(data)))
             trie.pairs()  # builds every memo, as build_trie does
             gc.collect()
             retained = tracemalloc.get_traced_memory()[0]
@@ -735,6 +747,72 @@ class TestTableMemory:
         # grows fourfold, so up to about 160 B per line while it resizes.
         assert peak < 170 * count, peak / count
         assert (out / "cdn_labels.jsonl").exists()
+
+    def test_map_holds_no_rib_text(self, e2e_output, tmp_path):
+        """Comment lines that make a text RIB four times its bytes leave map's peak as is."""
+        rng = random.Random(5)
+        lines = [f"{ipaddress.ip_network((rng.getrandbits(24) << 8, 24))}|64500 "
+                 f"{rng.randrange(1, 400_000)}\n" for _ in range(20_000)]
+        texts = {
+            "plain": "".join(lines),
+            "padded": "".join(line + "#" + "x" * (3 * len(line) - 2) + "\n" for line in lines),
+        }
+        assert len(texts["padded"]) >= 4 * len(texts["plain"])
+        peaks = {}
+        for name, text in texts.items():
+            rib = tmp_path / f"{name}.txt"
+            rib.write_text(text)
+            out = tmp_path / name
+            out.mkdir()
+            for artifact in ("resolved.jsonl", "resolve_meta.json"):
+                shutil.copy(e2e_output / artifact, out)
+            cfg = dataclasses.replace(e2e_config(out), ribs=[str(rib)]).validated()
+            peaks[name] = traced_peak(map_stage.run, cfg)
+        assert peaks["padded"] < 1.1 * peaks["plain"], peaks
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["one-line", "indent-1"])
+    def test_validate_json_export_peak_at_most_csv(self, e2e_output, tmp_path, indent):
+        """The same VRPs cost validate no more as a json export than as csv: neither is held.
+
+        Read into the ROA index as validate reads them, the json export peaks at or
+        below the csv one.  The whole stage peaks later, while it validates pairs,
+        where the collector's timing moves the peak by tens of KB either way; there
+        the json run stays within 5% of the csv one (parsed whole, it was 3.6 times).
+        """
+        from rpkiaudit.roa_validation import RoaFormat, RoaIndex
+
+        count = 20_000
+        text = roa_csv(random.Random(1), count)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        items = [{"asn": asn, "prefix": prefix, "maxLength": int(max_length), "ta": ta}
+                 for asn, prefix, max_length, ta in rows]
+        exports = {
+            RoaFormat.CSV: (text, cli._text_lines),
+            RoaFormat.JSON: (json.dumps(items, indent=indent), cli._text_chunks),
+        }
+        load_peaks, stage_peaks = {}, {}
+        for fmt, (body, read) in exports.items():
+            work = tmp_path / fmt.value
+            work.mkdir()
+            roas = work / f"roas.{fmt.value}"
+            roas.write_text(body)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                index = RoaIndex.load(read(open(roas, "rb"), "ROA export"), fmt)
+                load_peaks[fmt] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(index) == count
+            del index
+            out = self.stage_inputs(e2e_output, work)
+            gc.collect()
+            stage_peaks[fmt] = traced_peak(
+                validate.run, PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
+            )
+            assert json.loads((out / "validate_diagnostics.json").read_text()) == {}
+        assert load_peaks[RoaFormat.JSON] <= load_peaks[RoaFormat.CSV], load_peaks
+        assert stage_peaks[RoaFormat.JSON] < 1.05 * stage_peaks[RoaFormat.CSV], stage_peaks
 
     def test_validate_builds_no_roa_payload(self, e2e_output, tmp_path, monkeypatch):
         from rpkiaudit import roa_validation
@@ -792,14 +870,115 @@ class TestMrtInputPath:
         ]
 
 
-def run_cli(*args):
-    """Run the CLI in a child process, so an uncaught error shows as a traceback."""
+def cli_env():
+    """The environment of a CLI child: this checkout's package first on its path."""
     env = dict(os.environ)
     src = str(Path(rpkiaudit.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestInputText:
+    """The whole-file, per-line and per-chunk readers decode alike and fail alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.sampled_from([b"a", b"\n", "\u00e9".encode(), "\u20ac".encode(),
+                                  "\U0001f600".encode(), b"\xff", b"\x80", b"\xe2\x82",
+                                  b"\xf0\x9f"]), max_size=12),
+        st.sampled_from([1, 2, 3, 5, 64]),
+    )
+    def test_chunks_and_lines_decode_as_the_whole_file(self, tmp_path_factory, parts, chunk):
+        path = tmp_path_factory.mktemp("text") / "input.txt"
+        path.write_bytes(b"".join(parts))
+
+        def decoded(read):
+            try:
+                return "".join(read())
+            except DataError as exc:  # names the byte's position in the whole file
+                return f"DataError: {exc}"
+
+        whole = decoded(lambda: [cli._read_text(str(path), "ROA export")])
+        assert decoded(lambda: cli._text_lines(open(path, "rb"), "ROA export")) == whole
+        with mock.patch.object(cli, "_CHUNK", chunk):
+            assert decoded(lambda: cli._text_chunks(open(path, "rb"), "ROA export")) == whole
+
+
+class TestInputPaths:
+    """An input path that cannot be read exits 2 naming it; a pipe is read as a file is."""
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("map", "--rib"), ("validate", "--roas"), ("classify", "--as-registry"),
+        ("resolve", "--domain-list"), ("resolve", "--fixture-dns"), ("analyze", "--config"),
+    ])
+    def test_directory_input_is_2(self, e2e_output, tmp_path, stage, flag):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / name, out)
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        inputs = {  # every other input the stage needs; --rib appends, so map gets none
+            "resolve": ["--domain-list", E2E_DIR / "domains.csv",
+                        "--fixture-dns", E2E_DIR / "dns.jsonl"],
+        }.get(stage, [])
+        result = run_cli(stage, *inputs, flag, directory, "--output-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "cannot read" in result.stderr and str(directory) in result.stderr
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root opens a file whatever its mode")
+    def test_input_without_read_permission_is_2(self, e2e_output, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "pairs.jsonl", out)
+        roas = tmp_path / "roas.csv"
+        shutil.copy(E2E_DIR / "roas.csv", roas)
+        roas.chmod(0)
+        result = run_cli("validate", "--roas", roas, "--output-dir", out)
+        assert result.returncode == 2, result.stderr
+        assert "Traceback" not in result.stderr
+        assert str(roas) in result.stderr
+
+    @pytest.mark.parametrize("form", ["text", "mrt", "gzip-mrt"])
+    def test_rib_from_a_pipe_maps_as_from_a_file(self, e2e_output, tmp_path, form):
+        """The pipe hands over 5 bytes first: too few to tell MRT from text by a peek."""
+        if form == "text":
+            data = (E2E_DIR / "rib.txt").read_bytes()
+        else:
+            records = [mb.simple_rib(f"93.184.{i}.0/24", [3320, 15133]) for i in range(64)]
+            data = mb.peer_index_table() + b"".join(records)
+            data = gzip.compress(data) if form == "gzip-mrt" else data
+        rib = tmp_path / "rib.dump"
+        rib.write_bytes(data)
+        pairs = {}
+        for source in ("file", "pipe"):
+            out = tmp_path / source
+            out.mkdir()
+            for name in ("resolved.jsonl", "resolve_meta.json"):
+                shutil.copy(e2e_output / name, out)
+            argv = [sys.executable, "-m", "rpkiaudit", "map", "--output-dir", str(out),
+                    "--rib", str(rib) if source == "file" else "/dev/stdin"]
+            child = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE, env=cli_env())
+            if source == "pipe":
+                child.stdin.write(data[:5])
+                child.stdin.flush()
+                time.sleep(0.2)
+                child.stdin.write(data[5:])
+            _, stderr = child.communicate(timeout=120)
+            assert child.returncode == 0, stderr.decode()
+            pairs[source] = read(out / "pairs.jsonl")
+        assert pairs["pipe"] == pairs["file"]
+        if form == "text":
+            assert pairs["pipe"] == read(e2e_output / "pairs.jsonl")
+
+
+def run_cli(*args):
+    """Run the CLI in a child process, so an uncaught error shows as a traceback."""
     return subprocess.run(
         [sys.executable, "-m", "rpkiaudit", *map(str, args)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=cli_env(), timeout=120,
     )
 
 
@@ -1248,6 +1427,9 @@ JSONL_CASES = {
 }
 
 
+DEEP = b"[" * 200_000 + b"]" * 200_000  # nested past any recursion limit
+
+
 def read_jsonl(path):
     return list(cli._jsonl_rows(path))
 
@@ -1284,6 +1466,20 @@ class TestJsonlReader:
         for name in ("resolved.jsonl", "pairs.jsonl", "validated.jsonl", "cdn_labels.jsonl"):
             path = e2e_output / name
             assert read_jsonl(path) == read_jsonl_by_line(path), name
+
+    @pytest.mark.parametrize("row", [b'{"a":' + DEEP + b"}", DEEP], ids=["object", "array"])
+    def test_row_nested_too_deep_is_3(self, e2e_output, tmp_path, row):
+        """The one-object path and the per-line parse both name the line of the row."""
+        out = tmp_path / "out"
+        out.mkdir()
+        lines = (e2e_output / "pairs.jsonl").read_bytes().splitlines(keepends=True)
+        lines.insert(2, row + b"\n")
+        (out / "pairs.jsonl").write_bytes(b"".join(lines))
+        result = run_cli("validate", "--roas", E2E_DIR / "roas.csv", "--output-dir", out)
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        assert f"pairs.jsonl:3: corrupt artifact" in result.stderr
+        assert not (out / "validated.jsonl").exists()
 
     def test_rows_before_a_corrupt_line_are_yielded_first(self, tmp_path):
         path = tmp_path / "artifact.jsonl"

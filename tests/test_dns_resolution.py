@@ -178,6 +178,15 @@ class TestFixtureFieldTypes:
         assert fixture_result(line, diag) is None
         assert diag.get("malformed_fixture_lines") == 1
 
+    @pytest.mark.parametrize("line", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"domain": "typed.example", "a": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    ], ids=["array", "field"])
+    def test_line_nested_too_deep_is_malformed(self, line):
+        diag = Diagnostics()
+        assert fixture_result(line, diag) is None
+        assert diag.as_dict() == {"malformed_fixture_lines": 1}
+
     @pytest.mark.parametrize("line", ["", "   ", "\r\n", "\n"])
     def test_blank_line_is_skipped_uncounted(self, line):
         diag = Diagnostics()

@@ -1,6 +1,7 @@
 """The prefix text codec against ipaddress, and the per-length prefix index
 against a linear scan, in both families."""
 
+import io
 import ipaddress
 import random
 import socket
@@ -288,7 +289,7 @@ def test_streamed_trie_matches_scan_and_build_trie(version, lengths):
     text += f"{network((rows[0][0], rows[0][1]))}|65000 {{1,2}}\n"
     streamed = PrefixTrie()
     diag = Diagnostics()
-    streamed.add_routes(text_routes(text, diag), diag)
+    streamed.add_routes(text_routes(io.BytesIO(text.encode()), diag), diag)
     built = build_trie(parse_text_rib(text))
     assert diag.get("as_set_entries") == streamed.as_set_count == built.as_set_count == 1
     assert len(streamed) == len(built) == len({(n, p, a) for n, p, a in rows})

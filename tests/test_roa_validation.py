@@ -3,12 +3,14 @@ import io
 import ipaddress
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpkiaudit._prefix_index import parse_decimal, parse_prefix
+from rpkiaudit import cli, roa_validation
 from rpkiaudit.cli import PipelineConfig, run_stage
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.rib_store import PrefixOriginPair, parse_asn
@@ -347,7 +349,7 @@ def reference_roas(text, fmt):
     else:
         try:
             doc = json.loads(text) if text.strip() else []
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # a syntax error, a 4,300-digit number, deep nesting
             diag.count("malformed_roa_rows")
             doc = []
         if not isinstance(doc, list):
@@ -370,7 +372,7 @@ EXPORT_PREFIXES = ["10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24", "10.1.2.128/25", 
                    " 10.1.0.0/16 "]
 EXPORT_ASNS = ["AS64500", "64500", "as64501", "AS0", "0", "AS4294967296", "ASX", "", " AS64501 "]
 EXPORT_MAXLENS = [None, "", "8", "16", "24", "25", "33", "7", "128", "x"]  # None: column absent
-EXPORT_TAS = [None, "ripe", " RIPE ", "arin", "weird", ""]
+EXPORT_TAS = [None, "ripe", " RIPE ", "arin", "weird", "", "ripe\t", "r\u00e9seau\u20ac"]
 QUERY_PAIRS = [(prefix, asn) for prefix in ("10.1.2.0/24", "10.1.2.128/25", "10.1.0.0/16",
                                             "10.0.0.0/8", "10.9.0.0/16", "11.1.0.0/24",
                                             "2001:db8:1::/48", "2001:db8:1:2::/64", "12.0.0.0/8")
@@ -401,9 +403,21 @@ def roa_export(draw):
                 if key in obj and obj[key].strip().isdigit() and draw(st.booleans()):
                     obj[key] = int(obj[key])
             items.append(obj if draw(st.integers(0, 9)) else draw(st.sampled_from([5, "x", [1]])))
-        doc = draw(st.sampled_from(["list", "list", "list", "object", "broken"]))
-        text = {"list": json.dumps(items), "object": json.dumps({"roas": items}),
-                "broken": json.dumps(items)[:-1]}[doc]
+        # escaped or raw non-ASCII text, one line or one item per line
+        whole = json.dumps(items, ensure_ascii=draw(st.booleans()),
+                           indent=draw(st.sampled_from([None, 1])))
+        doc = draw(st.sampled_from(["list", "list", "list", "object", "broken", "cut",
+                                    "trailing", "deep"]))
+        if doc == "cut":
+            return "json", whole[: draw(st.integers(0, len(whole)))]
+        if doc == "trailing":  # data after the array, or only whitespace json allows
+            return "json", whole + draw(st.sampled_from([" x", "[]", ",", " \x0b", "\n\n"]))
+        if doc == "deep":  # an item nested past any recursion limit
+            at = draw(st.integers(0, len(items)))
+            deep = "[" * 5000 + "]" * 5000
+            return "json", "[" + ",".join([*map(json.dumps, items[:at]), deep,
+                                           *map(json.dumps, items[at:])]) + "]"
+        text = {"list": whole, "object": json.dumps({"roas": items}), "broken": whole[:-1]}[doc]
         return "json", text
     lines = ["ASN,prefix,maxLength,TA"] if draw(st.booleans()) else []
     for row in rows:
@@ -415,8 +429,9 @@ def roa_export(draw):
     return "csv", end.join(lines) + (end if draw(st.booleans()) else "")
 
 
-def stage_states(tmp_path, fmt, text):
-    """Each QUERY_PAIRS state and the diagnostics of the validate stage over the export."""
+def stage_states(tmp_path, fmt, text, chunk=cli._CHUNK):
+    """Each QUERY_PAIRS state and the diagnostics of the validate stage over the export,
+    read ``chunk`` bytes at a time when it is json."""
     export = tmp_path / f"roas.{fmt}"
     export.write_bytes(text.encode("utf-8"))
     out = tmp_path / "out"
@@ -425,7 +440,8 @@ def stage_states(tmp_path, fmt, text):
              "pairs": [{"prefix": prefix, "asn": asn}]}
             for i, (prefix, asn) in enumerate(QUERY_PAIRS, 1)]
     (out / "pairs.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-    assert run_stage("validate", PipelineConfig(roas=str(export), output_dir=str(out))) == 0
+    with mock.patch.object(cli, "_CHUNK", chunk):
+        assert run_stage("validate", PipelineConfig(roas=str(export), output_dir=str(out))) == 0
     validated = [json.loads(line) for line in (out / "validated.jsonl").read_text().splitlines()]
     states = [ValidationState(row["pairs"][0]["state"]) for row in validated]
     return states, json.loads((out / "validate_diagnostics.json").read_text())
@@ -433,16 +449,68 @@ def stage_states(tmp_path, fmt, text):
 
 class TestStreamedRoaPath:
     @settings(max_examples=150, deadline=None)
-    @given(roa_export())
-    def test_stage_matches_load_roas_and_a_linear_scan(self, tmp_path_factory, export):
+    @given(roa_export(), st.sampled_from([1, 2, 3, 5, 64, cli._CHUNK]))
+    def test_stage_matches_load_roas_and_a_linear_scan(self, tmp_path_factory, export, chunk):
+        """Chunks of a few bytes end inside strings, numbers, escapes and UTF-8 characters."""
         fmt, text = export
         diag = Diagnostics()
         roas = load_roas(text, RoaFormat(fmt), diag)
         assert (roas, diag.as_dict()) == reference_roas(text, RoaFormat(fmt))
         expected = [oracle_validate(pair(prefix, asn), roas) for prefix, asn in QUERY_PAIRS]
-        states, stage_diag = stage_states(tmp_path_factory.mktemp("roas"), fmt, text)
+        states, stage_diag = stage_states(tmp_path_factory.mktemp("roas"), fmt, text, chunk)
         assert states == expected
         assert stage_diag == diag.as_dict()  # malformed_roa_rows and empty_roa_set alike
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["one-line", "indent-1"])
+    def test_export_larger_than_a_chunk_loads_every_payload(self, tmp_path, indent):
+        rng = random.Random(4)
+        items = [{"asn": f"AS{rng.randrange(1, 1 << 32)}",
+                  "prefix": str(ipaddress.ip_network((rng.getrandbits(24) << 8, 24))),
+                  "maxLength": rng.choice([24, 28, "32"]), "ta": rng.choice(sorted(TRUST_ANCHORS))}
+                 for _ in range(4000)]
+        text = json.dumps(items, indent=indent)
+        assert len(text) > 3 * cli._CHUNK
+        export = tmp_path / "roas.json"
+        export.write_text(text)
+        diag = Diagnostics()
+        index = RoaIndex.load(cli._text_chunks(open(export, "rb"), "ROA export"),
+                              RoaFormat.JSON, diag)
+        stored = {RoaPayload(asn, (version, net, plen), max_length, ta)
+                  for version, net, plen, triples in index._index
+                  for asn, max_length, ta in triples}
+        assert (stored, diag.as_dict()) == reference_roas(text, RoaFormat.JSON)
+        assert len(stored) > 3900
+
+    @pytest.mark.parametrize("number", ["1" * 5000, "1" * 5000 + ".5", "1" * 5000 + "e-2"],
+                             ids=["int", "fraction", "exponent"])
+    def test_long_number_cut_by_a_chunk_reads_as_whole(self, number):
+        """Over int's digit limit, a number is a fault, unless its fraction or exponent
+        comes in a later chunk: then it is a float."""
+        text = '[{"asn": ' + number + ', "prefix": "10.0.0.0/8"}]'
+        try:
+            expected = [(json.loads(number), "10.0.0.0/8", None, None)]
+        except ValueError:
+            expected = "fault"
+        for chunk in (1, 2, 3, 4100, 4500, 5000, len(text)):
+            pieces = [text[i : i + chunk] for i in range(0, len(text), chunk)]
+            try:
+                rows = list(roa_validation._json_rows(pieces))
+            except roa_validation.ExportFault:
+                rows = "fault"
+            assert rows == expected, chunk
+
+    @pytest.mark.parametrize("end", ["", ",", "] x", "]]", ", " + "[" * 5000 + "]" * 5001],
+                             ids=["cut", "cut-after-comma", "trailing-data", "second-close",
+                                  "too-deep"])
+    def test_document_fault_loads_nothing_and_counts_once(self, end):
+        """Items read and counted before the fault are dropped: one malformed row, no VRP."""
+        text = '[{"asn": "ASX", "prefix": "10.0.0.0/8"}, 5, {"asn": 1, "prefix": "10.0.0.0/8"}'
+        text += end
+        for chunk in (1, 7, len(text)):
+            pieces = [text[i : i + chunk] for i in range(0, len(text), chunk)]
+            diag = Diagnostics()
+            assert len(RoaIndex.load(pieces, RoaFormat.JSON, diag)) == 0
+            assert diag.as_dict() == {"empty_roa_set": 1, "malformed_roa_rows": 1}
 
     def test_duplicates_differing_in_ta_are_distinct_payloads(self):
         text = "AS1,10.0.0.0/8,8,ripe\nAS1,10.0.0.0/8,8,arin\nAS1,10.0.0.0/8,8,RIPE\n"
