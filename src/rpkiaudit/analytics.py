@@ -7,7 +7,6 @@ validation state is anything other than not-found.
 
 from __future__ import annotations
 
-import enum
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,14 +14,7 @@ from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from .domain_ingest import RankBin, make_bins
-from .vocabulary import ValidationState
-
-
-class CoverageClass(enum.Enum):
-    NONE = "none"
-    PARTIAL = "partial"
-    FULL = "full"
-    NO_DATA = "nodata"
+from .vocabulary import CoverageClass, ValidationState, coverage_class
 
 
 _CLASS_MARK = {
@@ -71,13 +63,7 @@ class DomainCoverage:
 
     @property
     def classification(self) -> CoverageClass:
-        if not self.total_pairs:
-            return CoverageClass.NO_DATA
-        if not self.notfound:
-            return CoverageClass.FULL
-        if not self.covered_count:
-            return CoverageClass.NONE
-        return CoverageClass.PARTIAL
+        return coverage_class(self.valid, self.invalid, self.notfound)
 
 
 _STATES = tuple(state.value for state in ValidationState)  # valid, invalid, notfound

@@ -8,11 +8,12 @@ resolver and merges the answers.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol
 
 from ._prefix_index import PrefixIndex, parse_address, parse_prefix
 from .diagnostics import Diagnostics
@@ -125,7 +126,11 @@ Answers = dict[str, ResolutionResult]  # one name's answers by resolver label
 
 
 class DnsFixture:
-    """Recorded (domain, resolver) answers loaded from a JSON-lines file."""
+    """Recorded (domain, resolver) answers loaded from a JSON-lines file, held whole.
+
+    A resolver over recorded answers (``resolver``); the resolve stage replays a
+    fixture with ``replay_in_turn`` instead, which holds one name's answers.
+    """
 
     def __init__(self, diag: Diagnostics | None = None) -> None:
         self._entries: dict[str, Answers] = {}
@@ -158,7 +163,7 @@ class DnsFixture:
 
 
 class FixtureOrderError(Exception):
-    """A fixture line answers a name whose turn has passed."""
+    """A fixture line answers a name whose first turn has passed."""
 
     def __init__(self, lineno: int, domain: str) -> None:
         super().__init__(f"line {lineno} answers {domain} after its turn")
@@ -166,49 +171,75 @@ class FixtureOrderError(Exception):
 
 
 def replay_in_turn(
-    lines: Iterable[str], names: Sequence[str], diag: Diagnostics, labels: set[str]
-) -> Iterator[Answers]:
-    """The answers for each of ``names`` in turn, from one pass over fixture lines.
+    lines: Iterable[str],
+    turns_of: Callable[[str], tuple[int, ...]],
+    diag: Diagnostics,
+    labels: set[str],
+) -> Iterator[tuple[int, str, Answers]]:
+    """``(turn, name, answers)`` of each answered name at each of its turns, ascending by
+    turn, from one pass over fixture lines.
 
-    The lines are merge-joined with ``names``: a name's answers are complete
-    once a line answers a name whose turn comes later, or the lines run out,
-    and a name listed twice keeps its answers until its last turn.  Every
-    line is parsed and counted as ``DnsFixture.load`` does, and the resolver
-    label of every usable line is added to ``labels``, of names not in
-    ``names`` too.  A line for a name whose turn has passed raises
-    FixtureOrderError: the fixture is not grouped by name in ``names``' order.
+    ``turns_of(name)`` is the ascending turns of an asked name, () for any other.  A
+    name's answers are complete once a line answers a name whose first turn comes
+    later, or the lines run out; a name asked at two turns is answered at its first
+    and its answers are kept until its last.  A repeated (name, resolver) keeps the
+    later line's answer.  Every line is parsed and counted with ``fixture_result``,
+    and the resolver label of every usable line is added to ``labels``, of names not
+    asked too.  A line for a name whose first turn has passed raises
+    FixtureOrderError: the fixture is not in turn order.
     """
-    turn: dict[str, int] = {}
-    last_turn: dict[str, int] = {}  # of names listed twice
-    for i, name in enumerate(names):
-        if turn.setdefault(name, i) != i:
-            last_turn[name] = i
-    pending: dict[str, Answers] = {}
-    done = 0  # names whose answers have been yielded
-
-    def take(i: int) -> Answers:
-        name = names[i]
-        if last_turn.get(name, i) == i:
-            return pending.pop(name, {})
-        return pending.get(name, {})
-
+    due: list[tuple[tuple[int, ...], str, Answers]] = []  # a heap by next turn
+    now = -1  # the first turn of the name last answered
+    answers: Answers = {}
     for lineno, line in enumerate(lines, 1):
         result = fixture_result(line, diag)
         if result is None:
             continue
         labels.add(result.resolver_id)
-        at = turn.get(result.domain)
-        if at is None:
+        turns = turns_of(result.domain)
+        if not turns:
             continue
-        if at < done:
+        if turns[0] < now:
             raise FixtureOrderError(lineno, result.domain)
-        while done < at:
-            yield take(done)
-            done += 1
-        pending.setdefault(result.domain, {})[result.resolver_id] = result
-    while done < len(names):
-        yield take(done)
-        done += 1
+        if turns[0] > now:
+            while due and due[0][0][0] < turns[0]:
+                yield _pop_due(due)
+            now, answers = turns[0], {}
+            heapq.heappush(due, (turns, result.domain, answers))
+        answers[result.resolver_id] = result
+    while due:
+        yield _pop_due(due)
+
+
+def _pop_due(due: list[tuple[tuple[int, ...], str, Answers]]) -> tuple[int, str, Answers]:
+    """The answers due first; a name asked again goes back for its next turn."""
+    turns, name, answers = heapq.heappop(due)
+    if len(turns) > 1:
+        heapq.heappush(due, (turns[1:], name, answers))
+    return turns[0], name, answers
+
+
+def lines_in_turn(
+    lines: Iterable[str], turns_of: Callable[[str], tuple[int, ...]], directory: str
+) -> Iterator[str]:
+    """The fixture lines in an order ``replay_in_turn`` takes, by an external merge sort.
+
+    Each line is keyed by (first turn of its name, line number).  Lines that answer
+    no asked name, and blank or malformed ones, key as turn -1, so they come first
+    in file order and each is still parsed and counted once by the replay.  Sorted
+    runs are written to files in ``directory``.
+    """
+    from . import _merge_sort  # only a fixture out of turn order is sorted
+
+    scratch = Diagnostics()  # the replay counts each line; the key does not
+
+    def keyed() -> Iterator[tuple[int, int, str]]:
+        for lineno, line in enumerate(lines, 1):
+            result = fixture_result(line, scratch)
+            turns = turns_of(result.domain) if result is not None else ()
+            yield (turns[0] if turns else -1), lineno, line.removesuffix("\n")
+
+    return _merge_sort.sorted_texts(keyed(), directory)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostics
 from .errors import DuplicateRankError, EmptyInputError
@@ -56,12 +57,12 @@ def normalize_name(raw: str) -> str | None:
     return name
 
 
-def load_domain_list(
-    text: str,
+def read_domain_list(
+    lines: Iterable[str],
     fmt: ListFormat = ListFormat.CSV_RANK_DOMAIN,
     diag: Diagnostics | None = None,
-) -> list[DomainRecord]:
-    """Parse a ranked domain list into Base records, ascending by rank.
+) -> "NameIndex":
+    """Each listed name's lowest rank, from a ranked list read one line at a time.
 
     CSV form is "rank,domain" with no header; plain form is one domain per
     line with the physical line number as rank.  Malformed lines are skipped
@@ -70,10 +71,13 @@ def load_domain_list(
     DuplicateRankError if the CSV form repeats a rank.
     """
     diag = diag if diag is not None else Diagnostics()
-    by_name: dict[str, int] = {}
-    seen_ranks: set[int] = set()
+    ranks: dict[str, int] = {}
+    last_rank = 0
+    # The ranks read so far, kept only once they stop ascending or a name repeats:
+    # until then each rank is new, and ranks.values() holds every one of them.
+    seen_ranks: set[int] | None = None
 
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r").strip()
         if not line:
             continue
@@ -95,43 +99,110 @@ def load_domain_list(
             if name is None:
                 diag.count("malformed_lines")
                 continue
-            if rank in seen_ranks:
-                raise DuplicateRankError(f"rank {rank} repeats (line {lineno})")
-            seen_ranks.add(rank)
+            if seen_ranks is None and (rank <= last_rank or name in ranks):
+                seen_ranks = set(ranks.values())
+            if seen_ranks is not None:
+                if rank in seen_ranks:
+                    raise DuplicateRankError(f"rank {rank} repeats (line {lineno})")
+                seen_ranks.add(rank)
+            last_rank = rank
         else:
             rank = lineno
             name = normalize_name(line)
             if name is None:
                 diag.count("malformed_lines")
                 continue
-        if name in by_name:
+        if name in ranks:
             diag.count("duplicate_names")
-            by_name[name] = min(by_name[name], rank)
+            ranks[name] = min(ranks[name], rank)
         else:
-            by_name[name] = rank
+            ranks[name] = rank
 
-    if not by_name:
+    if not ranks:
         raise EmptyInputError("domain list contains no valid records")
-    records = [DomainRecord(rank, name) for name, rank in by_name.items()]
+    return NameIndex(ranks)
+
+
+def load_domain_list(
+    text: str,
+    fmt: ListFormat = ListFormat.CSV_RANK_DOMAIN,
+    diag: Diagnostics | None = None,
+) -> list[DomainRecord]:
+    """The list text's names as Base records, ascending by rank (``read_domain_list``'s rules)."""
+    ranks = read_domain_list(text.split("\n"), fmt, diag).ranks
+    records = [DomainRecord(rank, name) for name, rank in ranks.items()]
     records.sort(key=lambda r: r.rank)
     return records
 
 
-def expand_variants(record: DomainRecord) -> list[DomainRecord]:
-    """Return the base record plus its www-prefixed sibling.
+def www_variant(name: str) -> str | None:
+    """The www name resolve also asks for a listed name, or None when it has none.
 
-    Names whose first label is already "www" are not double-prefixed, and
-    Www records expand to themselves, so the operation is idempotent over
-    its own output.
+    A name whose first label is already "www" is not double-prefixed, and one
+    whose www name would be too long has none.
     """
-    if record.variant is Variant.WWW:
-        return [record]
-    if record.name.split(".", 1)[0] == "www":
-        return [record]
-    www_name = "www." + record.name
-    if len(www_name) > MAX_NAME_LEN:
+    if name.split(".", 1)[0] == "www":
+        return None
+    www_name = "www." + name
+    return www_name if len(www_name) <= MAX_NAME_LEN else None
+
+
+def expand_variants(record: DomainRecord) -> list[DomainRecord]:
+    """Return the base record plus its www-prefixed sibling (``www_variant``).
+
+    Www records expand to themselves, so the operation is idempotent over its
+    own output.
+    """
+    www_name = None if record.variant is Variant.WWW else www_variant(record.name)
+    if www_name is None:
         return [record]
     return [record, DomainRecord(record.rank, www_name, Variant.WWW)]
+
+
+class NameIndex:
+    """Each listed name with its lowest rank: the one structure resolve keeps per name.
+
+    Resolve asks for a listed name at turn 2·rank and for its www variant at
+    turn 2·rank + 1, so turn order is the (rank, variant) order of
+    resolved.jsonl.  A www name that is listed too is asked at two turns.
+    """
+
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: dict[str, int]) -> None:
+        self.ranks = ranks
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    @staticmethod
+    def task(turn: int) -> tuple[int, Variant]:
+        """The (rank, variant) asked at ``turn``."""
+        rank, www = divmod(turn, 2)
+        return rank, Variant.WWW if www else Variant.BASE
+
+    def turns(self, name: str) -> tuple[int, ...]:
+        """The turns at which resolve asks for ``name``, ascending; () when it is not asked."""
+        rank = self.ranks.get(name)
+        if name.startswith("www.") and www_variant(name[4:]) == name:
+            parent = self.ranks.get(name[4:])
+            if parent is not None:
+                www = 2 * parent + 1
+                return (www,) if rank is None else tuple(sorted((www, 2 * rank)))
+        return () if rank is None else (2 * rank,)
+
+    def task_count(self) -> int:
+        """How many (rank, variant) tasks resolve asks."""
+        return len(self.ranks) + sum(www_variant(name) is not None for name in self.ranks)
+
+    def tasks(self) -> Iterator[tuple[int, Variant, str]]:
+        """Each (rank, variant, name) task in turn order; sorts the names by rank."""
+        for name in sorted(self.ranks, key=self.ranks.__getitem__):
+            rank = self.ranks[name]
+            yield rank, Variant.BASE, name
+            www_name = www_variant(name)
+            if www_name is not None:
+                yield rank, Variant.WWW, www_name
 
 
 def make_bins(max_rank: int, bin_size: int) -> list[RankBin]:

@@ -7,6 +7,7 @@ import itertools
 import json
 import operator
 import time
+from pathlib import Path
 from typing import Iterable, Iterator
 
 from .. import dns_resolution, domain_ingest
@@ -63,13 +64,14 @@ def _in_order(pool, fn, items: Iterable, window: int) -> Iterator:
 
 def run(cfg: PipelineConfig) -> None:
     diag = Diagnostics()
-    list_text = _read_text(cfg.domain_list, "domain list")
+    list_file = _open_input(cfg.domain_list, "domain list")
     try:
         fmt = domain_ingest.ListFormat(cfg.domain_list_format)
     except ValueError:
+        list_file.close()
         expected = "expected " + " or ".join(f.value for f in domain_ingest.ListFormat)
         raise UsageError(f"unknown domain list format {cfg.domain_list_format!r} ({expected})")
-    records = domain_ingest.load_domain_list(list_text, fmt, diag)
+    names = domain_ingest.read_domain_list(_text_lines(list_file, "domain list"), fmt, diag)
     if cfg.special_purpose_table:
         table = dns_resolution.SpecialPurposeTable.from_lines(
             _read_text(cfg.special_purpose_table, "special-purpose table").split("\n"),
@@ -77,13 +79,6 @@ def run(cfg: PipelineConfig) -> None:
         )
     else:
         table = dns_resolution.SpecialPurposeTable.default()
-
-    def tasks():  # in (rank, variant) order, as records ascend by rank and base < www
-        return (
-            (record.rank, rec.variant, rec.name)
-            for record in records
-            for rec in domain_ingest.expand_variants(record)
-        )
 
     meta: dict = {}
 
@@ -94,15 +89,14 @@ def run(cfg: PipelineConfig) -> None:
         meta.update(primary_resolver=primary, resolvers=labels)
 
     def replayed(groups, labels):
-        """Each task's outcomes from its name's fixture answers, by label.
+        """Each answered task's outcomes from its name's fixture answers, by label.
 
         ``labels`` is read once ``groups`` runs out, which for a streamed
         fixture is at its end; the fixture checks run then, inside the row
         generator, so a failure leaves no resolved.jsonl.
         """
-        asked = found = 0
-        for answers, (rank, variant, name) in zip(groups, tasks()):
-            asked += 1
+        found = 0
+        for turn, name, answers in groups:
             found += len(answers)
             outcomes = []
             for res in answers.values():
@@ -112,12 +106,12 @@ def run(cfg: PipelineConfig) -> None:
                     outcomes.append(("chain_loops", None))
                     continue
                 outcomes.append((None, res))
-            yield rank, variant, outcomes
+            yield (*names.task(turn), outcomes)
         labels = sorted(labels)
         if not labels:
             raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
         choose_primary(labels)
-        misses = asked * len(labels) - found
+        misses = names.task_count() * len(labels) - found
         if misses:
             diag.count("fixture_misses", misses)
 
@@ -155,24 +149,31 @@ def run(cfg: PipelineConfig) -> None:
 
     if cfg.dns_fixture:
         fixture_file = _open_input(cfg.dns_fixture, "DNS fixture")
-        names = [name for _, _, name in tasks()]
         list_counts = diag.counters.copy()
         labels: set[str] = set()
         try:
             with fixture_file:
                 lines = _text_lines(fixture_file, "DNS fixture")
-                groups = dns_resolution.replay_in_turn(lines, names, diag, labels)
+                groups = dns_resolution.replay_in_turn(lines, names.turns, diag, labels)
                 count = write(replayed(groups, labels))
         except dns_resolution.FixtureOrderError as exc:
+            import tempfile  # only a fixture out of turn order is sorted
+
             log.warning(
-                "DNS fixture %s: %s; replaying it from a whole-file index", cfg.dns_fixture, exc
+                "DNS fixture %s: %s; replaying it in turn order through an external merge sort",
+                cfg.dns_fixture, exc,
             )
             diag.counters = list_counts  # the domain list's counts, and no fixture's
-            fixture = dns_resolution.DnsFixture.load(
-                _read_text(cfg.dns_fixture, "DNS fixture"), diag
-            )
-            groups = map(fixture.answers, names)
-            count = write(replayed(groups, fixture.resolver_ids()))
+            labels = set()
+            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+            with (
+                _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file,
+                tempfile.TemporaryDirectory(prefix=".resolve-", dir=cfg.output_dir) as runs,
+            ):
+                lines = _text_lines(fixture_file, "DNS fixture")
+                in_turn = dns_resolution.lines_in_turn(lines, names.turns, runs)
+                groups = dns_resolution.replay_in_turn(in_turn, names.turns, diag, labels)
+                count = write(replayed(groups, labels))
     elif cfg.resolvers:
         try:
             resolvers = [dns_resolution.parse_endpoint(e) for e in cfg.resolvers]
@@ -201,10 +202,10 @@ def run(cfg: PipelineConfig) -> None:
 
         workers = max(1, cfg.max_inflight)
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            count = write(_in_order(pool, resolve_task, tasks(), 2 * workers))
+            count = write(_in_order(pool, resolve_task, names.tasks(), 2 * workers))
     else:
         raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
 
     _write_text(cfg.out("resolve_meta.json"), json.dumps(meta, sort_keys=True) + "\n")
     _write_diag(cfg, "resolve", diag)
-    log.info("resolve: %d rows from %d domains", count, len(records))
+    log.info("resolve: %d rows from %d domains", count, len(names))

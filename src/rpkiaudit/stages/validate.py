@@ -6,13 +6,12 @@ import functools
 from pathlib import Path
 
 from .._prefix_index import parse_prefix
-from ..analytics import domain_coverage
 from ..cli import PipelineConfig, _artifact, _open_input, _text_chunks, _text_lines
 from ..cli import _write_diag, _write_rows
 from ..diagnostics import Diagnostics, log
 from ..errors import UsageError
 from ..roa_validation import RoaFormat, RoaIndex
-from ..vocabulary import ValidationState, fraction_to_float
+from ..vocabulary import ValidationState, coverage_class, covered_share
 
 
 def _roa_format(cfg: PipelineConfig) -> RoaFormat:
@@ -46,7 +45,8 @@ def run(cfg: PipelineConfig) -> None:
             states = {
                 (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
             }
-            coverage = domain_coverage(row["domain"], states.items())
+            found = list(states.values())
+            valid, invalid = map(found.count, (ValidationState.VALID, ValidationState.INVALID))
             yield {
                 "rank": row["rank"],
                 "domain": row["domain"],
@@ -55,8 +55,8 @@ def run(cfg: PipelineConfig) -> None:
                     {"prefix": prefix, "asn": asn, "state": state.value}
                     for (prefix, asn), state in states.items()
                 ],
-                "covered": fraction_to_float(coverage.covered_fraction),
-                "class": coverage.classification.value,
+                "covered": covered_share(valid + invalid, len(found)),
+                "class": coverage_class(valid, invalid, len(found) - valid - invalid).value,
             }
 
     with pairs as pair_rows:

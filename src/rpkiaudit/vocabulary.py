@@ -1,5 +1,5 @@
-"""The names more than one stage shares: artifact enums, the ASN reader and the
-6-decimal rule for fractions.
+"""The names more than one stage shares: artifact enums, the ASN reader, the
+coverage class rule and the 6-decimal rule for fractions.
 
 A leaf: it imports nothing from the package, so a stage child that needs one
 of these names loads no other library module for it.
@@ -25,6 +25,24 @@ class ValidationState(str, enum.Enum):  # a member equals its text, as artifacts
 class Variant(enum.Enum):
     BASE = "base"
     WWW = "www"
+
+
+class CoverageClass(enum.Enum):
+    NONE = "none"
+    PARTIAL = "partial"
+    FULL = "full"
+    NO_DATA = "nodata"
+
+
+def coverage_class(valid: int, invalid: int, notfound: int) -> CoverageClass:
+    """The class of a domain whose distinct pairs have these validation-state counts."""
+    if not valid + invalid + notfound:
+        return CoverageClass.NO_DATA
+    if not notfound:
+        return CoverageClass.FULL
+    if not valid + invalid:
+        return CoverageClass.NONE
+    return CoverageClass.PARTIAL
 
 
 class ResolutionStatus(enum.Enum):
@@ -67,6 +85,12 @@ def plain_asn(value: object) -> int:
 
 def fraction_to_float(value: Optional[Fraction]) -> Optional[float]:
     return None if value is None else round(float(value), 6)
+
+
+def covered_share(covered: int, total: int) -> float:
+    """``fraction_to_float(Fraction(covered, total))``, 0.0 for no pairs, with no Fraction:
+    int true division is correctly rounded, as ``float(Fraction)`` is."""
+    return round(covered / total, 6) if total else 0.0
 
 
 def format_fraction(value: Optional[Fraction]) -> str:

@@ -18,7 +18,7 @@ from rpkiaudit.analytics import (
 from rpkiaudit.domain_ingest import make_bins
 from rpkiaudit.rib_store import PrefixOriginPair
 from rpkiaudit.roa_validation import ValidationState
-from rpkiaudit.vocabulary import format_fraction
+from rpkiaudit.vocabulary import coverage_class, covered_share, format_fraction, fraction_to_float
 
 V, I, N = ValidationState.VALID, ValidationState.INVALID, ValidationState.NOT_FOUND
 
@@ -90,6 +90,15 @@ class TestDomainCoverage:
         c = domain_coverage("silent.example", [])
         assert c.classification is CoverageClass.NO_DATA
         assert c.covered_fraction == Fraction(0)
+
+    @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_validate_share_and_class_match_the_exact_coverage(self, valid, invalid, notfound):
+        # validate writes covered_share and coverage_class, which use no Fraction
+        c = DomainCoverage("x.example", valid, invalid, notfound)
+        assert covered_share(c.covered_count, c.total_pairs) == fraction_to_float(
+            c.covered_fraction
+        )
+        assert c.classification is coverage_class(valid, invalid, notfound)
 
     def test_invalid_counts_as_covered(self):
         c = cov("x.example", invalid=2)

@@ -24,10 +24,11 @@ from hypothesis import strategies as st
 import mrt_builder as mb
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
-from rpkiaudit import _prefix_index, cli, dns_resolution
+from rpkiaudit import _merge_sort, _prefix_index, cli, dns_resolution
 from rpkiaudit.stages import classify, resolve, validate
 from rpkiaudit.stages import analyze, map as map_stage, report
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
+from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
 
 
@@ -1492,7 +1493,7 @@ class TestJsonlReader:
 
 
 # ---------------------------------------------------------------------------
-# DNS fixture replay: streamed in the domain list's order, or the whole-file index
+# DNS fixture replay: streamed in the domain list's order, or sorted into it
 
 RESOLVE_ARTIFACTS = ("resolved.jsonl", "resolve_meta.json", "resolve_diagnostics.json")
 
@@ -1516,7 +1517,7 @@ class WarningLog(logging.Handler):
 
 
 def fallbacks(messages):
-    return [m for m in messages if "whole-file index" in m]
+    return [m for m in messages if "external merge sort" in m]
 
 
 def resolve_outcome(domains, fixture, out):
@@ -1531,10 +1532,39 @@ def resolve_outcome(domains, fixture, out):
     return code, artifacts, fallbacks(messages)
 
 
-def index_only(lines, names, diag, labels):
-    """A replay_in_turn that sends every fixture to the whole-file index."""
-    raise dns_resolution.FixtureOrderError(0, "every name")
-    yield
+def whole_file_replay(lines, turns_of, diag, labels):
+    """replay_in_turn's contract for any line order, from the whole-file index.
+
+    A reference for the tests: ``DnsFixture.load`` parses and counts every line,
+    and each answered name's answers are yielded at each of its turns.
+    """
+    text = "".join(lines)
+    fixture = dns_resolution.DnsFixture.load(text, diag)
+    labels.update(fixture.resolver_ids())
+    results = (dns_resolution.fixture_result(line, Diagnostics()) for line in text.split("\n"))
+    domains = {result.domain for result in results if result is not None}
+    yield from sorted(
+        (turn, name, fixture.answers(name)) for name in domains for turn in turns_of(name)
+    )
+
+
+def out_of_turn_once(mp):
+    """Make the first replay_in_turn call raise FixtureOrderError, so resolve sorts the fixture."""
+    replay = dns_resolution.replay_in_turn
+    calls = []
+
+    def first_out_of_turn(lines, turns_of, diag, labels):
+        calls.append(1)
+        if len(calls) == 1:
+            raise dns_resolution.FixtureOrderError(0, "every name")
+        yield from replay(lines, turns_of, diag, labels)
+
+    mp.setattr(dns_resolution, "replay_in_turn", first_out_of_turn)
+
+
+def small_runs(mp, run_lines, fan_in):
+    mp.setattr(_merge_sort, "RUN_LINES", run_lines)
+    mp.setattr(_merge_sort, "MERGE_FAN_IN", fan_in)
 
 
 E2E_FIXTURE_LINES = (E2E_DIR / "dns.jsonl").read_text().splitlines()
@@ -1611,8 +1641,17 @@ class TestFixtureReplayOrder:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(RESOLVE_ARTIFACTS)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.sampled_from(DIFF_POOL), max_size=40), st.booleans(), st.booleans())
-    def test_streamed_replay_equals_the_index(self, tmp_path_factory, lines, grouped, final):
+    @given(
+        st.lists(st.sampled_from(DIFF_POOL), max_size=40), st.booleans(), st.booleans(),
+        st.integers(1, 6), st.integers(2, 3),
+    )
+    def test_streamed_replay_equals_the_index(
+        self, tmp_path_factory, lines, grouped, final, run_lines, fan_in
+    ):
+        """Streamed replay, the sorted replay and the whole-file reference write the same bytes.
+
+        Small runs make most fixtures span more runs than one merge takes.
+        """
         tmp = tmp_path_factory.mktemp("replay")
         domains = tmp / "domains.csv"
         domains.write_text(DIFF_DOMAINS)
@@ -1620,14 +1659,58 @@ class TestFixtureReplayOrder:
         if grouped:
             lines = in_turn(lines)
         fixture.write_text("\n".join(lines) + ("\n" if final else ""))
-        streamed = resolve_outcome(domains, fixture, tmp / "streamed")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dns_resolution, "replay_in_turn", index_only)
+            small_runs(mp, run_lines, fan_in)
+            streamed = resolve_outcome(domains, fixture, tmp / "streamed")
+            out_of_turn_once(mp)
+            sorted_ = resolve_outcome(domains, fixture, tmp / "sorted")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dns_resolution, "replay_in_turn", whole_file_replay)
             indexed = resolve_outcome(domains, fixture, tmp / "indexed")
-        assert streamed[:2] == indexed[:2]
-        assert len(indexed[2]) == 1
+        # the codes and every artifact, resolve_diagnostics.json included
+        assert streamed[:2] == sorted_[:2] == indexed[:2]
+        assert len(sorted_[2]) == 1 and indexed[2] == []
         if grouped:
             assert streamed[2] == []
+        if streamed[0] == 0:  # each malformed line is counted once
+            malformed = sum(
+                bool(line.strip()) and dns_resolution.fixture_result(line, Diagnostics()) is None
+                for line in lines
+            )
+            diag = json.loads(streamed[1]["resolve_diagnostics.json"])
+            assert diag.get("malformed_fixture_lines", 0) == malformed
+        for name in ("streamed", "sorted", "indexed"):
+            assert sorted(p.name for p in (tmp / name).glob("*")) == sorted(
+                n for n, data in streamed[1].items() if data is not None
+            )
+
+    def test_repeat_across_runs_keeps_the_last_answer(self, tmp_path):
+        """A shuffled fixture over more runs than one merge takes; a repeated
+        (name, resolver) keeps its last line's answer."""
+        domains = tmp_path / "domains.csv"
+        domains.write_text(DIFF_DOMAINS)
+        lines = [line for line in DIFF_POOL if fixture_domain(line) in DIFF_TURN]
+        random.Random(1).shuffle(lines)
+        first = json.loads(lines[0])
+        repeats = [
+            json.dumps(dict(first, a=[f"93.184.216.{n}"], aaaa=[], status="ok")) for n in (7, 8, 9)
+        ]
+        lines = repeats[:1] + lines[:15] + repeats[1:2] + lines[15:] + repeats[2:]
+        fixture = tmp_path / "dns.jsonl"
+        fixture.write_text("\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            small_runs(mp, 4, 2)
+            code, artifacts, warned = resolve_outcome(domains, fixture, tmp_path / "out")
+        assert code == 0 and len(warned) == 1
+        assert len(lines) > 4 * 2  # more runs than one merge takes
+        rows = [json.loads(row) for row in artifacts["resolved.jsonl"].splitlines()]
+        (repeated,) = [
+            row for row in rows
+            if (row["domain"], row["resolver"]) == (first["domain"], first["resolver"])
+            and row["variant"] == ("www" if first["domain"].startswith("www.") else "base")
+        ]
+        assert repeated["addresses"] == ["93.184.216.9"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(RESOLVE_ARTIFACTS)
 
     @pytest.mark.parametrize(
         "data, code, message",
@@ -1642,6 +1725,28 @@ class TestFixtureReplayOrder:
     def test_fixture_failure_leaves_the_old_artifact(
         self, tmp_path, capsys, data, code, message
     ):
+        self.fails_leaving_the_old_artifact(tmp_path, capsys, data, code, message)
+
+    @pytest.mark.parametrize(
+        "data, code, message",
+        [
+            (b"{bad\n\n[1]\n", 3, "has no usable entries"),
+            (b"", 3, "has no usable entries"),
+            ("\n".join(E2E_FIXTURE_LINES[::-1]).replace('"fixture"', '"other"').encode(), 1,
+             "primary resolver 'fixture' not among ['other', 'verifier']"),
+        ],
+        ids=["malformed-only", "empty", "unknown-primary"],
+    )
+    def test_sorted_fixture_failure_leaves_the_old_artifact(
+        self, tmp_path, capsys, data, code, message
+    ):
+        with pytest.MonkeyPatch.context() as mp:
+            small_runs(mp, 16, 4)  # 400 lines: 25 runs, merged in two passes
+            out_of_turn_once(mp)
+            self.fails_leaving_the_old_artifact(tmp_path, capsys, data, code, message)
+
+    @staticmethod
+    def fails_leaving_the_old_artifact(tmp_path, capsys, data, code, message):
         fixture = tmp_path / "dns.jsonl"
         fixture.write_bytes(data)
         out = tmp_path / "out"
@@ -1669,10 +1774,13 @@ class TestFixtureReplayOrder:
             data.decode("utf-8")
         fixture = tmp_path / "dns.jsonl"
         fixture.write_bytes(data)
-        assert resolve_outcome(E2E_DIR / "domains.csv", fixture, tmp_path / "out")[0] == 3
+        with pytest.MonkeyPatch.context() as mp:
+            small_runs(mp, 16, 4)
+            assert resolve_outcome(E2E_DIR / "domains.csv", fixture, tmp_path / "out")[0] == 3
         message = f"error: {fixture}: DNS fixture is not UTF-8 text ({whole.value})\n"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "resolved.jsonl").exists()
+        assert list((tmp_path / "out").glob("*")) == []  # no run file or directory is left
 
     def test_mistyped_fixture_fields_are_counted_not_raised(self, tmp_path):
         fixture = tmp_path / "dns.jsonl"
@@ -1715,23 +1823,39 @@ def e2e_copies(names):
 class TestStreamedFixtureMemory:
     def test_resolve_peak_does_not_grow_with_fixture_answers(self, tmp_path):
         """One list of 8,000 names; the fixture answers 2,000 or all 8,000 of them, in order."""
-        domains, lines = e2e_copies(8000)
-        list_path = tmp_path / "domains.csv"
-        list_path.write_text("".join(f"{r},{d}\n" for r, d in enumerate(domains[:4000], 1)))
-        peaks = {}
-        for count in (2000, 8000):
-            fixture = tmp_path / f"dns{count}.jsonl"
-            fixture.write_text("\n".join(lines[: 2 * count]) + "\n")
-            cfg = PipelineConfig(
-                domain_list=str(list_path), dns_fixture=str(fixture),
-                primary_resolver="fixture", output_dir=str(tmp_path / str(count)),
-            ).validated()
-            with WarningLog() as messages:
-                peaks[count] = traced_peak(resolve.run, cfg)
-            assert fallbacks(messages) == []
-            rows = read(tmp_path / str(count) / "resolved.jsonl").count(b"\n")
-            assert rows > 2 * count * 0.9
+        peaks = resolve_peaks(tmp_path, None)
         assert peaks[8000] < 1.25 * peaks[2000], peaks
+
+    def test_shuffled_resolve_peak_does_not_grow_with_fixture_answers(self, tmp_path):
+        """The same list and answers, shuffled: resolve sorts them in bounded runs."""
+        peaks = resolve_peaks(tmp_path, random.Random(1))
+        assert peaks[8000] < 1.25 * peaks[2000], peaks
+
+
+def resolve_peaks(tmp_path, shuffle):
+    """resolve's traced peak with 2,000 and 8,000 of one list's 8,000 names answered."""
+    domains, lines = e2e_copies(8000)
+    list_path = tmp_path / "domains.csv"
+    list_path.write_text("".join(f"{r},{d}\n" for r, d in enumerate(domains[:4000], 1)))
+    peaks = {}
+    for count in (2000, 8000):
+        answers = lines[: 2 * count]
+        if shuffle:
+            shuffle.shuffle(answers)
+        fixture = tmp_path / f"dns{count}.jsonl"
+        fixture.write_text("\n".join(answers) + "\n")
+        out = tmp_path / str(count)
+        cfg = PipelineConfig(
+            domain_list=str(list_path), dns_fixture=str(fixture),
+            primary_resolver="fixture", output_dir=str(out),
+        ).validated()
+        with WarningLog() as messages:
+            peaks[count] = traced_peak(resolve.run, cfg)
+        assert len(fallbacks(messages)) == (1 if shuffle else 0)
+        rows = read(out / "resolved.jsonl").count(b"\n")
+        assert rows > 2 * count * 0.9
+        assert sorted(p.name for p in out.iterdir()) == sorted(RESOLVE_ARTIFACTS)
+    return peaks
 
 
 class CountingResolver:

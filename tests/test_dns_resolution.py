@@ -216,9 +216,17 @@ class TestFixtureFieldTypes:
 
 
 def replay(lines, names):
-    """replay_in_turn's groups, labels and diagnostics, read to the end."""
+    """replay_in_turn's answers at each turn of ``names`` ({} where none), labels and
+    diagnostics, read to the end; a name's turns are its places in ``names``."""
+    turns = {}
+    for turn, name in enumerate(names):
+        turns[name] = turns.get(name, ()) + (turn,)
     diag, labels = Diagnostics(), set()
-    groups = list(replay_in_turn(lines, names, diag, labels))
+    yielded = list(replay_in_turn(lines, lambda name: turns.get(name, ()), diag, labels))
+    assert [turn for turn, _, _ in yielded] == sorted({turn for turn, _, _ in yielded})
+    assert all(names[turn] == name for turn, name, _ in yielded)
+    answered = {turn: answers for turn, _, answers in yielded}
+    groups = [answered.get(turn, {}) for turn in range(len(names))]
     return groups, labels, diag
 
 

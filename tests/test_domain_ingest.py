@@ -7,9 +7,11 @@ from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.domain_ingest import (
     DomainRecord,
     ListFormat,
+    NameIndex,
     Variant,
     expand_variants,
     load_domain_list,
+    read_domain_list,
     make_bins,
     normalize_name,
 )
@@ -138,6 +140,60 @@ class TestExpandVariants:
         assert again == set(first)
         www = [r for r in first if r.variant is Variant.WWW][0]
         assert expand_variants(www) == [www]
+
+
+NAMES = st.sampled_from(
+    ["a.test", "b.test", "www.a.test", "www.www.a.test", "www", "www.test", "c.test"]
+)
+
+
+class TestNameIndex:
+    def test_reads_one_line_at_a_time(self):
+        lines = iter(["3,c.test\n", "1,a.test\r\n", "\n", "2,b.test"])
+        assert read_domain_list(lines).ranks == {"c.test": 3, "a.test": 1, "b.test": 2}
+
+    @given(st.lists(st.tuples(st.integers(1, 12), NAMES), max_size=12))
+    def test_duplicate_rank_raises_in_any_order(self, entries):
+        # ranks that ascend are kept in no set until they stop ascending or a name repeats
+        text = "".join(f"{rank},{name}\n" for rank, name in entries)
+        ranks = [rank for rank, _ in entries]
+        if len(set(ranks)) < len(ranks):
+            with pytest.raises(DuplicateRankError):
+                read_domain_list(text.split("\n"))
+        elif entries:
+            lowest = {}
+            for rank, name in entries:
+                lowest[name] = min(lowest.get(name, rank), rank)
+            assert read_domain_list(text.split("\n")).ranks == lowest
+
+    @pytest.mark.parametrize(
+        "text", ["1,a.test\n5,a.test\n3,b.test\n5,c.test", "1,a.test\n2,a.test\n2,b.test",
+                 "2,a.test\n1,b.test\n2,c.test"],
+    )
+    def test_rank_after_a_repeat_or_a_descent_is_still_checked(self, text):
+        with pytest.raises(DuplicateRankError):
+            read_domain_list(text.split("\n"))
+
+    @given(st.lists(NAMES, min_size=1, max_size=8, unique=True), st.randoms())
+    def test_tasks_and_turns_are_expand_variants_in_rank_order(self, names, rnd):
+        ranks = list(range(1, len(names) + 1))
+        rnd.shuffle(ranks)
+        text = "".join(f"{rank},{name}\n" for rank, name in zip(ranks, names))
+        index = read_domain_list(text.split("\n"))
+        expected = [
+            (rec.rank, rec.variant, rec.name)
+            for record in load_domain_list(text)
+            for rec in expand_variants(record)
+        ]
+        assert list(index.tasks()) == expected
+        assert index.task_count() == len(expected)
+        turns = {}
+        for rank, variant, name in expected:
+            turn = 2 * rank + (variant is Variant.WWW)
+            assert NameIndex.task(turn) == (rank, variant)
+            turns[name] = turns.get(name, ()) + (turn,)
+        for name in ["q.test", "www.q.test", *names, *("www." + n for n in names)]:
+            assert index.turns(name) == tuple(sorted(turns.get(name, ())))
 
 
 class TestAssignBins:

@@ -42,17 +42,20 @@ STAGE_MODULES = {stage: f"rpkiaudit.stages.{stage}" for stage in STAGES}
 
 # What each stage child must not load, besides every other stage's module: a
 # stage module imports only the library modules its stage uses, and only the
-# live resolver loads the DNS client and threads.  Validate reads integer pairs,
-# so it loads no RIB decoder; analyze and report count validated.jsonl's state
+# live resolver loads the DNS client and threads, and only a fixture out of turn
+# order loads the merge sort.  Validate reads integer pairs, so it loads no RIB
+# decoder, and counts its states with the class rule of vocabulary, so it loads
+# no analytics or fractions; analyze and report count validated.jsonl's state
 # strings, so they load no validation or routing code; classify reads the
 # resolved and pairs rows, so it loads no resolver, RIB or coverage code.
 NO_VALIDATION = package("roa_validation", "rib_store") | {"gzip", "csv"}
 NOT_LOADED = {
     "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
-    "validate": package("cdn_classifier", "dns_resolution", "_dnswire", "rib_store") | {"gzip"},
+    "validate": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire", "rib_store")
+    | {"gzip", "fractions", "decimal"},
     "analyze": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
     "report": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
-    "resolve": package("_dnswire") | {"concurrent.futures"},
+    "resolve": package("_dnswire", "_merge_sort") | {"concurrent.futures"},
     "classify": package("_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics")
     | {"concurrent.futures"},
 }
