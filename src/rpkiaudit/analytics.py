@@ -41,25 +41,10 @@ class DomainCoverage:
     def covered_count(self) -> int:
         return self.valid + self.invalid
 
-    def _share(self, count: int, empty: int = 0) -> Fraction:
-        total = self.total_pairs
-        return Fraction(count, total) if total else Fraction(empty)
-
     @property
     def covered_fraction(self) -> Fraction:
-        return self._share(self.covered_count)
-
-    @property
-    def valid_fraction(self) -> Fraction:
-        return self._share(self.valid)
-
-    @property
-    def invalid_fraction(self) -> Fraction:
-        return self._share(self.invalid)
-
-    @property
-    def notfound_fraction(self) -> Fraction:
-        return self._share(self.notfound, empty=1)  # no pairs: all not-found
+        total = self.total_pairs
+        return Fraction(self.covered_count, total) if total else Fraction(0)
 
     @property
     def classification(self) -> CoverageClass:
@@ -96,18 +81,10 @@ def row_coverage(row: dict) -> DomainCoverage:
     return domain_coverage(row["domain"], states)
 
 
-@dataclass(frozen=True, slots=True)
-class OverlapStat:
-    domain: str
-    overlap: Optional[Fraction]  # None = no data on either variant
-
-
 def prefix_overlap(
-    domain: str,
-    www_prefixes: Iterable[Hashable],
-    base_prefixes: Iterable[Hashable],
-) -> OverlapStat:
-    """Jaccard similarity of the two variants' prefix sets.
+    www_prefixes: Iterable[Hashable], base_prefixes: Iterable[Hashable]
+) -> Optional[Fraction]:
+    """Jaccard similarity of the two variants' prefix sets; None when both are empty.
 
     Prefixes may be in any one canonical form; the pipeline passes the
     prefix text of its artifacts, where equal text means equal networks.
@@ -115,8 +92,8 @@ def prefix_overlap(
     www = set(www_prefixes)
     base = set(base_prefixes)
     if not www and not base:
-        return OverlapStat(domain, None)
-    return OverlapStat(domain, Fraction(len(www & base), len(www | base)))
+        return None
+    return Fraction(len(www & base), len(www | base))
 
 
 @dataclass(frozen=True)

@@ -121,20 +121,21 @@ class Agreement:
 # Input loaders
 
 
-def load_keywords(text: str | None = None) -> list[str]:
-    """Keyword file text: one lowercase token per line, '#' comments.
+def load_keywords(lines: Iterable[str] | None = None) -> list[str]:
+    """The tokens of a keyword file's lines: one lowercase token per line, '#' comments.
 
-    With no text, the packaged default list (the well-known CDN operator
+    With no lines, the packaged default list (the well-known CDN operator
     names) is used.
     """
-    if text is None:
-        text = (
+    if lines is None:
+        lines = (
             resources.files("rpkiaudit")
             .joinpath("data/cdn_keywords.txt")
             .read_text("utf-8")
+            .split("\n")
         )
     out = []
-    for line in text.split("\n"):
+    for line in lines:
         token = line.split("#", 1)[0].strip().lower()
         if token:
             out.append(token)
@@ -191,11 +192,13 @@ def _split_registry_line(line: str) -> tuple[str | None, str]:
     return line[:space], line[space:]
 
 
-def load_external_labels(text: str, diag: Diagnostics | None = None) -> dict[str, bool]:
-    """External classification CSV text: "domain,0|1" per line."""
+def load_external_labels(
+    lines: Iterable[str], diag: Diagnostics | None = None
+) -> dict[str, bool]:
+    """The labels of an external classification CSV's lines: "domain,0|1" per line."""
     diag = diag if diag is not None else Diagnostics()
     out: dict[str, bool] = {}
-    for line in text.split("\n"):
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -79,7 +79,8 @@ class PipelineConfig:
         return cls(**doc)
 
     def validated(self) -> "PipelineConfig":
-        """Check each value against its field's type; a single str makes a list."""
+        """Check each value against its field's type, and each number against its range;
+        a single str makes a list."""
         hints = typing.get_type_hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
@@ -92,6 +93,12 @@ class PipelineConfig:
             raise UsageError("bin_size must be >= 1")
         if self.top_n < 1:
             raise UsageError("top_n must be >= 1")
+        if not 0 < self.timeout <= 3600:  # also NaN; 0 would make every query time out
+            raise UsageError(f"timeout must be in (0, 3600] seconds, not {self.timeout!r}")
+        if not self.resolver_qps >= 0:  # also NaN
+            raise UsageError(f"resolver_qps must be >= 0, not {self.resolver_qps!r}")
+        if self.max_inflight < 1:
+            raise UsageError(f"max_inflight must be >= 1, not {self.max_inflight!r}")
         return self
 
     def out(self, name: str) -> Path:
@@ -289,21 +296,11 @@ def _not_utf8(fh: typing.BinaryIO, what: str, exc: UnicodeDecodeError, offset: i
     return DataError(f"{fh.name}: {what} is not UTF-8 text ({NotUtf8Error(exc, offset)})")
 
 
-def _read_text(path: Optional[str], what: str) -> str:
-    """The text of an input file; bytes that are not UTF-8 raise DataError."""
-    with _open_input(path, what) as fh:
-        data = fh.read()
-        try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(fh, what, exc, 0) from None
-
-
 def _text_lines(fh: typing.BinaryIO, what: str) -> Iterator[str]:
     """The lines of an open input, read and decoded one at a time, each with its newline.
 
-    The input is closed at its end.  Bytes that are not UTF-8 raise the DataError
-    ``_read_text`` raises for the whole file.
+    The input is closed at its end.  Bytes that are not UTF-8 raise a DataError
+    that names them as decoding the whole file at once would.
     """
     read = 0
     with fh:
@@ -324,7 +321,7 @@ def _text_chunks(fh: typing.BinaryIO, what: str) -> Iterator[str]:
     """The text of an open input, read ``_CHUNK`` bytes at a time and decoded as it comes.
 
     A character cut between two reads is completed by the second.  The input is
-    closed at its end, and bytes that are not UTF-8 raise ``_read_text``'s DataError.
+    closed at its end, and bytes that are not UTF-8 raise ``_text_lines``' DataError.
     """
     decode = codecs.getincrementaldecoder("utf-8")().decode
     read = 0

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 from ._prefix_index import PrefixIndex, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
-from .errors import ChainLoopError, DataError, FixtureMissError, InsufficientResolversError
+from .errors import ChainLoopError, DataError, InsufficientResolversError
 from .vocabulary import ResolutionStatus, parse_decimal
 
 MAX_CNAME_HOPS = 16
@@ -125,43 +125,6 @@ def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
 Answers = dict[str, ResolutionResult]  # one name's answers by resolver label
 
 
-class DnsFixture:
-    """Recorded (domain, resolver) answers loaded from a JSON-lines file, held whole.
-
-    A resolver over recorded answers (``resolver``); the resolve stage replays a
-    fixture with ``replay_in_turn`` instead, which holds one name's answers.
-    """
-
-    def __init__(self, diag: Diagnostics | None = None) -> None:
-        self._entries: dict[str, Answers] = {}
-        self._diag = diag if diag is not None else Diagnostics()
-
-    @classmethod
-    def load(cls, text: str, diag: Diagnostics | None = None) -> "DnsFixture":
-        """Fixture of the JSON-lines text; malformed lines are skipped and counted."""
-        fixture = cls(diag)
-        for line in text.split("\n"):
-            result = fixture_result(line, fixture._diag)
-            if result is not None:
-                fixture._entries.setdefault(result.domain, {})[result.resolver_id] = result
-        return fixture
-
-    def resolver_ids(self) -> list[str]:
-        return sorted({label for answers in self._entries.values() for label in answers})
-
-    def answers(self, domain: str) -> Answers:
-        return self._entries.get(domain, {})
-
-    def get(self, domain: str, resolver_id: str) -> ResolutionResult:
-        try:
-            return self._entries[domain][resolver_id]
-        except KeyError:
-            raise FixtureMissError(f"no fixture entry for {domain} @ {resolver_id}")
-
-    def resolver(self, resolver_id: str) -> "FixtureResolver":
-        return FixtureResolver(self, resolver_id)
-
-
 class FixtureOrderError(Exception):
     """A fixture line answers a name whose first turn has passed."""
 
@@ -240,15 +203,6 @@ def lines_in_turn(
             yield (turns[0] if turns else -1), lineno, line.removesuffix("\n")
 
     return _merge_sort.sorted_texts(keyed(), directory)
-
-
-@dataclass(frozen=True, slots=True)
-class FixtureResolver:
-    fixture: DnsFixture
-    resolver_id: str
-
-    def resolve(self, domain: str, timeout: float = DEFAULT_TIMEOUT) -> ResolutionResult:
-        return self.fixture.get(domain, self.resolver_id)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,6 @@ class ListFormat(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class DomainRecord:
-    rank: int
-    name: str
-    variant: Variant = Variant.BASE
-
-
-@dataclass(frozen=True, slots=True)
 class RankBin:
     index: int
     lo: int
@@ -123,18 +116,6 @@ def read_domain_list(
     return NameIndex(ranks)
 
 
-def load_domain_list(
-    text: str,
-    fmt: ListFormat = ListFormat.CSV_RANK_DOMAIN,
-    diag: Diagnostics | None = None,
-) -> list[DomainRecord]:
-    """The list text's names as Base records, ascending by rank (``read_domain_list``'s rules)."""
-    ranks = read_domain_list(text.split("\n"), fmt, diag).ranks
-    records = [DomainRecord(rank, name) for name, rank in ranks.items()]
-    records.sort(key=lambda r: r.rank)
-    return records
-
-
 def www_variant(name: str) -> str | None:
     """The www name resolve also asks for a listed name, or None when it has none.
 
@@ -145,18 +126,6 @@ def www_variant(name: str) -> str | None:
         return None
     www_name = "www." + name
     return www_name if len(www_name) <= MAX_NAME_LEN else None
-
-
-def expand_variants(record: DomainRecord) -> list[DomainRecord]:
-    """Return the base record plus its www-prefixed sibling (``www_variant``).
-
-    Www records expand to themselves, so the operation is idempotent over its
-    own output.
-    """
-    www_name = None if record.variant is Variant.WWW else www_variant(record.name)
-    if www_name is None:
-        return [record]
-    return [record, DomainRecord(record.rank, www_name, Variant.WWW)]
 
 
 class NameIndex:

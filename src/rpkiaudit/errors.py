@@ -21,10 +21,6 @@ class InsufficientResolversError(AuditError):
     """Cross-checking needs at least two successful resolutions."""
 
 
-class FixtureMissError(AuditError):
-    """The DNS fixture has no recorded answer for a queried name."""
-
-
 class BadMagicError(AuditError):
     """The input stream is not an MRT file at all."""
 

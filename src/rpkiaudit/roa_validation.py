@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import io
 import itertools
 import json
 import re
 from typing import Iterable, Iterator, Union
 
-from ._prefix_index import WIDTH, IPNetwork, Prefix, PrefixIndex, Prefixed, parse_prefix
+from ._prefix_index import WIDTH, Prefix, PrefixIndex, Prefixed, parse_prefix
 from .diagnostics import Diagnostics
 from .vocabulary import ValidationState, parse_asn, parse_decimal, plain_asn
 
@@ -226,26 +225,9 @@ def roa_fields(
         diag.warn("empty_roa_set", _NO_PAYLOADS)
 
 
-def load_roas(
-    text: str, fmt: RoaFormat = RoaFormat.CSV, diag: Diagnostics | None = None
-) -> set[RoaPayload]:
-    """Validated ROA payloads of a csv or json export text; roa_fields' checks and counters."""
-    export = io.StringIO(text) if fmt is RoaFormat.CSV else (text,)
-    try:
-        return {
-            RoaPayload(asn, (version, net, plen), max_length, ta)
-            for version, net, plen, asn, max_length, ta in roa_fields(export, fmt, diag)
-        }
-    except ExportFault:
-        return set()
-
-
 class RoaIndex:
-    """Prefix-keyed ROA lookup: covering(p) = ROAs whose prefix contains p.
-
-    Each prefix keeps its distinct (asn, maxLength, TA) triples; payload
-    objects are built only when ``covering`` is asked.
-    """
+    """Prefix-keyed ROA lookup for ``state``: each prefix keeps the distinct
+    (asn, maxLength, TA) triples of its payloads, and no payload object."""
 
     def __init__(self) -> None:
         self._index = PrefixIndex()
@@ -287,14 +269,6 @@ class RoaIndex:
                 if roa_asn == asn and asn != 0 and plen <= max_length:
                     return ValidationState.VALID
         return ValidationState.INVALID
-
-    def covering(self, prefix: IPNetwork) -> set[RoaPayload]:
-        v, net, plen = prefix.version, int(prefix.network_address), prefix.prefixlen
-        return {
-            RoaPayload(asn, (v, n, p), max_length, ta)
-            for n, p, triples in self._index.covering(v, net, plen)
-            for asn, max_length, ta in triples
-        }
 
 
 def build_roa_index(roas: Iterable[RoaPayload]) -> RoaIndex:

@@ -64,12 +64,10 @@ def run(cfg: PipelineConfig) -> None:
                     name = row["domain"]
             if name is None:
                 continue
-            stat = prefix_overlap(
-                name, prefixes.get(Variant.WWW, ()), prefixes.get(Variant.BASE, ())
-            )
-            yield f"{rank},{name},{format_fraction(stat.overlap)}\n"
-            if stat.overlap is not None:
-                overlap_sum += stat.overlap
+            overlap = prefix_overlap(prefixes.get(Variant.WWW, ()), prefixes.get(Variant.BASE, ()))
+            yield f"{rank},{name},{format_fraction(overlap)}\n"
+            if overlap is not None:
+                overlap_sum += overlap
                 overlap_count += 1
         if not max_rank:
             raise DataError("validated.jsonl holds zero rows")

@@ -6,7 +6,7 @@ import json
 
 from .. import cdn_classifier
 from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_resolver
-from ..cli import _read_text, _text_lines, _write_diag, _write_rows, _write_text
+from ..cli import _text_lines, _write_diag, _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
 from ..vocabulary import ResolutionStatus, fraction_to_float
@@ -19,8 +19,11 @@ def run(cfg: PipelineConfig) -> None:
     primary = _primary_resolver(cfg)
 
     with _open_input(cfg.as_registry, "AS registry") as registry_file:
-        keyword_text = _read_text(cfg.keywords, "keyword file") if cfg.keywords else None
-        keywords = cdn_classifier.load_keywords(keyword_text)
+        if cfg.keywords:
+            with _open_input(cfg.keywords, "keyword file") as keyword_file:
+                keywords = cdn_classifier.load_keywords(_text_lines(keyword_file, "keyword file"))
+        else:
+            keywords = cdn_classifier.load_keywords()
         if not keywords:
             raise DataError(f"{cfg.keywords}: keyword file holds no keywords")
         registry_lines = _text_lines(registry_file, "AS registry")
@@ -29,9 +32,9 @@ def run(cfg: PipelineConfig) -> None:
 
     external: dict[str, bool] = {}
     if cfg.external_labels:
-        external = cdn_classifier.load_external_labels(
-            _read_text(cfg.external_labels, "external labels"), diag
-        )
+        with _open_input(cfg.external_labels, "external labels") as label_file:
+            label_lines = _text_lines(label_file, "external labels")
+            external = cdn_classifier.load_external_labels(label_lines, diag)
 
     agreement = cdn_classifier.Agreement(external) if external else None
 

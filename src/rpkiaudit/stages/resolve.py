@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from .. import dns_resolution, domain_ingest
 from .._prefix_index import format_address
-from ..cli import PipelineConfig, _open_input, _read_text, _text_lines, _write_diag
+from ..cli import PipelineConfig, _open_input, _text_lines, _write_diag
 from ..cli import _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import ChainLoopError, DataError, UsageError
@@ -29,7 +29,7 @@ class _RateLimiter:
     def __init__(self, qps: float):
         import threading  # live resolution only
 
-        self._interval = 1.0 / qps if qps > 0 else 0.0
+        self._interval = 1 / qps if qps > 0 else 0.0  # an int over float's range is 0.0
         self._next = 0.0
         self._lock = threading.Lock()
 
@@ -73,10 +73,10 @@ def run(cfg: PipelineConfig) -> None:
         raise UsageError(f"unknown domain list format {cfg.domain_list_format!r} ({expected})")
     names = domain_ingest.read_domain_list(_text_lines(list_file, "domain list"), fmt, diag)
     if cfg.special_purpose_table:
-        table = dns_resolution.SpecialPurposeTable.from_lines(
-            _read_text(cfg.special_purpose_table, "special-purpose table").split("\n"),
-            cfg.special_purpose_table,
-        )
+        with _open_input(cfg.special_purpose_table, "special-purpose table") as table_file:
+            table = dns_resolution.SpecialPurposeTable.from_lines(
+                _text_lines(table_file, "special-purpose table"), cfg.special_purpose_table
+            )
     else:
         table = dns_resolution.SpecialPurposeTable.default()
 
@@ -200,9 +200,8 @@ def run(cfg: PipelineConfig) -> None:
 
         import concurrent.futures  # live queries wait on the network, so they overlap
 
-        workers = max(1, cfg.max_inflight)
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            count = write(_in_order(pool, resolve_task, names.tasks(), 2 * workers))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.max_inflight) as pool:
+            count = write(_in_order(pool, resolve_task, names.tasks(), 2 * cfg.max_inflight))
     else:
         raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
 

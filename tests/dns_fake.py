@@ -1,9 +1,27 @@
-"""Local fake DNS server answering A/AAAA questions from a record table."""
+"""DNS helpers for the tests: a local fake DNS server answering A/AAAA questions
+from a record table, and the whole-file index of a DNS fixture that replay is
+held to."""
 
 import ipaddress
 import socket
 import struct
 import threading
+
+from rpkiaudit.dns_resolution import fixture_result
+
+
+def whole_file_answers(text, diag):
+    """Each fixture name's answers by resolver label, from every line of the text at once.
+
+    The whole-file reference for ``replay_in_turn``: ``fixture_result`` parses and
+    counts each line, and a repeated (name, resolver) keeps the later line's answer.
+    """
+    answers = {}
+    for line in text.split("\n"):
+        result = fixture_result(line, diag)
+        if result is not None:
+            answers.setdefault(result.domain, {})[result.resolver_id] = result
+    return answers
 
 
 def encode_name(name):

@@ -226,7 +226,7 @@ class TestLoaders:
         assert len(keywords) == 16
 
     def test_keyword_file_comments_and_case(self):
-        assert load_keywords("# c\nAkamai\n\nfastly\n") == ["akamai", "fastly"]
+        assert load_keywords(["# c\n", "Akamai\r\n", "\n", " fastly # cdn"]) == ["akamai", "fastly"]
 
     def test_registry_whitespace_form(self):
         entries = sorted_entries("AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
@@ -263,7 +263,7 @@ class TestLoaders:
 
     def test_external_labels(self):
         raw = "d.example,1\nwйird,1\ne.example,0\nf.example,2\n"
-        labels = load_external_labels(raw)
+        labels = load_external_labels(raw.splitlines(keepends=True))
         assert labels == {"d.example": True, "e.example": False}
 
 

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mrt_builder as mb
+from dns_fake import whole_file_answers
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
 from rpkiaudit import _merge_sort, _prefix_index, cli, dns_resolution
@@ -33,6 +34,17 @@ from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
 
 
 PACKAGE_DATA = Path(rpkiaudit.__file__).parent / "data"
+
+# what an error message calls the input each text flag names
+INPUT_NAMES = {
+    "--domain-list": "domain list",
+    "--fixture-dns": "DNS fixture",
+    "--special-purpose-table": "special-purpose table",
+    "--roas": "ROA export",
+    "--as-registry": "AS registry",
+    "--keywords": "keyword file",
+    "--external-labels": "external labels",
+}
 
 
 def read(path):
@@ -324,6 +336,33 @@ class TestConfigHandling:
         cfg.bin_size = 0
         with pytest.raises(UsageError):
             run_stage("analyze", cfg)
+
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("timeout", -1), ("timeout", 0), ("timeout", float("nan")), ("timeout", float("inf")),
+            ("timeout", 1e300), ("timeout", 3600.5),
+            ("resolver_qps", -1), ("resolver_qps", float("nan")), ("resolver_qps", float("-inf")),
+            ("max_inflight", 0), ("max_inflight", -3),
+        ],
+    )
+    def test_bad_live_resolution_setting_is_1(self, tmp_path, capsys, via, key, value):
+        # analyze runs no resolver: the value is rejected before any stage starts
+        if via == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))  # NaN and Infinity as json.dumps writes
+            args = ["--config", str(config)]
+        else:  # one argument, so that argparse reads -inf as a value, not a flag
+            args = [f"--{key.replace('_', '-')}={value}"]
+        assert main(["analyze", *args, "--output-dir", str(tmp_path / "out")]) == 1
+        assert f"error: {key} must be " in capsys.readouterr().err
+
+    def test_live_resolution_settings_at_their_bounds_pass(self):
+        for timeout, qps, inflight in [(3600, 0, 1), (1e-3, float("inf"), 64), (5, 10**400, 2)]:
+            cfg = PipelineConfig(timeout=timeout, resolver_qps=qps, max_inflight=inflight)
+            assert cfg.validated() is cfg
+        assert resolve._RateLimiter(10**400)._interval == 0.0  # an int rate over float's range
 
     @pytest.mark.parametrize(
         "doc",
@@ -880,7 +919,8 @@ def cli_env():
 
 
 class TestInputText:
-    """The whole-file, per-line and per-chunk readers decode alike and fail alike."""
+    """The per-line and per-chunk readers decode as the whole file does, and name its
+    first undecodable bytes as decoding the whole file does."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -899,7 +939,10 @@ class TestInputText:
             except DataError as exc:  # names the byte's position in the whole file
                 return f"DataError: {exc}"
 
-        whole = decoded(lambda: [cli._read_text(str(path), "ROA export")])
+        try:
+            whole = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            whole = f"DataError: {path}: ROA export is not UTF-8 text ({exc})"
         assert decoded(lambda: cli._text_lines(open(path, "rb"), "ROA export")) == whole
         with mock.patch.object(cli, "_CHUNK", chunk):
             assert decoded(lambda: cli._text_chunks(open(path, "rb"), "ROA export")) == whole
@@ -1242,8 +1285,10 @@ class TestCorruptInputs:
         }[stage]
         result = run_cli(stage, *inputs, flag, bad, "--output-dir", out)
         assert result.returncode == 3
-        assert "Traceback" not in result.stderr
-        assert str(bad) in result.stderr
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            bad.read_bytes().decode("utf-8")
+        what = INPUT_NAMES[flag]
+        assert result.stderr == f"error: {bad}: {what} is not UTF-8 text ({decoding.value})\n"
 
     @pytest.mark.parametrize("stage, artifact, damage", ROW_DAMAGE, ids=ROW_DAMAGE_IDS)
     def test_malformed_artifact_row_is_3(self, e2e_output, tmp_path, stage, artifact, damage):
@@ -1535,16 +1580,13 @@ def resolve_outcome(domains, fixture, out):
 def whole_file_replay(lines, turns_of, diag, labels):
     """replay_in_turn's contract for any line order, from the whole-file index.
 
-    A reference for the tests: ``DnsFixture.load`` parses and counts every line,
+    A reference for the tests: ``whole_file_answers`` parses and counts every line,
     and each answered name's answers are yielded at each of its turns.
     """
-    text = "".join(lines)
-    fixture = dns_resolution.DnsFixture.load(text, diag)
-    labels.update(fixture.resolver_ids())
-    results = (dns_resolution.fixture_result(line, Diagnostics()) for line in text.split("\n"))
-    domains = {result.domain for result in results if result is not None}
+    answers = whole_file_answers("".join(lines), diag)
+    labels.update(label for by_label in answers.values() for label in by_label)
     yield from sorted(
-        (turn, name, fixture.answers(name)) for name in domains for turn in turns_of(name)
+        (turn, name, by_label) for name, by_label in answers.items() for turn in turns_of(name)
     )
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dns_fake import whole_file_answers
 from rpkiaudit import _dnswire
 from rpkiaudit.diagnostics import Diagnostics
+from rpkiaudit.cli import PipelineConfig, run_stage
 from rpkiaudit.dns_resolution import (
-    DnsFixture,
     FixtureOrderError,
     LiveResolver,
     ResolutionResult,
@@ -24,11 +25,7 @@ from rpkiaudit.dns_resolution import (
     replay_in_turn,
     resolve_records,
 )
-from rpkiaudit.errors import (
-    ChainLoopError,
-    FixtureMissError,
-    InsufficientResolversError,
-)
+from rpkiaudit.errors import ChainLoopError, InsufficientResolversError
 
 
 def fixture_line(domain, cnames=(), a=(), aaaa=(), status="ok", resolver="fixture", ts=0):
@@ -45,20 +42,26 @@ def fixture_line(domain, cnames=(), a=(), aaaa=(), status="ok", resolver="fixtur
     )
 
 
-def load_fixture(*lines, diag=None):
-    return DnsFixture.load("\n".join(lines), diag)
+def recorded(*lines):
+    """The answer each line records, as resolve replays the lines, its names in line order."""
+    names = []
+    for line in lines:
+        result = fixture_result(line, Diagnostics())
+        if result is not None and result.domain not in names:
+            names.append(result.domain)
+    groups, _, _ = replay(lines, names)
+    return [answer for group in groups for answer in group.values()]
 
 
 class TestFixtureReplay:
     def test_akamai_style_chain_recorded(self):
-        fixture = load_fixture(
+        (result,) = recorded(
             fixture_line(
                 "www.huffingtonpost.com",
                 cnames=["www.huffingtonpost.com.edgesuite.net", "a495.g.akamai.net"],
                 a=["212.201.100.136"],
             )
         )
-        result = resolve_records("www.huffingtonpost.com", fixture.resolver("fixture"))
         assert result.cname_chain == (
             "www.huffingtonpost.com.edgesuite.net",
             "a495.g.akamai.net",
@@ -67,76 +70,66 @@ class TestFixtureReplay:
         assert result.status is ResolutionStatus.OK
 
     def test_plain_a_record_no_chain(self):
-        fixture = load_fixture(fixture_line("example.com", a=["93.184.216.34"]))
-        result = resolve_records("example.com", fixture.resolver("fixture"))
+        (result,) = recorded(fixture_line("example.com", a=["93.184.216.34"]))
         assert result.cname_chain == ()
         assert result.status is ResolutionStatus.OK
 
     def test_nxdomain_has_no_addresses(self):
-        fixture = load_fixture(fixture_line("gone.example", status="nxdomain"))
-        result = resolve_records("gone.example", fixture.resolver("fixture"))
+        (result,) = recorded(fixture_line("gone.example", status="nxdomain"))
         assert result.status is ResolutionStatus.NXDOMAIN
         assert result.addresses == frozenset()
 
     def test_status_conflict_drops_addresses(self):
-        diag = Diagnostics()
-        fixture = load_fixture(
-            fixture_line("odd.example", a=["192.0.2.1"], status="servfail"), diag=diag
-        )
-        result = fixture.get("odd.example", "fixture")
-        assert result.addresses == frozenset()
+        line = fixture_line("odd.example", a=["192.0.2.1"], status="servfail")
+        [odd], _, diag = replay([line], ["odd.example"])
+        assert odd["fixture"].addresses == frozenset()
         assert diag.get("fixture_status_conflicts") == 1
 
     def test_ok_without_addresses_becomes_empty(self):
-        fixture = load_fixture(fixture_line("noaddr.example", status="ok"))
-        assert fixture.get("noaddr.example", "fixture").status is ResolutionStatus.EMPTY
+        (result,) = recorded(fixture_line("noaddr.example", status="ok"))
+        assert result.status is ResolutionStatus.EMPTY
 
-    def test_missing_entry_raises(self):
-        fixture = load_fixture(fixture_line("present.example", a=["192.0.2.1"]))
-        with pytest.raises(FixtureMissError):
-            resolve_records("absent.example", fixture.resolver("fixture"))
+    def test_unlisted_name_has_no_answers(self):
+        groups, labels, _ = replay(
+            [fixture_line("present.example", a=["192.0.2.1"])], ["absent.example"]
+        )
+        assert groups == [{}]
+        assert labels == {"fixture"}
 
     def test_replay_determinism(self):
         lines = [
             fixture_line("a.example", a=["192.0.2.1", "192.0.2.2"], ts=1234),
             fixture_line("b.example", aaaa=["2001:db8::1"], resolver="google"),
         ]
-        runs = []
-        for _ in range(2):
-            fixture = load_fixture(*lines)
-            runs.append(
-                (
-                    fixture.get("a.example", "fixture"),
-                    fixture.get("b.example", "google"),
-                )
-            )
-        assert runs[0] == runs[1]
+        assert recorded(*lines) == recorded(*lines)
 
     def test_malformed_lines_counted(self):
-        diag = Diagnostics()
-        load_fixture("{not json", fixture_line("ok.example", a=["192.0.2.9"]), diag=diag)
+        _, _, diag = replay(["{not json", fixture_line("ok.example", a=["192.0.2.9"])], [])
         assert diag.get("malformed_fixture_lines") == 1
 
     @pytest.mark.parametrize("ts", ["1_0", True, 1.9])
     def test_timestamp_must_be_a_json_integer(self, ts):
-        diag = Diagnostics()
-        fixture = load_fixture(
+        lines = [
             fixture_line("bad.example", a=["192.0.2.9"], ts=ts),
             fixture_line("ok.example", a=["192.0.2.9"], ts=10),
-            diag=diag,
-        )
+        ]
+        (bad, ok), labels, diag = replay(lines, ["bad.example", "ok.example"])
         assert diag.get("malformed_fixture_lines") == 1
-        assert fixture.resolver_ids() == ["fixture"]
-        assert fixture.get("ok.example", "fixture").observed_at == 10
-        with pytest.raises(FixtureMissError):
-            fixture.get("bad.example", "fixture")
+        assert labels == {"fixture"}
+        assert ok["fixture"].observed_at == 10
+        assert bad == {}
 
-    def test_resolver_ids_sorted(self):
-        fixture = load_fixture(
-            fixture_line("x.example", resolver="opendns"),
-            fixture_line("x.example", resolver="google"),
-        )
-        assert fixture.resolver_ids() == ["google", "opendns"]
+    def test_resolver_ids_sorted(self, tmp_path):
+        # resolve_meta.json lists the fixture's resolver labels sorted, not in line order
+        (tmp_path / "domains.csv").write_text("1,x.example\n")
+        lines = [fixture_line("x.example", resolver=label) for label in ("opendns", "google")]
+        (tmp_path / "dns.jsonl").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        cfg = PipelineConfig(domain_list=str(tmp_path / "domains.csv"),
+                             dns_fixture=str(tmp_path / "dns.jsonl"), output_dir=str(out))
+        assert run_stage("resolve", cfg) == 0
+        meta = json.loads((out / "resolve_meta.json").read_text())
+        assert meta["resolvers"] == ["google", "opendns"]
 
 
 class TestFixtureFieldTypes:
@@ -203,16 +196,15 @@ class TestFixtureFieldTypes:
         assert diag.as_dict() == {}
 
     def test_fixture_load_counts_each_mistyped_line(self):
-        diag = Diagnostics()
-        fixture = load_fixture(
+        lines = [
             json.dumps({"domain": 5, "resolver": "fixture"}),
             json.dumps({"domain": "x.example", "resolver": None, "a": ["192.0.2.9"]}),
             json.dumps({"domain": "x.example", "cnames": "abc", "a": ["192.0.2.9"]}),
             fixture_line("x.example", a=["192.0.2.9"], resolver="google"),
-            diag=diag,
-        )
+        ]
+        [answers], labels, diag = replay(lines, ["x.example"])
         assert diag.get("malformed_fixture_lines") == 3
-        assert fixture.resolver_ids() == ["google"]
+        assert labels == {"google"} and list(answers) == ["google"]
 
 
 def replay(lines, names):
@@ -241,8 +233,8 @@ class TestReplayInTurn:
         ]
         names = ["a.example", "b.example", "c.example"]
         groups, labels, diag = replay(lines, names)
-        index = load_fixture(*lines)
-        assert groups == [index.answers(name) for name in names]
+        index = whole_file_answers("\n".join(lines), Diagnostics())
+        assert groups == [index.get(name, {}) for name in names]
         assert [sorted(g) for g in groups] == [["fixture", "google"], [], ["fixture"]]
         assert labels == {"fixture", "google"}
         assert diag.as_dict() == {"malformed_fixture_lines": 1}

@@ -5,57 +5,51 @@ from hypothesis import strategies as st
 from rpkiaudit.analytics import BinnedSums, DomainCoverage
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.domain_ingest import (
-    DomainRecord,
     ListFormat,
     NameIndex,
     Variant,
-    expand_variants,
-    load_domain_list,
-    read_domain_list,
     make_bins,
     normalize_name,
+    read_domain_list,
+    www_variant,
 )
 from rpkiaudit.errors import DuplicateRankError, EmptyInputError
 
 
+def ranked(text, fmt=ListFormat.CSV_RANK_DOMAIN, diag=None):
+    """The list's (rank, name) pairs, ascending by rank."""
+    ranks = read_domain_list(text.split("\n"), fmt, diag).ranks
+    return sorted((rank, name) for name, rank in ranks.items())
+
+
 class TestLoadDomainList:
     def test_csv_two_rows(self):
-        records = load_domain_list("1,google.com\n2,facebook.com")
-        assert records == [
-            DomainRecord(1, "google.com"),
-            DomainRecord(2, "facebook.com"),
-        ]
+        assert ranked("1,google.com\n2,facebook.com") == [(1, "google.com"), (2, "facebook.com")]
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInputError):
-            load_domain_list("")
+            ranked("")
 
     def test_duplicate_rank_raises(self):
         with pytest.raises(DuplicateRankError):
-            load_domain_list("1,EXAMPLE.Com.\n1,other.net")
+            ranked("1,EXAMPLE.Com.\n1,other.net")
 
     def test_lowercase_and_trailing_dot_normalized(self):
-        records = load_domain_list("7,EXAMPLE.Com.")
-        assert records == [DomainRecord(7, "example.com")]
+        assert ranked("7,EXAMPLE.Com.") == [(7, "example.com")]
 
     def test_duplicate_name_keeps_lowest_rank(self):
         diag = Diagnostics()
-        records = load_domain_list(
-            "5,example.com\n2,other.net\n9,example.com", diag=diag
-        )
-        assert records == [
-            DomainRecord(2, "other.net"),
-            DomainRecord(5, "example.com"),
-        ]
+        pairs = ranked("5,example.com\n2,other.net\n9,example.com", diag=diag)
+        assert pairs == [(2, "other.net"), (5, "example.com")]
         assert diag.get("duplicate_names") == 1
 
     def test_malformed_lines_skipped_and_counted(self):
         diag = Diagnostics()
-        records = load_domain_list(
+        pairs = ranked(
             "1,good.com\nnot a line\n0,badrank.com\n3,bad domain.com\n4,ok.net",
             diag=diag,
         )
-        assert [r.name for r in records] == ["good.com", "ok.net"]
+        assert [name for _, name in pairs] == ["good.com", "ok.net"]
         assert diag.get("malformed_lines") == 3
 
     @pytest.mark.parametrize(
@@ -63,35 +57,25 @@ class TestLoadDomainList:
     )
     def test_rank_is_a_positive_ascii_decimal(self, rank):
         diag = Diagnostics()
-        records = load_domain_list(f"{rank},a.com\n2,b.com", diag=diag)
-        assert records == [DomainRecord(2, "b.com")]
+        assert ranked(f"{rank},a.com\n2,b.com", diag=diag) == [(2, "b.com")]
         assert diag.get("malformed_lines") == 1
 
     def test_plain_format_rank_is_line_number(self):
-        records = load_domain_list(
-            "alpha.com\nbeta.com\n\ngamma.com", ListFormat.PLAIN_ORDERED
-        )
-        assert [(r.rank, r.name) for r in records] == [
-            (1, "alpha.com"),
-            (2, "beta.com"),
-            (4, "gamma.com"),
-        ]
+        pairs = ranked("alpha.com\nbeta.com\n\ngamma.com", ListFormat.PLAIN_ORDERED)
+        assert pairs == [(1, "alpha.com"), (2, "beta.com"), (4, "gamma.com")]
 
     def test_crlf_lines(self):
-        records = load_domain_list("1,a.com\r\n2,b.com\r\n")
-        assert [r.name for r in records] == ["a.com", "b.com"]
+        assert ranked("1,a.com\r\n2,b.com\r\n") == [(1, "a.com"), (2, "b.com")]
 
     def test_raw_unicode_rejected_punycode_kept(self):
         diag = Diagnostics()
-        records = load_domain_list(
-            "1,münchen.de\n2,xn--mnchen-3ya.de", diag=diag
-        )
-        assert [r.name for r in records] == ["xn--mnchen-3ya.de"]
+        pairs = ranked("1,münchen.de\n2,xn--mnchen-3ya.de", diag=diag)
+        assert pairs == [(2, "xn--mnchen-3ya.de")]
         assert diag.get("malformed_lines") == 1
 
     def test_load_determinism(self):
         data = "3,c.org\n1,a.org\n2,b.org\nbroken\n"
-        assert load_domain_list(data) == load_domain_list(data)
+        assert ranked(data) == ranked(data)
 
 
 class TestNormalizeName:
@@ -109,37 +93,45 @@ class TestNormalizeName:
         assert normalize_name(name + "b") is None
 
 
+def tasks(text):
+    """The (rank, variant, name) tasks resolve asks for a list."""
+    return list(read_domain_list(text.split("\n")).tasks())
+
+
 class TestExpandVariants:
     def test_base_expands_to_both(self):
-        base = DomainRecord(1, "example.com")
-        out = expand_variants(base)
-        assert out == [
-            base,
-            DomainRecord(1, "www.example.com", Variant.WWW),
+        assert tasks("1,example.com") == [
+            (1, Variant.BASE, "example.com"),
+            (1, Variant.WWW, "www.example.com"),
         ]
 
     def test_www_base_not_double_prefixed(self):
-        rec = DomainRecord(73, "www.huffingtonpost.com")
-        assert expand_variants(rec) == [rec]
+        assert www_variant("www.huffingtonpost.com") is None
+        assert tasks("73,www.huffingtonpost.com") == [(73, Variant.BASE, "www.huffingtonpost.com")]
 
     def test_unrelated_www_substring_still_expands(self):
-        rec = DomainRecord(9, "wwwfoo.com")
-        assert len(expand_variants(rec)) == 2
+        assert www_variant("wwwfoo.com") == "www.wwwfoo.com"
+        assert len(tasks("9,wwwfoo.com")) == 2
 
     def test_table2_akamaihd_name_gets_both_variants(self):
-        rec = DomainRecord(70, "cdncache1-a.akamaihd.net")
-        out = expand_variants(rec)
-        assert [r.name for r in out] == [
+        assert [name for _, _, name in tasks("70,cdncache1-a.akamaihd.net")] == [
             "cdncache1-a.akamaihd.net",
             "www.cdncache1-a.akamaihd.net",
         ]
 
     def test_idempotent_over_own_output(self):
-        first = expand_variants(DomainRecord(5, "idempotent.org"))
-        again = {rec for out in first for rec in expand_variants(out)}
-        assert again == set(first)
-        www = [r for r in first if r.variant is Variant.WWW][0]
-        assert expand_variants(www) == [www]
+        # a www name has no www name of its own, so expanding the expansion adds nothing
+        names = [name for _, _, name in tasks("5,idempotent.org")]
+        assert [www_variant(name) for name in names] == ["www.idempotent.org", None]
+        www_name = www_variant(names[0])
+        assert tasks(f"5,{www_name}") == [(5, Variant.BASE, www_name)]
+
+    def test_too_long_a_name_has_no_www_variant(self):
+        fits, too_long = (".".join(["a" * 63] * 3 + ["a" * n]) for n in (57, 58))
+        assert (len(fits), len(too_long)) == (249, 250)  # www. makes 253 and 254 octets
+        assert www_variant(fits) == "www." + fits
+        assert www_variant(too_long) is None
+        assert tasks(f"1,{too_long}") == [(1, Variant.BASE, too_long)]
 
 
 NAMES = st.sampled_from(
@@ -175,16 +167,16 @@ class TestNameIndex:
             read_domain_list(text.split("\n"))
 
     @given(st.lists(NAMES, min_size=1, max_size=8, unique=True), st.randoms())
-    def test_tasks_and_turns_are_expand_variants_in_rank_order(self, names, rnd):
+    def test_tasks_and_turns_are_www_variants_in_rank_order(self, names, rnd):
         ranks = list(range(1, len(names) + 1))
         rnd.shuffle(ranks)
         text = "".join(f"{rank},{name}\n" for rank, name in zip(ranks, names))
         index = read_domain_list(text.split("\n"))
-        expected = [
-            (rec.rank, rec.variant, rec.name)
-            for record in load_domain_list(text)
-            for rec in expand_variants(record)
-        ]
+        expected = []
+        for rank, name in sorted(zip(ranks, names)):
+            expected.append((rank, Variant.BASE, name))
+            if name.split(".")[0] != "www":  # the www rule, spelled out for these short names
+                expected.append((rank, Variant.WWW, "www." + name))
         assert list(index.tasks()) == expected
         assert index.task_count() == len(expected)
         turns = {}

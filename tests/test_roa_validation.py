@@ -21,7 +21,6 @@ from rpkiaudit.roa_validation import (
     RoaPayload,
     ValidationState,
     build_roa_index,
-    load_roas,
     roa_fields,
     validate,
 )
@@ -190,38 +189,57 @@ class TestMonotonicity:
         assert validate(p, build_roa_index(roas)) is oracle_validate(p, set(roas))
 
 
+def fields(text, fmt=RoaFormat.CSV, diag=None):
+    """The payloads ``roa_fields`` decodes from a whole export text."""
+    return list(roa_fields(io.StringIO(text) if fmt is RoaFormat.CSV else (text,), fmt, diag))
+
+
+def payload(asn, prefix, max_length=None, ta="other"):
+    """One payload as ``roa_fields`` yields it."""
+    version, net, plen = parse_prefix(prefix)
+    return version, net, plen, asn, plen if max_length is None else max_length, ta
+
+
+def export_lines(roas):
+    """A csv export of the payloads, one line each."""
+    return [f"{r.asn},{r.prefix},{r.max_length},{r.trust_anchor}\n" for r in roas]
+
+
+def state(index, prefix, asn):
+    return index.state(*parse_prefix(prefix), asn)
+
+
 class TestLoadRoas:
     def test_csv_basic(self):
-        out = load_roas("AS64500,10.0.0.0/16,24")
-        assert out == {roa(64500, "10.0.0.0/16", 24)}
+        assert fields("AS64500,10.0.0.0/16,24") == [payload(64500, "10.0.0.0/16", 24)]
 
     def test_csv_bad_maxlength_rejected(self):
         diag = Diagnostics()
-        assert load_roas("AS64500,10.0.0.0/16,8", diag=diag) == set()
+        assert fields("AS64500,10.0.0.0/16,8", diag=diag) == []
         assert diag.get("malformed_roa_rows") == 1
         assert diag.get("empty_roa_set") == 1
 
     def test_empty_file_warns(self):
         diag = Diagnostics()
-        assert load_roas("", diag=diag) == set()
+        assert fields("", diag=diag) == []
         assert diag.get("empty_roa_set") == 1
 
     def test_csv_header_autodetected(self):
-        out = load_roas("ASN,prefix,maxLength,TA\nAS64500,10.0.0.0/16,24,ripe")
-        assert out == {roa(64500, "10.0.0.0/16", 24, "ripe")}
+        out = fields("ASN,prefix,maxLength,TA\nAS64500,10.0.0.0/16,24,ripe")
+        assert out == [payload(64500, "10.0.0.0/16", 24, "ripe")]
 
     def test_csv_numeric_asn_and_default_maxlength(self):
-        out = load_roas("64500,10.0.0.0/16\n64500,10.0.0.0/16,")
-        assert out == {roa(64500, "10.0.0.0/16", 16)}
+        out = fields("64500,10.0.0.0/16\n64500,10.0.0.0/16,")
+        assert out == [payload(64500, "10.0.0.0/16", 16)] * 2
 
     def test_csv_trust_anchor_normalized(self):
-        out = load_roas("AS1,10.0.0.0/8,8,RIPE\nAS2,10.0.0.0/8,8,weird")
-        anchors = {r.asn: r.trust_anchor for r in out}
-        assert anchors == {1: "ripe", 2: "other"}
+        out = fields("AS1,10.0.0.0/8,8,RIPE\nAS2,10.0.0.0/8,8,weird")
+        assert out == [payload(1, "10.0.0.0/8", 8, "ripe"), payload(2, "10.0.0.0/8", 8)]
 
     def test_csv_duplicates_deduplicated(self):
-        out = load_roas("AS64500,10.0.0.0/16,24\nAS64500,10.0.0.0/16,24")
-        assert len(out) == 1
+        text = "AS64500,10.0.0.0/16,24\nAS64500,10.0.0.0/16,24"
+        assert len(fields(text)) == 2
+        assert len(RoaIndex.load(io.StringIO(text))) == 1  # the index keeps distinct payloads
 
     @pytest.mark.parametrize(
         "row",
@@ -230,12 +248,12 @@ class TestLoadRoas:
     )
     def test_csv_asn_and_maxlength_are_ascii_decimals(self, row):
         diag = Diagnostics()
-        assert load_roas(row, diag=diag) == set()
+        assert fields(row, diag=diag) == []
         assert diag.get("malformed_roa_rows") == 1
 
     def test_csv_host_bits_rejected(self):
         diag = Diagnostics()
-        assert load_roas("AS64500,10.0.0.1/16,24", diag=diag) == set()
+        assert fields("AS64500,10.0.0.1/16,24", diag=diag) == []
         assert diag.get("malformed_roa_rows") == 1
 
     def test_json_basic(self):
@@ -245,14 +263,15 @@ class TestLoadRoas:
                 {"asn": 64501, "prefix": "2001:db8::/32"},
             ]
         )
-        out = load_roas(doc, RoaFormat.JSON)
-        assert roa(64500, "10.0.0.0/16", 24, "apnic") in out
-        assert roa(64501, "2001:db8::/32", 32) in out
+        assert fields(doc, RoaFormat.JSON) == [
+            payload(64500, "10.0.0.0/16", 24, "apnic"),
+            payload(64501, "2001:db8::/32"),
+        ]
 
     def test_json_malformed_rows_counted(self):
         diag = Diagnostics()
         doc = '[{"asn": "ASX", "prefix": "10.0.0.0/8"}, {"prefix": "10.0.0.0/8"}]'
-        assert load_roas(doc, RoaFormat.JSON, diag) == set()
+        assert fields(doc, RoaFormat.JSON, diag) == []
         assert diag.get("malformed_roa_rows") == 2
 
     def test_json_asn_neither_int_nor_text_rejected(self):
@@ -264,32 +283,34 @@ class TestLoadRoas:
                 {"asn": 64500, "prefix": "10.0.0.0/8"},
             ]
         )
-        assert load_roas(doc, RoaFormat.JSON, diag) == {roa(64500, "10.0.0.0/8", 8)}
+        assert fields(doc, RoaFormat.JSON, diag) == [payload(64500, "10.0.0.0/8")]
         assert diag.get("malformed_roa_rows") == 2
 
 
 class TestRoaIndex:
     def test_empty_index_all_queries_empty(self):
-        index = build_roa_index(set())
-        assert index.covering(ipaddress.ip_network("10.0.0.0/24")) == set()
+        assert state(RoaIndex.load([]), "10.0.0.0/24", 64500) is ValidationState.NOT_FOUND
 
     def test_same_prefix_different_asns_both_returned(self):
-        roas = {roa(64500, "10.0.0.0/16", 24), roa(64501, "10.0.0.0/16", 24)}
-        index = build_roa_index(roas)
-        assert index.covering(ipaddress.ip_network("10.0.1.0/24")) == roas
+        index = RoaIndex.load(["AS64500,10.0.0.0/16,24\n", "AS64501,10.0.0.0/16,24\n"])
+        assert state(index, "10.0.1.0/24", 64500) is ValidationState.VALID
+        assert state(index, "10.0.1.0/24", 64501) is ValidationState.VALID
+        assert state(index, "10.0.1.0/24", 64502) is ValidationState.INVALID
 
     def test_covering_matches_scan_randomized(self):
         rng = random.Random(3)
         roas = random_roa_set(rng, 500)
-        index = build_roa_index(roas)
+        index = RoaIndex.load(export_lines(roas))
         for _ in range(300):
             p = random_pair(rng)
-            expected = {r for r in roas if p.prefix.subnet_of(r.prefix)}
-            assert index.covering(p.prefix) == expected
+            covering_asns = {r.asn for r in roas if p.prefix.subnet_of(r.prefix)}
+            for asn in {p.origin_asn, *covering_asns}:
+                q = PrefixOriginPair(p.prefix, asn)
+                assert validate(q, index) is oracle_validate(q, roas)
 
     def test_more_specific_roa_does_not_cover_less_specific_query(self):
-        index = build_roa_index({roa(64500, "10.0.0.0/24", 24)})
-        assert index.covering(ipaddress.ip_network("10.0.0.0/16")) == set()
+        index = RoaIndex.load(["AS64500,10.0.0.0/24,24\n"])
+        assert state(index, "10.0.0.0/16", 64500) is ValidationState.NOT_FOUND
 
 
 class TestRoaPayloadInvariants:
@@ -309,8 +330,8 @@ class TestRoaPayloadInvariants:
 
 
 # ---------------------------------------------------------------------------
-# The validate stage's streamed decoder and compact index, against load_roas
-# and a linear RFC 6811 scan
+# The validate stage's streamed decoder and compact index, against the
+# whole-text reference loader and a linear RFC 6811 scan
 
 
 def reference_roas(text, fmt):
@@ -447,14 +468,22 @@ def stage_states(tmp_path, fmt, text, chunk=cli._CHUNK):
     return states, json.loads((out / "validate_diagnostics.json").read_text())
 
 
+def stored_payloads(index):
+    """The payloads an index holds."""
+    return {RoaPayload(asn, (version, net, plen), max_length, ta)
+            for version, net, plen, triples in index._index
+            for asn, max_length, ta in triples}
+
+
 class TestStreamedRoaPath:
     @settings(max_examples=150, deadline=None)
     @given(roa_export(), st.sampled_from([1, 2, 3, 5, 64, cli._CHUNK]))
-    def test_stage_matches_load_roas_and_a_linear_scan(self, tmp_path_factory, export, chunk):
+    def test_stage_matches_the_reference_and_a_linear_scan(self, tmp_path_factory, export, chunk):
         """Chunks of a few bytes end inside strings, numbers, escapes and UTF-8 characters."""
         fmt, text = export
         diag = Diagnostics()
-        roas = load_roas(text, RoaFormat(fmt), diag)
+        index = RoaIndex.load(io.StringIO(text) if fmt == "csv" else (text,), RoaFormat(fmt), diag)
+        roas = stored_payloads(index)
         assert (roas, diag.as_dict()) == reference_roas(text, RoaFormat(fmt))
         expected = [oracle_validate(pair(prefix, asn), roas) for prefix, asn in QUERY_PAIRS]
         states, stage_diag = stage_states(tmp_path_factory.mktemp("roas"), fmt, text, chunk)
@@ -475,9 +504,7 @@ class TestStreamedRoaPath:
         diag = Diagnostics()
         index = RoaIndex.load(cli._text_chunks(open(export, "rb"), "ROA export"),
                               RoaFormat.JSON, diag)
-        stored = {RoaPayload(asn, (version, net, plen), max_length, ta)
-                  for version, net, plen, triples in index._index
-                  for asn, max_length, ta in triples}
+        stored = stored_payloads(index)
         assert (stored, diag.as_dict()) == reference_roas(text, RoaFormat.JSON)
         assert len(stored) > 3900
 
@@ -514,8 +541,7 @@ class TestStreamedRoaPath:
 
     def test_duplicates_differing_in_ta_are_distinct_payloads(self):
         text = "AS1,10.0.0.0/8,8,ripe\nAS1,10.0.0.0/8,8,arin\nAS1,10.0.0.0/8,8,RIPE\n"
-        index = RoaIndex()
-        for fields in roa_fields(io.StringIO(text)):
-            index.add(*fields)
-        assert len(index) == len(load_roas(text)) == 2
-        assert index.covering(ipaddress.ip_network("10.1.0.0/16")) == load_roas(text)
+        index = RoaIndex.load(io.StringIO(text))
+        assert len(index) == 2
+        expected = {roa(1, "10.0.0.0/8", 8, "ripe"), roa(1, "10.0.0.0/8", 8, "arin")}
+        assert stored_payloads(index) == expected
