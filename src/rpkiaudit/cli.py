@@ -140,8 +140,13 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-_encode_row = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_decode_value = json.JSONDecoder().raw_decode
+# The C encoder JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds per call,
+# built once and with no cycle markers: a row is built afresh from decoded values.
+_iterencode_row = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ":", ",", True, False, True,
+)
+_decode_value = json.JSONDecoder().scan_once  # raw_decode, less the frame around it
 
 
 def _write_rows(path: Path, rows: Iterable[dict]) -> int:
@@ -149,7 +154,7 @@ def _write_rows(path: Path, rows: Iterable[dict]) -> int:
     count = 0
     with _replacing(path) as fh:
         for count, row in enumerate(rows, 1):
-            fh.write(_encode_row(row) + "\n")
+            fh.write("".join(_iterencode_row(row, 0)) + "\n")
     return count
 
 
@@ -164,8 +169,8 @@ def _jsonl_rows(path: Path) -> Iterator[dict]:
             if line[:1] == b"{":
                 try:
                     text = line.decode("utf-8")
-                    row, end = _decode_value(text)
-                except (ValueError, RecursionError):  # not UTF-8, not one JSON value, too deep
+                    row, end = _decode_value(text, 0)
+                except (ValueError, StopIteration, RecursionError):  # not UTF-8 or JSON, too deep
                     pass
                 else:
                     if text[end:] in ("", "\n"):

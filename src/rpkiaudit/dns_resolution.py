@@ -11,11 +11,12 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, NamedTuple, Protocol
 
-from ._prefix_index import PrefixIndex, parse_address, parse_prefix
+from ._prefix_index import WIDTH, parse_address, parse_prefix
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
 from .errors import ChainLoopError, DataError, InsufficientResolversError
@@ -29,8 +30,7 @@ DEFAULT_TIMEOUT = 5.0
 Address = tuple[int, int]  # (version, int), as the prefix codec parses it
 
 
-@dataclass(frozen=True, slots=True)
-class ResolutionResult:
+class ResolutionResult(NamedTuple):  # a tuple, so that building one per answer is cheap
     domain: str
     resolver_id: str
     cname_chain: tuple[str, ...]
@@ -76,6 +76,9 @@ def resolve_records(
 # ---------------------------------------------------------------------------
 # Fixture replay
 
+_decode = json.JSONDecoder().scan_once  # raw_decode, but StopIteration for no value
+_STATUS = {status.value: status for status in ResolutionStatus}
+
 
 def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
     """The answer one fixture line records, or None for a blank or malformed line.
@@ -88,9 +91,9 @@ def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
     if not line:
         return None
     try:
-        obj = json.loads(line)
-        if type(obj) is not dict:
-            raise TypeError("line is not an object")
+        obj, end = _decode(line, 0)  # json.loads: the stripped line has no space to skip
+        if end != len(line) or type(obj) is not dict:
+            raise TypeError("line is not one object")
         domain = obj.get("domain")
         resolver = obj.get("resolver", "fixture")
         status = obj.get("status", "ok")
@@ -101,16 +104,16 @@ def fixture_result(line: str, diag: Diagnostics) -> ResolutionResult | None:
         if not type(chain) is type(a) is type(aaaa) is list:
             raise TypeError("cnames, a and aaaa must be arrays")
         domain = normalize_name(domain)
-        if domain is None:
+        status = _STATUS.get(status.lower())
+        if domain is None or status is None:
             raise ValueError(line)
-        status = ResolutionStatus(status.lower())
         cnames = tuple(normalize_name(c) if type(c) is str else None for c in chain)
         if None in cnames:
             raise ValueError(line)
         addresses = frozenset(map(parse_address, a + aaaa))  # TypeError on a non-string
         if type(ts) is not int:  # a JSON integer; true, 1.9 and "1_0" are not
             raise TypeError(f"ts {ts!r} is not an integer")
-    except (ValueError, TypeError, RecursionError):  # RecursionError: nested too deep
+    except (ValueError, TypeError, StopIteration, RecursionError):  # RecursionError: too deep
         diag.count("malformed_fixture_lines")
         return None
     if status is not ResolutionStatus.OK:
@@ -289,13 +292,21 @@ def parse_endpoint(text: str) -> LiveResolver:
 
 
 class SpecialPurposeTable:
-    """Registry blocks, each a (version, net, plen) prefix, and an index of them."""
+    """Registry blocks, each a (version, net, plen) prefix, and per family the disjoint,
+    ascending address ranges they span: one ``bisect`` finds the range an address is in."""
 
     def __init__(self, blocks: Iterable[tuple[int, int, int]]) -> None:
         self.blocks = tuple(blocks)
-        self._index = PrefixIndex()
-        for block in self.blocks:
-            self._index.add(*block, block)
+        # per family: the first and the last address of each merged range
+        self._spans: dict[int, tuple[list[int], list[int]]] = {4: ([], []), 6: ([], [])}
+        for version, net, plen in sorted(self.blocks):
+            firsts, lasts = self._spans[version]
+            last = net | ((1 << (WIDTH[version] - plen)) - 1)
+            if lasts and net <= lasts[-1] + 1:
+                lasts[-1] = max(lasts[-1], last)
+            else:
+                firsts.append(net)
+                lasts.append(last)
 
     @classmethod
     def from_lines(
@@ -323,18 +334,10 @@ class SpecialPurposeTable:
         return cls.from_lines(text.split("\n"))
 
     def contains(self, addr: Address) -> bool:
-        return self._index.longest(*addr) is not None
-
-
-def filter_special_purpose(
-    addresses: Iterable[Address], table: SpecialPurposeTable
-) -> tuple[frozenset[Address], frozenset[Address]]:
-    """Split addresses into (kept, rejected) by registry-block membership."""
-    kept: set[Address] = set()
-    rejected: set[Address] = set()
-    for addr in addresses:
-        (rejected if table.contains(addr) else kept).add(addr)
-    return frozenset(kept), frozenset(rejected)
+        version, value = addr
+        firsts, lasts = self._spans[version]
+        i = bisect_right(firsts, value)
+        return i > 0 and value <= lasts[i - 1]
 
 
 def apply_filter(
@@ -343,12 +346,12 @@ def apply_filter(
     diag: Diagnostics | None = None,
 ) -> ResolutionResult:
     """Return the result with special-purpose answers removed and counted."""
-    kept, rejected = filter_special_purpose(result.addresses, table)
-    if rejected and diag is not None:
-        diag.count("special_purpose_rejected", len(rejected))
+    rejected = [addr for addr in result.addresses if table.contains(addr)]
     if not rejected:
         return result
-    return replace(result, addresses=kept)
+    if diag is not None:
+        diag.count("special_purpose_rejected", len(rejected))
+    return result._replace(addresses=result.addresses.difference(rejected))
 
 
 # ---------------------------------------------------------------------------

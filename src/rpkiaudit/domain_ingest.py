@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -13,7 +14,9 @@ from .vocabulary import Variant, parse_decimal
 MAX_NAME_LEN = 253
 MAX_LABEL_LEN = 63
 
-_LABEL_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789-_")
+# A label is 1 to MAX_LABEL_LEN of [a-z0-9-_] that neither starts nor ends with "-".
+_LABEL = rf"(?!-)[a-z0-9_-]{{1,{MAX_LABEL_LEN}}}(?<!-)"
+_NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 
 
 class ListFormat(enum.Enum):
@@ -38,15 +41,8 @@ def normalize_name(raw: str) -> str | None:
     name = raw.strip().lower()
     if name.endswith("."):
         name = name[:-1]
-    if not name or len(name) > MAX_NAME_LEN or not name.isascii():
+    if len(name) > MAX_NAME_LEN or not _NAME.fullmatch(name):
         return None
-    for label in name.split("."):
-        if not 1 <= len(label) <= MAX_LABEL_LEN:
-            return None
-        if label[0] == "-" or label[-1] == "-":
-            return None
-        if not set(label) <= _LABEL_CHARS:
-            return None
     return name
 
 

@@ -427,11 +427,7 @@ class PrefixTrie:
     def origin_keys(self, version: int, addr: int) -> list[tuple[int, int, int, int]]:
         """(version, net, plen, origin) of every stored route whose prefix contains
         the address, shortest prefix first; nothing is built for the trie or kept."""
-        return [
-            (version, net, plen, origin)
-            for net, plen, origins in self._index.covering(version, addr, WIDTH[version])
-            for origin in origins
-        ]
+        return self._index.item_keys(version, addr)
 
     def pairs(self) -> set[PrefixOriginPair]:
         return set().union(*(self._memo(*entry[:3]) for entry in self._index))

@@ -41,28 +41,35 @@ def run(cfg: PipelineConfig) -> None:
     origin_keys = trie.origin_keys
 
     def pair_rows(resolved_rows):
+        # a row with the row before's addresses (a www name answered as its base) has its pairs
+        last_addresses: object = object()  # equal to no row's addresses
         for row in resolved_rows:
             if row["resolver"] != primary:
                 continue
-            keys: set[tuple[int, int, int, int]] = set()
-            unreachable = []
-            for addr_text in row["addresses"]:
-                covering = origin_keys(*parse_address(addr_text))
-                if covering:
-                    keys.update(covering)
-                else:
-                    unreachable.append(addr_text)
-                    diag.count("unreachable_addresses")
+            if row["addresses"] != last_addresses:
+                last_addresses = row["addresses"]
+                keys: set[tuple[int, int, int, int]] = set()
+                unreachable = []
+                for addr_text in last_addresses:
+                    covering = origin_keys(*parse_address(addr_text))
+                    if covering:
+                        keys.update(covering)
+                    else:
+                        unreachable.append(addr_text)
+                # (version, net, plen, origin) is PrefixOriginPair.key, so the order holds
+                pairs = [
+                    {"prefix": format_prefix(version, net, plen), "asn": origin}
+                    for version, net, plen, origin in sorted(keys)
+                ]
+                unreachable.sort()
+            if unreachable:
+                diag.count("unreachable_addresses", len(unreachable))
             yield {
                 "rank": row["rank"],
                 "domain": row["domain"],
                 "variant": row["variant"],
-                # (version, net, plen, origin) is PrefixOriginPair.key, so the order holds
-                "pairs": [
-                    {"prefix": format_prefix(version, net, plen), "asn": origin}
-                    for version, net, plen, origin in sorted(keys)
-                ],
-                "unreachable": sorted(unreachable),
+                "pairs": pairs,
+                "unreachable": unreachable,
             }
 
     with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order

@@ -118,6 +118,7 @@ def run(cfg: PipelineConfig) -> None:
     def resolved_rows(collected):
         """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task."""
         for rank, variant, outcomes in collected:
+            variant = variant.value
             results = []
             for err_key, res in outcomes:
                 if err_key:
@@ -128,15 +129,18 @@ def run(cfg: PipelineConfig) -> None:
             if len(ok) >= 2:
                 agree = dns_resolution.cross_check(ok)
                 diag.count("cross_check_agree" if agree else "cross_check_disagree")
+            texts: dict = {}  # each address set's texts, once for the resolvers that agree
             for res in sorted(results, key=operator.attrgetter("resolver_id", "domain")):
+                if res.addresses not in texts:
+                    texts[res.addresses] = [format_address(*a) for a in sorted(res.addresses)]
                 yield {
                     "rank": rank,
                     "domain": res.domain,
-                    "variant": variant.value,
+                    "variant": variant,
                     "resolver": res.resolver_id,
-                    "cnames": list(res.cname_chain),
-                    "addresses": [format_address(*a) for a in sorted(res.addresses)],
-                    "status": res.status.value,
+                    "cnames": res.cname_chain,  # a tuple encodes as an array
+                    "addresses": texts[res.addresses],
+                    "status": res.status,  # a member is its text
                     "ts": res.observed_at,
                 }
 

@@ -41,22 +41,20 @@ def run(cfg: PipelineConfig) -> None:
 
     def validated_rows(pair_rows):
         for row in pair_rows:
-            # map wrote the pairs sorted and distinct, so their order is kept
-            states = {
-                (p["prefix"], p["asn"]): state_of(p["prefix"], p["asn"]) for p in row["pairs"]
-            }
-            found = list(states.values())
-            valid, invalid = map(found.count, (ValidationState.VALID, ValidationState.INVALID))
+            # map wrote the pairs sorted and distinct; a repeat is kept once, in place
+            pairs = dict.fromkeys([(p["prefix"], p["asn"]) for p in row["pairs"]])
+            states = [state_of(prefix, asn) for prefix, asn in pairs]
+            valid, invalid = map(states.count, (ValidationState.VALID, ValidationState.INVALID))
             yield {
                 "rank": row["rank"],
                 "domain": row["domain"],
                 "variant": row["variant"],
-                "pairs": [
-                    {"prefix": prefix, "asn": asn, "state": state.value}
-                    for (prefix, asn), state in states.items()
+                "pairs": [  # a state is its text
+                    {"prefix": prefix, "asn": asn, "state": state}
+                    for (prefix, asn), state in zip(pairs, states)
                 ],
-                "covered": covered_share(valid + invalid, len(found)),
-                "class": coverage_class(valid, invalid, len(found) - valid - invalid).value,
+                "covered": covered_share(valid + invalid, len(states)),
+                "class": coverage_class(valid, invalid, len(states) - valid - invalid).value,
             }
 
     with pairs as pair_rows:

@@ -45,7 +45,7 @@ def coverage_class(valid: int, invalid: int, notfound: int) -> CoverageClass:
     return CoverageClass.PARTIAL
 
 
-class ResolutionStatus(enum.Enum):
+class ResolutionStatus(str, enum.Enum):  # a member equals its text, as artifacts hold it
     OK = "ok"
     NXDOMAIN = "nxdomain"
     SERVFAIL = "servfail"

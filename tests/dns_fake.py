@@ -1,24 +1,69 @@
 """DNS helpers for the tests: a local fake DNS server answering A/AAAA questions
-from a record table, and the whole-file index of a DNS fixture that replay is
-held to."""
+from a record table, the whole-file index of a DNS fixture that replay is held
+to, and the plain fixture line parser that ``fixture_result`` is held to."""
 
 import ipaddress
+import json
 import socket
 import struct
 import threading
 
-from rpkiaudit.dns_resolution import fixture_result
+from rpkiaudit._prefix_index import parse_address
+from rpkiaudit.dns_resolution import ResolutionResult
+from rpkiaudit.domain_ingest import normalize_name
+from rpkiaudit.vocabulary import ResolutionStatus
+
+
+def reference_fixture_result(line, diag):
+    """``fixture_result`` written plainly: ``json.loads`` and the status enum's own lookup."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        obj = json.loads(line)
+        if type(obj) is not dict:
+            raise TypeError("line is not an object")
+        domain = obj.get("domain")
+        resolver = obj.get("resolver", "fixture")
+        status = obj.get("status", "ok")
+        chain, a, aaaa = obj.get("cnames", []), obj.get("a", []), obj.get("aaaa", [])
+        ts = obj.get("ts", 0)
+        if not type(domain) is type(resolver) is type(status) is str:
+            raise TypeError("domain, resolver and status must be strings")
+        if not type(chain) is type(a) is type(aaaa) is list:
+            raise TypeError("cnames, a and aaaa must be arrays")
+        domain = normalize_name(domain)
+        if domain is None:
+            raise ValueError(line)
+        status = ResolutionStatus(status.lower())
+        cnames = tuple(normalize_name(c) if type(c) is str else None for c in chain)
+        if None in cnames:
+            raise ValueError(line)
+        addresses = frozenset(map(parse_address, a + aaaa))
+        if type(ts) is not int:
+            raise TypeError(f"ts {ts!r} is not an integer")
+    except (ValueError, TypeError, RecursionError):
+        diag.count("malformed_fixture_lines")
+        return None
+    if status is not ResolutionStatus.OK:
+        if addresses:
+            diag.count("fixture_status_conflicts")
+        addresses = frozenset()
+    elif not addresses:
+        status = ResolutionStatus.EMPTY
+    return ResolutionResult(domain, resolver, cnames, addresses, status, ts)
 
 
 def whole_file_answers(text, diag):
     """Each fixture name's answers by resolver label, from every line of the text at once.
 
-    The whole-file reference for ``replay_in_turn``: ``fixture_result`` parses and
-    counts each line, and a repeated (name, resolver) keeps the later line's answer.
+    The whole-file reference for ``replay_in_turn``: ``reference_fixture_result``
+    parses and counts each line, and a repeated (name, resolver) keeps the later
+    line's answer.
     """
     answers = {}
     for line in text.split("\n"):
-        result = fixture_result(line, diag)
+        result = reference_fixture_result(line, diag)
         if result is not None:
             answers.setdefault(result.domain, {})[result.resolver_id] = result
     return answers

@@ -1065,11 +1065,13 @@ ROW_DAMAGE = [
     ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
     ("map", "resolved.jsonl", lambda row: dict(row, addresses=[5])),
     ("map", "resolved.jsonl", lambda row: dict(row, addresses=[None])),
+    ("map", "resolved.jsonl", lambda row: dict(row, addresses=None)),
     ("map", "resolved.jsonl", lambda row: dict(row, rank=-3)),
     ("map", "resolved.jsonl", lambda row: dict(row, domain=5)),
     ("validate", "pairs.jsonl", lambda row: without(row, "domain")),
     ("validate", "pairs.jsonl", lambda row: without(row, "rank")),
     ("validate", "pairs.jsonl", lambda row: without(row, "variant")),
+    ("validate", "pairs.jsonl", lambda row: dict(row, pairs=None)),
     ("classify", "pairs.jsonl", lambda row: without(row, "domain")),
     ("classify", "resolved.jsonl", lambda row: without(row, "cnames")),
     ("classify", "resolved.jsonl", lambda row: without(row, "status")),
@@ -1095,9 +1097,9 @@ ROW_DAMAGE = [
 ROW_DAMAGE_IDS = [
     "meta_empty", "meta_not_object", "meta_primary_unlisted",
     "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
-    "bad_address", "int_address", "null_address", "resolved_rank_negative",
+    "bad_address", "int_address", "null_address", "null_addresses", "resolved_rank_negative",
     "resolved_domain_int",
-    "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant",
+    "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant", "pairs_null",
     "pairs_no_domain", "resolved_no_cnames", "resolved_no_status",
     "resolved_no_domain", "resolved_cnames_int", "resolved_domain_int_classify",
     "labels_no_by_chain",

@@ -1,13 +1,15 @@
 import ipaddress
 import json
+import random
 import socket
 import struct
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dns_fake import whole_file_answers
+from dns_fake import reference_fixture_result, whole_file_answers
 from rpkiaudit import _dnswire
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.cli import PipelineConfig, run_stage
@@ -17,9 +19,9 @@ from rpkiaudit.dns_resolution import (
     ResolutionResult,
     ResolutionStatus,
     SpecialPurposeTable,
+    apply_filter,
     check_chain,
     cross_check,
-    filter_special_purpose,
     fixture_result,
     parse_endpoint,
     replay_in_turn,
@@ -207,6 +209,60 @@ class TestFixtureFieldTypes:
         assert labels == {"google"} and list(answers) == ["google"]
 
 
+E2E_FIXTURE = Path(__file__).parent / "fixtures" / "e2e" / "dns.jsonl"
+FIELDS = ("domain", "resolver", "status", "cnames", "a", "aaaa", "ts")
+SPLICES = ("1e999", '"\\ud800"', "true", "[[[[", '"fe80::1%eth0"')
+
+
+def mutated(rng, line):
+    """One seeded mutation of a fixture line: a cut, flipped characters, a spliced token
+    in the text or in place of a field's value, text after or before the object, or the
+    line's status or another one in another letter case."""
+    kind = rng.randrange(7)
+    if kind == 0:
+        return line[: rng.randrange(len(line))]
+    if kind == 1:
+        chars = list(line)
+        for _ in range(rng.randint(1, 3)):
+            chars[rng.randrange(len(chars))] = rng.choice('{}[]",:.0aZ-_ \\\x00\u00e9\u212a')
+        return "".join(chars)
+    if kind == 2:
+        at = rng.randrange(len(line))
+        return line[:at] + rng.choice(SPLICES) + line[at + rng.randint(0, 8):]
+    obj = json.loads(line)
+    if kind == 3:
+        field = rng.choice(FIELDS)
+        if isinstance(obj.get(field), list) and rng.random() < 0.5:
+            obj[field] = obj[field] + ["@splice@"]
+        else:
+            obj[field] = "@splice@"
+        return json.dumps(obj).replace('"@splice@"', rng.choice(SPLICES))
+    if kind == 4:
+        return line + rng.choice([" {}", "x", " 1", ",", "]", "\u00a0", " \t", '"'])
+    if kind == 5:
+        return rng.choice(["\ufeff", "\u00a0", "[", "1 ", " "]) + line
+    status = rng.choice([obj.get("status", "ok"), "nxdomain", "servfail", "timeout", "empty"])
+    obj["status"] = rng.choice([status.upper(), status.title(), status.replace("k", "\u212a"),
+                                status.replace("i", "\u0130")])
+    return json.dumps(obj, ensure_ascii=rng.random() < 0.5)
+
+
+def test_fixture_result_matches_the_plain_parser_under_mutation():
+    rng = random.Random(20)
+    lines = E2E_FIXTURE.read_text("utf-8").splitlines()
+    fast, plain = Diagnostics(), Diagnostics()
+    parsed = 0
+    for _ in range(5000):
+        line = mutated(rng, rng.choice(lines))
+        result = fixture_result(line, fast)
+        assert result == reference_fixture_result(line, plain), line
+        parsed += result is not None
+    assert fast.as_dict() == plain.as_dict()
+    # the mutations reach both outcomes and both counters
+    assert 0 < parsed < 5000
+    assert fast.get("malformed_fixture_lines") and fast.get("fixture_status_conflicts")
+
+
 def replay(lines, names):
     """replay_in_turn's answers at each turn of ``names`` ({} where none), labels and
     diagnostics, read to the end; a name's turns are its places in ``names``."""
@@ -328,15 +384,28 @@ def block_networks(table):
     ]
 
 
+def kept_and_rejected(addrs, table):
+    """(kept, rejected) of an Ok result's addresses through apply_filter, which
+    counts each rejected address and hands back the result itself when none is."""
+    res = ResolutionResult("site.example", "fixture", (), frozenset(addrs), ResolutionStatus.OK, 0)
+    diag = Diagnostics()
+    filtered = apply_filter(res, table, diag)
+    rejected = res.addresses - filtered.addresses
+    assert filtered._replace(addresses=res.addresses) == res
+    assert diag.get("special_purpose_rejected") == len(rejected)
+    assert (filtered is res) == (not rejected)
+    return filtered.addresses, rejected
+
+
 class TestSpecialPurposeFilter:
     def test_loopback_rejected_public_kept(self):
         table = SpecialPurposeTable.default()
-        kept, rejected = filter_special_purpose(addresses("127.0.0.1", "212.201.100.136"), table)
+        kept, rejected = kept_and_rejected(addresses("127.0.0.1", "212.201.100.136"), table)
         assert kept == addresses("212.201.100.136")
         assert rejected == addresses("127.0.0.1")
 
     def test_empty_set(self):
-        assert filter_special_purpose(set(), SpecialPurposeTable.default()) == (
+        assert kept_and_rejected(set(), SpecialPurposeTable.default()) == (
             frozenset(),
             frozenset(),
         )
@@ -344,7 +413,7 @@ class TestSpecialPurposeFilter:
     def test_private_and_linklocal_all_rejected(self):
         table = SpecialPurposeTable.default()
         addrs = addresses("10.0.0.1", "192.168.1.1", "fe80::1")
-        kept, rejected = filter_special_purpose(addrs, table)
+        kept, rejected = kept_and_rejected(addrs, table)
         assert kept == frozenset()
         assert rejected == addrs
 
@@ -354,7 +423,7 @@ class TestSpecialPurposeFilter:
             "8.8.8.8", "203.0.113.9", "100.64.0.1", "224.0.0.5", "2001:db8::1",
             "2606:2800:220:1::1", "169.254.9.9", "93.184.216.34", "::1",
         )
-        kept, rejected = filter_special_purpose(addrs, table)
+        kept, rejected = kept_and_rejected(addrs, table)
         assert kept | rejected == addrs
         assert kept & rejected == frozenset()
         for addr in rejected:
@@ -394,11 +463,35 @@ def networks(network, width):
     )
 
 
+def linear_scan(table, addr):
+    """Whether some block of the table holds the address, one block at a time."""
+    version, value = addr
+    return any(
+        v == version and value >> (width - plen) == net >> (width - plen)
+        for v, net, plen in table.blocks
+        for width in [32 if v == 4 else 128]
+    )
+
+
 class TestSpecialPurposeContains:
     """contains() against ipaddress membership at block edges, v4 and v6."""
 
     def test_packaged_table(self):
         assert_contains_matches_membership(SpecialPurposeTable.default())
+
+    @pytest.mark.parametrize("lines", [
+        None,  # the packaged table
+        ["240.0.0.0/4", "2.0.0.0/7", "::/0"],  # a /0, a /4 and a /7
+        ["0.0.0.0/0", "2000::/4", "fc00::/7"],
+        ["10.0.0.0/8", "10.1.0.0/16", "fc00::/7", "fd00::/8", "2001:db8::/32"],  # nested
+        ["192.0.2.0/25", "192.0.2.128/25", "2001:db8::/33", "2001:db8:8000::/33"],  # adjacent
+        ["192.0.2.1/32", "192.0.2.3/32", "2001:db8::1/128", "2001:db8::3/128"],  # one apart
+    ], ids=["packaged", "v6-zero", "v4-zero", "nested", "adjacent", "one-apart"])
+    def test_edges_match_a_linear_scan(self, lines):
+        table = SpecialPurposeTable.from_lines(lines) if lines else SpecialPurposeTable.default()
+        probes = list(edge_addresses(table)) + [(4, 0), (4, 2**32 - 1), (6, 0), (6, 2**128 - 1)]
+        for addr in probes:
+            assert table.contains(addr) == linear_scan(table, addr), addr
 
     @given(
         st.lists(networks(ipaddress.IPv4Network, 32), max_size=6),

@@ -93,6 +93,50 @@ class TestNormalizeName:
         assert normalize_name(name + "b") is None
 
 
+def label_loop(raw):
+    """normalize_name as a loop over the labels: the reference the pattern is held to."""
+    name = raw.strip().lower()
+    if name.endswith("."):
+        name = name[:-1]
+    if not name or len(name) > 253 or not name.isascii():
+        return None
+    for label in name.split("."):
+        if not 1 <= len(label) <= 63:
+            return None
+        if label[0] == "-" or label[-1] == "-":
+            return None
+        if not set(label) <= set("abcdefghijklmnopqrstuvwxyz0123456789-_"):
+            return None
+    return name
+
+
+NAME_CASES = [
+    "Example.COM", "example.com.", "EXAMPLE.COM.", "example.com..", ".example.com", ".",
+    "\u212a.example", "ma\u212ae.example", "\u0130stanbul.example", "\u0131.example",
+    "a" * 63 + ".example", "a" * 64 + ".example", "x." + "a" * 63, "x." + "a" * 64,
+    ".".join(["a" * 63] * 3 + ["a" * 61]), ".".join(["a" * 63] * 3 + ["a" * 62]),
+    ".".join(["a" * 63] * 3 + ["a" * 61]) + ".", ".".join(["a" * 63] * 3 + ["a" * 62]) + ".",
+    "-a.example", "a-.example", "a.-b", "a.b-", "-", "a-b.example", "a--b.example",
+    "_dmarc.example", "_", "a_.example", "a..b", "a...b", "..",
+    "\u00a0example.com\u2003", "\u3000www.example.com.\u2028", "\texample.com\n", "\x1cexample.com",
+    "exa mple.com", "example.com/", "caf\u00e9.fr", "example.com\u0000", "",
+]
+
+
+class TestNormalizeNameAgainstTheLabelLoop:
+    @pytest.mark.parametrize("raw", NAME_CASES)
+    def test_cases(self, raw):
+        assert normalize_name(raw) == label_loop(raw)
+
+    @given(st.one_of(
+        st.text(),
+        st.text(alphabet="aZ09-_.\u212a\u0130 \t\u00a0", max_size=80),
+        st.lists(st.text(alphabet="ab-_", min_size=0, max_size=66), max_size=6).map(".".join),
+    ))
+    def test_strings(self, raw):
+        assert normalize_name(raw) == label_loop(raw)
+
+
 def tasks(text):
     """The (rank, variant, name) tasks resolve asks for a list."""
     return list(read_domain_list(text.split("\n")).tasks())

@@ -204,7 +204,14 @@ def test_index_matches_linear_scan(version, lengths):
         assert {(n, p): set(items) for n, p, items in found} == expected
         assert [p for _, p, _ in found] == sorted(p for _, p, _ in found)
         assert all(len(items) == len(set(items)) for _, _, items in found)
-        if plen == width:
+        if plen == width:  # map's walk over an address: the same items, flat, in one list
+            keys = index.item_keys(version, net)
+            flat = {}
+            for key_version, n, p, item in keys:
+                assert key_version == version
+                flat.setdefault((n, p), set()).add(item)
+            assert flat == expected
+            assert keys == [(version, n, p, item) for n, p, items in found for item in items]
             longest = index.longest(version, net)
             assert (longest is None) == (not found)
             if found:
@@ -235,6 +242,9 @@ def test_tuple_items_match_linear_scan(version, lengths, items):
     found = index.covering(version, anchor, width)
     assert {(n, p): set(stored) for n, p, stored in found} == expected
     assert [len(stored) for _, _, stored in found] == [len(set(items))] * len(lengths)
+    assert index.item_keys(version, anchor) == [
+        (version, n, p, item) for n, p, stored in found for item in stored
+    ]
     net, plen, _ = found[-1]
     assert index.longest(version, anchor) == (plen, net >> (width - plen))
     assert {(n, p): set(stored) for _, n, p, stored in index} == expected
