@@ -13,7 +13,6 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
-from .domain_ingest import RankBin, make_bins
 from .vocabulary import CoverageClass, ValidationState, coverage_class
 
 
@@ -98,7 +97,8 @@ def prefix_overlap(
 
 @dataclass(frozen=True)
 class BinStat:
-    bin: RankBin
+    lo: int  # the bin's first and last rank
+    hi: int
     mean_covered: Optional[Fraction]
     mean_valid: Optional[Fraction]
     mean_invalid: Optional[Fraction]
@@ -174,19 +174,23 @@ class BinnedSums:
     def stats(self, max_rank: int) -> list[BinStat]:
         """Arithmetic bin means of the per-domain fractions, one line per bin of [1, max_rank].
 
-        NoData domains are excluded from the means but counted in the bin; the
-        cdn fraction is the share of the bin's domains added as CDN.
+        The bins are consecutive runs of ``bin_size`` ranks from 1, the last cut
+        short at ``max_rank``.  NoData domains are excluded from the means but
+        counted in the bin; the cdn fraction is the share of the bin's domains
+        added as CDN.
         """
-        bins = make_bins(max_rank, self.bin_size)
-        if any(not 0 <= index < len(bins) for index in self._bins):
+        size = self.bin_size
+        count = (max_rank + size - 1) // size  # no bins for a max_rank below 1
+        if any(not 0 <= index < count for index in self._bins):
             raise ValueError(f"a rank outside [1, {max_rank}] was added")
         stats = []
-        for rank_bin in bins:
-            sums = self._bins.get(rank_bin.index, _Sums())
+        for index in range(count):
+            sums = self._bins.get(index, _Sums())
             covered = sums.mean_share(_VALID, _INVALID)
             stats.append(
                 BinStat(
-                    rank_bin,
+                    index * size + 1,
+                    min((index + 1) * size, max_rank),
                     covered,
                     sums.mean_share(_VALID),
                     sums.mean_share(_INVALID),

@@ -1,10 +1,9 @@
-"""Ranked domain list loading, www/base variant expansion and rank binning."""
+"""Ranked domain list loading and www/base variant expansion."""
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostics
@@ -22,13 +21,6 @@ _NAME = re.compile(rf"(?:{_LABEL}\.)*{_LABEL}")
 class ListFormat(enum.Enum):
     CSV_RANK_DOMAIN = "csv_rank_domain"
     PLAIN_ORDERED = "plain_ordered"
-
-
-@dataclass(frozen=True, slots=True)
-class RankBin:
-    index: int
-    lo: int
-    hi: int
 
 
 def normalize_name(raw: str) -> str | None:
@@ -168,18 +160,3 @@ class NameIndex:
             www_name = www_variant(name)
             if www_name is not None:
                 yield rank, Variant.WWW, www_name
-
-
-def make_bins(max_rank: int, bin_size: int) -> list[RankBin]:
-    """Partition [1, max_rank] into consecutive bins of bin_size ranks."""
-    if bin_size < 1:
-        raise ValueError("bin_size must be >= 1")
-    bins = []
-    index = 0
-    lo = 1
-    while lo <= max_rank:
-        hi = min(lo + bin_size - 1, max_rank)
-        bins.append(RankBin(index, lo, hi))
-        index += 1
-        lo = hi + 1
-    return bins

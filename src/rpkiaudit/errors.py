@@ -17,10 +17,6 @@ class ChainLoopError(AuditError):
     """A CNAME chain repeats a name or exceeds the hop cap."""
 
 
-class InsufficientResolversError(AuditError):
-    """Cross-checking needs at least two successful resolutions."""
-
-
 class BadMagicError(AuditError):
     """The input stream is not an MRT file at all."""
 

@@ -123,7 +123,7 @@ def mrt_routes(
     diag = diag if diag is not None else Diagnostics()
     if stream.peek(2)[:2] == _GZIP_MAGIC:
         # buffered, so the many small record reads stay out of GzipFile.read
-        stream = io.BufferedReader(gzip.GzipFile(fileobj=stream), 1 << 16)  # type: ignore
+        stream = io.BufferedReader(gzip.GzipFile(fileobj=stream))  # type: ignore
     header = stream.peek(12)[:12]
     if not header:
         raise BadMagicError("empty stream is not an MRT file")
@@ -329,21 +329,13 @@ def read_routes(stream: IO[bytes], diag: Diagnostics | None = None) -> Iterator[
         return text_routes(io.BytesIO(_GZIP_MAGIC) if gzipped else stream, diag)
 
 
-def _entries(routes: Iterable[Route]) -> list[RibEntry]:
+def parse_mrt(data: bytes, diag: Diagnostics | None = None) -> list[RibEntry]:
+    """RibEntry list of mrt_routes, with AS paths; same checks and counters."""
+    routes = mrt_routes(io.BufferedReader(io.BytesIO(data)), diag, with_paths=True)
     return [
         RibEntry(network(version, net, plen), path, origin)  # type: ignore[arg-type]
         for version, net, plen, origin, path in routes
     ]
-
-
-def parse_mrt(data: bytes, diag: Diagnostics | None = None) -> list[RibEntry]:
-    """RibEntry list of mrt_routes, with AS paths; same checks and counters."""
-    return _entries(mrt_routes(io.BufferedReader(io.BytesIO(data)), diag, with_paths=True))
-
-
-def parse_text_rib(text: str, diag: Diagnostics | None = None) -> list[RibEntry]:
-    """RibEntry list of text_routes; same checks and counters."""
-    return _entries(text_routes(io.BytesIO(text.encode("utf-8")), diag))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def _bin_csv(stats: list[BinStat]) -> str:
     lines = ["bin_lo,bin_hi,n,mean_covered,mean_valid,mean_invalid,mean_notfound,cdn_fraction"]
     for s in stats:
         means = (s.mean_covered, s.mean_valid, s.mean_invalid, s.mean_notfound, s.cdn_fraction)
-        counts = (s.bin.lo, s.bin.hi, s.domain_count)
+        counts = (s.lo, s.hi, s.domain_count)
         lines.append(",".join([*map(str, counts), *map(format_fraction, means)]))
     return "\n".join(lines) + "\n"
 
@@ -30,6 +30,14 @@ def _rates_obj(rates: OverallRates) -> dict:
         "domain_weighted_covered": fraction_to_float(rates.domain_weighted_covered),
         "pair_weighted_covered": fraction_to_float(rates.pair_weighted_covered),
     }
+
+
+def _by_chain(label: dict) -> bool:
+    """A cdn_labels.jsonl row's chain label, which must be a JSON bool."""
+    value = label["by_chain"]
+    if type(value) is not bool:
+        raise TypeError(f"by_chain {value!r} is not a bool")
+    return value
 
 
 def run(cfg: PipelineConfig) -> None:
@@ -48,7 +56,7 @@ def run(cfg: PipelineConfig) -> None:
         """overlap.csv, one line per rank with a base row, as the ranks stream past."""
         nonlocal max_rank, overlap_sum, overlap_count
         yield "rank,domain,overlap\n"
-        joined = _joined(validated_rows, labels, lambda r: bool(r["by_chain"]), False)
+        joined = _joined(validated_rows, labels, _by_chain, False)
         for rank, rows in itertools.groupby(joined, key=lambda item: item[0]["rank"]):
             max_rank = rank
             prefixes: dict[Variant, set[str]] = {}

@@ -9,7 +9,12 @@ from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_reso
 from ..cli import _text_lines, _write_diag, _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
-from ..vocabulary import ResolutionStatus, fraction_to_float
+from ..vocabulary import ResolutionStatus, fraction_to_float, plain_asn
+
+
+def _origin_asns(row: dict) -> list[int]:
+    """The origin ASNs of a pairs.jsonl row, each of which must be a plain ASN."""
+    return [plain_asn(pair["asn"]) for pair in row["pairs"]]
 
 
 def run(cfg: PipelineConfig) -> None:
@@ -38,11 +43,20 @@ def run(cfg: PipelineConfig) -> None:
 
     agreement = cdn_classifier.Agreement(external) if external else None
 
+    def primary_ok(resolved_rows):
+        """The primary resolver's OK rows; each primary row's cnames and status are checked."""
+        for row in resolved_rows:
+            if row["resolver"] != primary:
+                continue
+            cnames = row["cnames"]
+            if type(cnames) is not list or not all(type(c) is str for c in cnames):
+                raise TypeError(f"cnames {cnames!r} is not a list of text")
+            if ResolutionStatus(row["status"]) is ResolutionStatus.OK:
+                yield row
+
     def label_rows(resolved_rows):
         """The primary resolver's OK rows, each with the origin ASNs of its pairs.jsonl row."""
-        ok = ResolutionStatus.OK.value
-        labelled = (r for r in resolved_rows if r["resolver"] == primary and r["status"] == ok)
-        joined = _joined(labelled, pairs, lambda r: [p["asn"] for p in r["pairs"]], ())
+        joined = _joined(primary_ok(resolved_rows), pairs, _origin_asns, ())
         for row, asns in joined:
             chain_length = len(row["cnames"])
             label = cdn_classifier.CdnLabel(

@@ -88,41 +88,37 @@ def run(cfg: PipelineConfig) -> None:
             raise UsageError(f"primary resolver {primary!r} not among {labels}")
         meta.update(primary_resolver=primary, resolvers=labels)
 
-    def replayed(groups, labels):
-        """Each answered task's outcomes from its name's fixture answers, by label.
+    def replayed(lines):
+        """Each task's fixture answers, replayed in turn from ``lines``.
 
-        ``labels`` is read once ``groups`` runs out, which for a streamed
-        fixture is at its end; the fixture checks run then, inside the row
-        generator, so a failure leaves no resolved.jsonl.
+        The labels are known once the lines run out; the fixture checks run
+        then, inside the row generator, so a failure leaves no resolved.jsonl.
         """
+        labels: set[str] = set()
         found = 0
-        for turn, name, answers in groups:
+        for turn, _, answers in dns_resolution.replay_in_turn(lines, names.turns, diag, labels):
             found += len(answers)
-            outcomes = []
-            for res in answers.values():
-                try:
-                    dns_resolution.check_chain(name, res.cname_chain)
-                except ChainLoopError:
-                    outcomes.append(("chain_loops", None))
-                    continue
-                outcomes.append((None, res))
-            yield (*names.task(turn), outcomes)
-        labels = sorted(labels)
+            yield (*names.task(turn), answers.values())
         if not labels:
             raise DataError(f"DNS fixture {cfg.dns_fixture} has no usable entries")
-        choose_primary(labels)
+        choose_primary(sorted(labels))
         misses = names.task_count() * len(labels) - found
         if misses:
             diag.count("fixture_misses", misses)
 
     def resolved_rows(collected):
-        """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task."""
-        for rank, variant, outcomes in collected:
+        """Each task's rows, in resolved.jsonl's order: by (resolver, domain) within a task.
+
+        An answer whose CNAME chain loops or runs too long is dropped and counted.
+        """
+        for rank, variant, answers in collected:
             variant = variant.value
             results = []
-            for err_key, res in outcomes:
-                if err_key:
-                    diag.count(err_key)
+            for res in answers:
+                try:
+                    dns_resolution.check_chain(res.domain, res.cname_chain)
+                except ChainLoopError:
+                    diag.count("chain_loops")
                     continue
                 results.append(dns_resolution.apply_filter(res, table, diag))
             ok = [r for r in results if r.status is ResolutionStatus.OK]
@@ -152,14 +148,10 @@ def run(cfg: PipelineConfig) -> None:
         return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
 
     if cfg.dns_fixture:
-        fixture_file = _open_input(cfg.dns_fixture, "DNS fixture")
         list_counts = diag.counters.copy()
-        labels: set[str] = set()
         try:
-            with fixture_file:
-                lines = _text_lines(fixture_file, "DNS fixture")
-                groups = dns_resolution.replay_in_turn(lines, names.turns, diag, labels)
-                count = write(replayed(groups, labels))
+            with _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file:
+                count = write(replayed(_text_lines(fixture_file, "DNS fixture")))
         except dns_resolution.FixtureOrderError as exc:
             import tempfile  # only a fixture out of turn order is sorted
 
@@ -168,16 +160,13 @@ def run(cfg: PipelineConfig) -> None:
                 cfg.dns_fixture, exc,
             )
             diag.counters = list_counts  # the domain list's counts, and no fixture's
-            labels = set()
             Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
             with (
                 _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file,
                 tempfile.TemporaryDirectory(prefix=".resolve-", dir=cfg.output_dir) as runs,
             ):
                 lines = _text_lines(fixture_file, "DNS fixture")
-                in_turn = dns_resolution.lines_in_turn(lines, names.turns, runs)
-                groups = dns_resolution.replay_in_turn(in_turn, names.turns, diag, labels)
-                count = write(replayed(groups, labels))
+                count = write(replayed(dns_resolution.lines_in_turn(lines, names.turns, runs)))
     elif cfg.resolvers:
         try:
             resolvers = [dns_resolution.parse_endpoint(e) for e in cfg.resolvers]
@@ -191,16 +180,11 @@ def run(cfg: PipelineConfig) -> None:
 
         def resolve_task(task):
             rank, variant, name = task
-            out = []
+            answers = []
             for resolver in resolvers:
                 limiter.wait()
-                try:
-                    res = dns_resolution.resolve_records(name, resolver, cfg.timeout)
-                except ChainLoopError:
-                    out.append(("chain_loops", None))
-                    continue
-                out.append((None, res))
-            return rank, variant, out
+                answers.append(resolver.resolve(name, cfg.timeout))
+            return rank, variant, answers
 
         import concurrent.futures  # live queries wait on the network, so they overlap
 

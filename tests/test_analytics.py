@@ -15,7 +15,6 @@ from rpkiaudit.analytics import (
     domain_coverage,
     prefix_overlap,
 )
-from rpkiaudit.domain_ingest import make_bins
 from rpkiaudit.rib_store import PrefixOriginPair
 from rpkiaudit.roa_validation import ValidationState
 from rpkiaudit.vocabulary import coverage_class, covered_share, format_fraction, fraction_to_float
@@ -62,6 +61,44 @@ def cdn_and_all(coverages, labels, max_rank, bin_size):
 def overall(coverages):
     """The overall rates of the coverages, at ranks 1, 2, ... in one sum."""
     return summed(enumerate(coverages, 1), {}).rates()
+
+
+def bounds(max_rank, bin_size):
+    """The (lo, hi) of each bin of [1, max_rank]."""
+    return [(s.lo, s.hi) for s in BinnedSums(bin_size).stats(max_rank)]
+
+
+class TestBinBounds:
+    def test_million_domains_hundred_bins(self):
+        bins = bounds(1_000_000, 10_000)
+        assert len(bins) == 100
+        assert bins[0] == (1, 10_000)
+        assert bins[-1] == (990_001, 1_000_000)
+
+    def test_five_records_one_short_bin(self):
+        assert bounds(5, 10) == [(1, 5)]
+
+    def test_25_records_bin_size_10(self):
+        assert bounds(25, 10) == [(1, 10), (11, 20), (21, 25)]
+
+    def test_empty_records_no_bins(self):
+        assert bounds(0, 10) == []
+
+    @given(st.integers(1, 2000), st.integers(1, 400), st.data())
+    def test_partition_property(self, max_rank, bin_size, data):
+        bins = bounds(max_rank, bin_size)
+        assert bins[0][0] == 1 and bins[-1][1] == max_rank
+        assert all(a[1] + 1 == b[0] for a, b in zip(bins, bins[1:]))
+        rank = data.draw(st.integers(1, max_rank))
+        # the one bin whose bounds hold the rank is the bin add counts it in
+        stats = bin_stats([(rank, cov("x.example", valid=1))], {}, max_rank, bin_size)
+        assert [s.lo <= rank <= s.hi for s in stats] == [s.domain_count == 1 for s in stats]
+
+    def test_rank_outside_partition_raises(self):
+        sums = BinnedSums(10)
+        sums.add(21, DomainCoverage("x.example", 1, 0, 0), False)
+        with pytest.raises(ValueError):
+            sums.stats(20)
 
 
 class TestDomainCoverage:
@@ -213,20 +250,20 @@ class TestBinAggregate:
         coverages = [
             (rank, cov(f"d{rank}.example", v, i, n)) for rank, v, i, n in design
         ]
-        bins = make_bins(30, 10)
         stats = bin_stats(coverages, {}, 30, 10)
+        assert [(s.lo, s.hi) for s in stats] == [(1, 10), (11, 20), (21, 30)]
 
-        for b in bins:
-            rows = [(v, i, n) for rank, v, i, n in design if b.lo <= rank <= b.hi]
+        for stat in stats:
+            rows = [(v, i, n) for rank, v, i, n in design if stat.lo <= rank <= stat.hi]
             exp_covered = sum(
                 (Fraction(v + i, v + i + n) for v, i, n in rows), Fraction(0)
             ) / len(rows)
             exp_valid = sum(
                 (Fraction(v, v + i + n) for v, i, n in rows), Fraction(0)
             ) / len(rows)
-            assert stats[b.index].mean_covered == exp_covered
-            assert stats[b.index].mean_valid == exp_valid
-            assert stats[b.index].domain_count == len(rows)
+            assert stat.mean_covered == exp_covered
+            assert stat.mean_valid == exp_valid
+            assert stat.domain_count == len(rows)
 
     @given(
         st.lists(
@@ -242,15 +279,16 @@ class TestBinAggregate:
             for rank, (v, i, n, _) in enumerate(design, 1)
         ]
         labels = {f"d{rank}.example": cdn for rank, (*_, cdn) in enumerate(design, 1)}
-        bins = make_bins(len(design), bin_size)
+        max_rank = len(design)
+        bins = [(lo, min(lo + bin_size - 1, max_rank)) for lo in range(1, max_rank + 1, bin_size)]
 
         expected = []
-        for b in bins:
-            rows = [c for rank, c in coverages if b.lo <= rank <= b.hi]
+        for lo, hi in bins:
+            rows = [c for rank, c in coverages if lo <= rank <= hi]
             data = [c for c in rows if c.total_pairs]
             cdn = Fraction(sum(labels[c.domain] for c in rows), len(rows))
             if not data:
-                expected.append(BinStat(b, None, None, None, None, cdn, len(rows), 0))
+                expected.append(BinStat(lo, hi, None, None, None, None, cdn, len(rows), 0))
                 continue
 
             def mean(share):
@@ -258,7 +296,8 @@ class TestBinAggregate:
 
             expected.append(
                 BinStat(
-                    b,
+                    lo,
+                    hi,
                     mean(lambda c: Fraction(c.valid + c.invalid, c.total_pairs)),
                     mean(lambda c: Fraction(c.valid, c.total_pairs)),
                     mean(lambda c: Fraction(c.invalid, c.total_pairs)),
@@ -269,7 +308,7 @@ class TestBinAggregate:
                 )
             )
         sums = summed(coverages, labels, bin_size)
-        assert sums.stats(len(design)) == expected
+        assert sums.stats(max_rank) == expected
 
         data = [c for _, c in coverages if c.total_pairs]
         total_pairs = sum(c.total_pairs for c in data)
@@ -299,7 +338,7 @@ class TestBinAggregate:
         for stat in stats:
             members = [
                 c for r, c in coverages
-                if stat.bin.lo <= r <= stat.bin.hi
+                if stat.lo <= r <= stat.hi
                 and c.classification is not CoverageClass.NO_DATA
             ]
             total = sum((c.covered_fraction for c in members), Fraction(0))

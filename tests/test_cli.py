@@ -1093,6 +1093,14 @@ ROW_DAMAGE = [
     ("report", "validated.jsonl", lambda row: dict(row, domain=5)),
     ("report", "validated.jsonl", lambda row: dict(row, domain=5, variant="www")),
     *(("validate", "pairs.jsonl", one_pair(pair)) for pair, _ in PAIR_FAULTS),
+    # fields classify and analyze read but no other stage checks
+    *(("classify", "resolved.jsonl", lambda row, cnames=cnames: dict(row, cnames=cnames))
+      for cnames in ("ab", [1, 2], [None, None], {"a": 1, "b": 2})),
+    *(("classify", "resolved.jsonl", lambda row, status=status: dict(row, status=status))
+      for status in (5, "OK", None)),
+    *(("classify", "pairs.jsonl", one_pair({"prefix": "93.184.216.0/24", "asn": asn}))
+      for asn in ("15133", True, 1.5, None)),
+    ("analyze", "cdn_labels.jsonl", lambda row: dict(row, by_chain="false")),
 ]
 ROW_DAMAGE_IDS = [
     "meta_empty", "meta_not_object", "meta_primary_unlisted",
@@ -1108,6 +1116,10 @@ ROW_DAMAGE_IDS = [
     "validated_rank_bool", "report_no_rank", "report_no_domain", "report_pairs_int",
     "report_bad_variant", "report_domain_int", "report_www_domain_int",
     *(f"pairs_{name}" for name in PAIR_FAULT_IDS),
+    "resolved_cnames_text", "resolved_cnames_ints", "resolved_cnames_nulls",
+    "resolved_cnames_object", "resolved_status_int", "resolved_status_upper",
+    "resolved_status_null", "classify_pairs_asn_text", "classify_pairs_asn_true",
+    "classify_pairs_asn_float", "classify_pairs_asn_null", "labels_by_chain_text",
 ]
 
 # stage -> (the artifacts it reads, the input flags it needs)
@@ -1972,3 +1984,58 @@ class TestBoundedLiveResolution:
                 assert pulled <= len(out) + 1 + 6
                 out.append(value)
         assert out == [i * i for i in range(50)]
+
+
+class FixtureResolver:
+    """A live resolver that answers with its label's lines of a DNS fixture."""
+
+    def __init__(self, resolver_id, lines):
+        self.resolver_id = resolver_id
+        results = (dns_resolution.fixture_result(line, Diagnostics()) for line in lines)
+        self.answers = {r.domain: r for r in results if r.resolver_id == resolver_id}
+
+    def resolve(self, domain, timeout=5.0):
+        return self.answers[domain]
+
+
+class TestLiveAnswerPath:
+    def test_live_answers_give_the_fixture_artifacts(self, tmp_path, monkeypatch):
+        domains = tmp_path / "domains.csv"
+        domains.write_text("1,loop.test\n2,split.test\n3,private.test\n4,plain.test\n")
+        special = {  # (name, resolver) -> the fields that differ from a plain answer
+            ("loop.test", "r1"): {"cnames": ["edge.loop.test", "loop.test"]},
+            ("split.test", "r2"): {"a": ["93.184.216.35"]},
+            ("www.private.test", "r1"): {"a": ["10.0.0.1", "93.184.216.34"]},
+        }
+        lines = [
+            json.dumps({"domain": name, "resolver": label, "cnames": [], "a": ["93.184.216.34"],
+                        "aaaa": [], "status": "ok", "ts": 1_400_000_000,
+                        **special.get((name, label), {})}) + "\n"
+            for base in ("loop.test", "split.test", "private.test", "plain.test")
+            for name in (base, "www." + base)
+            for label in ("r1", "r2")
+        ]
+        fixture = tmp_path / "dns.jsonl"
+        fixture.write_text("".join(lines))
+        resolvers = {label: FixtureResolver(label, lines) for label in ("r1", "r2")}
+        monkeypatch.setattr(
+            dns_resolution, "parse_endpoint", lambda entry: resolvers[entry.partition("=")[0]]
+        )
+        outputs = {}
+        for mode, inputs in {
+            "live": dict(resolvers=["r1=127.0.0.1", "r2=127.0.0.1"], max_inflight=2),
+            "fixture": dict(dns_fixture=str(fixture)),
+        }.items():
+            out = tmp_path / mode
+            cfg = PipelineConfig(
+                domain_list=str(domains), primary_resolver="r2", output_dir=str(out), **inputs
+            )
+            assert run_stage("resolve", cfg) == 0
+            names = ("resolved.jsonl", "resolve_diagnostics.json", "resolve_meta.json")
+            outputs[mode] = [read(out / name) for name in names]
+        assert outputs["live"] == outputs["fixture"]
+        diag = json.loads(outputs["live"][1])
+        assert (diag["chain_loops"], diag["special_purpose_rejected"]) == (1, 1)
+        assert (diag["cross_check_agree"], diag["cross_check_disagree"]) == (6, 1)
+        rows = [json.loads(line) for line in outputs["live"][0].splitlines()]
+        assert ("loop.test", "r1") not in {(r["domain"], r["resolver"]) for r in rows}

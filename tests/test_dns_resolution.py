@@ -25,9 +25,8 @@ from rpkiaudit.dns_resolution import (
     fixture_result,
     parse_endpoint,
     replay_in_turn,
-    resolve_records,
 )
-from rpkiaudit.errors import ChainLoopError, InsufficientResolversError
+from rpkiaudit.errors import ChainLoopError
 
 
 def fixture_line(domain, cnames=(), a=(), aaaa=(), status="ok", resolver="fixture", ts=0):
@@ -526,24 +525,6 @@ class TestCrossCheck:
         )
         assert agree is False
 
-    def test_one_ok_one_timeout_insufficient(self):
-        with pytest.raises(InsufficientResolversError):
-            cross_check(
-                [
-                    result("x.example", "google", ["1.2.3.4"]),
-                    result("x.example", "opendns", [], ResolutionStatus.TIMEOUT),
-                ]
-            )
-
-    def test_mixed_domains_rejected(self):
-        with pytest.raises(ValueError):
-            cross_check(
-                [
-                    result("x.example", "google", ["1.2.3.4"]),
-                    result("y.example", "opendns", ["1.2.3.4"]),
-                ]
-            )
-
 
 class TestParseEndpoint:
     def test_v4_with_port(self):
@@ -598,7 +579,7 @@ class TestLiveResolver:
             {"example.test": {"a": ["203.0.113.10"], "aaaa": ["2001:db8::10"]}}
         )
         resolver = LiveResolver("fake", "127.0.0.1", server.port)
-        res = resolve_records("example.test", resolver, timeout=2.0)
+        res = resolver.resolve("example.test", timeout=2.0)
         assert res.status is ResolutionStatus.OK
         assert res.addresses == addresses("203.0.113.10", "2001:db8::10")
         assert res.cname_chain == ()
@@ -612,20 +593,20 @@ class TestLiveResolver:
             }
         )
         resolver = LiveResolver("fake", "127.0.0.1", server.port)
-        res = resolve_records("www.site.test", resolver, timeout=2.0)
+        res = resolver.resolve("www.site.test", timeout=2.0)
         assert res.cname_chain == ("edge.cdn.test", "pop7.cdn.test")
         assert res.addresses == addresses("203.0.113.77")
 
     def test_nxdomain_status(self, fake_dns):
         server = fake_dns({}, rcode=_dnswire.RCODE_NXDOMAIN)
         resolver = LiveResolver("fake", "127.0.0.1", server.port)
-        res = resolve_records("missing.test", resolver, timeout=2.0)
+        res = resolver.resolve("missing.test", timeout=2.0)
         assert res.status is ResolutionStatus.NXDOMAIN
 
     def test_servfail_status(self, fake_dns):
         server = fake_dns({}, rcode=_dnswire.RCODE_SERVFAIL)
         resolver = LiveResolver("fake", "127.0.0.1", server.port)
-        res = resolve_records("broken.test", resolver, timeout=2.0)
+        res = resolver.resolve("broken.test", timeout=2.0)
         assert (res.status, res.addresses) == (ResolutionStatus.SERVFAIL, frozenset())
 
     def test_timeout_status(self):

@@ -2,13 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rpkiaudit.analytics import BinnedSums, DomainCoverage
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.domain_ingest import (
     ListFormat,
     NameIndex,
     Variant,
-    make_bins,
     normalize_name,
     read_domain_list,
     www_variant,
@@ -230,39 +228,3 @@ class TestNameIndex:
             turns[name] = turns.get(name, ()) + (turn,)
         for name in ["q.test", "www.q.test", *names, *("www." + n for n in names)]:
             assert index.turns(name) == tuple(sorted(turns.get(name, ())))
-
-
-class TestAssignBins:
-    def test_million_domains_hundred_bins(self):
-        bins = make_bins(1_000_000, 10_000)
-        assert len(bins) == 100
-        assert bins[0].lo == 1 and bins[0].hi == 10_000
-        assert bins[-1].lo == 990_001 and bins[-1].hi == 1_000_000
-
-    def test_five_records_one_short_bin(self):
-        bins = make_bins(5, 10)
-        assert len(bins) == 1
-        assert (bins[0].lo, bins[0].hi) == (1, 5)
-
-    def test_25_records_bin_size_10(self):
-        bins = make_bins(25, 10)
-        assert [(b.lo, b.hi) for b in bins] == [(1, 10), (11, 20), (21, 25)]
-
-    def test_empty_records_no_bins(self):
-        assert make_bins(0, 10) == []
-
-    @given(st.integers(1, 2000), st.integers(1, 400), st.data())
-    def test_partition_property(self, max_rank, bin_size, data):
-        bins = make_bins(max_rank, bin_size)
-        assert bins[0].lo == 1 and bins[-1].hi == max_rank
-        assert all(a.hi + 1 == b.lo for a, b in zip(bins, bins[1:]))
-        rank = data.draw(st.integers(1, max_rank))
-        containing = [b for b in bins if b.lo <= rank <= b.hi]
-        assert len(containing) == 1
-        assert bins[(rank - 1) // bin_size] == containing[0]  # the bin BinnedSums adds to
-
-    def test_rank_outside_partition_raises(self):
-        sums = BinnedSums(10)
-        sums.add(21, DomainCoverage("x.example", 1, 0, 0), False)
-        with pytest.raises(ValueError):
-            sums.stats(20)

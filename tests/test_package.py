@@ -54,8 +54,10 @@ NOT_LOADED = {
     "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
     "validate": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire", "rib_store")
     | {"gzip", "fractions", "decimal"},
-    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
-    "report": package("cdn_classifier", "dns_resolution", "_dnswire") | NO_VALIDATION,
+    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
+    | NO_VALIDATION,
+    "report": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
+    | NO_VALIDATION,
     "resolve": package("_dnswire", "_merge_sort") | {"concurrent.futures"},
     "classify": package("_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics")
     | {"concurrent.futures"},
@@ -116,12 +118,6 @@ def test_only_the_codec_builds_ipaddress_objects():
     assert uses_outside_the_codec(names) == []
 
 
-# Public names that nothing in the package names and no acceptance check imports,
-# kept on purpose: parse_text_rib, the text twin of parse_mrt, is the whole-dump
-# entry-list API of the RIB reader, which the roadmap keeps.
-UNCALLED_BUT_KEPT = {"parse_text_rib"}
-
-
 def names_in(node):
     """Each name a node's code mentions: variables, attributes, imported names, and
     the names in annotations written as strings."""
@@ -140,7 +136,7 @@ def names_in(node):
 def test_every_public_name_is_used_or_checked():
     # a top-level function or class that only tests call is a second entry point
     # the stages do not run; it must be named in src outside its own definition,
-    # or be imported by the acceptance checks, or be kept on purpose above
+    # or be imported by the acceptance checks
     package = Path(rpkiaudit.__file__).parent
     trees = [ast.parse(path.read_text("utf-8")) for path in sorted(package.rglob("*.py"))]
     mentions = collections.Counter(name for tree in trees for name in names_in(tree))
@@ -156,4 +152,4 @@ def test_every_public_name_is_used_or_checked():
         and mentions[node.name] == collections.Counter(names_in(node))[node.name]
         and node.name not in checked
     )
-    assert unused == sorted(UNCALLED_BUT_KEPT)
+    assert unused == []

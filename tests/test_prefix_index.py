@@ -21,9 +21,9 @@ from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.rib_store import (
     PrefixOriginPair,
     PrefixTrie,
+    RibEntry,
     build_trie,
     covering_pairs,
-    parse_text_rib,
     text_routes,
 )
 
@@ -300,7 +300,8 @@ def test_streamed_trie_matches_scan_and_build_trie(version, lengths):
     streamed = PrefixTrie()
     diag = Diagnostics()
     streamed.add_routes(text_routes(io.BytesIO(text.encode()), diag), diag)
-    built = build_trie(parse_text_rib(text))
+    routes = text_routes(io.BytesIO(text.encode()))
+    built = build_trie(RibEntry(network((n, p)), path, a) for _, n, p, a, path in routes)
     assert diag.get("as_set_entries") == streamed.as_set_count == built.as_set_count == 1
     assert len(streamed) == len(built) == len({(n, p, a) for n, p, a in rows})
     probes = [rng.getrandbits(width) for _ in range(200)]

@@ -1,10 +1,12 @@
 import gzip
+import io
 import ipaddress
 import random
 
 import pytest
 
 import mrt_builder as mb
+from rpkiaudit._prefix_index import network
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.errors import BadMagicError, EmptyPathError
 from rpkiaudit.rib_store import (
@@ -15,8 +17,14 @@ from rpkiaudit.rib_store import (
     origin_from_path,
     parse_asn,
     parse_mrt,
-    parse_text_rib,
+    text_routes,
 )
+
+
+def text_rib(text, diag=None):
+    """The RibEntry of each route ``text_routes`` reads from a text dump."""
+    routes = text_routes(io.BytesIO(text.encode("utf-8")), diag)
+    return [RibEntry(network(v, net, plen), path, origin) for v, net, plen, origin, path in routes]
 
 
 def scan_covering(entries, ip):
@@ -49,23 +57,23 @@ class TestOriginFromPath:
 
 class TestParseTextRib:
     def test_sequence_origin(self):
-        entries = parse_text_rib("10.0.0.0/8|64496 64497")
+        entries = text_rib("10.0.0.0/8|64496 64497")
         assert entries == [
             RibEntry(ipaddress.ip_network("10.0.0.0/8"), (64496, 64497), 64497)
         ]
 
     def test_terminal_set(self):
-        entries = parse_text_rib("10.0.0.0/8|64496 {64497,64498}")
+        entries = text_rib("10.0.0.0/8|64496 {64497,64498}")
         assert entries[0].origin is None
         assert entries[0].as_path == (64496, frozenset({64497, 64498}))
 
     def test_host_bits_malformed(self):
         diag = Diagnostics()
-        assert parse_text_rib("10.0.0.1/8|64496", diag) == []
+        assert text_rib("10.0.0.1/8|64496", diag) == []
         assert diag.get("malformed_lines") == 1
 
     def test_comments_and_blanks_ignored(self):
-        entries = parse_text_rib("# rib\n\n203.0.113.0/24|64500\n")
+        entries = text_rib("# rib\n\n203.0.113.0/24|64500\n")
         assert len(entries) == 1
 
     @pytest.mark.parametrize(
@@ -75,14 +83,14 @@ class TestParseTextRib:
     )
     def test_malformed_lines_counted(self, line):
         diag = Diagnostics()
-        assert parse_text_rib(line, diag) == []
+        assert text_rib(line, diag) == []
         assert diag.get("malformed_lines") == 1
 
     def test_as_prefixed_path(self):
-        assert parse_text_rib("10.0.0.0/8|AS64496 as64497")[0].as_path == (64496, 64497)
+        assert text_rib("10.0.0.0/8|AS64496 as64497")[0].as_path == (64496, 64497)
 
     def test_v6_line(self):
-        entries = parse_text_rib("2001:db8::/32|64496 64499")
+        entries = text_rib("2001:db8::/32|64496 64499")
         assert entries[0].prefix == ipaddress.ip_network("2001:db8::/32")
         assert entries[0].origin == 64499
 
@@ -258,7 +266,7 @@ class TestTrie:
         assert covering_pairs("10.1.2.3", trie) == {PrefixOriginPair(net, 64500)}
 
     def test_all_covering_not_just_longest(self):
-        entries = parse_text_rib("10.0.0.0/8|1\n10.0.0.0/16|2")
+        entries = text_rib("10.0.0.0/8|1\n10.0.0.0/16|2")
         trie = build_trie(entries)
         assert as_tuples(covering_pairs("10.0.0.1", trie)) == {
             (ipaddress.ip_network("10.0.0.0/8"), 1),
@@ -267,14 +275,14 @@ class TestTrie:
         assert covering_pairs("11.0.0.1", trie) == set()
 
     def test_default_route_covers_everything(self):
-        entries = parse_text_rib("0.0.0.0/0|3\n203.0.113.0/24|9")
+        entries = text_rib("0.0.0.0/0|3\n203.0.113.0/24|9")
         trie = build_trie(entries)
         found = as_tuples(covering_pairs("8.8.8.8", trie))
         assert (ipaddress.ip_network("0.0.0.0/0"), 3) in found
 
     def test_as_set_entries_counted_not_indexed(self):
         diag = Diagnostics()
-        entries = parse_text_rib("10.0.0.0/8|1 {2,3}\n10.0.0.0/8|4")
+        entries = text_rib("10.0.0.0/8|1 {2,3}\n10.0.0.0/8|4")
         trie = build_trie(entries, diag)
         assert trie.as_set_count == 1
         assert diag.get("as_set_entries") == 1
@@ -283,18 +291,18 @@ class TestTrie:
         }
 
     def test_moas_pairs_kept_separately(self):
-        entries = parse_text_rib("192.0.2.0/24|1 100\n192.0.2.0/24|2 200")
+        entries = text_rib("192.0.2.0/24|1 100\n192.0.2.0/24|2 200")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.7", trie)} == {100, 200}
 
     def test_family_isolation(self):
-        entries = parse_text_rib("0.0.0.0/0|4\n::/0|6")
+        entries = text_rib("0.0.0.0/0|4\n::/0|6")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.1", trie)} == {4}
         assert {p.origin_asn for p in covering_pairs("2001:db8::1", trie)} == {6}
 
     def test_host_route_lookup(self):
-        entries = parse_text_rib("192.0.2.55/32|7")
+        entries = text_rib("192.0.2.55/32|7")
         trie = build_trie(entries)
         assert {p.origin_asn for p in covering_pairs("192.0.2.55", trie)} == {7}
         assert covering_pairs("192.0.2.54", trie) == set()
@@ -331,7 +339,7 @@ class TestTrie:
             "198.51.100.0/24|100 {500,501}\n"
         )
         trie_a = build_trie(parse_mrt(mrt_bytes))
-        trie_b = build_trie(parse_text_rib(text))
+        trie_b = build_trie(text_rib(text))
         assert trie_a.pairs() == trie_b.pairs()
         assert trie_a.as_set_count == trie_b.as_set_count == 1
         for ip in ("10.0.0.1", "10.1.0.1", "2001:db8::5", "198.51.100.9"):
