@@ -7,13 +7,12 @@ validation state is anything other than not-found.
 
 from __future__ import annotations
 
-import heapq
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
-from .vocabulary import CoverageClass, ValidationState, coverage_class
+from .vocabulary import MAX_ASN, CoverageClass, ValidationState, Variant, coverage_class
 
 
 _CLASS_MARK = {
@@ -75,9 +74,48 @@ def domain_coverage(
 
 
 def row_coverage(row: dict) -> DomainCoverage:
-    """The coverage of a validated.jsonl row, counted from its state strings."""
-    states = (((p["prefix"], p["asn"]), p["state"]) for p in row["pairs"])
+    """The coverage of a validated.jsonl row, counted from its state strings.
+
+    Each pair's prefix must be text and its ASN an int in 0..MAX_ASN, never a bool.
+    """
+    states = []
+    for pair in row["pairs"]:
+        prefix, asn = pair["prefix"], pair["asn"]
+        if type(prefix) is not str:
+            raise TypeError(f"prefix {prefix!r} is not text")
+        if type(asn) is not int or not 0 <= asn <= MAX_ASN:  # a bool is not an ASN
+            raise TypeError(f"asn {asn!r} is not a plain ASN")
+        states.append(((prefix, asn), pair["state"]))
     return domain_coverage(row["domain"], states)
+
+
+_ByVariant = dict[Variant, tuple[dict, DomainCoverage, object]]
+# Variant(text) as a dict get: the Enum call costs more than a row's pair checks
+_VARIANTS = {variant.value: variant for variant in Variant}
+
+
+def rank_rows(items: Iterable[tuple[dict, object]]) -> Iterator[tuple[int, str, _ByVariant]]:
+    """(rank, name, {variant: (row, coverage, tag)}) per rank of validated.jsonl's (row, tag)s.
+
+    The items come in the artifact's order: ranks ascend, a rank's base row
+    before its www row.  The name is the base row's domain, or the www row's
+    less "www." when the rank has no base row.  Each row is checked as it is read.
+    """
+    for rank, items_of_rank in itertools.groupby(items, key=lambda item: item[0]["rank"]):
+        by_variant: _ByVariant = {}
+        name = None
+        for row, tag in items_of_rank:
+            variant = _VARIANTS.get(row["variant"])
+            if variant is None:
+                raise ValueError(f"variant {row['variant']!r} is not base or www")
+            entry = (row, row_coverage(row), tag)
+            if by_variant.setdefault(variant, entry) is not entry:
+                raise ValueError(f"rank {rank} has a second {variant.value} row")
+            if variant is Variant.BASE:
+                name = row["domain"]
+            elif name is None:
+                name = row["domain"].removeprefix("www.")
+        yield rank, name, by_variant
 
 
 def prefix_overlap(
@@ -165,11 +203,15 @@ class BinnedSums:
         self._bins: dict[int, _Sums] = {}
 
     def add(self, rank: int, coverage: DomainCoverage, is_cdn: bool) -> None:
-        sums = self._bins.setdefault((rank - 1) // self.bin_size, _Sums())
+        index = (rank - 1) // self.bin_size
+        sums = self._bins.get(index)
+        if sums is None:  # not setdefault, which would build a _Sums on every add
+            sums = self._bins[index] = _Sums()
         sums.domains += 1
         sums.cdn += bool(is_cdn)
-        if coverage.total_pairs:
-            sums.add_counts(coverage.total_pairs, (1, coverage.valid, coverage.invalid))
+        total = coverage.total_pairs
+        if total:
+            sums.add_counts(total, (1, coverage.valid, coverage.invalid))
 
     def stats(self, max_rank: int) -> list[BinStat]:
         """Arithmetic bin means of the per-domain fractions, one line per bin of [1, max_rank].
@@ -246,22 +288,23 @@ class ReportRow:
 
 
 def coverage_report(
-    variants: Iterable[tuple[int, str, Optional[DomainCoverage], Optional[DomainCoverage]]],
-    top_n: int = 10,
+    ranks: Iterable[tuple[int, str, _ByVariant]], top_n: int = 10
 ) -> list[ReportRow]:
-    """Lowest-ranked domains with Partial or Full coverage on either variant.
+    """The first top_n of ``rank_rows``' ranks with Partial or Full coverage on either variant.
 
-    Input rows are (rank, base name, www coverage, base coverage); a missing
-    or unresolved variant renders as "n/a".  Only the top_n best rows are
-    held while the input is consumed.
+    The ranks ascend, so these are the lowest-ranked; the ranks after them are
+    still read, so that each row is checked.  A missing variant renders as "n/a".
     """
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     interesting = (CoverageClass.PARTIAL, CoverageClass.FULL)
-    rows = (
-        ReportRow(rank, name, www, base)
-        for rank, name, www, base in variants
-        if (www is not None and www.classification in interesting)
-        or (base is not None and base.classification in interesting)
-    )
-    return heapq.nsmallest(top_n, rows, key=attrgetter("rank"))
+    rows: list[ReportRow] = []
+    for rank, name, by_variant in ranks:
+        if len(rows) < top_n:
+            www = by_variant[Variant.WWW][1] if Variant.WWW in by_variant else None
+            base = by_variant[Variant.BASE][1] if Variant.BASE in by_variant else None
+            if (www is not None and www.classification in interesting) or (
+                base is not None and base.classification in interesting
+            ):
+                rows.append(ReportRow(rank, name, www, base))
+    return rows

@@ -7,13 +7,12 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
-from .vocabulary import ResolutionStatus, parse_asn
+from .vocabulary import ResolutionStatus, covered_share, parse_asn
 
 if TYPE_CHECKING:  # classify reads resolved.jsonl rows and loads no resolver code
     from .dns_resolution import ResolutionResult
@@ -21,31 +20,11 @@ if TYPE_CHECKING:  # classify reads resolved.jsonl rows and loads no resolver co
 CHAIN_THRESHOLD = 2
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class CdnLabel:
     domain: str
     chain_length: int
     by_chain: bool
-    by_asn: bool = False
-    external: bool | None = None
-
-    def __post_init__(self):
-        if self.by_chain != (self.chain_length >= CHAIN_THRESHOLD):
-            raise ValueError("by_chain must equal (chain_length >= 2)")
-
-
-@dataclass(frozen=True, slots=True)
-class AsRegistryEntry:
-    asn: int
-    description: str
-
-
-@dataclass(frozen=True, slots=True)
-class AgreementReport:
-    coverage: Fraction
-    agree: Fraction | None
-    # (heuristic, external) -> count, keys over {0,1} x {0,1}
-    confusion: dict[tuple[int, int], int]
 
 
 def classify_by_chain(result: ResolutionResult) -> CdnLabel:
@@ -56,10 +35,8 @@ def classify_by_chain(result: ResolutionResult) -> CdnLabel:
     return CdnLabel(result.domain, length, length >= CHAIN_THRESHOLD)
 
 
-def spot_keywords(
-    keywords: Iterable[str], registry: Iterable[AsRegistryEntry]
-) -> set[int]:
-    """ASNs whose registry description contains any keyword (case-folded).
+def spot_keywords(keywords: Iterable[str], registry: Iterable[tuple[int, str]]) -> set[int]:
+    """ASNs whose (asn, description) registry entry contains any keyword (case-folded).
 
     A substring match over assignment-list descriptions; by construction a
     lower bound on each operator's AS footprint.
@@ -69,7 +46,7 @@ def spot_keywords(
         raise ValueError("keyword list must be nonempty")
     # one scan of each description for all tokens: a match anywhere is a token in it
     search = re.compile("|".join(map(re.escape, tokens))).search
-    return {entry.asn for entry in registry if search(entry.description.lower())}
+    return {asn for asn, description in registry if search(description.lower())}
 
 
 def classify_by_asn(origin_asns: Iterable[int], cdn_asns: set[int]) -> bool:
@@ -88,33 +65,32 @@ def external_label(external: Mapping[str, bool], domain: str) -> bool | None:
 class Agreement:
     """Agreement of the chain heuristic with an external classification, one label at a time.
 
-    Coverage is the fraction of labels the external map knows about; the
-    agreement fraction and 2x2 confusion counts are computed over that
-    subset.  External entries are keyed by domain; a www-prefixed label
-    falls back to its base name.
+    Coverage is the share of labels with an external label; the agreement
+    share and 2x2 confusion counts are computed over that subset.
     """
 
-    def __init__(self, external: Mapping[str, bool]):
-        if not external:
-            raise ValueError("external classification map is empty")
-        self.external = external
+    def __init__(self):
         self.labels = 0
-        # (heuristic, external) -> count, over the labels the external map knows
+        # (heuristic, external) -> count, over the labels with an external label;
+        # a pair of bools finds its 0/1 key, as False == 0 and True == 1
         self.confusion = {(h, e): 0 for h in (0, 1) for e in (0, 1)}
 
-    def add(self, label: CdnLabel) -> None:
+    def add(self, by_chain: bool, external: bool | None) -> None:
         self.labels += 1
-        value = external_label(self.external, label.domain)
-        if value is not None:
-            self.confusion[(int(label.by_chain), int(value))] += 1
+        if external is not None:
+            self.confusion[by_chain, external] += 1
 
-    def report(self) -> AgreementReport:
+    def doc(self) -> dict:
+        """The agreement.json object; ``agree`` is None when no label has an external one."""
         if not self.labels:
             raise ValueError("no labels to compare")
         matched = sum(self.confusion.values())
-        agreed = self.confusion[(0, 0)] + self.confusion[(1, 1)]
-        agree = Fraction(agreed, matched) if matched else None
-        return AgreementReport(Fraction(matched, self.labels), agree, dict(self.confusion))
+        agreed = self.confusion[0, 0] + self.confusion[1, 1]
+        return {
+            "coverage": covered_share(matched, self.labels),
+            "agree": covered_share(agreed, matched) if matched else None,
+            "confusion": {f"{h}{e}": n for (h, e), n in self.confusion.items()},
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +120,8 @@ def load_keywords(lines: Iterable[str] | None = None) -> list[str]:
 
 def registry_entries(
     lines: Iterable[str], diag: Diagnostics | None = None
-) -> Iterator[AsRegistryEntry]:
-    """The first entry for each ASN of an AS assignment list's lines, in file order.
+) -> Iterator[tuple[int, str]]:
+    """The first (asn, description) of each ASN of an AS assignment list's lines, in file order.
 
     A line is "ASN  description" or "asn,description" CSV; the separator is
     sniffed per line.  Only the set of ASNs seen so far is kept.
@@ -169,7 +145,7 @@ def registry_entries(
             diag.count("duplicate_registry_asns")
             continue
         seen.add(asn)
-        yield AsRegistryEntry(asn, description.strip())
+        yield asn, description.strip()
 
 
 _SPACE = re.compile(r"\s")  # matches where str.isspace is true, on every code point

@@ -24,8 +24,6 @@ from .vocabulary import ResolutionStatus, parse_decimal
 
 MAX_CNAME_HOPS = 16
 
-DEFAULT_TIMEOUT = 5.0
-
 
 Address = tuple[int, int]  # (version, int), as the prefix codec parses it
 
@@ -197,7 +195,7 @@ class LiveResolver:
     ip: str
     port: int = 53
 
-    def resolve(self, domain: str, timeout: float = DEFAULT_TIMEOUT) -> ResolutionResult:
+    def resolve(self, domain: str, timeout: float) -> ResolutionResult:
         from . import _dnswire  # fixture replay never loads the wire client
 
         rcodes: list[int] = []

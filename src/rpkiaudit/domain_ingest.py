@@ -7,7 +7,7 @@ import re
 from typing import Iterable, Iterator
 
 from .diagnostics import Diagnostics
-from .errors import DuplicateRankError, EmptyInputError
+from .errors import DataError
 from .vocabulary import Variant, parse_decimal
 
 MAX_NAME_LEN = 253
@@ -48,8 +48,8 @@ def read_domain_list(
     CSV form is "rank,domain" with no header; plain form is one domain per
     line with the physical line number as rank.  Malformed lines are skipped
     and counted on the diagnostics channel; duplicate names keep the lowest
-    rank.  Raises EmptyInputError if nothing usable remains and
-    DuplicateRankError if the CSV form repeats a rank.
+    rank.  Raises DataError if nothing usable remains or if the CSV form
+    repeats a rank.
     """
     diag = diag if diag is not None else Diagnostics()
     ranks: dict[str, int] = {}
@@ -84,7 +84,7 @@ def read_domain_list(
                 seen_ranks = set(ranks.values())
             if seen_ranks is not None:
                 if rank in seen_ranks:
-                    raise DuplicateRankError(f"rank {rank} repeats (line {lineno})")
+                    raise DataError(f"rank {rank} repeats (line {lineno})")
                 seen_ranks.add(rank)
             last_rank = rank
         else:
@@ -100,7 +100,7 @@ def read_domain_list(
             ranks[name] = rank
 
     if not ranks:
-        raise EmptyInputError("domain list contains no valid records")
+        raise DataError("domain list contains no valid records")
     return NameIndex(ranks)
 
 

@@ -5,14 +5,6 @@ class AuditError(Exception):
     """Base class for all pipeline errors."""
 
 
-class EmptyInputError(AuditError):
-    """An input source yielded zero usable records."""
-
-
-class DuplicateRankError(AuditError):
-    """A rank appears more than once in a rank,domain list."""
-
-
 class ChainLoopError(AuditError):
     """A CNAME chain repeats a name or exceeds the hop cap."""
 
@@ -34,10 +26,6 @@ class NotUtf8Error(AuditError):
         else:
             where = f"bytes in position {start}-{offset + exc.end - 1}"
         super().__init__(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
-
-
-class EmptyPathError(AuditError):
-    """An AS path with no segments has no origin."""
 
 
 class UsageError(AuditError):

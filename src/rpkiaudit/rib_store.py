@@ -19,7 +19,7 @@ from typing import IO, Iterable, Iterator, Optional, Union
 from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
 from ._prefix_index import network, parse_address, parse_prefix
 from .diagnostics import Diagnostics
-from .errors import BadMagicError, EmptyPathError, NotUtf8Error
+from .errors import BadMagicError, DataError, NotUtf8Error
 from .vocabulary import parse_asn, plain_asn
 
 # An AS path is a flat segment tuple: plain ints for AS_SEQUENCE members,
@@ -78,7 +78,7 @@ class PrefixOriginPair(Prefixed):
 def origin_from_path(as_path: AsPath) -> int | None:
     """Rightmost-ASN origin of a path; None when the path ends in an AS_SET."""
     if not as_path:
-        raise EmptyPathError("AS path has no segments")
+        raise DataError("AS path has no segments")
     last = as_path[-1]
     if isinstance(last, frozenset):
         return None

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 import json
+from fractions import Fraction
 
-from ..analytics import BinnedSums, BinStat, OverallRates, prefix_overlap, row_coverage
+from ..analytics import BinnedSums, BinStat, OverallRates, prefix_overlap, rank_rows
 from ..cli import PipelineConfig, _artifact, _joined, _replacing, _write_diag, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
@@ -50,32 +50,33 @@ def run(cfg: PipelineConfig) -> None:
     every = {v: BinnedSums(cfg.bin_size) for v in Variant}
     cdn = {v: BinnedSums(cfg.bin_size) for v in Variant}
     max_rank = 0
-    overlap_sum, overlap_count = 0, 0
+    # the overlaps' numerators summed per denominator: their exact sum, with no
+    # Fraction addition per rank
+    overlap_sums: dict[int, int] = {}
+    overlap_count = 0
 
     def overlap_lines(validated_rows):
         """overlap.csv, one line per rank with a base row, as the ranks stream past."""
-        nonlocal max_rank, overlap_sum, overlap_count
+        nonlocal max_rank, overlap_count
         yield "rank,domain,overlap\n"
         joined = _joined(validated_rows, labels, _by_chain, False)
-        for rank, rows in itertools.groupby(joined, key=lambda item: item[0]["rank"]):
+        for rank, name, by_variant in rank_rows(joined):
             max_rank = rank
-            prefixes: dict[Variant, set[str]] = {}
-            name = None
-            for row, by_chain in rows:
-                variant = Variant(row["variant"])
-                coverage = row_coverage(row)
+            for variant, (_, coverage, by_chain) in by_variant.items():
                 every[variant].add(rank, coverage, by_chain)
                 if by_chain:
                     cdn[variant].add(rank, coverage, by_chain)
-                prefixes[variant] = {p["prefix"] for p in row["pairs"]}
-                if variant is Variant.BASE:
-                    name = row["domain"]
-            if name is None:
+            base, www = by_variant.get(Variant.BASE), by_variant.get(Variant.WWW)
+            if base is None:
                 continue
-            overlap = prefix_overlap(prefixes.get(Variant.WWW, ()), prefixes.get(Variant.BASE, ()))
+            overlap = prefix_overlap(
+                {p["prefix"] for p in www[0]["pairs"]} if www else (),
+                {p["prefix"] for p in base[0]["pairs"]},
+            )
             yield f"{rank},{name},{format_fraction(overlap)}\n"
             if overlap is not None:
-                overlap_sum += overlap
+                denominator = overlap.denominator
+                overlap_sums[denominator] = overlap_sums.get(denominator, 0) + overlap.numerator
                 overlap_count += 1
         if not max_rank:
             raise DataError("validated.jsonl holds zero rows")
@@ -89,6 +90,7 @@ def run(cfg: PipelineConfig) -> None:
         _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(stats))
         _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_stats))
         summary[variant.value] = _rates_obj(every[variant].rates())
+    overlap_sum = sum((Fraction(n, d) for d, n in overlap_sums.items()), Fraction(0))
     summary["overlap_mean"] = fraction_to_float(
         overlap_sum / overlap_count if overlap_count else None
     )

@@ -9,7 +9,7 @@ from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_reso
 from ..cli import _text_lines, _write_diag, _write_rows, _write_text
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
-from ..vocabulary import ResolutionStatus, fraction_to_float, plain_asn
+from ..vocabulary import ResolutionStatus, plain_asn
 
 
 def _origin_asns(row: dict) -> list[int]:
@@ -41,7 +41,7 @@ def run(cfg: PipelineConfig) -> None:
             label_lines = _text_lines(label_file, "external labels")
             external = cdn_classifier.load_external_labels(label_lines, diag)
 
-    agreement = cdn_classifier.Agreement(external) if external else None
+    agreement = cdn_classifier.Agreement() if external else None
 
     def primary_ok(resolved_rows):
         """The primary resolver's OK rows; each primary row's cnames and status are checked."""
@@ -58,35 +58,26 @@ def run(cfg: PipelineConfig) -> None:
         """The primary resolver's OK rows, each with the origin ASNs of its pairs.jsonl row."""
         joined = _joined(primary_ok(resolved_rows), pairs, _origin_asns, ())
         for row, asns in joined:
+            domain = row["domain"]
             chain_length = len(row["cnames"])
-            label = cdn_classifier.CdnLabel(
-                row["domain"],
-                chain_length,
-                chain_length >= cdn_classifier.CHAIN_THRESHOLD,
-                by_asn=cdn_classifier.classify_by_asn(asns, cdn_asns),
-            )
-            label.external = cdn_classifier.external_label(external, label.domain)
+            by_chain = chain_length >= cdn_classifier.CHAIN_THRESHOLD
+            by_external = cdn_classifier.external_label(external, domain)
             if agreement is not None:
-                agreement.add(label)
+                agreement.add(by_chain, by_external)
             yield {
                 "rank": row["rank"],
-                "domain": label.domain,
+                "domain": domain,
                 "variant": row["variant"],
-                "chain_length": label.chain_length,
-                "by_chain": label.by_chain,
-                "by_asn": label.by_asn,
-                "external": label.external,
+                "chain_length": chain_length,
+                "by_chain": by_chain,
+                "by_asn": cdn_classifier.classify_by_asn(asns, cdn_asns),
+                "external": by_external,
             }
 
     with resolved as resolved_rows:
         count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
     if agreement is not None and count:
-        report = agreement.report()
-        doc = {
-            "coverage": fraction_to_float(report.coverage),
-            "agree": fraction_to_float(report.agree),
-            "confusion": {f"{h}{e}": n for (h, e), n in report.confusion.items()},
-        }
-        _write_text(cfg.out("agreement.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        doc = json.dumps(agreement.doc(), sort_keys=True, indent=2)
+        _write_text(cfg.out("agreement.json"), doc + "\n")
     _write_diag(cfg, "classify", diag)
     log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))

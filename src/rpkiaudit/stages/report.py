@@ -3,32 +3,17 @@
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Optional
 
-from ..analytics import CoverageClass, DomainCoverage, coverage_report, row_coverage
+from ..analytics import CoverageClass, DomainCoverage, coverage_report, rank_rows
 from ..cli import PipelineConfig, _artifact, _write_text
 from ..diagnostics import log
-from ..vocabulary import Variant
 
 
 def run(cfg: PipelineConfig) -> None:
-    def report_inputs(validated_rows):
-        """(rank, base name, www coverage, base coverage) of each rank, one rank at a time."""
-        for rank, rows in itertools.groupby(validated_rows, key=operator.itemgetter("rank")):
-            by_variant: dict[Variant, DomainCoverage] = {}
-            name = None
-            for row in rows:  # a rank's base rows come before its www
-                variant = Variant(row["variant"])
-                by_variant[variant] = row_coverage(row)
-                if variant is Variant.BASE:
-                    name = row["domain"]
-                elif name is None:
-                    name = row["domain"].removeprefix("www.")
-            yield rank, name, by_variant.get(Variant.WWW), by_variant.get(Variant.BASE)
-
     with _artifact(cfg, "validated.jsonl", "validate") as validated_rows:
-        rows = coverage_report(report_inputs(validated_rows), cfg.top_n)
+        ranks = rank_rows(zip(validated_rows, itertools.repeat(None)))
+        rows = coverage_report(ranks, cfg.top_n)
 
     width_name = max([len(r.domain) for r in rows], default=6)
     width_www = max([len(r.www_cell) for r in rows], default=3)

@@ -14,10 +14,13 @@ from rpkiaudit.analytics import (
     coverage_report,
     domain_coverage,
     prefix_overlap,
+    rank_rows,
+    row_coverage,
 )
 from rpkiaudit.rib_store import PrefixOriginPair
 from rpkiaudit.roa_validation import ValidationState
-from rpkiaudit.vocabulary import coverage_class, covered_share, format_fraction, fraction_to_float
+from rpkiaudit.vocabulary import Variant, coverage_class, covered_share, format_fraction
+from rpkiaudit.vocabulary import fraction_to_float
 
 V, I, N = ValidationState.VALID, ValidationState.INVALID, ValidationState.NOT_FOUND
 
@@ -379,12 +382,16 @@ class TestCdnConditionalRates:
         assert [s.data_count for s in cdn_series] == [s.data_count for s in all_series]
 
 
+def ranked(rank, name, www, base):
+    """A rank as ``rank_rows`` yields it, holding the given variants' coverage."""
+    given = ((Variant.WWW, www), (Variant.BASE, base))
+    return rank, name, {v: ({}, c, None) for v, c in given if c is not None}
+
+
 class TestCoverageReport:
     def test_facebook_style_row(self):
-        rows = coverage_report(
-            [(2, "facebook.com", cov("www.facebook.com", valid=3), cov("facebook.com", valid=2))],
-            top_n=10,
-        )
+        www, base = cov("www.facebook.com", valid=3), cov("facebook.com", valid=2)
+        rows = coverage_report([ranked(2, "facebook.com", www, base)], top_n=10)
         assert len(rows) == 1
         row = rows[0]
         assert row.www_cell == "✓(3/3)"
@@ -393,7 +400,7 @@ class TestCoverageReport:
     def test_partial_and_none_cells(self):
         rows = coverage_report(
             [
-                (
+                ranked(
                     73,
                     "huffingtonpost.com",
                     cov("www.huffingtonpost.com", valid=1, notfound=2),
@@ -406,17 +413,17 @@ class TestCoverageReport:
         assert rows[0].base_cell == "✗(0/3)"
 
     def test_unresolved_variant_renders_na(self):
-        rows = coverage_report(
-            [(70, "cdncache1-a.akamaihd.net", cov("www.cdncache1-a.akamaihd.net", valid=1, notfound=2), None)],
-            top_n=10,
-        )
+        www = cov("www.cdncache1-a.akamaihd.net", valid=1, notfound=2)
+        rows = coverage_report([ranked(70, "cdncache1-a.akamaihd.net", www, None)], top_n=10)
         assert rows[0].base_cell == "n/a"
 
     def test_all_uncovered_empty_report(self):
         rows = coverage_report(
             [
-                (1, "a.example", cov("www.a.example", notfound=2), cov("a.example", notfound=1)),
-                (2, "b.example", None, domain_coverage("b.example", [])),
+                ranked(
+                    1, "a.example", cov("www.a.example", notfound=2), cov("a.example", notfound=1)
+                ),
+                ranked(2, "b.example", None, domain_coverage("b.example", [])),
             ],
             top_n=10,
         )
@@ -424,15 +431,74 @@ class TestCoverageReport:
 
     def test_rows_ascend_in_rank_and_cut_at_top_n(self):
         inputs = [
-            (rank, f"d{rank}.example", cov(f"www.d{rank}.example", valid=1), None)
-            for rank in (40, 3, 17, 99, 5)
+            ranked(rank, f"d{rank}.example", cov(f"www.d{rank}.example", valid=1), None)
+            for rank in (3, 5, 17, 40, 99)
         ]
         rows = coverage_report(inputs, top_n=3)
         assert [r.rank for r in rows] == [3, 5, 17]
 
+    def test_ranks_past_top_n_are_still_read(self):
+        inputs = iter([ranked(r, f"d{r}.example", cov(f"d{r}.example", valid=1), None)
+                       for r in (1, 2, 3)])
+        assert [r.rank for r in coverage_report(inputs, top_n=1)] == [1]
+        assert next(inputs, None) is None
+
     def test_top_n_must_be_positive(self):
         with pytest.raises(ValueError):
             coverage_report([], top_n=0)
+
+
+def vrow(rank, domain, variant, *pairs):
+    """A validated.jsonl row; each pair is (prefix, asn, state)."""
+    return {"rank": rank, "domain": domain, "variant": variant,
+            "pairs": [{"prefix": p, "asn": a, "state": s} for p, a, s in pairs]}
+
+
+class TestRankRows:
+    def test_a_rank_holds_its_variants_and_the_base_name(self):
+        base = vrow(1, "a.example", "base", ("192.0.2.0/24", 64500, "valid"))
+        www = vrow(1, "www.a.example", "www", ("192.0.2.0/24", 64500, "notfound"))
+        other = vrow(2, "b.example", "base")
+        (rank, name, by_variant), second = rank_rows([(base, "b"), (www, "w"), (other, None)])
+        assert (rank, name) == (1, "a.example")
+        assert by_variant == {
+            Variant.BASE: (base, DomainCoverage("a.example", 1, 0, 0), "b"),
+            Variant.WWW: (www, DomainCoverage("www.a.example", 0, 0, 1), "w"),
+        }
+        assert second == (2, "b.example", {Variant.BASE: (other, cov("b.example"), None)})
+
+    def test_www_only_rank_is_named_by_its_base_name(self):
+        www = vrow(4, "www.c.example", "www")
+        assert [name for _, name, _ in rank_rows([(www, None)])] == ["c.example"]
+
+    def test_second_row_of_a_variant_rejected(self):
+        rows = [(vrow(1, "a.example", "base"), None), (vrow(1, "b.example", "base"), None)]
+        with pytest.raises(ValueError, match="second base row"):
+            list(rank_rows(rows))
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError):
+            list(rank_rows([(vrow(1, "a.example", "foo"), None)]))
+
+
+class TestRowCoverage:
+    def test_counts_distinct_pairs(self):
+        row = vrow(1, "a.example", "base", ("192.0.2.0/24", 64500, "valid"),
+                   ("192.0.2.0/24", 64500, "valid"), ("2001:db8::/32", 0, "invalid"))
+        assert row_coverage(row) == DomainCoverage("a.example", 1, 1, 0)
+
+    @pytest.mark.parametrize("prefix, asn", [
+        (5, 64500), (None, 64500), (["192.0.2.0/24"], 64500),
+        ("192.0.2.0/24", "x"), ("192.0.2.0/24", True), ("192.0.2.0/24", 1.0),
+        ("192.0.2.0/24", None), ("192.0.2.0/24", -1), ("192.0.2.0/24", 2**32),
+    ])
+    def test_pair_must_be_prefix_text_and_plain_asn(self, prefix, asn):
+        with pytest.raises(TypeError):
+            row_coverage(vrow(1, "a.example", "base", (prefix, asn, "valid")))
+
+    def test_largest_asn_accepted(self):
+        row = vrow(1, "a.example", "base", ("192.0.2.0/24", 2**32 - 1, "valid"))
+        assert row_coverage(row).valid == 1
 
 
 class TestOverallRates:

@@ -1,7 +1,6 @@
 import csv
 import io
 import ipaddress
-import operator
 import sys
 from fractions import Fraction
 
@@ -12,10 +11,9 @@ from hypothesis import strategies as st
 from rpkiaudit.cdn_classifier import (
     _SPACE,
     Agreement,
-    AsRegistryEntry,
-    CdnLabel,
     classify_by_asn,
     classify_by_chain,
+    external_label,
     load_external_labels,
     load_keywords,
     registry_entries,
@@ -24,12 +22,12 @@ from rpkiaudit.cdn_classifier import (
 from rpkiaudit.cli import _text_lines
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.dns_resolution import ResolutionResult
-from rpkiaudit.vocabulary import ResolutionStatus, parse_asn
+from rpkiaudit.vocabulary import ResolutionStatus, fraction_to_float, parse_asn
 
 
 def sorted_entries(text, diag=None):
-    """The registry entries of a whole text, sorted by ASN."""
-    return sorted(registry_entries(text.split("\n"), diag), key=operator.attrgetter("asn"))
+    """The (asn, description) registry entries of a whole text, sorted by ASN."""
+    return sorted(registry_entries(text.split("\n"), diag))
 
 
 def ok_result(domain, chain):
@@ -71,10 +69,6 @@ class TestChainHeuristic:
         with pytest.raises(ValueError):
             classify_by_chain(res)
 
-    def test_label_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            CdnLabel("x.example", 3, False)
-
     @given(st.integers(0, 20))
     def test_pure_function_of_chain_length(self, length):
         chain = [f"n{i}.example" for i in range(length)]
@@ -84,32 +78,32 @@ class TestChainHeuristic:
 
 class TestKeywordSpotting:
     def test_internap_match(self):
-        registry = [AsRegistryEntry(10913, "INTERNAP-BLK")]
+        registry = [(10913, "INTERNAP-BLK")]
         assert spot_keywords(["internap"], registry) == {10913}
 
     def test_no_match_empty(self):
-        registry = [AsRegistryEntry(3320, "DTAG Internet service provider")]
+        registry = [(3320, "DTAG Internet service provider")]
         assert spot_keywords(["akamai"], registry) == set()
 
     def test_union_over_keywords(self):
         registry = [
-            AsRegistryEntry(20940, "AKAMAI-ASN1"),
-            AsRegistryEntry(22822, "LLNW Limelight Networks"),
-            AsRegistryEntry(3320, "DTAG"),
+            (20940, "AKAMAI-ASN1"),
+            (22822, "LLNW Limelight Networks"),
+            (3320, "DTAG"),
         ]
         assert spot_keywords(["akamai", "limelight"], registry) == {20940, 22822}
 
     def test_empty_keywords_rejected(self):
         with pytest.raises(ValueError):
-            spot_keywords([], [AsRegistryEntry(1, "x")])
+            spot_keywords([], [(1, "x")])
 
     @given(st.data())
     def test_monotone_in_keyword_list(self, data):
         registry = [
-            AsRegistryEntry(1, "akamai tech"),
-            AsRegistryEntry(2, "amazon data services"),
-            AsRegistryEntry(3, "limelight networks"),
-            AsRegistryEntry(4, "generic transit"),
+            (1, "akamai tech"),
+            (2, "amazon data services"),
+            (3, "limelight networks"),
+            (4, "generic transit"),
         ]
         keywords = ["akamai", "amazon", "limelight", "cloudflare"]
         subset = data.draw(
@@ -123,7 +117,7 @@ def spot_keywords_by_scan(keywords, registry):
     tokens = [k.strip().lower() for k in keywords if k.strip()]
     if not tokens:
         raise ValueError("keyword list must be nonempty")
-    return {e.asn for e in registry if any(t in e.description.lower() for t in tokens)}
+    return {asn for asn, text in registry if any(t in text.lower() for t in tokens)}
 
 
 # regex metacharacters, case pairs, and characters whose lowercase is longer or another letter
@@ -137,7 +131,7 @@ class TestCompiledSearches:
         st.lists(st.text(SPOT_ALPHABET, max_size=12), max_size=8),
     )
     def test_spot_keywords_matches_the_token_scan(self, keywords, descriptions):
-        registry = [AsRegistryEntry(asn, text) for asn, text in enumerate(descriptions, 1)]
+        registry = list(enumerate(descriptions, 1))
         try:
             expected = spot_keywords_by_scan(keywords, registry)
         except ValueError:
@@ -165,58 +159,72 @@ class TestClassifyByAsn:
 
 
 def agreement_of(labels, external):
-    """The report of an ``Agreement`` that each label was added to, as classify tallies it."""
-    agreement = Agreement(external)
-    for label in labels:
-        agreement.add(label)
-    return agreement.report()
+    """The agreement.json object of (domain, by_chain) labels, tallied as classify tallies them."""
+    agreement = Agreement()
+    for domain, by_chain in labels:
+        agreement.add(by_chain, external_label(external, domain))
+    return agreement.doc()
 
 
 class TestCompareExternal:
-    def _label(self, domain, by_chain):
-        return CdnLabel(domain, 2 if by_chain else 0, by_chain)
-
     def test_no_labels_rejected(self):
         with pytest.raises(ValueError):
-            Agreement({"d.example": True}).report()
+            Agreement().doc()
 
     def test_full_agreement(self):
-        labels = [self._label(f"d{i}.example", True) for i in range(3)]
-        report = agreement_of(labels, {f"d{i}.example": True for i in range(3)})
-        assert report.agree == Fraction(1)
-        assert report.coverage == Fraction(1)
+        labels = [(f"d{i}.example", True) for i in range(3)]
+        doc = agreement_of(labels, {f"d{i}.example": True for i in range(3)})
+        assert doc["agree"] == 1.0
+        assert doc["coverage"] == 1.0
 
     def test_half_coverage(self):
-        labels = [self._label(f"d{i}.example", True) for i in range(4)]
-        report = agreement_of(
-            labels, {"d0.example": True, "d1.example": False}
-        )
-        assert report.coverage == Fraction(1, 2)
+        labels = [(f"d{i}.example", True) for i in range(4)]
+        doc = agreement_of(labels, {"d0.example": True, "d1.example": False})
+        assert doc["coverage"] == 0.5
+        assert doc["agree"] == 0.5
 
     def test_confusion_cell_heuristic_true_external_false(self):
-        labels = [self._label("d.example", True)]
-        report = agreement_of(labels, {"d.example": False})
-        assert report.confusion[(1, 0)] == 1
-        assert report.confusion[(1, 1)] == 0
-        assert report.agree == Fraction(0)
+        doc = agreement_of([("d.example", True)], {"d.example": False})
+        assert doc["confusion"] == {"00": 0, "01": 0, "10": 1, "11": 0}
+        assert doc["agree"] == 0.0
 
-    def test_www_label_falls_back_to_base_name(self):
-        labels = [self._label("www.d.example", True)]
-        report = agreement_of(labels, {"d.example": True})
-        assert report.coverage == Fraction(1)
-        assert report.agree == Fraction(1)
-
-    def test_empty_external_rejected(self):
-        with pytest.raises(ValueError):
-            agreement_of([self._label("d.example", True)], {})
+    def test_no_external_label_leaves_agree_null(self):
+        doc = agreement_of([("d.example", True)], {"e.example": True})
+        assert doc == {"coverage": 0.0, "agree": None,
+                       "confusion": {"00": 0, "01": 0, "10": 0, "11": 0}}
 
     def test_bounds(self):
-        labels = [self._label(f"d{i}.example", i % 2 == 0) for i in range(6)]
+        labels = [(f"d{i}.example", i % 2 == 0) for i in range(6)]
         external = {"d0.example": False, "d1.example": False, "d2.example": True}
-        report = agreement_of(labels, external)
-        assert 0 <= report.coverage <= 1
-        assert 0 <= report.agree <= 1
-        assert sum(report.confusion.values()) == 3
+        doc = agreement_of(labels, external)
+        assert 0 <= doc["coverage"] <= 1
+        assert 0 <= doc["agree"] <= 1
+        assert sum(doc["confusion"].values()) == 3
+
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from([None, False, True])), min_size=1))
+    def test_shares_are_the_exact_fractions_rounded(self, labels):
+        agreement = Agreement()
+        for by_chain, external in labels:
+            agreement.add(by_chain, external)
+        matched = [(h, e) for h, e in labels if e is not None]
+        agreed = sum(h == e for h, e in matched)
+        doc = agreement.doc()
+        assert doc["coverage"] == fraction_to_float(Fraction(len(matched), len(labels)))
+        assert doc["agree"] == (
+            fraction_to_float(Fraction(agreed, len(matched))) if matched else None
+        )
+
+
+class TestExternalLabel:
+    def test_www_name_falls_back_to_base_name(self):
+        assert external_label({"d.example": True}, "www.d.example") is True
+
+    def test_own_label_wins_over_base_name(self):
+        assert external_label({"d.example": True, "www.d.example": False}, "www.d.example") is False
+
+    def test_only_www_falls_back(self):
+        assert external_label({"d.example": True}, "cdn.d.example") is None
+        assert external_label({"www.d.example": True}, "d.example") is None
 
 
 class TestLoaders:
@@ -231,21 +239,21 @@ class TestLoaders:
     def test_registry_whitespace_form(self):
         entries = sorted_entries("AS10913  INTERNAP-BLK\n3320\tDTAG Deutsche Telekom\n")
         assert entries == [
-            AsRegistryEntry(3320, "DTAG Deutsche Telekom"),
-            AsRegistryEntry(10913, "INTERNAP-BLK"),
+            (3320, "DTAG Deutsche Telekom"),
+            (10913, "INTERNAP-BLK"),
         ]
 
     def test_registry_csv_form(self):
         entries = sorted_entries('10913,INTERNAP-BLK\n16509,"Amazon.com, Inc."\n')
         assert entries == [
-            AsRegistryEntry(10913, "INTERNAP-BLK"),
-            AsRegistryEntry(16509, "Amazon.com, Inc."),
+            (10913, "INTERNAP-BLK"),
+            (16509, "Amazon.com, Inc."),
         ]
 
     def test_registry_duplicate_asn_counted(self):
         diag = Diagnostics()
         entries = sorted_entries("1 first\n1 second\n", diag)
-        assert entries == [AsRegistryEntry(1, "first")]
+        assert entries == [(1, "first")]
         assert diag.get("duplicate_registry_asns") == 1
 
     def test_registry_malformed_counted(self):
@@ -296,7 +304,7 @@ def reference_registry(text):
         if asn in entries:
             diag.count("duplicate_registry_asns")
             continue
-        entries[asn] = AsRegistryEntry(asn, description.strip())
+        entries[asn] = (asn, description.strip())
     return [entries[asn] for asn in sorted(entries)], diag.as_dict()
 
 
@@ -353,5 +361,5 @@ class TestStreamedRegistryPath:
     def test_out_of_order_asns_are_still_seen(self):
         lines = ["AS5 a", "AS3 b", "AS9 c", "AS3 d", "AS4 e", "AS9 f", "AS5 g", "AS1 h", "AS4 i"]
         diag = Diagnostics()
-        assert [e.asn for e in registry_entries(lines, diag)] == [5, 3, 9, 4, 1]
+        assert [asn for asn, _ in registry_entries(lines, diag)] == [5, 3, 9, 4, 1]
         assert diag.get("duplicate_registry_asns") == 4

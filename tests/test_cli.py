@@ -1050,6 +1050,11 @@ PAIR_FAULT_IDS = [
 ]
 
 
+# (prefix, asn) of a validated.jsonl pair that analyze and report reject
+VALIDATED_PAIR_FAULTS = [(5, 64500), (None, 64500), ("192.0.2.0/24", "x"), ("192.0.2.0/24", True)]
+VALIDATED_PAIR_FAULT_IDS = ["prefix_int", "prefix_null", "asn_text", "asn_true"]
+
+
 def one_pair(pair):
     return lambda row: dict(row, pairs=[pair])
 
@@ -1101,6 +1106,9 @@ ROW_DAMAGE = [
     *(("classify", "pairs.jsonl", one_pair({"prefix": "93.184.216.0/24", "asn": asn}))
       for asn in ("15133", True, 1.5, None)),
     ("analyze", "cdn_labels.jsonl", lambda row: dict(row, by_chain="false")),
+    # a validated.jsonl pair's prefix must be text and its asn a plain ASN
+    *((stage, "validated.jsonl", one_pair(dict(prefix=prefix, asn=asn, state="valid")))
+      for stage in ("analyze", "report") for prefix, asn in VALIDATED_PAIR_FAULTS),
 ]
 ROW_DAMAGE_IDS = [
     "meta_empty", "meta_not_object", "meta_primary_unlisted",
@@ -1120,6 +1128,8 @@ ROW_DAMAGE_IDS = [
     "resolved_cnames_object", "resolved_status_int", "resolved_status_upper",
     "resolved_status_null", "classify_pairs_asn_text", "classify_pairs_asn_true",
     "classify_pairs_asn_float", "classify_pairs_asn_null", "labels_by_chain_text",
+    *(f"{stage}_validated_{name}" for stage in ("analyze", "report")
+      for name in VALIDATED_PAIR_FAULT_IDS),
 ]
 
 # stage -> (the artifacts it reads, the input flags it needs)

@@ -11,7 +11,7 @@ from rpkiaudit.domain_ingest import (
     read_domain_list,
     www_variant,
 )
-from rpkiaudit.errors import DuplicateRankError, EmptyInputError
+from rpkiaudit.errors import DataError
 
 
 def ranked(text, fmt=ListFormat.CSV_RANK_DOMAIN, diag=None):
@@ -25,11 +25,11 @@ class TestLoadDomainList:
         assert ranked("1,google.com\n2,facebook.com") == [(1, "google.com"), (2, "facebook.com")]
 
     def test_empty_input_raises(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(DataError, match="no valid records"):
             ranked("")
 
     def test_duplicate_rank_raises(self):
-        with pytest.raises(DuplicateRankError):
+        with pytest.raises(DataError, match="rank 1 repeats"):
             ranked("1,EXAMPLE.Com.\n1,other.net")
 
     def test_lowercase_and_trailing_dot_normalized(self):
@@ -192,7 +192,7 @@ class TestNameIndex:
         text = "".join(f"{rank},{name}\n" for rank, name in entries)
         ranks = [rank for rank, _ in entries]
         if len(set(ranks)) < len(ranks):
-            with pytest.raises(DuplicateRankError):
+            with pytest.raises(DataError, match="repeats"):
                 read_domain_list(text.split("\n"))
         elif entries:
             lowest = {}
@@ -205,7 +205,7 @@ class TestNameIndex:
                  "2,a.test\n1,b.test\n2,c.test"],
     )
     def test_rank_after_a_repeat_or_a_descent_is_still_checked(self, text):
-        with pytest.raises(DuplicateRankError):
+        with pytest.raises(DataError, match="repeats"):
             read_domain_list(text.split("\n"))
 
     @given(st.lists(NAMES, min_size=1, max_size=8, unique=True), st.randoms())

@@ -48,7 +48,8 @@ STAGE_MODULES = {stage: f"rpkiaudit.stages.{stage}" for stage in STAGES}
 # decoder, and counts its states with the class rule of vocabulary, so it loads
 # no analytics or fractions; analyze and report count validated.jsonl's state
 # strings, so they load no validation or routing code; classify reads the
-# resolved and pairs rows, so it loads no resolver, RIB or coverage code.
+# resolved and pairs rows, so it loads no resolver, RIB or coverage code, and
+# its shares are int divisions, so it loads no fractions.
 NO_VALIDATION = package("roa_validation", "rib_store") | {"gzip", "csv"}
 NOT_LOADED = {
     "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
@@ -60,7 +61,7 @@ NOT_LOADED = {
     | NO_VALIDATION,
     "resolve": package("_dnswire", "_merge_sort") | {"concurrent.futures"},
     "classify": package("_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics")
-    | {"concurrent.futures"},
+    | {"concurrent.futures", "fractions", "decimal"},
 }
 
 
@@ -133,23 +134,32 @@ def names_in(node):
             yield from names_in(ast.parse(annotation.value, mode="eval"))
 
 
+def public(nodes):
+    """The functions and classes among ``nodes`` whose names do not start with "_"."""
+    return [n for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+            and not n.name.startswith("_")]
+
+
 def test_every_public_name_is_used_or_checked():
-    # a top-level function or class that only tests call is a second entry point
-    # the stages do not run; it must be named in src outside its own definition,
-    # or be imported by the acceptance checks
+    # a top-level function or class, or a method or property of a public class,
+    # that only tests call is a second entry point the stages do not run; it must be
+    # named in src outside its own definition, or be imported (a member: read as an
+    # attribute) by the acceptance checks
     package = Path(rpkiaudit.__file__).parent
     trees = [ast.parse(path.read_text("utf-8")) for path in sorted(package.rglob("*.py"))]
     mentions = collections.Counter(name for tree in trees for name in names_in(tree))
     acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text("utf-8"))
-    checked = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
-               for alias in node.names}
-    unused = sorted(
-        node.name
-        for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and mentions[node.name] == collections.Counter(names_in(node))[node.name]
-        and node.name not in checked
-    )
-    assert unused == []
+    imported = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    read = {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
+    unused = []
+    for tree in trees:
+        for node in public(tree.body):
+            members = public(node.body) if isinstance(node, ast.ClassDef) else []
+            for definition, checked in [(node, imported), *((m, read) for m in members)]:
+                name = definition.name
+                if mentions[name] == collections.Counter(names_in(definition))[name] and (
+                    name not in checked
+                ):
+                    unused.append(f"{node.name}.{name}" if definition is not node else name)
+    assert sorted(unused) == []

@@ -8,7 +8,7 @@ import pytest
 import mrt_builder as mb
 from rpkiaudit._prefix_index import network
 from rpkiaudit.diagnostics import Diagnostics
-from rpkiaudit.errors import BadMagicError, EmptyPathError
+from rpkiaudit.errors import BadMagicError, DataError
 from rpkiaudit.rib_store import (
     PrefixOriginPair,
     RibEntry,
@@ -51,7 +51,7 @@ class TestOriginFromPath:
         assert origin_from_path((64496, frozenset({64497}))) is None
 
     def test_empty_path_raises(self):
-        with pytest.raises(EmptyPathError):
+        with pytest.raises(DataError, match="no segments"):
             origin_from_path(())
 
 
