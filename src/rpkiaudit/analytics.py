@@ -89,9 +89,7 @@ def row_coverage(row: dict) -> DomainCoverage:
     return domain_coverage(row["domain"], states)
 
 
-_ByVariant = dict[Variant, tuple[dict, DomainCoverage, object]]
-# Variant(text) as a dict get: the Enum call costs more than a row's pair checks
-_VARIANTS = {variant.value: variant for variant in Variant}
+_ByVariant = dict[str, tuple[dict, DomainCoverage, object]]  # keyed by a Variant's text
 
 
 def rank_rows(items: Iterable[tuple[dict, object]]) -> Iterator[tuple[int, str, _ByVariant]]:
@@ -101,17 +99,18 @@ def rank_rows(items: Iterable[tuple[dict, object]]) -> Iterator[tuple[int, str, 
     before its www row.  The name is the base row's domain, or the www row's
     less "www." when the rank has no base row.  Each row is checked as it is read.
     """
+    variants, base = frozenset(Variant), Variant.BASE  # once: a member lookup is not cheap
     for rank, items_of_rank in itertools.groupby(items, key=lambda item: item[0]["rank"]):
         by_variant: _ByVariant = {}
         name = None
         for row, tag in items_of_rank:
-            variant = _VARIANTS.get(row["variant"])
-            if variant is None:
-                raise ValueError(f"variant {row['variant']!r} is not base or www")
+            variant = row["variant"]
+            if variant not in variants:
+                raise ValueError(f"variant {variant!r} is not base or www")
             entry = (row, row_coverage(row), tag)
             if by_variant.setdefault(variant, entry) is not entry:
-                raise ValueError(f"rank {rank} has a second {variant.value} row")
-            if variant is Variant.BASE:
+                raise ValueError(f"rank {rank} has a second {variant} row")
+            if variant == base:
                 name = row["domain"]
             elif name is None:
                 name = row["domain"].removeprefix("www.")

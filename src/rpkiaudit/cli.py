@@ -5,8 +5,9 @@ on-disk artifacts and writes its own, so expensive inputs (DNS campaigns,
 RIB parses) are cached between runs.
 Artifacts are canonically sorted: identical inputs give identical bytes.
 
-Exit codes: 0 success, 1 usage error, 2 missing or unreadable input or missing
-stage dependency, 3 data error (inputs parsed but nothing usable).
+Exit codes: 0 success, 1 usage error, 2 a path a stage reads or writes is missing or
+cannot be opened (an input, an upstream artifact or an output), 3 data error (inputs
+parsed but nothing usable).  Each is the ``exit_code`` of the error's class.
 """
 
 from __future__ import annotations
@@ -26,15 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .diagnostics import Diagnostics
-from .errors import (
-    AuditError,
-    DataError,
-    MissingInputError,
-    NotUtf8Error,
-    StageDependencyMissingError,
-    UnreadableInputError,
-    UsageError,
-)
+from .errors import AuditError, DataError, NotUtf8Error, PathError, UsageError
 
 STAGES = ("resolve", "map", "validate", "classify", "analyze", "report")
 
@@ -122,14 +115,29 @@ def _is_a(value: object, hint) -> bool:
 
 
 @contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[typing.TextIO]:
-    """A text file that replaces ``path`` when the block ends; a fault leaves ``path`` as is."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _writing(path: Path | str) -> Iterator[None]:
+    """A block that makes or writes ``path``; an OSError in it exits 2 naming the path."""
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        yield
+    except OSError as exc:
+        raise PathError(f"cannot write {path}: {exc.strerror}") from None
+
+
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[typing.TextIO]:
+    """A text file that replaces ``path`` when the block ends; a fault leaves ``path`` as is.
+
+    A directory that cannot be made, or a file that cannot be opened or replaced, exits 2.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        with _writing(path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -164,7 +172,7 @@ def _jsonl_rows(path: Path) -> Iterator[dict]:
     A line that is exactly one JSON object is decoded in one call; any other
     line goes to ``_line_row``, so that a fault names its line.
     """
-    with open(path, "rb") as fh:
+    with _open_input(str(path), "artifact") as fh:
         for lineno, line in enumerate(fh, 1):
             if line[:1] == b"{":
                 try:
@@ -208,14 +216,15 @@ _ARTIFACT_ORDER = {
 def _artifact(cfg: PipelineConfig, name: str, stage: str):
     """An upstream stage's JSONL artifact, read as ``with _artifact(...) as rows``.
 
-    The call exits 2 when the artifact's stage has not run.  In the ``with``
-    block, a bad row is a DataError (exit 3) naming the artifact and its domain;
-    a row's rank, where it has one, is an int >= 1 and its domain is text, and
-    rows arrive strictly ascending in the artifact's order.
+    The call exits 2 when the artifact's stage has not run, and the ``with`` block
+    when the artifact cannot be opened (a directory, say).  In the block, a bad row
+    is a DataError (exit 3) naming the artifact and its domain; a row's rank, where
+    it has one, is an int >= 1 and its domain is text, and rows arrive strictly
+    ascending in the artifact's order.
     """
     path = cfg.out(name)
     if not path.exists():
-        raise StageDependencyMissingError(stage, str(path))
+        raise PathError(f"artifact {str(path)!r} not found; run the {stage!r} stage first")
     order = _ARTIFACT_ORDER.get(name)
     row: dict = {}
 
@@ -287,13 +296,13 @@ def _open_input(path: Optional[str], what: str) -> typing.BinaryIO:
     """An input file opened for binary reading; exit 2 when it is absent or cannot be
     opened (a directory, say).  A pipe opens like a file."""
     if not path:
-        raise MissingInputError(f"<{what}>", what)
+        raise PathError(f"missing {what}: <{what}>")
     try:
         return open(path, "rb")
     except FileNotFoundError:
-        raise MissingInputError(path, what) from None
+        raise PathError(f"missing {what}: {path}") from None
     except OSError as exc:
-        raise UnreadableInputError(path, what, exc) from None
+        raise PathError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
 def _not_utf8(fh: typing.BinaryIO, what: str, exc: UnicodeDecodeError, offset: int) -> DataError:
@@ -426,15 +435,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             if value is not None:
                 setattr(cfg, f.name, value)
         return run_stage(args.stage, cfg)
-    except UsageError as exc:
+    except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (MissingInputError, UnreadableInputError, StageDependencyMissingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AuditError as exc:  # DataError and every other input fault
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,10 @@
 
 
 class AuditError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors; ``main`` prints one and returns its ``exit_code``,
+    3 (a data error) unless its class says otherwise."""
+
+    exit_code = 3
 
 
 class ChainLoopError(AuditError):
@@ -29,35 +32,16 @@ class NotUtf8Error(AuditError):
 
 
 class UsageError(AuditError):
-    """Bad command line or config usage (exit code 1)."""
+    """Bad command line or config usage."""
+
+    exit_code = 1
 
 
-class MissingInputError(AuditError):
-    """A required input file does not exist (exit code 2)."""
+class PathError(AuditError):
+    """A path a stage reads or writes is missing or cannot be opened."""
 
-    def __init__(self, path: str, what: str = "input"):
-        super().__init__(f"missing {what}: {path}")
-        self.path = path
-
-
-class UnreadableInputError(AuditError):
-    """An input path that cannot be opened for reading, a directory say (exit code 2)."""
-
-    def __init__(self, path: str, what: str, exc: OSError):
-        super().__init__(f"cannot read {what} {path}: {exc.strerror}")
-        self.path = path
-
-
-class StageDependencyMissingError(AuditError):
-    """A required earlier stage has not produced its artifacts (exit code 2)."""
-
-    def __init__(self, stage: str, artifact: str):
-        super().__init__(
-            f"artifact {artifact!r} not found; run the {stage!r} stage first"
-        )
-        self.stage = stage
-        self.artifact = artifact
+    exit_code = 2
 
 
 class DataError(AuditError):
-    """An input or artifact is corrupt, or holds no usable data (exit code 3)."""
+    """An input or artifact is corrupt, or holds no usable data."""

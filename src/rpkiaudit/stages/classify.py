@@ -6,7 +6,7 @@ import json
 
 from .. import cdn_classifier
 from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_resolver
-from ..cli import _text_lines, _write_diag, _write_rows, _write_text
+from ..cli import _text_lines, _write_diag, _write_rows, _write_text, _writing
 from ..diagnostics import Diagnostics, log
 from ..errors import DataError
 from ..vocabulary import ResolutionStatus, plain_asn
@@ -76,8 +76,12 @@ def run(cfg: PipelineConfig) -> None:
 
     with resolved as resolved_rows:
         count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
+    agreement_path = cfg.out("agreement.json")
     if agreement is not None and count:
         doc = json.dumps(agreement.doc(), sort_keys=True, indent=2)
-        _write_text(cfg.out("agreement.json"), doc + "\n")
+        _write_text(agreement_path, doc + "\n")
+    else:  # an earlier run's agreement is not this run's
+        with _writing(agreement_path):
+            agreement_path.unlink(missing_ok=True)
     _write_diag(cfg, "classify", diag)
     log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))

@@ -10,12 +10,12 @@ from .._prefix_index import format_prefix, parse_address
 from ..cli import PipelineConfig, _artifact, _open_input, _primary_resolver, _write_diag
 from ..cli import _write_rows
 from ..diagnostics import Diagnostics, log
-from ..errors import DataError, MissingInputError, NotUtf8Error
+from ..errors import DataError, NotUtf8Error, PathError
 
 
 def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
     if not cfg.ribs:
-        raise MissingInputError("<ribs>", "RIB source")
+        raise PathError("missing RIB source: <ribs>")
     trie = rib_store.PrefixTrie()
     for path in cfg.ribs:
         with _open_input(path, "RIB dump") as dump:  # read and decoded as it streams in

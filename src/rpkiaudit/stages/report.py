@@ -27,7 +27,7 @@ def run(cfg: PipelineConfig) -> None:
     def cells(cov: Optional[DomainCoverage]) -> list[str]:
         if cov is None or cov.classification is CoverageClass.NO_DATA:
             return ["n/a", "", ""]
-        return [cov.classification.value, str(cov.covered_count), str(cov.total_pairs)]
+        return [cov.classification, str(cov.covered_count), str(cov.total_pairs)]
 
     csv_lines = ["rank,domain,www_class,www_covered,www_total,base_class,base_covered,base_total"]
     csv_lines += [",".join([str(r.rank), r.domain, *cells(r.www), *cells(r.base)]) for r in rows]

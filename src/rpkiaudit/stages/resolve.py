@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 from .. import dns_resolution, domain_ingest
 from .._prefix_index import format_address
 from ..cli import PipelineConfig, _open_input, _text_lines, _write_diag
-from ..cli import _write_rows, _write_text
+from ..cli import _write_rows, _write_text, _writing
 from ..diagnostics import Diagnostics, log
 from ..errors import ChainLoopError, DataError, UsageError
 from ..vocabulary import ResolutionStatus
@@ -112,7 +112,6 @@ def run(cfg: PipelineConfig) -> None:
         An answer whose CNAME chain loops or runs too long is dropped and counted.
         """
         for rank, variant, answers in collected:
-            variant = variant.value
             results = []
             for res in answers:
                 try:
@@ -132,7 +131,7 @@ def run(cfg: PipelineConfig) -> None:
                 yield {
                     "rank": rank,
                     "domain": res.domain,
-                    "variant": variant,
+                    "variant": variant,  # a member is its text
                     "resolver": res.resolver_id,
                     "cnames": res.cname_chain,  # a tuple encodes as an array
                     "addresses": texts[res.addresses],
@@ -160,11 +159,10 @@ def run(cfg: PipelineConfig) -> None:
                 cfg.dns_fixture, exc,
             )
             diag.counters = list_counts  # the domain list's counts, and no fixture's
-            Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
-            with (
-                _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file,
-                tempfile.TemporaryDirectory(prefix=".resolve-", dir=cfg.output_dir) as runs,
-            ):
+            with _writing(cfg.output_dir):
+                Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+                runs_dir = tempfile.TemporaryDirectory(prefix=".resolve-", dir=cfg.output_dir)
+            with runs_dir as runs, _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file:
                 lines = _text_lines(fixture_file, "DNS fixture")
                 count = write(replayed(dns_resolution.lines_in_turn(lines, names.turns, runs)))
     elif cfg.resolvers:

@@ -54,7 +54,7 @@ def run(cfg: PipelineConfig) -> None:
                     for (prefix, asn), state in zip(pairs, states)
                 ],
                 "covered": covered_share(valid + invalid, len(states)),
-                "class": coverage_class(valid, invalid, len(states) - valid - invalid).value,
+                "class": coverage_class(valid, invalid, len(states) - valid - invalid),
             }
 
     with pairs as pair_rows:

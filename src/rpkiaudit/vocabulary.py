@@ -22,12 +22,12 @@ class ValidationState(str, enum.Enum):  # a member equals its text, as artifacts
     NOT_FOUND = "notfound"
 
 
-class Variant(enum.Enum):
+class Variant(str, enum.Enum):  # a member equals its text, as artifacts hold it
     BASE = "base"
     WWW = "www"
 
 
-class CoverageClass(enum.Enum):
+class CoverageClass(str, enum.Enum):  # a member equals its text, as artifacts hold it
     NONE = "none"
     PARTIAL = "partial"
     FULL = "full"

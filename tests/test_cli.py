@@ -8,6 +8,7 @@ import json
 import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -25,12 +26,12 @@ import mrt_builder as mb
 from dns_fake import whole_file_answers
 from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
-from rpkiaudit import _merge_sort, _prefix_index, cli, dns_resolution
+from rpkiaudit import _merge_sort, _prefix_index, cli, dns_resolution, errors
 from rpkiaudit.stages import classify, resolve, validate
 from rpkiaudit.stages import analyze, map as map_stage, report
 from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
 from rpkiaudit.diagnostics import Diagnostics
-from rpkiaudit.errors import DataError, StageDependencyMissingError, UsageError
+from rpkiaudit.errors import AuditError, DataError, PathError, UsageError
 
 
 PACKAGE_DATA = Path(rpkiaudit.__file__).parent / "data"
@@ -203,15 +204,13 @@ class TestSingleDerivation:
 class TestStageDependencies:
     def test_map_without_resolve(self, tmp_path):
         cfg = e2e_config(tmp_path / "fresh")
-        with pytest.raises(StageDependencyMissingError) as info:
+        with pytest.raises(PathError, match="run the 'resolve' stage first"):
             run_stage("map", cfg)
-        assert info.value.stage == "resolve"
 
     def test_validate_without_map(self, tmp_path):
         cfg = e2e_config(tmp_path / "fresh")
-        with pytest.raises(StageDependencyMissingError) as info:
+        with pytest.raises(PathError, match="run the 'map' stage first"):
             run_stage("validate", cfg)
-        assert info.value.stage == "map"
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(UsageError):
@@ -274,6 +273,20 @@ class TestExitCodes:
                      "--roas", str(E2E_DIR / "roas.csv")])
         assert code == 2
         assert "map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error",
+        [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, AuditError)],
+        ids=lambda error: error.__name__,
+    )
+    def test_each_error_class_exits_with_its_code(self, monkeypatch, capsys, error):
+        def fail(stage, cfg):
+            raise error.__new__(error, "a fault")  # past NotUtf8Error's own __init__
+
+        monkeypatch.setattr(cli, "run_stage", fail)
+        assert main(["report"]) == error.exit_code
+        assert error.exit_code in (1, 2, 3)
+        assert capsys.readouterr().err == "error: a fault\n"
 
     def test_data_error_is_3(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
@@ -1018,10 +1031,11 @@ class TestInputPaths:
             assert pairs["pipe"] == read(e2e_output / "pairs.jsonl")
 
 
-def run_cli(*args):
-    """Run the CLI in a child process, so an uncaught error shows as a traceback."""
+def run_cli(*args, dev=False):
+    """Run the CLI in a child process, so an uncaught error shows as a traceback; ``dev``
+    runs it under ``python -X dev``, which also warns of each file left unclosed."""
     return subprocess.run(
-        [sys.executable, "-m", "rpkiaudit", *map(str, args)],
+        [sys.executable, *(["-X", "dev"] if dev else []), "-m", "rpkiaudit", *map(str, args)],
         capture_output=True, text=True, env=cli_env(), timeout=120,
     )
 
@@ -1134,6 +1148,8 @@ ROW_DAMAGE_IDS = [
 
 # stage -> (the artifacts it reads, the input flags it needs)
 STAGE_IO = {
+    "resolve": ([], ["--domain-list", E2E_DIR / "domains.csv",
+                     "--fixture-dns", E2E_DIR / "dns.jsonl"]),
     "map": (["resolved.jsonl", "resolve_meta.json"], ["--rib", E2E_DIR / "rib.txt"]),
     "validate": (["pairs.jsonl"], ["--roas", E2E_DIR / "roas.csv"]),
     "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
@@ -1447,6 +1463,105 @@ class TestCorruptInputs:
             cli._write_rows(rows_path, rows())
         assert rows_path.read_text() == '{"n":0}\n{"n":1}\n{"n":2}\n'
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.jsonl", "artifact.txt"]
+
+
+def entries(directory):
+    """Each entry of a directory by name: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in directory.iterdir()}
+
+
+class TestUnusablePaths:
+    """A path a stage reads or writes that cannot be opened exits 2 naming it: no
+    traceback, no file left unclosed, no temp file left and no artifact replaced."""
+
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [(stage, name) for stage, (needs, _) in STAGE_IO.items() for name in needs],
+    )
+    def test_directory_at_upstream_artifact_is_2(self, e2e_output, tmp_path, stage, artifact):
+        needs, inputs = STAGE_IO[stage]
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ALL_ARTIFACTS:  # the stage's own outputs among them, each stale
+            if name in needs:
+                shutil.copy(e2e_output / name, out)
+            else:
+                (out / name).write_text("stale\n")
+        (out / artifact).unlink()
+        (out / artifact).mkdir()
+        before = entries(out)
+        result = run_cli(stage, *inputs, "--output-dir", out, dev=True)
+        assert result.returncode == 2, result.stderr
+        assert f"cannot read artifact {out / artifact}: Is a directory" in result.stderr
+        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
+        assert entries(out) == before
+
+    @pytest.mark.parametrize("stage, artifact", [
+        ("resolve", "resolved.jsonl"), ("map", "pairs.jsonl"), ("validate", "validated.jsonl"),
+        ("classify", "cdn_labels.jsonl"),
+    ])
+    def test_directory_at_output_is_2(self, e2e_output, tmp_path, stage, artifact):
+        needs, inputs = STAGE_IO[stage]
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in needs:
+            shutil.copy(e2e_output / name, out)
+        (out / artifact).mkdir()
+        result = run_cli(stage, *inputs, "--output-dir", out, dev=True)
+        assert result.returncode == 2, result.stderr
+        assert f"cannot write {out / artifact}: Is a directory" in result.stderr
+        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
+        assert entries(out) == {name: read(e2e_output / name) for name in needs} | {artifact: None}
+
+    @pytest.mark.parametrize("order", ["in_turn", "reversed"])
+    def test_output_dir_under_a_file_is_2(self, tmp_path, order):
+        """Reversed, the fixture is out of turn order from its second line on, so
+        resolve makes its merge sort's directory before it writes any artifact."""
+        fixture = E2E_DIR / "dns.jsonl"
+        if order == "reversed":
+            fixture = tmp_path / "dns.jsonl"
+            fixture.write_text("".join(line + "\n" for line in reversed(E2E_FIXTURE_LINES)))
+        not_a_dir = tmp_path / "not-a-dir"
+        not_a_dir.write_text("a file\n")
+        out = not_a_dir / "out"
+        result = run_cli("resolve", "--domain-list", E2E_DIR / "domains.csv",
+                         "--fixture-dns", fixture, "--output-dir", out, dev=True)
+        assert result.returncode == 2, result.stderr
+        assert f"cannot write {out}" in result.stderr and "Not a directory" in result.stderr
+        assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
+        assert ("external merge sort" in result.stderr) == (order == "reversed")
+        assert not_a_dir.read_text() == "a file\n"
+
+
+class TestAgreementFile:
+    """agreement.json is classify's only when the run has usable external labels."""
+
+    @pytest.mark.parametrize("labels", [None, "not a label line\n"], ids=["none", "malformed"])
+    def test_rerun_without_usable_labels_removes_it(self, e2e_output, tmp_path, labels):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl", "agreement.json"):
+            shutil.copy(e2e_output / name, out)
+        cfg = e2e_config(out)
+        cfg.external_labels = None
+        if labels is not None:
+            cfg.external_labels = str(tmp_path / "labels.csv")
+            Path(cfg.external_labels).write_text(labels)
+        assert run_stage("classify", cfg) == 0
+        assert not (out / "agreement.json").exists()
+        rows = [json.loads(line) for line in read(out / "cdn_labels.jsonl").splitlines()]
+        assert rows and all(row["external"] is None for row in rows)
+
+    def test_agreement_that_cannot_be_removed_is_2(self, e2e_output, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("resolved.jsonl", "resolve_meta.json", "pairs.jsonl"):
+            shutil.copy(e2e_output / name, out)
+        (out / "agreement.json").mkdir()
+        cfg = e2e_config(out)
+        cfg.external_labels = None
+        with pytest.raises(PathError, match=re.escape(f"cannot write {out / 'agreement.json'}: ")):
+            run_stage("classify", cfg)
 
 
 def read_jsonl_by_line(path):

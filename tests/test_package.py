@@ -119,6 +119,25 @@ def test_only_the_codec_builds_ipaddress_objects():
     assert uses_outside_the_codec(names) == []
 
 
+def test_only_cli_and_the_sort_open_files():
+    # a stage opens every file it reads or writes through cli (_open_input, _replacing),
+    # where a path that cannot be opened exits 2 naming it; the merge sort opens its
+    # own run files, in a directory resolve has made
+    package = Path(rpkiaudit.__file__).parent
+    opens = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package)
+        if str(where) in ("cli.py", "_merge_sort.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "open":
+                    opens.append(f"{where}:{node.lineno}: {ast.unparse(func)}()")
+    assert opens == []
+
+
 def names_in(node):
     """Each name a node's code mentions: variables, attributes, imported names, and
     the names in annotations written as strings."""
