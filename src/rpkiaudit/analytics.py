@@ -8,11 +8,12 @@ validation state is anything other than not-found.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 from .vocabulary import MAX_ASN, CoverageClass, ValidationState, Variant, coverage_class
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 _CLASS_MARK = {
@@ -22,8 +23,7 @@ _CLASS_MARK = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class DomainCoverage:
+class DomainCoverage(NamedTuple):
     """Validation-state counts of one domain's distinct pairs."""
 
     domain: str
@@ -41,12 +41,19 @@ class DomainCoverage:
 
     @property
     def covered_fraction(self) -> Fraction:
-        total = self.total_pairs
-        return Fraction(self.covered_count, total) if total else Fraction(0)
+        return _ratio(self.covered_count, self.total_pairs or 1)  # 0 for no pairs
 
     @property
     def classification(self) -> CoverageClass:
         return coverage_class(self.valid, self.invalid, self.notfound)
+
+
+def _ratio(numerator: int, denominator: int) -> Optional[Fraction]:
+    """The exact ratio, None for a zero denominator; the one place analytics imports
+    fractions, so report, which builds no Fraction, loads neither it nor decimal."""
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator) if denominator else None
 
 
 _STATES = tuple(state.value for state in ValidationState)  # valid, invalid, notfound
@@ -127,13 +134,10 @@ def prefix_overlap(
     """
     www = set(www_prefixes)
     base = set(base_prefixes)
-    if not www and not base:
-        return None
-    return Fraction(len(www & base), len(www | base))
+    return _ratio(len(www & base), len(www | base))
 
 
-@dataclass(frozen=True)
-class BinStat:
+class BinStat(NamedTuple):
     lo: int  # the bin's first and last rank
     hi: int
     mean_covered: Optional[Fraction]
@@ -145,8 +149,7 @@ class BinStat:
     data_count: int
 
 
-@dataclass(frozen=True)
-class OverallRates:
+class OverallRates(NamedTuple):
     domains: int
     domains_with_data: int
     total_pairs: int
@@ -158,11 +161,12 @@ class OverallRates:
 _DOMAINS, _VALID, _INVALID = range(3)  # the columns of a pair total's counts
 
 
-@dataclass(slots=True)
 class _Sums:
-    domains: int = 0
-    cdn: int = 0
-    by_total: dict[int, list[int]] = field(default_factory=dict)  # NoData domains stay out
+    __slots__ = ("domains", "cdn", "by_total")
+
+    def __init__(self) -> None:
+        self.domains = self.cdn = 0
+        self.by_total: dict[int, list[int]] = {}  # NoData domains stay out
 
     def add_counts(self, total: int, counts: Iterable[int]) -> None:
         summed = self.by_total.setdefault(total, [0, 0, 0])
@@ -182,10 +186,10 @@ class _Sums:
         if not self.by_total:
             return None
         shares = (
-            Fraction(sum(counts[c] for c in columns), total)
+            _ratio(sum(counts[c] for c in columns), total)
             for total, counts in self.by_total.items()
         )
-        return sum(shares, Fraction(0)) / self.data_count
+        return sum(shares) / self.data_count
 
 
 class BinnedSums:
@@ -236,7 +240,7 @@ class BinnedSums:
                     sums.mean_share(_VALID),
                     sums.mean_share(_INVALID),
                     None if covered is None else 1 - covered,  # exact for rationals
-                    Fraction(sums.cdn, sums.domains) if sums.domains else None,
+                    _ratio(sums.cdn, sums.domains),
                     sums.domains,
                     sums.data_count,
                 )
@@ -259,12 +263,11 @@ class BinnedSums:
             total_pairs,
             covered_pairs,
             merged.mean_share(_VALID, _INVALID),
-            Fraction(covered_pairs, total_pairs) if total_pairs else None,
+            _ratio(covered_pairs, total_pairs),
         )
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     rank: int
     domain: str
     www: Optional[DomainCoverage]

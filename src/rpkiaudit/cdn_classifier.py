@@ -3,12 +3,9 @@ agreement against an external classification."""
 
 from __future__ import annotations
 
-import csv
-import io
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .diagnostics import Diagnostics
 from .domain_ingest import normalize_name
@@ -20,8 +17,7 @@ if TYPE_CHECKING:  # classify reads resolved.jsonl rows and loads no resolver co
 CHAIN_THRESHOLD = 2
 
 
-@dataclass(frozen=True, slots=True)
-class CdnLabel:
+class CdnLabel(NamedTuple):
     domain: str
     chain_length: int
     by_chain: bool
@@ -156,8 +152,10 @@ def _split_registry_line(line: str) -> tuple[str | None, str]:
     found = _SPACE.search(line)
     space = found.start() if found else len(line)
     if 0 <= comma < space:
+        import csv  # only a CSV registry line needs the csv module
+
         try:
-            row = next(csv.reader(io.StringIO(line)), None)
+            row = next(csv.reader([line]), None)
         except csv.Error:  # a field over the csv module's size limit, or a bare CR
             return None, ""
         if not row or len(row) < 2:

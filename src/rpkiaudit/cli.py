@@ -17,12 +17,10 @@ import codecs
 import contextlib
 import importlib
 import json
-import logging
 import operator
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -33,17 +31,17 @@ STAGES = ("resolve", "map", "validate", "classify", "analyze", "report")
 
 CONFIG_ENV_VAR = "RPKIAUDIT_CONFIG"
 
-@dataclass
+
 class PipelineConfig:
-    """Pipeline settings; config file keys and CLI flag dests are the field names."""
+    """Pipeline settings; config file keys and CLI flag dests are the annotated names."""
 
     domain_list: Optional[str] = None
     domain_list_format: str = "csv_rank_domain"
     dns_fixture: Optional[str] = None
-    resolvers: list[str] = field(default_factory=list)
+    resolvers: list[str]
     primary_resolver: Optional[str] = None
     special_purpose_table: Optional[str] = None
-    ribs: list[str] = field(default_factory=list)
+    ribs: list[str]
     roas: Optional[str] = None
     roa_format: Optional[str] = None
     keywords: Optional[str] = None
@@ -56,6 +54,12 @@ class PipelineConfig:
     resolver_qps: float = 0.0
     output_dir: str = "out"
 
+    def __init__(self, **values) -> None:
+        for name in self.__annotations__:  # a list field, with no default, starts as a new []
+            setattr(self, name, values.pop(name, getattr(type(self), name, [])))
+        if values:
+            raise TypeError(f"PipelineConfig has no field {min(values)!r}")
+
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         with _open_input(path, "config file") as fh:
@@ -66,7 +70,7 @@ class PipelineConfig:
             raise UsageError(f"config {path}: {exc}")
         if not isinstance(doc, dict):
             raise UsageError(f"config {path}: expected a JSON object")
-        unknown = sorted(doc.keys() - {f.name for f in fields(cls)})
+        unknown = sorted(doc.keys() - cls.__annotations__.keys())
         if unknown:
             raise UsageError(f"config {path}: unknown key {unknown[0]!r}")
         return cls(**doc)
@@ -75,13 +79,13 @@ class PipelineConfig:
         """Check each value against its field's type, and each number against its range;
         a single str makes a list."""
         hints = typing.get_type_hints(type(self))
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, str) and hints[f.name] == list[str]:
+        for name, written in self.__annotations__.items():
+            value, hint = getattr(self, name), hints[name]
+            if isinstance(value, str) and hint == list[str]:
                 value = [value]
-                setattr(self, f.name, value)
-            if not _is_a(value, hints[f.name]):
-                raise UsageError(f"config key {f.name!r} must be {f.type}, not {value!r}")
+                setattr(self, name, value)
+            if not _is_a(value, hint):
+                raise UsageError(f"config key {name!r} must be {written}, not {value!r}")
         if self.bin_size < 1:
             raise UsageError("bin_size must be >= 1")
         if self.top_n < 1:
@@ -422,18 +426,15 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-    )
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         cfg = PipelineConfig.from_file(config_path) if config_path else PipelineConfig()
-        for f in fields(cfg):  # flag dests are the field names
-            value = getattr(args, f.name, None)
+        for name in cfg.__annotations__:  # flag dests are the field names
+            value = getattr(args, name, None)
             if value is not None:
-                setattr(cfg, f.name, value)
+                setattr(cfg, name, value)
         return run_stage(args.stage, cfg)
     except AuditError as exc:
         print(f"error: {exc}", file=sys.stderr)

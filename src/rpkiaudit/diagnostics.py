@@ -8,10 +8,13 @@ object is threaded through a stage and serialized next to its artifacts.
 from __future__ import annotations
 
 import json
-import logging
+import sys
 from collections import Counter
 
-log = logging.getLogger("rpkiaudit")
+
+def log(level: str, message: str) -> None:
+    """Write one stage line, ``<level> rpkiaudit: <message>``, to the current ``sys.stderr``."""
+    print(f"{level} rpkiaudit: {message}", file=sys.stderr)
 
 
 class Diagnostics:
@@ -25,9 +28,9 @@ class Diagnostics:
         return self.counters.get(key, 0)
 
     def warn(self, key: str, message: str) -> None:
-        """Count an event and emit it on the logging channel."""
+        """Count an event and write it to stderr as ``WARNING rpkiaudit: <key>: <message>``."""
         self.count(key)
-        log.warning("%s: %s", key, message)
+        log("WARNING", f"{key}: {message}")
 
     def as_dict(self) -> dict[str, int]:
         return {k: self.counters[k] for k in sorted(self.counters)}

@@ -12,7 +12,6 @@ import heapq
 import json
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -189,8 +188,7 @@ def lines_in_turn(
 # Live resolution
 
 
-@dataclass(frozen=True, slots=True)
-class LiveResolver:
+class LiveResolver(NamedTuple):
     resolver_id: str
     ip: str
     port: int = 53

@@ -13,8 +13,7 @@ import io
 import ipaddress
 import struct
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Union
 
 from ._prefix_index import WIDTH, IPAddress, IPNetwork, Prefix, PrefixIndex, Prefixed
 from ._prefix_index import network, parse_address, parse_prefix
@@ -56,8 +55,7 @@ class _Malformed(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class RibEntry:
+class RibEntry(NamedTuple):
     prefix: IPNetwork
     as_path: AsPath
     # Rightmost-path origin; None marks an AS_SET-terminated path (RFC 6472

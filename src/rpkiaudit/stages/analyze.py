@@ -96,4 +96,4 @@ def run(cfg: PipelineConfig) -> None:
     )
     _write_text(cfg.out("summary.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
     _write_diag(cfg, "analyze", diag)
-    log.info("analyze: %d bins over %d ranks", len(stats), max_rank)
+    log("INFO", f"analyze: {len(stats)} bins over {max_rank} ranks")

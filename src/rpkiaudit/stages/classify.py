@@ -84,4 +84,4 @@ def run(cfg: PipelineConfig) -> None:
         with _writing(agreement_path):
             agreement_path.unlink(missing_ok=True)
     _write_diag(cfg, "classify", diag)
-    log.info("classify: %d labels, %d CDN ASes spotted", count, len(cdn_asns))
+    log("INFO", f"classify: {count} labels, {len(cdn_asns)} CDN ASes spotted")

@@ -75,4 +75,4 @@ def run(cfg: PipelineConfig) -> None:
     with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order
         count = _write_rows(cfg.out("pairs.jsonl"), pair_rows(resolved_rows))
     _write_diag(cfg, "map", diag)
-    log.info("map: %d rows against %d prefix-origin pairs", count, len(trie))
+    log("INFO", f"map: {count} rows against {len(trie)} prefix-origin pairs")

@@ -32,4 +32,4 @@ def run(cfg: PipelineConfig) -> None:
     csv_lines = ["rank,domain,www_class,www_covered,www_total,base_class,base_covered,base_total"]
     csv_lines += [",".join([str(r.rank), r.domain, *cells(r.www), *cells(r.base)]) for r in rows]
     _write_text(cfg.out("report.csv"), "\n".join(csv_lines) + "\n")
-    log.info("report: %d rows", len(rows))
+    log("INFO", f"report: {len(rows)} rows")

@@ -154,10 +154,8 @@ def run(cfg: PipelineConfig) -> None:
         except dns_resolution.FixtureOrderError as exc:
             import tempfile  # only a fixture out of turn order is sorted
 
-            log.warning(
-                "DNS fixture %s: %s; replaying it in turn order through an external merge sort",
-                cfg.dns_fixture, exc,
-            )
+            log("WARNING", f"DNS fixture {cfg.dns_fixture}: {exc}; replaying it in turn order"
+                " through an external merge sort")
             diag.counters = list_counts  # the domain list's counts, and no fixture's
             with _writing(cfg.output_dir):
                 Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
@@ -193,4 +191,4 @@ def run(cfg: PipelineConfig) -> None:
 
     _write_text(cfg.out("resolve_meta.json"), json.dumps(meta, sort_keys=True) + "\n")
     _write_diag(cfg, "resolve", diag)
-    log.info("resolve: %d rows from %d domains", count, len(names))
+    log("INFO", f"resolve: {count} rows from {len(names)} domains")

@@ -60,4 +60,4 @@ def run(cfg: PipelineConfig) -> None:
     with pairs as pair_rows:
         count = _write_rows(cfg.out("validated.jsonl"), validated_rows(pair_rows))
     _write_diag(cfg, "validate", diag)
-    log.info("validate: %d rows against %d ROAs", count, len(index))
+    log("INFO", f"validate: {count} rows against {len(index)} ROAs")

@@ -28,16 +28,18 @@ ALL_ARTIFACTS = BIN_CSVS + (
 )
 
 
-def e2e_config(output_dir) -> PipelineConfig:
-    return PipelineConfig(
-        domain_list=str(E2E_DIR / "domains.csv"),
-        dns_fixture=str(E2E_DIR / "dns.jsonl"),
-        primary_resolver="fixture",
-        ribs=[str(E2E_DIR / "rib.txt")],
-        roas=str(E2E_DIR / "roas.csv"),
-        as_registry=str(E2E_DIR / "as_registry.txt"),
-        external_labels=str(E2E_DIR / "external_labels.csv"),
-        bin_size=10,
-        top_n=10,
-        output_dir=str(output_dir),
-    )
+def e2e_config(output_dir, **changes) -> PipelineConfig:
+    """The e2e fixture's config writing to ``output_dir``, with any fields changed."""
+    return PipelineConfig(**{
+        "domain_list": str(E2E_DIR / "domains.csv"),
+        "dns_fixture": str(E2E_DIR / "dns.jsonl"),
+        "primary_resolver": "fixture",
+        "ribs": [str(E2E_DIR / "rib.txt")],
+        "roas": str(E2E_DIR / "roas.csv"),
+        "as_registry": str(E2E_DIR / "as_registry.txt"),
+        "external_labels": str(E2E_DIR / "external_labels.csv"),
+        "bin_size": 10,
+        "top_n": 10,
+        "output_dir": str(output_dir),
+        **changes,
+    })

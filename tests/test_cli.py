@@ -1,11 +1,9 @@
-import dataclasses
 import gc
 import gzip
 import io
 import ipaddress
 import itertools
 import json
-import logging
 import os
 import random
 import re
@@ -332,6 +330,7 @@ class TestConfigHandling:
         bad = tmp_path / "bad.json"
         bad.write_text('{"frobnicator": 1}')
         assert main(["resolve", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: config {bad}: unknown key 'frobnicator'\n"
 
     def test_live_dns_flags_override_config(self, tmp_path, monkeypatch):
         config = tmp_path / "config.json"
@@ -402,6 +401,21 @@ class TestConfigHandling:
         cfg.validated()
         assert (cfg.ribs, cfg.resolvers) == (["rib.txt"], ["a=192.0.2.1"])
         assert (cfg.timeout, cfg.resolver_qps) == (3, 2)
+
+    def test_config_defaults_and_fresh_lists(self):
+        cfg, other = PipelineConfig(), PipelineConfig(top_n=3)
+        cfg.ribs.append("rib.txt")
+        cfg.resolvers.append("a=192.0.2.1")
+        assert (other.ribs, other.resolvers, PipelineConfig().ribs) == ([], [], [])
+        assert (cfg.output_dir, cfg.bin_size, other.top_n, cfg.top_n) == ("out", 10000, 3, 10)
+        with pytest.raises(TypeError):
+            PipelineConfig(frobnicator=1)
+
+    def test_wrong_typed_config_value_names_the_type(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"ribs": 5}')
+        assert main(["analyze", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: config key 'ribs' must be list[str], not 5\n"
 
     def test_config_nested_too_deep_is_1(self, tmp_path):
         config = tmp_path / "config.json"
@@ -616,7 +630,7 @@ class TestAnalyzeJoin:
         ]
         for name, rows in (("validated.jsonl", validated), ("cdn_labels.jsonl", labels)):
             (out / name).write_text("".join(json.dumps(row) + "\n" for row in rows))
-        cfg = dataclasses.replace(e2e_config(out), bin_size=1)
+        cfg = e2e_config(out, bin_size=1)
         assert run_stage("analyze", cfg) == 0
 
         def bin_lines(name):  # (bin_lo, n, cdn_fraction) of each bin
@@ -656,7 +670,7 @@ class TestStreamedMemory:
             shutil.copy(e2e_output / "resolve_meta.json", out)
             (out / "resolved.jsonl").write_text(resolved_rows_like_e2e(e2e_output, count))
             # one bin for every rank: the bins analyze writes grow with the ranks, by design
-            cfg = dataclasses.replace(e2e_config(out), bin_size=10**9).validated()
+            cfg = e2e_config(out, bin_size=10**9).validated()
             stages = (map_stage.run, validate.run, classify.run, analyze.run, report.run)
             peaks[count] = [traced_peak(stage, cfg) for stage in stages]
             assert len(read(out / "validated.jsonl").splitlines()) > count // 3
@@ -686,7 +700,7 @@ class TestStreamedMemory:
                 for rank, (version, net, plen) in enumerate(prefixes[:count], 1)
             )
             (out / "resolved.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
-            cfg = dataclasses.replace(e2e_config(out), ribs=[str(rib)]).validated()
+            cfg = e2e_config(out, ribs=[str(rib)]).validated()
             peaks[count] = traced_peak(map_stage.run, cfg)
             pair_rows = [json.loads(line) for line in read(out / "pairs.jsonl").splitlines()]
             assert len(pair_rows) == count
@@ -819,7 +833,7 @@ class TestTableMemory:
             out.mkdir()
             for artifact in ("resolved.jsonl", "resolve_meta.json"):
                 shutil.copy(e2e_output / artifact, out)
-            cfg = dataclasses.replace(e2e_config(out), ribs=[str(rib)]).validated()
+            cfg = e2e_config(out, ribs=[str(rib)]).validated()
             peaks[name] = traced_peak(map_stage.run, cfg)
         assert peaks["padded"] < 1.1 * peaks["plain"], peaks
 
@@ -1038,6 +1052,61 @@ def run_cli(*args, dev=False):
         [sys.executable, *(["-X", "dev"] if dev else []), "-m", "rpkiaudit", *map(str, args)],
         capture_output=True, text=True, env=cli_env(), timeout=120,
     )
+
+
+def stage_stderr(*args):
+    """The exit code and stderr bytes of a CLI child."""
+    result = subprocess.run([sys.executable, "-m", "rpkiaudit", *map(str, args)],
+                            capture_output=True, env=cli_env(), timeout=120)
+    return result.returncode, result.stderr
+
+
+# The line each stage ends with on the e2e fixture, in pipeline order.
+E2E_STAGE_LINES = {
+    "resolve": b"INFO rpkiaudit: resolve: 400 rows from 100 domains\n",
+    "map": b"INFO rpkiaudit: map: 200 rows against 495 prefix-origin pairs\n",
+    "validate": b"INFO rpkiaudit: validate: 200 rows against 224 ROAs\n",
+    "classify": b"INFO rpkiaudit: classify: 195 labels, 5 CDN ASes spotted\n",
+    "analyze": b"INFO rpkiaudit: analyze: 10 bins over 100 ranks\n",
+    "report": b"INFO rpkiaudit: report: 10 rows\n",
+}
+
+
+class TestStageLines:
+    """Each stage's stderr lines, byte for byte: its INFO line, and the WARNING lines
+    of the fixture's merge-sort fallback and of an empty ROA set."""
+
+    def test_all_writes_each_stage_line_in_turn(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(vars(e2e_config(tmp_path / "out"))))
+        assert stage_stderr("all", "--config", config) == (0, b"".join(E2E_STAGE_LINES.values()))
+
+    def test_out_of_turn_fixture_warns_of_the_merge_sort(self, tmp_path):
+        fixture = tmp_path / "dns.jsonl"
+        fixture.write_text("".join(line + "\n" for line in reversed(E2E_FIXTURE_LINES)))
+        code, stderr = stage_stderr(
+            "resolve", "--domain-list", E2E_DIR / "domains.csv", "--fixture-dns", fixture,
+            "--primary-resolver", "fixture", "--output-dir", tmp_path / "out",
+        )
+        assert code == 0
+        assert stderr == (
+            f"WARNING rpkiaudit: DNS fixture {fixture}: line 3 answers site100.test after its"
+            " turn; replaying it in turn order through an external merge sort\n".encode()
+            + E2E_STAGE_LINES["resolve"]
+        )
+
+    @pytest.mark.parametrize("name, text", [("roas.csv", ""), ("roas.json", "[" * 100_000)],
+                             ids=["no-rows", "undecodable"])
+    def test_empty_roa_set_warns(self, e2e_output, tmp_path, name, text):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "pairs.jsonl", out)
+        roas = tmp_path / name
+        roas.write_text(text)
+        assert stage_stderr("validate", "--roas", roas, "--output-dir", out) == (0, (
+            b"WARNING rpkiaudit: empty_roa_set: no ROA payloads loaded; everything validates"
+            b" NotFound\nINFO rpkiaudit: validate: 200 rows against 0 ROAs\n"
+        ))
 
 
 # (a pairs.jsonl pair, the fault validate names for it): a pair's ASN must be a
@@ -1682,22 +1751,22 @@ class TestJsonlReader:
 RESOLVE_ARTIFACTS = ("resolved.jsonl", "resolve_meta.json", "resolve_diagnostics.json")
 
 
-class WarningLog(logging.Handler):
-    """The warnings the rpkiaudit logger emits while the block runs."""
+class WarningLog:
+    """The WARNING lines written to stderr while the block runs, less their prefix;
+    the list fills when the block ends, and all that was written goes on to stderr."""
 
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
+    PREFIX = "WARNING rpkiaudit: "
 
     def __enter__(self):
-        logging.getLogger("rpkiaudit").addHandler(self)
+        self.stderr, sys.stderr = sys.stderr, io.StringIO()
+        self.messages = []
         return self.messages
 
     def __exit__(self, *exc):
-        logging.getLogger("rpkiaudit").removeHandler(self)
+        written, sys.stderr = sys.stderr.getvalue(), self.stderr
+        sys.stderr.write(written)
+        self.messages += [line.removeprefix(self.PREFIX) for line in written.splitlines()
+                          if line.startswith(self.PREFIX)]
 
 
 def fallbacks(messages):

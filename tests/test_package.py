@@ -2,7 +2,6 @@
 
 import ast
 import collections
-import dataclasses
 import json
 import os
 import subprocess
@@ -14,14 +13,19 @@ from e2e_support import e2e_config
 from rpkiaudit.cli import STAGES
 
 
-def modules_after(code):
-    """The module names in sys.modules of a fresh interpreter once it has run the code."""
-    env = dict(os.environ)
+def child_env(**changes):
+    """The environment of a child interpreter: this checkout's package first on its path."""
+    env = dict(os.environ, **changes)
     src = str(Path(rpkiaudit.__file__).parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def modules_after(code):
+    """The module names in sys.modules of a fresh interpreter once it has run the code."""
     code += "\nimport sys\nprint(*sorted(sys.modules))"
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
@@ -49,19 +53,28 @@ STAGE_MODULES = {stage: f"rpkiaudit.stages.{stage}" for stage in STAGES}
 # no analytics or fractions; analyze and report count validated.jsonl's state
 # strings, so they load no validation or routing code; classify reads the
 # resolved and pairs rows, so it loads no resolver, RIB or coverage code, and
-# its shares are int divisions, so it loads no fractions.
+# its shares are int divisions, so it loads no fractions, and the e2e registry has
+# no CSV line, so it loads no csv; report counts pairs and builds no Fraction.  No
+# stage loads logging (the stage lines are plain stderr writes) or dataclasses, which
+# loads inspect (the records are NamedTuples): each costs every child's start.
 NO_VALIDATION = package("roa_validation", "rib_store") | {"gzip", "csv"}
+LEAN_START = {"logging", "dataclasses", "inspect"}
 NOT_LOADED = {
-    "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
-    "validate": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire", "rib_store")
-    | {"gzip", "fractions", "decimal"},
-    "analyze": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
-    | NO_VALIDATION,
-    "report": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
-    | NO_VALIDATION,
-    "resolve": package("_dnswire", "_merge_sort") | {"concurrent.futures"},
-    "classify": package("_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics")
-    | {"concurrent.futures", "fractions", "decimal"},
+    stage: modules | LEAN_START
+    for stage, modules in {
+        "map": package("analytics", "cdn_classifier", "dns_resolution", "_dnswire"),
+        "validate": package(
+            "analytics", "cdn_classifier", "dns_resolution", "_dnswire", "rib_store"
+        ) | {"gzip", "fractions", "decimal"},
+        "analyze": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
+        | NO_VALIDATION,
+        "report": package("cdn_classifier", "dns_resolution", "_dnswire", "domain_ingest")
+        | NO_VALIDATION | {"fractions", "decimal"},
+        "resolve": package("_dnswire", "_merge_sort") | {"concurrent.futures"},
+        "classify": package(
+            "_dnswire", "roa_validation", "rib_store", "dns_resolution", "analytics"
+        ) | {"concurrent.futures", "fractions", "decimal", "csv"},
+    }.items()
 }
 
 
@@ -73,9 +86,22 @@ def test_cli_import_loads_no_stage_module():
     assert (unwanted | {"concurrent.futures", "fractions"}) & loaded == set()
 
 
+def test_help_loads_no_stage_or_heavy_module():
+    # the bench's setup_s path: python -m rpkiaudit --help, compiling from source;
+    # -X importtime names each module the child imports on stderr
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "rpkiaudit", "--help"],
+        capture_output=True, text=True, env=child_env(PYTHONDONTWRITEBYTECODE="1"), timeout=60,
+    )
+    assert result.returncode == 0 and "usage: rpkiaudit" in result.stdout, result.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()}
+    assert "rpkiaudit.cli" in loaded
+    assert (LEAN_START | {"rpkiaudit.stages"}) & loaded == set()
+
+
 def test_each_stage_loads_only_its_own_modules(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(dataclasses.asdict(e2e_config(tmp_path / "out"))))
+    config.write_text(json.dumps(vars(e2e_config(tmp_path / "out"))))
     for stage in STAGES:  # each in its own child, in pipeline order, on the e2e fixture
         loaded = modules_after(
             "from rpkiaudit.cli import main\n"
