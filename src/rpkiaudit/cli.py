@@ -1,9 +1,9 @@
 """Staged, resumable pipeline driver: the config, artifact I/O and the stage runner.
 
-Each stage, a module of ``rpkiaudit.stages``, reads the previous stage's
-on-disk artifacts and writes its own, so expensive inputs (DNS campaigns,
-RIB parses) are cached between runs.
-Artifacts are canonically sorted: identical inputs give identical bytes.
+Each stage, a module of ``rpkiaudit.stages``, reads the previous stage's on-disk
+artifacts and writes its own, so expensive inputs (DNS campaigns, RIB parses) are
+cached between runs.  A stage's outputs are committed together: a failed stage replaces
+none.  Artifacts are canonically sorted: identical inputs give identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 a path a stage reads or writes is missing or
 cannot be opened (an input, an upstream artifact or an output), 3 data error (inputs
@@ -24,7 +24,7 @@ import typing
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .diagnostics import Diagnostics
+from .diagnostics import Diagnostics, log
 from .errors import AuditError, DataError, NotUtf8Error, PathError, UsageError
 
 STAGES = ("resolve", "map", "validate", "classify", "analyze", "report")
@@ -98,9 +98,6 @@ class PipelineConfig:
             raise UsageError(f"max_inflight must be >= 1, not {self.max_inflight!r}")
         return self
 
-    def out(self, name: str) -> Path:
-        return Path(self.output_dir) / name
-
 
 def _is_a(value: object, hint) -> bool:
     """isinstance against a field type: Optional, list[...], and an int is a float."""
@@ -127,31 +124,6 @@ def _writing(path: Path | str) -> Iterator[None]:
         raise PathError(f"cannot write {path}: {exc.strerror}") from None
 
 
-@contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[typing.TextIO]:
-    """A text file that replaces ``path`` when the block ends; a fault leaves ``path`` as is.
-
-    A directory that cannot be made, or a file that cannot be opened or replaced, exits 2.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with _writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(tmp, "w", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            yield fh
-        with _writing(path):
-            os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _replacing(path) as fh:
-        fh.write(text)
-
-
 # The C encoder JSONEncoder(sort_keys=True, separators=(",", ":")).encode builds per call,
 # built once and with no cycle markers: a row is built afresh from decoded values.
 _iterencode_row = json.encoder.c_make_encoder(
@@ -161,13 +133,54 @@ _iterencode_row = json.encoder.c_make_encoder(
 _decode_value = json.JSONDecoder().scan_once  # raw_decode, less the frame around it
 
 
-def _write_rows(path: Path, rows: Iterable[dict]) -> int:
-    """Write each row as one JSONL line as it comes; returns the row count."""
-    count = 0
-    with _replacing(path) as fh:
-        for count, row in enumerate(rows, 1):
-            fh.write("".join(_iterencode_row(row, 0)) + "\n")
-    return count
+class _Outputs(contextlib.AbstractContextManager):
+    """A stage's outputs, each streamed to a temp file; the ``with`` block's end moves them
+    into place and makes the removals, in the order staged, and a fault in it leaves every
+    old output.  A path that cannot be written exits 2, a directory there before any move."""
+
+    def __init__(self, output_dir: str) -> None:
+        self.dir = Path(output_dir)
+        self.staged: dict[Path, Optional[Path]] = {}  # each output's temp file, None to remove
+
+    def _path(self, name: str) -> Path:
+        path = self.dir / name
+        if path.is_dir():  # a rename onto it would fail, after others had moved
+            raise PathError(f"cannot write {path}: Is a directory")
+        return path
+
+    def write(self, name: str, lines: str | Iterable) -> int:
+        """Write one text, its lines or a ``.jsonl`` file's rows; returns how many."""
+        path = self._path(name)
+        tmp = path.with_name(f".{name}.{os.getpid()}.tmp")
+        with _writing(path):
+            self.dir.mkdir(parents=True, exist_ok=True)
+            fh = open(tmp, "w", encoding="utf-8", newline="\n")
+        self.staged[path] = tmp
+        if isinstance(lines, str):
+            lines = (lines,)
+        elif name.endswith(".jsonl"):
+            lines = ("".join(_iterencode_row(row, 0)) + "\n" for row in lines)
+        count = 0
+        with fh:
+            for count, line in enumerate(lines, 1):
+                fh.write(line)
+        return count
+
+    def remove(self, name: str) -> None:
+        self.staged[self._path(name)] = None
+
+    def __exit__(self, fault, *_) -> None:
+        try:
+            if fault is None:
+                for path, tmp in self.staged.items():
+                    with _writing(path):
+                        if tmp is None:
+                            path.unlink(missing_ok=True)
+                        else:
+                            os.replace(tmp, path)
+        finally:
+            for tmp in filter(None, self.staged.values()):  # those that were not moved
+                tmp.unlink(missing_ok=True)
 
 
 def _jsonl_rows(path: Path) -> Iterator[dict]:
@@ -226,7 +239,7 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
     it has one, is an int >= 1 and its domain is text, and rows arrive strictly
     ascending in the artifact's order.
     """
-    path = cfg.out(name)
+    path = Path(cfg.output_dir) / name
     if not path.exists():
         raise PathError(f"artifact {str(path)!r} not found; run the {stage!r} stage first")
     order = _ARTIFACT_ORDER.get(name)
@@ -290,10 +303,6 @@ def _primary_resolver(cfg: PipelineConfig) -> str:
         if meta["primary_resolver"] not in meta["resolvers"]:
             raise ValueError(f"primary resolver {meta['primary_resolver']!r} is not a resolver")
         return meta["primary_resolver"]
-
-
-def _write_diag(cfg: PipelineConfig, stage: str, diag: Diagnostics) -> None:
-    _write_text(cfg.out(f"{stage}_diagnostics.json"), diag.to_json())
 
 
 def _open_input(path: Optional[str], what: str) -> typing.BinaryIO:
@@ -369,14 +378,20 @@ def _text_chunks(fh: typing.BinaryIO, what: str) -> Iterator[str]:
 def run_stage(stage: str, config: PipelineConfig) -> int:
     """Run one stage (or "all"); returns 0, raising AuditError subclasses on failure.
 
-    A stage is the module ``rpkiaudit.stages.<stage>``, imported only when it
-    runs, so a stage child loads and compiles no other stage's code.
+    A stage is the module ``rpkiaudit.stages.<stage>``, imported only when it runs, so a
+    stage child loads no other stage's code.  Its ``run(cfg, diag, out)`` returns its INFO
+    line; the driver adds ``<stage>_diagnostics.json`` and commits every output at once.
     """
     config = config.validated()
     if stage != "all" and stage not in STAGES:
         raise UsageError(f"unknown stage {stage!r}")
     for name in STAGES if stage == "all" else (stage,):
-        importlib.import_module(f"{__package__}.stages.{name}").run(config)
+        run = importlib.import_module(f"{__package__}.stages.{name}").run
+        diag = Diagnostics()
+        with _Outputs(config.output_dir) as out:
+            message = run(config, diag, out)
+            out.write(f"{name}_diagnostics.json", diag.to_json())
+        log("INFO", f"{name}: {message}")
     return 0
 
 

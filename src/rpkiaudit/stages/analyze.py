@@ -6,8 +6,8 @@ import json
 from fractions import Fraction
 
 from ..analytics import BinnedSums, BinStat, OverallRates, prefix_overlap, rank_rows
-from ..cli import PipelineConfig, _artifact, _joined, _replacing, _write_diag, _write_text
-from ..diagnostics import Diagnostics, log
+from ..cli import PipelineConfig, _artifact, _joined, _Outputs
+from ..diagnostics import Diagnostics
 from ..errors import DataError
 from ..vocabulary import Variant, format_fraction, fraction_to_float
 
@@ -40,8 +40,7 @@ def _by_chain(label: dict) -> bool:
     return value
 
 
-def run(cfg: PipelineConfig) -> None:
-    diag = Diagnostics()
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     validated = _artifact(cfg, "validated.jsonl", "validate")
     labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
 
@@ -81,19 +80,18 @@ def run(cfg: PipelineConfig) -> None:
         if not max_rank:
             raise DataError("validated.jsonl holds zero rows")
 
-    with validated as validated_rows, _replacing(cfg.out("overlap.csv")) as fh:
-        fh.writelines(overlap_lines(validated_rows))
+    with validated as validated_rows:
+        out.write("overlap.csv", overlap_lines(validated_rows))
 
     summary: dict[str, dict] = {}
     for variant in Variant:
         stats, cdn_stats = every[variant].stats(max_rank), cdn[variant].stats(max_rank)
-        _write_text(cfg.out(f"bins_{variant.value}.csv"), _bin_csv(stats))
-        _write_text(cfg.out(f"cdn_bins_{variant.value}.csv"), _bin_csv(cdn_stats))
+        out.write(f"bins_{variant.value}.csv", _bin_csv(stats))
+        out.write(f"cdn_bins_{variant.value}.csv", _bin_csv(cdn_stats))
         summary[variant.value] = _rates_obj(every[variant].rates())
     overlap_sum = sum((Fraction(n, d) for d, n in overlap_sums.items()), Fraction(0))
     summary["overlap_mean"] = fraction_to_float(
         overlap_sum / overlap_count if overlap_count else None
     )
-    _write_text(cfg.out("summary.json"), json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    _write_diag(cfg, "analyze", diag)
-    log("INFO", f"analyze: {len(stats)} bins over {max_rank} ranks")
+    out.write("summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    return f"{len(stats)} bins over {max_rank} ranks"

@@ -5,9 +5,9 @@ from __future__ import annotations
 import json
 
 from .. import cdn_classifier
-from ..cli import PipelineConfig, _artifact, _joined, _open_input, _primary_resolver
-from ..cli import _text_lines, _write_diag, _write_rows, _write_text, _writing
-from ..diagnostics import Diagnostics, log
+from ..cli import PipelineConfig, _artifact, _joined, _open_input, _Outputs, _primary_resolver
+from ..cli import _text_lines
+from ..diagnostics import Diagnostics
 from ..errors import DataError
 from ..vocabulary import ResolutionStatus, plain_asn
 
@@ -17,8 +17,7 @@ def _origin_asns(row: dict) -> list[int]:
     return [plain_asn(pair["asn"]) for pair in row["pairs"]]
 
 
-def run(cfg: PipelineConfig) -> None:
-    diag = Diagnostics()
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     resolved = _artifact(cfg, "resolved.jsonl", "resolve")
     pairs = _artifact(cfg, "pairs.jsonl", "map")
     primary = _primary_resolver(cfg)
@@ -75,13 +74,9 @@ def run(cfg: PipelineConfig) -> None:
             }
 
     with resolved as resolved_rows:
-        count = _write_rows(cfg.out("cdn_labels.jsonl"), label_rows(resolved_rows))
-    agreement_path = cfg.out("agreement.json")
+        count = out.write("cdn_labels.jsonl", label_rows(resolved_rows))
     if agreement is not None and count:
-        doc = json.dumps(agreement.doc(), sort_keys=True, indent=2)
-        _write_text(agreement_path, doc + "\n")
+        out.write("agreement.json", json.dumps(agreement.doc(), sort_keys=True, indent=2) + "\n")
     else:  # an earlier run's agreement is not this run's
-        with _writing(agreement_path):
-            agreement_path.unlink(missing_ok=True)
-    _write_diag(cfg, "classify", diag)
-    log("INFO", f"classify: {count} labels, {len(cdn_asns)} CDN ASes spotted")
+        out.remove("agreement.json")
+    return f"{count} labels, {len(cdn_asns)} CDN ASes spotted"

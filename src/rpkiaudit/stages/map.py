@@ -7,9 +7,8 @@ import zlib
 
 from .. import rib_store
 from .._prefix_index import format_prefix, parse_address
-from ..cli import PipelineConfig, _artifact, _open_input, _primary_resolver, _write_diag
-from ..cli import _write_rows
-from ..diagnostics import Diagnostics, log
+from ..cli import PipelineConfig, _artifact, _open_input, _Outputs, _primary_resolver
+from ..diagnostics import Diagnostics
 from ..errors import DataError, NotUtf8Error, PathError
 
 
@@ -30,8 +29,7 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
     return trie
 
 
-def run(cfg: PipelineConfig) -> None:
-    diag = Diagnostics()
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     resolved = _artifact(cfg, "resolved.jsonl", "resolve")
     primary = _primary_resolver(cfg)
 
@@ -73,6 +71,5 @@ def run(cfg: PipelineConfig) -> None:
             }
 
     with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order
-        count = _write_rows(cfg.out("pairs.jsonl"), pair_rows(resolved_rows))
-    _write_diag(cfg, "map", diag)
-    log("INFO", f"map: {count} rows against {len(trie)} prefix-origin pairs")
+        count = out.write("pairs.jsonl", pair_rows(resolved_rows))
+    return f"{count} rows against {len(trie)} prefix-origin pairs"

@@ -6,11 +6,11 @@ import itertools
 from typing import Optional
 
 from ..analytics import CoverageClass, DomainCoverage, coverage_report, rank_rows
-from ..cli import PipelineConfig, _artifact, _write_text
-from ..diagnostics import log
+from ..cli import PipelineConfig, _artifact, _Outputs
+from ..diagnostics import Diagnostics
 
 
-def run(cfg: PipelineConfig) -> None:
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     with _artifact(cfg, "validated.jsonl", "validate") as validated_rows:
         ranks = rank_rows(zip(validated_rows, itertools.repeat(None)))
         rows = coverage_report(ranks, cfg.top_n)
@@ -22,7 +22,7 @@ def run(cfg: PipelineConfig) -> None:
         f"{r.rank:>6}  {r.domain:<{width_name}}  {r.www_cell:<{width_www}}  {r.base_cell}"
         for r in rows
     ]
-    _write_text(cfg.out("report.txt"), "\n".join(text_lines) + "\n")
+    out.write("report.txt", "\n".join(text_lines) + "\n")
 
     def cells(cov: Optional[DomainCoverage]) -> list[str]:
         if cov is None or cov.classification is CoverageClass.NO_DATA:
@@ -31,5 +31,5 @@ def run(cfg: PipelineConfig) -> None:
 
     csv_lines = ["rank,domain,www_class,www_covered,www_total,base_class,base_covered,base_total"]
     csv_lines += [",".join([str(r.rank), r.domain, *cells(r.www), *cells(r.base)]) for r in rows]
-    _write_text(cfg.out("report.csv"), "\n".join(csv_lines) + "\n")
-    log("INFO", f"report: {len(rows)} rows")
+    out.write("report.csv", "\n".join(csv_lines) + "\n")
+    return f"{len(rows)} rows"

@@ -7,13 +7,11 @@ import itertools
 import json
 import operator
 import time
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .. import dns_resolution, domain_ingest
 from .._prefix_index import format_address
-from ..cli import PipelineConfig, _open_input, _text_lines, _write_diag
-from ..cli import _write_rows, _write_text, _writing
+from ..cli import PipelineConfig, _open_input, _Outputs, _text_lines, _writing
 from ..diagnostics import Diagnostics, log
 from ..errors import ChainLoopError, DataError, UsageError
 from ..vocabulary import ResolutionStatus
@@ -62,8 +60,7 @@ def _in_order(pool, fn, items: Iterable, window: int) -> Iterator:
             future.cancel()
 
 
-def run(cfg: PipelineConfig) -> None:
-    diag = Diagnostics()
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     list_file = _open_input(cfg.domain_list, "domain list")
     try:
         fmt = domain_ingest.ListFormat(cfg.domain_list_format)
@@ -141,10 +138,10 @@ def run(cfg: PipelineConfig) -> None:
 
     def write(collected) -> int:
         rows = resolved_rows(collected)
-        first = next(rows, None)
+        first = next(rows, None)  # before resolved.jsonl opens: the fixture's faults come first
         if first is None:
             raise DataError("resolve produced zero resolution rows")
-        return _write_rows(cfg.out("resolved.jsonl"), itertools.chain((first,), rows))
+        return out.write("resolved.jsonl", itertools.chain((first,), rows))
 
     if cfg.dns_fixture:
         list_counts = diag.counters.copy()
@@ -158,7 +155,7 @@ def run(cfg: PipelineConfig) -> None:
                 " through an external merge sort")
             diag.counters = list_counts  # the domain list's counts, and no fixture's
             with _writing(cfg.output_dir):
-                Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+                out.dir.mkdir(parents=True, exist_ok=True)
                 runs_dir = tempfile.TemporaryDirectory(prefix=".resolve-", dir=cfg.output_dir)
             with runs_dir as runs, _open_input(cfg.dns_fixture, "DNS fixture") as fixture_file:
                 lines = _text_lines(fixture_file, "DNS fixture")
@@ -189,6 +186,5 @@ def run(cfg: PipelineConfig) -> None:
     else:
         raise UsageError("resolve needs a DNS fixture or at least one resolver endpoint")
 
-    _write_text(cfg.out("resolve_meta.json"), json.dumps(meta, sort_keys=True) + "\n")
-    _write_diag(cfg, "resolve", diag)
-    log("INFO", f"resolve: {count} rows from {len(names)} domains")
+    out.write("resolve_meta.json", json.dumps(meta, sort_keys=True) + "\n")
+    return f"{count} rows from {len(names)} domains"

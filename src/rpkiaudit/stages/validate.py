@@ -6,9 +6,8 @@ import functools
 from pathlib import Path
 
 from .._prefix_index import parse_prefix
-from ..cli import PipelineConfig, _artifact, _open_input, _text_chunks, _text_lines
-from ..cli import _write_diag, _write_rows
-from ..diagnostics import Diagnostics, log
+from ..cli import PipelineConfig, _artifact, _open_input, _Outputs, _text_chunks, _text_lines
+from ..diagnostics import Diagnostics
 from ..errors import UsageError
 from ..roa_validation import RoaFormat, RoaIndex
 from ..vocabulary import ValidationState, coverage_class, covered_share
@@ -24,8 +23,7 @@ def _roa_format(cfg: PipelineConfig) -> RoaFormat:
     return RoaFormat.JSON if Path(str(cfg.roas)).suffix.lower() == ".json" else RoaFormat.CSV
 
 
-def run(cfg: PipelineConfig) -> None:
-    diag = Diagnostics()
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     pairs = _artifact(cfg, "pairs.jsonl", "map")
     export = _open_input(cfg.roas, "ROA export")
     with export:
@@ -58,6 +56,5 @@ def run(cfg: PipelineConfig) -> None:
             }
 
     with pairs as pair_rows:
-        count = _write_rows(cfg.out("validated.jsonl"), validated_rows(pair_rows))
-    _write_diag(cfg, "validate", diag)
-    log("INFO", f"validate: {count} rows against {len(index)} ROAs")
+        count = out.write("validated.jsonl", validated_rows(pair_rows))
+    return f"{count} rows against {len(index)} ROAs"

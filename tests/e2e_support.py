@@ -25,6 +25,7 @@ ALL_ARTIFACTS = BIN_CSVS + (
     "analyze_diagnostics.json",
     "report.txt",
     "report.csv",
+    "report_diagnostics.json",
 )
 
 

@@ -22,12 +22,11 @@ from hypothesis import strategies as st
 
 import mrt_builder as mb
 from dns_fake import whole_file_answers
-from e2e_support import ALL_ARTIFACTS, E2E_DIR, EXPECTED_DIR, e2e_config
+from e2e_support import ALL_ARTIFACTS, BIN_CSVS, E2E_DIR, EXPECTED_DIR, e2e_config
 import rpkiaudit
 from rpkiaudit import _merge_sort, _prefix_index, cli, dns_resolution, errors
-from rpkiaudit.stages import classify, resolve, validate
-from rpkiaudit.stages import analyze, map as map_stage, report
-from rpkiaudit.cli import PipelineConfig, _write_text, main, run_stage
+from rpkiaudit.stages import resolve, validate
+from rpkiaudit.cli import PipelineConfig, main, run_stage
 from rpkiaudit.diagnostics import Diagnostics
 from rpkiaudit.errors import AuditError, DataError, PathError, UsageError
 
@@ -652,10 +651,10 @@ def resolved_rows_like_e2e(e2e_output, count):
 
 
 def traced_peak(stage, cfg):
-    """The peak bytes Python allocated while the stage ran."""
+    """The peak bytes Python allocated while the stage ran, its outputs committed."""
     tracemalloc.start()
     try:
-        stage(cfg)
+        run_stage(stage, cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -671,7 +670,7 @@ class TestStreamedMemory:
             (out / "resolved.jsonl").write_text(resolved_rows_like_e2e(e2e_output, count))
             # one bin for every rank: the bins analyze writes grow with the ranks, by design
             cfg = e2e_config(out, bin_size=10**9).validated()
-            stages = (map_stage.run, validate.run, classify.run, analyze.run, report.run)
+            stages = ("map", "validate", "classify", "analyze", "report")
             peaks[count] = [traced_peak(stage, cfg) for stage in stages]
             assert len(read(out / "validated.jsonl").splitlines()) > count // 3
         for small, large in zip(peaks[2000], peaks[8000]):
@@ -701,7 +700,7 @@ class TestStreamedMemory:
             )
             (out / "resolved.jsonl").write_text("".join(json.dumps(row) + "\n" for row in rows))
             cfg = e2e_config(out, ribs=[str(rib)]).validated()
-            peaks[count] = traced_peak(map_stage.run, cfg)
+            peaks[count] = traced_peak("map", cfg)
             pair_rows = [json.loads(line) for line in read(out / "pairs.jsonl").splitlines()]
             assert len(pair_rows) == count
             # pairs ascend by (version, net, plen, origin): the last is the prefix landed in
@@ -797,7 +796,7 @@ class TestTableMemory:
         roas.write_text(roa_csv(random.Random(1), count))
         out = self.stage_inputs(e2e_output, tmp_path)
         cfg = PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
-        peak = traced_peak(validate.run, cfg)
+        peak = traced_peak("validate", cfg)
         assert peak < 300 * count, peak / count
         validate_diag = json.loads((out / "validate_diagnostics.json").read_text())
         assert "malformed_roa_rows" not in validate_diag
@@ -809,7 +808,7 @@ class TestTableMemory:
         registry.write_text(registry_lines(random.Random(1), count, order))
         out = self.stage_inputs(e2e_output, tmp_path)
         cfg = PipelineConfig(as_registry=str(registry), output_dir=str(out)).validated()
-        peak = traced_peak(classify.run, cfg)
+        peak = traced_peak("classify", cfg)
         # The pass keeps a set of the ASNs seen: an int and a slot in a table that
         # grows fourfold, so up to about 160 B per line while it resizes.
         assert peak < 170 * count, peak / count
@@ -834,7 +833,7 @@ class TestTableMemory:
             for artifact in ("resolved.jsonl", "resolve_meta.json"):
                 shutil.copy(e2e_output / artifact, out)
             cfg = e2e_config(out, ribs=[str(rib)]).validated()
-            peaks[name] = traced_peak(map_stage.run, cfg)
+            peaks[name] = traced_peak("map", cfg)
         assert peaks["padded"] < 1.1 * peaks["plain"], peaks
 
     @pytest.mark.parametrize("indent", [None, 1], ids=["one-line", "indent-1"])
@@ -875,7 +874,7 @@ class TestTableMemory:
             out = self.stage_inputs(e2e_output, work)
             gc.collect()
             stage_peaks[fmt] = traced_peak(
-                validate.run, PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
+                "validate", PipelineConfig(roas=str(roas), output_dir=str(out)).validated()
             )
             assert json.loads((out / "validate_diagnostics.json").read_text()) == {}
         assert load_peaks[RoaFormat.JSON] <= load_peaks[RoaFormat.CSV], load_peaks
@@ -1228,6 +1227,17 @@ STAGE_IO = {
 }
 
 
+# What each stage writes besides its <stage>_diagnostics.json.
+STAGE_OUTPUTS = {
+    "resolve": ("resolved.jsonl", "resolve_meta.json"),
+    "map": ("pairs.jsonl",),
+    "validate": ("validated.jsonl",),
+    "classify": ("cdn_labels.jsonl", "agreement.json"),
+    "analyze": ("overlap.csv", *BIN_CSVS, "summary.json"),
+    "report": ("report.txt", "report.csv"),
+}
+
+
 def exits_3_on_damaged_row(e2e_output, tmp_path, stage, artifact, damage, first):
     """Damage the first or last full row of an artifact and run the stage on it.
 
@@ -1512,15 +1522,18 @@ class TestCorruptInputs:
         assert not (out / "cdn_labels.jsonl").exists()
 
     def test_failed_write_keeps_old_artifact(self, tmp_path):
-        path = tmp_path / "artifact.txt"
-        _write_text(path, "complete\n")
-        with pytest.raises(UnicodeEncodeError):
-            _write_text(path, "half written \ud800")  # fails mid-write
-        assert path.read_text() == "complete\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["artifact.txt"]
+        """A fault in a stage's block replaces none of its outputs, nor those it wrote
+        before the fault, and leaves no temp file."""
+        with cli._Outputs(tmp_path) as out:
+            assert out.write("artifact.txt", "complete\n") == 1
+            assert out.write("artifact.jsonl", ({"n": n} for n in range(3))) == 3
+        complete = {"artifact.txt": b"complete\n", "artifact.jsonl": b'{"n":0}\n{"n":1}\n{"n":2}\n'}
+        assert entries(tmp_path) == complete
 
-        rows_path = tmp_path / "artifact.jsonl"
-        assert cli._write_rows(rows_path, ({"n": n} for n in range(3))) == 3
+        with pytest.raises(UnicodeEncodeError), cli._Outputs(tmp_path) as out:
+            out.write("artifact.jsonl", ({"n": n} for n in range(6)))
+            out.write("artifact.txt", "half written \ud800")  # fails mid-write
+        assert entries(tmp_path) == complete
 
         def rows():
             for n in range(6):
@@ -1528,10 +1541,10 @@ class TestCorruptInputs:
                     raise DataError("a fault halfway through the rows")
                 yield {"n": n}
 
-        with pytest.raises(DataError):
-            cli._write_rows(rows_path, rows())
-        assert rows_path.read_text() == '{"n":0}\n{"n":1}\n{"n":2}\n'
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.jsonl", "artifact.txt"]
+        with pytest.raises(DataError), cli._Outputs(tmp_path) as out:
+            out.write("artifact.txt", "replaced\n")
+            out.write("artifact.jsonl", rows())
+        assert entries(tmp_path) == complete
 
 
 def entries(directory):
@@ -1565,22 +1578,33 @@ class TestUnusablePaths:
         assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
         assert entries(out) == before
 
-    @pytest.mark.parametrize("stage, artifact", [
-        ("resolve", "resolved.jsonl"), ("map", "pairs.jsonl"), ("validate", "validated.jsonl"),
-        ("classify", "cdn_labels.jsonl"),
+    @pytest.mark.parametrize("stage, labels, artifact", [
+        pytest.param(stage, labels, name, id="-".join([stage, *["labels"] * labels, name]))
+        for stage, outputs in STAGE_OUTPUTS.items()
+        for labels in ((False, True) if stage == "classify" else (False,))
+        for name in (*outputs, f"{stage}_diagnostics.json")
     ])
-    def test_directory_at_output_is_2(self, e2e_output, tmp_path, stage, artifact):
+    def test_directory_at_output_is_2(self, e2e_output, tmp_path, stage, labels, artifact):
+        """Each output of each stage: every other output, though already written, is
+        not replaced.  Without external labels, classify refuses to remove agreement.json."""
         needs, inputs = STAGE_IO[stage]
+        if labels:
+            inputs = [*inputs, "--external-labels", E2E_DIR / "external_labels.csv"]
         out = tmp_path / "out"
         out.mkdir()
-        for name in needs:
-            shutil.copy(e2e_output / name, out)
+        for name in ALL_ARTIFACTS:  # the stage's own outputs among them, each stale
+            if name in needs:
+                shutil.copy(e2e_output / name, out)
+            else:
+                (out / name).write_text("stale\n")
+        (out / artifact).unlink()
         (out / artifact).mkdir()
+        before = entries(out)
         result = run_cli(stage, *inputs, "--output-dir", out, dev=True)
         assert result.returncode == 2, result.stderr
         assert f"cannot write {out / artifact}: Is a directory" in result.stderr
         assert "Traceback" not in result.stderr and "ResourceWarning" not in result.stderr
-        assert entries(out) == {name: read(e2e_output / name) for name in needs} | {artifact: None}
+        assert entries(out) == before
 
     @pytest.mark.parametrize("order", ["in_turn", "reversed"])
     def test_output_dir_under_a_file_is_2(self, tmp_path, order):
@@ -2100,7 +2124,7 @@ def resolve_peaks(tmp_path, shuffle):
             primary_resolver="fixture", output_dir=str(out),
         ).validated()
         with WarningLog() as messages:
-            peaks[count] = traced_peak(resolve.run, cfg)
+            peaks[count] = traced_peak("resolve", cfg)
         assert len(fallbacks(messages)) == (1 if shuffle else 0)
         rows = read(out / "resolved.jsonl").count(b"\n")
         assert rows > 2 * count * 0.9

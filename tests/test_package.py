@@ -146,7 +146,7 @@ def test_only_the_codec_builds_ipaddress_objects():
 
 
 def test_only_cli_and_the_sort_open_files():
-    # a stage opens every file it reads or writes through cli (_open_input, _replacing),
+    # a stage opens every file it reads or writes through cli (_open_input, _Outputs),
     # where a path that cannot be opened exits 2 naming it; the merge sort opens its
     # own run files, in a directory resolve has made
     package = Path(rpkiaudit.__file__).parent
@@ -162,6 +162,26 @@ def test_only_cli_and_the_sort_open_files():
                 if name == "open":
                     opens.append(f"{where}:{node.lineno}: {ast.unparse(func)}()")
     assert opens == []
+
+
+def test_only_cli_moves_or_removes_files():
+    # the driver commits every stage's outputs at once (cli._Outputs), so no other
+    # module replaces, renames or removes a file, but the merge sort its own run files;
+    # and no stage imports the per-file writers that came before the commit
+    package = Path(rpkiaudit.__file__).parent
+    moves, writers = [], []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package)
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner, name = ast.unparse(node.func.value), node.func.attr
+                if name in {"rename", "unlink"} or (owner == "os" and name == "replace"):
+                    moves.append(f"{where}:{node.lineno}: {ast.unparse(node.func)}()")
+            if isinstance(node, ast.ImportFrom) and where.parts[0] == "stages":
+                writers += [f"{where}: {a.name}" for a in node.names if a.name in
+                            {"_replacing", "_write_text", "_write_rows", "_write_diag"}]
+    assert [m for m in moves if not m.startswith(("cli.py:", "_merge_sort.py:"))] == []
+    assert writers == []
 
 
 def names_in(node):
