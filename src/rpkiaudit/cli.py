@@ -1,9 +1,9 @@
 """Staged, resumable pipeline driver: the config, artifact I/O and the stage runner.
 
-Each stage, a module of ``rpkiaudit.stages``, reads the previous stage's on-disk
-artifacts and writes its own, so expensive inputs (DNS campaigns, RIB parses) are
-cached between runs.  A stage's outputs are committed together: a failed stage replaces
-none.  Artifacts are canonically sorted: identical inputs give identical bytes.
+Each stage, a module of ``rpkiaudit.stages``, reads earlier stages' on-disk artifacts
+through readers the driver hands it and writes its own, so costly inputs (DNS campaigns,
+RIB parses) are cached between runs.  A stage's outputs are committed together: a failed
+stage replaces none.  Artifacts are canonically sorted: identical inputs give identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 a path a stage reads or writes is missing or
 cannot be opened (an input, an upstream artifact or an output), 3 data error (inputs
@@ -28,6 +28,11 @@ from .diagnostics import Diagnostics, log
 from .errors import AuditError, DataError, NotUtf8Error, PathError, UsageError
 
 STAGES = ("resolve", "map", "validate", "classify", "analyze", "report")
+
+# The upstream artifacts each stage's ``run`` takes a reader of, in the order it takes them.
+_READS = {"map": ("resolved.jsonl",), "validate": ("pairs.jsonl",),
+          "classify": ("resolved.jsonl", "pairs.jsonl"),
+          "analyze": ("validated.jsonl", "cdn_labels.jsonl"), "report": ("validated.jsonl",)}
 
 CONFIG_ENV_VAR = "RPKIAUDIT_CONFIG"
 
@@ -221,28 +226,36 @@ def _line_row(path: Path, lineno: int, line: bytes) -> Optional[dict]:
 
 _row_order = operator.itemgetter("rank", "variant", "domain")  # of map, validate, classify rows
 
-# The key each JSONL artifact is written in, strictly ascending.
-_ARTIFACT_ORDER = {
-    "resolved.jsonl": operator.itemgetter("rank", "variant", "resolver", "domain"),
-    "pairs.jsonl": _row_order,
-    "validated.jsonl": _row_order,
-    "cdn_labels.jsonl": _row_order,
+# Each artifact a stage reads: the stage that writes it, and the key its rows are
+# written in, strictly ascending (None for a file of one object).
+_ARTIFACTS = {
+    "resolved.jsonl": ("resolve", operator.itemgetter("rank", "variant", "resolver", "domain")),
+    "resolve_meta.json": ("resolve", None),
+    "pairs.jsonl": ("map", _row_order),
+    "validated.jsonl": ("validate", _row_order),
+    "cdn_labels.jsonl": ("classify", _row_order),
 }
 
 
-def _artifact(cfg: PipelineConfig, name: str, stage: str):
-    """An upstream stage's JSONL artifact, read as ``with _artifact(...) as rows``.
+def _artifact(cfg: PipelineConfig, name: str):
+    """An upstream artifact the driver found in place, read as ``with reader as rows``.
 
-    The call exits 2 when the artifact's stage has not run, and the ``with`` block
-    when the artifact cannot be opened (a directory, say).  In the block, a bad row
-    is a DataError (exit 3) naming the artifact and its domain; a row's rank, where
-    it has one, is an int >= 1 and its domain is text, and rows arrive strictly
-    ascending in the artifact's order.
+    The block exits 2 when the artifact cannot be opened (a directory, say).  In it, a bad
+    row is a DataError (exit 3) naming the artifact and its domain; a row's rank, where it
+    has one, is an int >= 1, its domain is text, and rows ascend in the artifact's order.
+    ``resolved.jsonl`` yields, after these checks, only the rows of the primary resolver,
+    which ``resolve_meta.json``, read now, names among its list of text ``resolvers``.
     """
     path = Path(cfg.output_dir) / name
-    if not path.exists():
-        raise PathError(f"artifact {str(path)!r} not found; run the {stage!r} stage first")
-    order = _ARTIFACT_ORDER.get(name)
+    order = _ARTIFACTS[name][1]
+    primary = None
+    if name == "resolved.jsonl":
+        with _artifact(cfg, "resolve_meta.json") as meta_rows:
+            (meta,) = meta_rows
+            primary, resolvers = meta["primary_resolver"], meta["resolvers"]
+            texts = type(resolvers) is list and all(type(r) is str for r in resolvers)
+            if not texts or primary not in resolvers:
+                raise ValueError(f"primary resolver {primary!r} is not a resolver")
     row: dict = {}
 
     def rows():
@@ -259,7 +272,8 @@ def _artifact(cfg: PipelineConfig, name: str, stage: str):
                 if last is not None and not last < key:
                     raise ValueError(f"row {key} is out of order or repeated after {last}")
                 last = key
-            yield row
+            if primary is None or row["resolver"] == primary:
+                yield row
         row = {}  # a fault after the last row belongs to no one row
 
     @contextlib.contextmanager
@@ -295,14 +309,6 @@ def _joined(rows: Iterable[dict], artifact, value, missing) -> Iterator[tuple[di
         yield row, found if key == here else missing
     for _ in others:
         pass
-
-
-def _primary_resolver(cfg: PipelineConfig) -> str:
-    with _artifact(cfg, "resolve_meta.json", "resolve") as meta_rows:
-        (meta,) = meta_rows
-        if meta["primary_resolver"] not in meta["resolvers"]:
-            raise ValueError(f"primary resolver {meta['primary_resolver']!r} is not a resolver")
-        return meta["primary_resolver"]
 
 
 def _open_input(path: Optional[str], what: str) -> typing.BinaryIO:
@@ -379,17 +385,26 @@ def run_stage(stage: str, config: PipelineConfig) -> int:
     """Run one stage (or "all"); returns 0, raising AuditError subclasses on failure.
 
     A stage is the module ``rpkiaudit.stages.<stage>``, imported only when it runs, so a
-    stage child loads no other stage's code.  Its ``run(cfg, diag, out)`` returns its INFO
-    line; the driver adds ``<stage>_diagnostics.json`` and commits every output at once.
+    stage child loads no other stage's code.  Every artifact it reads must exist; then its
+    ``run(cfg, diag, out, *readers)`` gets a reader of each in ``_READS`` (a ``resolved.jsonl``
+    reader reads ``resolve_meta.json`` as it is made), opens its own inputs and returns its
+    INFO line; the driver adds ``<stage>_diagnostics.json`` and commits every output.
     """
     config = config.validated()
     if stage != "all" and stage not in STAGES:
         raise UsageError(f"unknown stage {stage!r}")
     for name in STAGES if stage == "all" else (stage,):
+        reads = _READS.get(name, ())
+        for artifact in reads + (("resolve_meta.json",) if "resolved.jsonl" in reads else ()):
+            path = Path(config.output_dir) / artifact
+            if not path.exists():
+                raise PathError(f"artifact {str(path)!r} not found;"
+                                f" run the {_ARTIFACTS[artifact][0]!r} stage first")
+        readers = [_artifact(config, artifact) for artifact in reads]
         run = importlib.import_module(f"{__package__}.stages.{name}").run
         diag = Diagnostics()
         with _Outputs(config.output_dir) as out:
-            message = run(config, diag, out)
+            message = run(config, diag, out, *readers)
             out.write(f"{name}_diagnostics.json", diag.to_json())
         log("INFO", f"{name}: {message}")
     return 0

@@ -1,4 +1,4 @@
-"""The pipeline's stages, one module each; ``cli.run_stage`` imports a stage's
-module by name and calls its ``run(cfg, diag, out)``, so a stage child loads only
-the library modules its own stage uses.  A stage writes its outputs through ``out``
-and returns its INFO line; the driver commits the outputs."""
+"""The pipeline's stages, one module each; ``cli.run_stage`` imports a stage's module by
+name, so a stage child loads only its own stage's library modules, and calls its ``run(cfg,
+diag, out, *readers)`` with a reader of each upstream artifact the stage reads.  A stage
+opens its own inputs, writes its outputs through ``out`` and returns its INFO line."""

@@ -6,7 +6,7 @@ import json
 from fractions import Fraction
 
 from ..analytics import BinnedSums, BinStat, OverallRates, prefix_overlap, rank_rows
-from ..cli import PipelineConfig, _artifact, _joined, _Outputs
+from ..cli import PipelineConfig, _joined, _Outputs
 from ..diagnostics import Diagnostics
 from ..errors import DataError
 from ..vocabulary import Variant, format_fraction, fraction_to_float
@@ -40,10 +40,7 @@ def _by_chain(label: dict) -> bool:
     return value
 
 
-def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
-    validated = _artifact(cfg, "validated.jsonl", "validate")
-    labels = _artifact(cfg, "cdn_labels.jsonl", "classify")
-
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs, validated, labels) -> str:
     # per variant: every domain, and the domains with a true chain label (a row
     # with no label row counts as not CDN)
     every = {v: BinnedSums(cfg.bin_size) for v in Variant}

@@ -5,8 +5,7 @@ from __future__ import annotations
 import json
 
 from .. import cdn_classifier
-from ..cli import PipelineConfig, _artifact, _joined, _open_input, _Outputs, _primary_resolver
-from ..cli import _text_lines
+from ..cli import PipelineConfig, _joined, _open_input, _Outputs, _text_lines
 from ..diagnostics import Diagnostics
 from ..errors import DataError
 from ..vocabulary import ResolutionStatus, plain_asn
@@ -17,11 +16,7 @@ def _origin_asns(row: dict) -> list[int]:
     return [plain_asn(pair["asn"]) for pair in row["pairs"]]
 
 
-def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
-    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
-    pairs = _artifact(cfg, "pairs.jsonl", "map")
-    primary = _primary_resolver(cfg)
-
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs, resolved, pairs) -> str:
     with _open_input(cfg.as_registry, "AS registry") as registry_file:
         if cfg.keywords:
             with _open_input(cfg.keywords, "keyword file") as keyword_file:
@@ -45,8 +40,6 @@ def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
     def primary_ok(resolved_rows):
         """The primary resolver's OK rows; each primary row's cnames and status are checked."""
         for row in resolved_rows:
-            if row["resolver"] != primary:
-                continue
             cnames = row["cnames"]
             if type(cnames) is not list or not all(type(c) is str for c in cnames):
                 raise TypeError(f"cnames {cnames!r} is not a list of text")

@@ -7,7 +7,7 @@ import zlib
 
 from .. import rib_store
 from .._prefix_index import format_prefix, parse_address
-from ..cli import PipelineConfig, _artifact, _open_input, _Outputs, _primary_resolver
+from ..cli import PipelineConfig, _open_input, _Outputs
 from ..diagnostics import Diagnostics
 from ..errors import DataError, NotUtf8Error, PathError
 
@@ -29,10 +29,7 @@ def _load_rib(cfg: PipelineConfig, diag: Diagnostics) -> rib_store.PrefixTrie:
     return trie
 
 
-def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
-    resolved = _artifact(cfg, "resolved.jsonl", "resolve")
-    primary = _primary_resolver(cfg)
-
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs, resolved) -> str:
     trie = _load_rib(cfg, diag)
     if len(trie) == 0 and trie.as_set_count == 0:
         raise DataError("RIB sources contained zero usable entries")
@@ -42,8 +39,6 @@ def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
         # a row with the row before's addresses (a www name answered as its base) has its pairs
         last_addresses: object = object()  # equal to no row's addresses
         for row in resolved_rows:
-            if row["resolver"] != primary:
-                continue
             if row["addresses"] != last_addresses:
                 last_addresses = row["addresses"]
                 keys: set[tuple[int, int, int, int]] = set()
@@ -70,6 +65,6 @@ def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
                 "unreachable": unreachable,
             }
 
-    with resolved as resolved_rows:  # one resolver's rows keep resolved.jsonl's order
+    with resolved as resolved_rows:  # the primary resolver's rows, in resolved.jsonl's order
         count = out.write("pairs.jsonl", pair_rows(resolved_rows))
     return f"{count} rows against {len(trie)} prefix-origin pairs"

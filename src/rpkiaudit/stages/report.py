@@ -6,12 +6,12 @@ import itertools
 from typing import Optional
 
 from ..analytics import CoverageClass, DomainCoverage, coverage_report, rank_rows
-from ..cli import PipelineConfig, _artifact, _Outputs
+from ..cli import PipelineConfig, _Outputs
 from ..diagnostics import Diagnostics
 
 
-def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
-    with _artifact(cfg, "validated.jsonl", "validate") as validated_rows:
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs, validated) -> str:
+    with validated as validated_rows:
         ranks = rank_rows(zip(validated_rows, itertools.repeat(None)))
         rows = coverage_report(ranks, cfg.top_n)
 

@@ -6,7 +6,7 @@ import functools
 from pathlib import Path
 
 from .._prefix_index import parse_prefix
-from ..cli import PipelineConfig, _artifact, _open_input, _Outputs, _text_chunks, _text_lines
+from ..cli import PipelineConfig, _open_input, _Outputs, _text_chunks, _text_lines
 from ..diagnostics import Diagnostics
 from ..errors import UsageError
 from ..roa_validation import RoaFormat, RoaIndex
@@ -23,8 +23,7 @@ def _roa_format(cfg: PipelineConfig) -> RoaFormat:
     return RoaFormat.JSON if Path(str(cfg.roas)).suffix.lower() == ".json" else RoaFormat.CSV
 
 
-def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs) -> str:
-    pairs = _artifact(cfg, "pairs.jsonl", "map")
+def run(cfg: PipelineConfig, diag: Diagnostics, out: _Outputs, pairs) -> str:
     export = _open_input(cfg.roas, "ROA export")
     with export:
         fmt = _roa_format(cfg)

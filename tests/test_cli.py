@@ -53,6 +53,30 @@ def without(row, key):
     return {k: v for k, v in row.items() if k != key}
 
 
+# stage -> (the artifacts it reads, the input flags it needs)
+STAGE_IO = {
+    "resolve": ([], ["--domain-list", E2E_DIR / "domains.csv",
+                     "--fixture-dns", E2E_DIR / "dns.jsonl"]),
+    "map": (["resolved.jsonl", "resolve_meta.json"], ["--rib", E2E_DIR / "rib.txt"]),
+    "validate": (["pairs.jsonl"], ["--roas", E2E_DIR / "roas.csv"]),
+    "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
+                 ["--as-registry", E2E_DIR / "as_registry.txt"]),
+    "analyze": (["validated.jsonl", "cdn_labels.jsonl"], []),
+    "report": (["validated.jsonl"], []),
+}
+
+
+# What each stage writes besides its <stage>_diagnostics.json.
+STAGE_OUTPUTS = {
+    "resolve": ("resolved.jsonl", "resolve_meta.json"),
+    "map": ("pairs.jsonl",),
+    "validate": ("validated.jsonl",),
+    "classify": ("cdn_labels.jsonl", "agreement.json"),
+    "analyze": ("overlap.csv", *BIN_CSVS, "summary.json"),
+    "report": ("report.txt", "report.csv"),
+}
+
+
 class TestEndToEnd:
     def test_bin_csvs_match_committed_expectations(self, e2e_output):
         for name in ("bins_base.csv", "bins_www.csv", "cdn_bins_base.csv", "cdn_bins_www.csv"):
@@ -199,15 +223,41 @@ class TestSingleDerivation:
 
 
 class TestStageDependencies:
-    def test_map_without_resolve(self, tmp_path):
-        cfg = e2e_config(tmp_path / "fresh")
-        with pytest.raises(PathError, match="run the 'resolve' stage first"):
-            run_stage("map", cfg)
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [(stage, name) for stage, (needs, _) in STAGE_IO.items() for name in needs],
+    )
+    def test_missing_upstream_artifact_is_2(self, e2e_output, tmp_path, capsys, stage, artifact):
+        needs, inputs = STAGE_IO[stage]
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in needs:
+            if name != artifact:
+                shutil.copy(e2e_output / name, out)
+        assert main([stage, *map(str, inputs), "--output-dir", str(out)]) == 2
+        (writer,) = [s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs]
+        assert capsys.readouterr().err == (
+            f"error: artifact {str(out / artifact)!r} not found; run the {writer!r} stage first\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == sorted(set(needs) - {artifact})
 
-    def test_validate_without_map(self, tmp_path):
-        cfg = e2e_config(tmp_path / "fresh")
-        with pytest.raises(PathError, match="run the 'map' stage first"):
-            run_stage("validate", cfg)
+    # A stage checks that every artifact it reads exists, then reads resolve_meta.json,
+    # then opens its own inputs.
+    def test_missing_artifact_comes_before_a_bad_meta(self, e2e_output, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "resolved.jsonl", out)
+        (out / "resolve_meta.json").write_text("{}\n")
+        assert main(["classify", *map(str, STAGE_IO["classify"][1]), "--output-dir", str(out)]) == 2
+        assert "run the 'map' stage first" in capsys.readouterr().err
+
+    def test_bad_meta_comes_before_a_missing_input(self, e2e_output, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        shutil.copy(e2e_output / "resolved.jsonl", out)
+        (out / "resolve_meta.json").write_text("{}\n")
+        assert main(["map", "--output-dir", str(out)]) == 3
+        assert f"{out / 'resolve_meta.json'}: corrupt artifact" in capsys.readouterr().err
 
     def test_unknown_stage(self, tmp_path):
         with pytest.raises(UsageError):
@@ -1147,6 +1197,10 @@ ROW_DAMAGE = [
     ("map", "resolve_meta.json", lambda row: [row]),
     ("map", "resolve_meta.json", lambda row: dict(row, primary_resolver=5)),
     ("classify", "resolve_meta.json", lambda row: dict(row, primary_resolver="nope")),
+    # resolvers must be a list of text, not text a primary's name is part of
+    *((stage, "resolve_meta.json", lambda row, meta=meta: meta) for stage in ("map", "classify")
+      for meta in ({"primary_resolver": "fix", "resolvers": "fixture"},
+                   {"primary_resolver": 5, "resolvers": [5, "fixture"]})),
     ("map", "resolved.jsonl", lambda row: without(row, "addresses")),
     ("map", "resolved.jsonl", lambda row: [1, 2]),
     ("map", "resolved.jsonl", lambda row: dict(row, addresses=["nope"])),
@@ -1194,7 +1248,10 @@ ROW_DAMAGE = [
 ]
 ROW_DAMAGE_IDS = [
     "meta_empty", "meta_not_object", "meta_primary_unlisted",
-    "meta_primary_unlisted_classify", "no_addresses", "row_not_object",
+    "meta_primary_unlisted_classify",
+    *(f"meta_{name}{suffix}" for suffix in ("", "_classify")
+      for name in ("resolvers_text", "primary_int")),
+    "no_addresses", "row_not_object",
     "bad_address", "int_address", "null_address", "null_addresses", "resolved_rank_negative",
     "resolved_domain_int",
     "pairs_no_domain_validate", "pairs_no_rank", "pairs_no_variant", "pairs_null",
@@ -1213,30 +1270,6 @@ ROW_DAMAGE_IDS = [
     *(f"{stage}_validated_{name}" for stage in ("analyze", "report")
       for name in VALIDATED_PAIR_FAULT_IDS),
 ]
-
-# stage -> (the artifacts it reads, the input flags it needs)
-STAGE_IO = {
-    "resolve": ([], ["--domain-list", E2E_DIR / "domains.csv",
-                     "--fixture-dns", E2E_DIR / "dns.jsonl"]),
-    "map": (["resolved.jsonl", "resolve_meta.json"], ["--rib", E2E_DIR / "rib.txt"]),
-    "validate": (["pairs.jsonl"], ["--roas", E2E_DIR / "roas.csv"]),
-    "classify": (["resolved.jsonl", "resolve_meta.json", "pairs.jsonl"],
-                 ["--as-registry", E2E_DIR / "as_registry.txt"]),
-    "analyze": (["validated.jsonl", "cdn_labels.jsonl"], []),
-    "report": (["validated.jsonl"], []),
-}
-
-
-# What each stage writes besides its <stage>_diagnostics.json.
-STAGE_OUTPUTS = {
-    "resolve": ("resolved.jsonl", "resolve_meta.json"),
-    "map": ("pairs.jsonl",),
-    "validate": ("validated.jsonl",),
-    "classify": ("cdn_labels.jsonl", "agreement.json"),
-    "analyze": ("overlap.csv", *BIN_CSVS, "summary.json"),
-    "report": ("report.txt", "report.csv"),
-}
-
 
 def exits_3_on_damaged_row(e2e_output, tmp_path, stage, artifact, damage, first):
     """Damage the first or last full row of an artifact and run the stage on it.

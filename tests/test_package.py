@@ -184,6 +184,27 @@ def test_only_cli_moves_or_removes_files():
     assert writers == []
 
 
+def test_stages_read_only_the_rows_they_are_handed():
+    # the driver opens every upstream artifact and hands each stage its readers, so no
+    # stage names cli's artifact readers, nor any stage's output but its own
+    stages = Path(rpkiaudit.__file__).parent / "stages"
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(stages.glob("*.py"))}
+    outputs = {  # the names each stage writes or removes through out
+        where: {call.args[0].value for call in ast.walk(tree) if isinstance(call, ast.Call)
+                and ast.unparse(call.func) in {"out.write", "out.remove"}
+                and isinstance(call.args[0], ast.Constant)}
+        for where, tree in trees.items()
+    }
+    found = []
+    for where, tree in trees.items():
+        found += [f"{where}: {name}" for name in sorted(set(names_in(tree)) & {
+            "_artifact", "_primary_resolver", "_jsonl_rows"})]
+        others = set().union(*outputs.values()) - outputs[where]
+        found += [f"{where}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in others]
+    assert found == []
+
+
 def names_in(node):
     """Each name a node's code mentions: variables, attributes, imported names, and
     the names in annotations written as strings."""
